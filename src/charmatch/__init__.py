@@ -54,6 +54,3 @@ __all__ = [
     "verify_matching", "GaussLegendre", "KIND_NAMES", "build_kind",
     "__version__",
 ]
-
-# char_numbers_derivative is the operation name used throughout the docs
-char_numbers_derivative = derivative_chars

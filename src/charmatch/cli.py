@@ -7,7 +7,7 @@ Subcommands::
     figure   emit a named figure as CSV (+ SVG)
     compare  grid error norms for several expansions of one function
 
-Exit codes: 0 ok/pass, 1 verification failure, 2 usage error,
+Exit codes: 0 ok/pass, 1 verification failure, 2 usage or domain error,
 3 family/kind mismatch.
 """
 
@@ -22,13 +22,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import exprs
-from .errors import (
-    CharmatchError,
-    DomainError,
-    EvalDomainError,
-    FamilyMismatchError,
-    SingularSystemError,
-)
+from .errors import CharmatchError, DomainError, EvalDomainError, FamilyMismatchError
 from .figures import FIGURES, build_figure, render_csv, render_svg
 from .interp import value_chars, ws_build, ws_node_systems
 from .jets import Jet
@@ -394,11 +388,7 @@ def main(argv: list[str] | None = None) -> int:
     except FamilyMismatchError as exc:
         print(f"error: family mismatch: {exc}", file=sys.stderr)
         return 3
-    except (UsageError, DomainError, SingularSystemError,
-            exprs.ExprSyntaxError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except EvalDomainError as exc:
+    except CharmatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 from . import specfun
@@ -29,6 +30,7 @@ from .matching import (
     NONLINEAR_TRANSFORMS,
     PolynomialApproximant,
     TriMatrix,
+    measure,
 )
 from .poly import Poly, is_exact
 
@@ -209,19 +211,12 @@ class PadeApproximant(Approximant):
 
     def eval_jet(self, x0, order: int) -> Jet:
         var = Jet.variable(x0, order) - self.center
-        return _poly_on_jet(self.p, var) / _poly_on_jet(self.q, var)
+        return self.p(var) / self.q(var)
 
 
 def pade_approx(c: CharNumbers, m: int, n: int) -> PadeApproximant:
     fam = _require_derivative(c)
     return PadeApproximant(pade_solve(c, m, n), center=fam.center)
-
-
-def _poly_on_jet(p: Poly, var: Jet) -> Jet:
-    acc = Jet.constant(p.coeffs[-1], var.center, var.order)
-    for coef in reversed(p.coeffs[:-1]):
-        acc = acc * var + coef
-    return acc
 
 
 # -- powers of sines --------------------------------------------------------------
@@ -328,7 +323,7 @@ class ExpWeightedApproximant(Approximant):
     def eval_jet(self, x0, order: int) -> Jet:
         var = Jet.variable(x0, order) - self.center
         weight = (self.w * var ** self.q).exp()
-        return weight * _poly_on_jet(self.poly, var)
+        return weight * self.poly(var)
 
 
 def exp_weighted_approx(c: CharNumbers, w, q: int) -> ExpWeightedApproximant:
@@ -439,25 +434,22 @@ class SeriesInGApproximant(Approximant):
             raise DomainError(f"unknown basis function {g_name!r}")
         self.g_name = g_name
         self.center = center
+        self.series = Poly(coeffs.values)
+
+    @cached_property
+    def _float_series(self) -> Poly:
+        return self.series.as_float()
 
     def __call__(self, x):
         t = float(x - self.center)
         basis = _G_BASIS[self.g_name]
         if not basis["domain"](t):
             raise EvalDomainError(f"{self.g_name} basis undefined at x={x}")
-        y = basis["eval"](t)
-        acc = 0.0
-        for a in reversed(self.coeffs.values):
-            acc = acc * y + float(a)
-        return acc
+        return self._float_series(basis["eval"](t))
 
     def eval_jet(self, x0, order: int) -> Jet:
         var = Jet.variable(x0, order) - self.center
-        y = _G_BASIS[self.g_name]["jet"](var)
-        acc = Jet.constant(self.coeffs.values[-1], x0, order)
-        for a in reversed(self.coeffs.values[:-1]):
-            acc = acc * y + a
-        return acc
+        return self.series(_G_BASIS[self.g_name]["jet"](var))
 
 
 def powers_of_g_approx(c: CharNumbers, variant: str,
@@ -511,6 +503,11 @@ class RationalX1Approximant(Approximant):
         super().__init__("rational_x_over_x1", coeffs)
         self.center = center
         self.alpha = coeffs.params["alpha"]
+        self.series = Poly(coeffs.values)
+
+    @cached_property
+    def _float_series(self) -> Poly:
+        return self.series.as_float()
 
     def _u(self, t):
         return -t / self.alpha
@@ -519,19 +516,11 @@ class RationalX1Approximant(Approximant):
         u = self._u(x - self.center)
         if u == -1:
             raise EvalDomainError(f"pole of the rational expansion at x={x}")
-        y = u / (u + 1)
-        acc = 0.0
-        for a in reversed(self.coeffs.values):
-            acc = acc * y + float(a)
-        return acc
+        return self._float_series(u / (u + 1))
 
     def eval_jet(self, x0, order: int) -> Jet:
         u = self._u(Jet.variable(x0, order) - self.center)
-        y = u / (u + 1)
-        acc = Jet.constant(self.coeffs.values[-1], x0, order)
-        for a in reversed(self.coeffs.values[:-1]):
-            acc = acc * y + a
-        return acc
+        return self.series(u / (u + 1))
 
 
 def rational_x1_approx(c: CharNumbers, alpha=-1) -> RationalX1Approximant:
@@ -567,8 +556,13 @@ def _G_adaptive(x: float, tol: float = 1e-15) -> float:
     n = 64
     while True:
         val, bound = moebius_G_eval(x, n)
-        if bound <= tol or n >= 8192:
+        if bound <= tol:
             return val
+        if n >= 8192:
+            raise EvalDomainError(
+                f"Moebius G series at x={x} misses its tail bound after {n} terms "
+                f"(bound {bound:.3g} > {tol:.0e})"
+            )
         n *= 2
 
 
@@ -658,7 +652,7 @@ class DirichletApproximant(Approximant):
                     )
                 # truncated at the jet order, exact since y has no constant term
                 mu_poly = Poly([0] + [specfun.moebius(k) for k in range(1, order + 1)])
-                basis = _poly_on_jet(mu_poly, y)
+                basis = mu_poly(y)
             elif variant == "dirichlet_rat1":
                 basis = 1 / (1 - y)
             else:
@@ -762,12 +756,8 @@ def prime_indicator_P(pmax: int) -> tuple[int, ...]:
 
 def nonlinear_chars(f, transform: str, x0=0, order: int = 8) -> CharNumbers:
     """c_n = d^n/dx^n Lambda(f(x)) at x0, computed through jets."""
-    tr = NONLINEAR_TRANSFORMS.get(transform)
-    if tr is None:
-        raise DomainError(f"unknown nonlinear transform {transform!r}")
-    jet = f.eval_jet(x0, order)
-    lifted = tr.lam_jet(jet)
-    return CharNumbers(lifted.derivatives(), Nonlinear(transform, x0))
+    family = Nonlinear(transform, x0)
+    return CharNumbers(measure(f, family, range(order + 1)), family)
 
 
 class NonlinearApproximant(Approximant):
@@ -794,14 +784,13 @@ class NonlinearApproximant(Approximant):
 
     def eval_jet(self, x0, order: int) -> Jet:
         var = Jet.variable(x0, order) - self.center
-        return self.transform.omega_jet(_poly_on_jet(self.inner, var))
+        return self.transform.omega_jet(self.inner(var))
 
     def transformed_jet(self, transform: str, x0, order: int) -> Jet:
         """Jet of Lambda(A); for the approximant's own transform this is the
         inner series itself, since Lambda(Omega(y)) = y on the branch in use."""
-        var = Jet.variable(x0, order) - self.center
         if transform == self.transform.name:
-            return _poly_on_jet(self.inner, var)
+            return self.inner(Jet.variable(x0, order) - self.center)
         tr = NONLINEAR_TRANSFORMS[transform]
         return tr.lam_jet(self.eval_jet(x0, order))
 

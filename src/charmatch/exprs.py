@@ -200,10 +200,16 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
     return tokens
 
 
+# nesting levels (parentheses, function calls, unary minus) a parse accepts;
+# deeper input is rejected before it can exhaust Python's recursion limit
+MAX_DEPTH = 160
+
+
 class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
@@ -239,10 +245,17 @@ class _Parser:
         return node
 
     def unary(self) -> Expr:
-        if self.peek() == ("op", "-"):
-            self.take()
-            return Neg(self.unary())
-        return self.power()
+        # every nesting level passes through here exactly once
+        if self.depth >= MAX_DEPTH:
+            raise ExprSyntaxError(f"expression nested deeper than {MAX_DEPTH} levels")
+        self.depth += 1
+        try:
+            if self.peek() == ("op", "-"):
+                self.take()
+                return Neg(self.unary())
+            return self.power()
+        finally:
+            self.depth -= 1
 
     def power(self) -> Expr:
         node = self.atom()

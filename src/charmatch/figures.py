@@ -45,9 +45,7 @@ def _safe_eval(fn: Callable[[float], float], xs: Sequence[float]) -> list[float]
     for x in xs:
         try:
             v = float(fn(x))
-        except (ArithmeticError, ValueError, DomainError, Exception) as exc:
-            if not isinstance(exc, (ArithmeticError, ValueError)):
-                raise
+        except (ArithmeticError, ValueError):  # DomainError is a ValueError
             v = math.nan
         if not math.isfinite(v):
             v = math.nan

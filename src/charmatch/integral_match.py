@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import specfun
 from .errors import DomainError
@@ -25,8 +25,11 @@ from .matching import (
     HigherIntegral,
     Moments,
     PolynomialApproximant,
+    Projection,
+    measure,
+    target_poly,
 )
-from .poly import Poly, is_exact, monomial
+from .poly import Poly, is_exact
 from .quadrature import GaussLegendre
 
 __all__ = [
@@ -76,18 +79,12 @@ class MomentSet:
 
 def moments_compute(f, interval: tuple, order: int,
                     quad: GaussLegendre | None = None) -> MomentSet:
-    """Moments c_0..c_order of ``f``; exact when ``f`` is a Poly with exact
-    coefficients and the interval is rational, quadrature otherwise."""
+    """Moments c_0..c_order of ``f``: closed-form integrals when ``f`` has a
+    polynomial form (source "exact"), quadrature otherwise."""
     a, b = interval
-    if isinstance(f, Poly) and f.is_exact() and is_exact(a) and is_exact(b):
-        values = tuple((f * monomial(n)).integral(a, b) for n in range(order + 1))
-        return MomentSet((a, b), values, "exact")
-    quad = quad or GaussLegendre()
-    values = tuple(
-        quad.integrate(lambda x, n=n: x ** n * float(f(x)), a, b)
-        for n in range(order + 1)
-    )
-    return MomentSet((a, b), values, "quadrature")
+    values = measure(f, Moments(a, b), range(order + 1), quad)
+    source = "exact" if target_poly(f) is not None else "quadrature"
+    return MomentSet((a, b), tuple(values), source)
 
 
 def legendre_moment_match(m: MomentSet) -> PolynomialApproximant:
@@ -146,25 +143,10 @@ def moment_delta_growth(m_index: int, orders: Sequence[int],
 # -- Fourier and Legendre-Fourier -------------------------------------------------
 
 
-def _fourier_basis(n: int) -> Callable[[float], float]:
-    if n == 0:
-        return lambda x: 1.0 / math.sqrt(2.0)
-    if n % 2:
-        k = (n + 1) / 2
-        return lambda x: math.sin(k * x)
-    k = n / 2
-    return lambda x: math.cos(k * x)
-
-
 def fourier_coeffs(f, order: int, quad: GaussLegendre | None = None) -> CoeffSeq:
     """Coefficients a_n = c_n of the trigonometric delta approximation on
     (-pi, pi); the functionals are normalized so the delta property holds."""
-    quad = quad or GaussLegendre()
-    values = []
-    for n in range(order + 1):
-        v = _fourier_basis(n)
-        inner = quad.integrate(lambda x: v(x) * float(f(x)), -math.pi, math.pi)
-        values.append(inner / math.pi)
+    values = measure(f, Projection("fourier"), range(order + 1), quad)
     return CoeffSeq(tuple(values), "fourier")
 
 
@@ -173,11 +155,12 @@ class FourierApproximant(Approximant):
 
     def __init__(self, coeffs: CoeffSeq):
         super().__init__("fourier", coeffs)
-        self._basis = [_fourier_basis(n) for n in range(len(coeffs.values))]
+        family = Projection("fourier")
+        self._terms = [family.term(n) for n in range(len(coeffs.values))]
 
     def __call__(self, x):
-        return sum(float(a) * v(float(x))
-                   for a, v in zip(self.coeffs.values, self._basis) if a != 0)
+        return sum(float(a) * (scale * shape(float(x)))
+                   for a, (scale, shape) in zip(self.coeffs.values, self._terms) if a != 0)
 
 
 def fourier_approx(f, order: int, quad: GaussLegendre | None = None) -> FourierApproximant:
@@ -187,23 +170,18 @@ def fourier_approx(f, order: int, quad: GaussLegendre | None = None) -> FourierA
 def legendre_fourier_coeffs(f, order: int,
                             quad: GaussLegendre | None = None) -> CoeffSeq:
     """Coefficients a_n = c_n for the basis v_n = sqrt(2/(2n+1)) P_n."""
-    quad = quad or GaussLegendre()
-    values = []
-    for n in range(order + 1):
-        p = specfun.legendre_coeffs(n).as_float()
-        scale = math.sqrt(2.0 / (2 * n + 1))
-        inner = quad.integrate(lambda x: scale * p(x) * float(f(x)), -1.0, 1.0)
-        values.append(inner / (2.0 / (2 * n + 1)) ** 2)
+    values = measure(f, Projection("legendre"), range(order + 1), quad)
     return CoeffSeq(tuple(values), "legendre_fourier")
 
 
 def legendre_fourier_approx(f, order: int,
                             quad: GaussLegendre | None = None) -> PolynomialApproximant:
     coeffs = legendre_fourier_coeffs(f, order, quad)
+    family = Projection("legendre")
     total = Poly([0])
     for n, a in enumerate(coeffs.values):
-        scale = math.sqrt(2.0 / (2 * n + 1))
-        total = total + (a * scale) * specfun.legendre_coeffs(n).as_float()
+        scale, p = family.term(n)
+        total = total + (a * scale) * p
     return PolynomialApproximant(total, kind="legendre_fourier", coeffs=coeffs)
 
 
@@ -216,19 +194,8 @@ def higher_integral_chars(f, order: int,
     n = 1..order, via the Cauchy formula; exact for exact polynomials."""
     if order < 1:
         raise DomainError("higher-integral matching starts at order 1")
-    exact = isinstance(f, Poly) and f.is_exact()
-    values = []
-    for n in range(1, order + 1):
-        if exact:
-            kernel = Poly([1, -1]) ** (n - 1)
-            values.append((kernel * f).integral(-1, 1) * Fraction(1, math.factorial(n - 1)))
-        else:
-            q = quad or GaussLegendre()
-            values.append(
-                q.integrate(lambda t, n=n: (1 - t) ** (n - 1) * float(f(t)), -1, 1)
-                / math.factorial(n - 1)
-            )
-    return CharNumbers(tuple(values), HigherIntegral())
+    family = HigherIntegral()
+    return CharNumbers(measure(f, family, range(1, order + 1), quad), family)
 
 
 def higher_integral_approx(c: CharNumbers) -> PolynomialApproximant:
@@ -275,20 +242,7 @@ def bernoulli_chars(f, interval: tuple, order: int, zeroth: str = "value",
     if a == b:
         raise DomainError("degenerate interval")
     family = EndpointDiff(a, b, zeroth=zeroth, anchor=anchor)
-    top = max(order - 1, 0)
-    ja = f.eval_jet(a, top)
-    jb = f.eval_jet(b, top)
-    if zeroth == "value":
-        c0 = f.eval_jet(family.anchor, 0).coeffs[0]
-    else:
-        if isinstance(f, Poly) and f.is_exact() and is_exact(a) and is_exact(b):
-            c0 = f.integral(a, b)
-        else:
-            c0 = (quad or GaussLegendre()).integrate(lambda x: float(f(x)), a, b)
-    values = [c0]
-    for n in range(1, order + 1):
-        values.append(math.factorial(n - 1) * (jb.coeffs[n - 1] - ja.coeffs[n - 1]))
-    return CharNumbers(tuple(values), family)
+    return CharNumbers(measure(f, family, range(order + 1), quad), family)
 
 
 def bernoulli_approx(c: CharNumbers) -> PolynomialApproximant:

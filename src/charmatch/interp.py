@@ -405,11 +405,13 @@ class WsIntegralDerivative(Approximant):
             lj = system.lambda_jet(xn, order)
             lin = Jet(xn, (xn - self.a, 1) + (0,) * (order - 1))
             v = (lj * lin / denom).coeffs
+            block = Poly(float(vk) for vk in v[1:])
             self.entries.append({
                 "c": float(cn),
                 "node": xn,
                 "denom": denom,
-                "series": tuple(float(vk) for vk in v[1:]),
+                "block": block,
+                "block_slope": block.derivative(),
                 "radius": 1e-4 * (1.0 + abs(xn)),
             })
 
@@ -422,10 +424,7 @@ class WsIntegralDerivative(Approximant):
             d = x - e["node"]
             if abs(d) < e["radius"]:
                 # block = v/d = sum_k v_{k+1} d^k with v_1 -> 1 in the limit
-                block = 0.0
-                for vk in reversed(e["series"]):
-                    block = block * d + vk
-                acc += e["c"] * block
+                acc += e["c"] * e["block"](d)
             else:
                 if lam is None:
                     lam = self.system.lambda_value(x)
@@ -439,11 +438,7 @@ class WsIntegralDerivative(Approximant):
         for e in self.entries:
             d = x - e["node"]
             if abs(d) < e["radius"]:
-                # derivative of the local block series
-                deriv = 0.0
-                for k in range(len(e["series"]) - 1, 0, -1):
-                    deriv = deriv * d + k * e["series"][k]
-                acc += e["c"] * deriv
+                acc += e["c"] * e["block_slope"](d)
             else:
                 if jet is None:
                     jet = self.system.lambda_jet(x, 1)

@@ -20,7 +20,7 @@ from typing import Sequence
 
 from . import specfun
 from .errors import DomainError, JetDomainError
-from .poly import is_exact
+from .poly import Poly, is_exact
 
 __all__ = ["Jet", "compose", "bessel_jn_jet"]
 
@@ -84,6 +84,10 @@ class Jet:
         if order == 0:
             return cls(center, (center,))
         return cls(center, (center, 1) + (0,) * (order - 1))
+
+    def constant_like(self, value) -> "Jet":
+        """The constant ``value`` at this jet's center and order."""
+        return Jet.constant(value, self.center, self.order)
 
     # -- inspection -------------------------------------------------------
 
@@ -306,10 +310,7 @@ def compose(outer: Jet, inner: Jet) -> Jet:
     if inner.order != outer.order:
         raise DomainError("composition requires equal jet orders")
     shifted = Jet(inner.center, (0,) + inner.coeffs[1:])
-    acc = Jet.constant(outer.coeffs[-1], inner.center, inner.order)
-    for c in reversed(outer.coeffs[:-1]):
-        acc = acc * shifted + c
-    return acc
+    return Poly(outer.coeffs)(shifted)
 
 
 def bessel_jn_jet(n: int, t0, order: int) -> Jet:

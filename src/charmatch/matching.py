@@ -6,9 +6,12 @@ reproduce.  ``verify_matching`` re-measures an approximant under the family
 that produced a CharNumbers object and reports per-order residuals -- it is
 the acceptance primitive of the whole package.
 
-Measurement prefers exact paths (jets for derivative-type families, exact
-polynomial integration for integral-type ones) and falls back to quadrature
-for targets that are only float-evaluable.
+Each family owns its ``measure``; the same method computes c_n(f) for a
+target f and C_n(A) for an approximant A, so the characteristic numbers and
+their verification cannot drift apart.  Measurement prefers exact paths
+(jets for derivative-type families, closed-form integration for targets with
+a polynomial form) and falls back to quadrature for targets that are only
+float-evaluable.
 """
 
 from __future__ import annotations
@@ -48,6 +51,27 @@ __all__ = [
 ]
 
 
+# -- target access -------------------------------------------------------------
+
+
+def target_poly(target) -> Poly | None:
+    """The polynomial form of ``target``, or None if it has none."""
+    as_poly = getattr(target, "as_poly", None)
+    if as_poly is None:
+        return None
+    p = as_poly()
+    return p if isinstance(p, Poly) else None
+
+
+def _target_jet(target, x0, order: int) -> Jet:
+    eval_jet = getattr(target, "eval_jet", None)
+    if eval_jet is None:
+        raise FamilyMismatchError(
+            f"target {target!r} cannot be measured by a derivative-type family"
+        )
+    return eval_jet(x0, order)
+
+
 # -- functional families -----------------------------------------------------
 
 
@@ -63,6 +87,10 @@ class Derivative:
     def describe(self) -> str:
         return f"derivative@{self.center}"
 
+    def measure(self, target, orders: list, quad: GaussLegendre) -> list:
+        der = _target_jet(target, self.center, max(orders)).derivatives()
+        return [der[n] for n in orders]
+
 
 @dataclass(frozen=True)
 class Moments:
@@ -76,6 +104,13 @@ class Moments:
 
     def describe(self) -> str:
         return f"moments({self.a},{self.b})"
+
+    def measure(self, target, orders: list, quad: GaussLegendre) -> list:
+        p = target_poly(target)
+        if p is not None:
+            return [(p * Poly([0] * n + [1])).integral(self.a, self.b) for n in orders]
+        return [quad.integrate(lambda x, n=n: x ** n * float(target(x)), self.a, self.b)
+                for n in orders]
 
 
 @dataclass(frozen=True)
@@ -91,6 +126,23 @@ class HigherIntegral:
 
     def describe(self) -> str:
         return "higher_integral(-1,1)"
+
+    def measure(self, target, orders: list, quad: GaussLegendre) -> list:
+        if min(orders) < 1:
+            raise DomainError("higher-integral functionals start at order 1")
+        p = target_poly(target)
+        out = []
+        for n in orders:
+            if p is None:
+                val = quad.integrate(
+                    lambda t, n=n: (1 - t) ** (n - 1) * float(target(t)), -1, 1
+                ) / math.factorial(n - 1)
+            else:
+                val = (Poly([1, -1]) ** (n - 1) * p).integral(-1, 1)
+                val = val * Fraction(1, math.factorial(n - 1)) if p.is_exact() \
+                    else val / math.factorial(n - 1)
+            out.append(val)
+        return out
 
 
 @dataclass(frozen=True)
@@ -120,6 +172,23 @@ class EndpointDiff:
     def describe(self) -> str:
         return f"endpoint_diff({self.a},{self.b};zeroth={self.zeroth})"
 
+    def measure(self, target, orders: list, quad: GaussLegendre) -> list:
+        top = max(orders)
+        if top >= 1:
+            ja = _target_jet(target, self.a, top - 1)
+            jb = _target_jet(target, self.b, top - 1)
+        out = []
+        for n in orders:
+            if n >= 1:
+                out.append(math.factorial(n - 1) * (jb.coeffs[n - 1] - ja.coeffs[n - 1]))
+            elif self.zeroth == "value":
+                out.append(_target_jet(target, self.anchor, 0).coeffs[0])
+            else:
+                p = target_poly(target)
+                out.append(p.integral(self.a, self.b) if p is not None
+                           else quad.integrate(lambda x: float(target(x)), self.a, self.b))
+        return out
+
 
 @dataclass(frozen=True)
 class ValueNodes:
@@ -132,6 +201,9 @@ class ValueNodes:
 
     def describe(self) -> str:
         return f"values@{len(self.nodes)} nodes"
+
+    def measure(self, target, orders: list, quad: GaussLegendre) -> list:
+        return [target(x) for x in self.nodes]
 
 
 @dataclass(frozen=True)
@@ -158,6 +230,35 @@ class Projection:
     def describe(self) -> str:
         return f"projection({self.basis})"
 
+    def term(self, n: int) -> tuple[float, Callable[[float], float]]:
+        """The basis function v_n as (scale, shape), v_n(x) = scale * shape(x).
+
+        Fourier: 1/sqrt(2), sin(x), cos(x), sin(2x), ...; Legendre: the
+        displayed basis sqrt(2/(2n+1)) P_n with the float polynomial P_n.
+        """
+        if self.basis == "legendre":
+            return math.sqrt(2.0 / (2 * n + 1)), specfun.legendre_coeffs(n).as_float()
+        if n == 0:
+            return 1.0 / math.sqrt(2.0), Poly([1.0])
+        if n % 2:
+            k = (n + 1) / 2
+            return 1.0, lambda x: math.sin(k * x)
+        k = n / 2
+        return 1.0, lambda x: math.cos(k * x)
+
+    def norm(self, n: int) -> float:
+        """<v_n, v_n> over the interval."""
+        return math.pi if self.basis == "fourier" else (2.0 / (2 * n + 1)) ** 2
+
+    def measure(self, target, orders: list, quad: GaussLegendre) -> list:
+        a, b = self.interval
+        out = []
+        for n in orders:
+            scale, shape = self.term(n)
+            inner = quad.integrate(lambda x: scale * shape(x) * float(target(x)), a, b)
+            out.append(inner / self.norm(n))
+        return out
+
 
 @dataclass(frozen=True)
 class Nonlinear:
@@ -171,6 +272,21 @@ class Nonlinear:
 
     def describe(self) -> str:
         return f"nonlinear({self.transform})@{self.center}"
+
+    def measure(self, target, orders: list, quad: GaussLegendre) -> list:
+        transform = NONLINEAR_TRANSFORMS.get(self.transform)
+        if transform is None:
+            raise DomainError(f"unknown nonlinear transform {self.transform!r}")
+        # approximants of the form Omega(series) expose Lambda(A) in closed
+        # form; that keeps the measurement defined even where Omega itself is
+        # not smooth (e.g. cube roots of a series vanishing at the center)
+        hook = getattr(target, "transformed_jet", None)
+        if hook is not None:
+            lifted = hook(self.transform, self.center, max(orders))
+        else:
+            lifted = transform.lam_jet(_target_jet(target, self.center, max(orders)))
+        der = lifted.derivatives()
+        return [der[n] for n in orders]
 
 
 Family = object  # union of the dataclasses above
@@ -287,11 +403,7 @@ class PolynomialApproximant(Approximant):
         return self.poly(x - self.center)
 
     def eval_jet(self, x0, order: int) -> Jet:
-        var = Jet.variable(x0, order) - self.center
-        acc = Jet.constant(self.poly.coeffs[-1], x0, order)
-        for c in reversed(self.poly.coeffs[:-1]):
-            acc = acc * var + c
-        return acc
+        return self.poly(Jet.variable(x0, order) - self.center)
 
     def as_poly(self) -> Poly:
         if self.center == 0:
@@ -368,132 +480,16 @@ def tri_forward_solve(T: TriMatrix, c) -> CoeffSeq:
 # -- measurement ---------------------------------------------------------------
 
 
-def _target_poly(target) -> Poly | None:
-    as_poly = getattr(target, "as_poly", None)
-    if as_poly is None:
-        return None
-    p = as_poly()
-    return p if isinstance(p, Poly) else None
-
-
-def _target_jet(target, x0, order: int) -> Jet:
-    eval_jet = getattr(target, "eval_jet", None)
-    if eval_jet is None:
-        raise FamilyMismatchError(
-            f"target {target!r} cannot be measured by a derivative-type family"
-        )
-    return eval_jet(x0, order)
-
-
-def _legendre_basis_value(n: int, x: float) -> float:
-    # the displayed basis v_n = sqrt(2/(2n+1)) P_n
-    return math.sqrt(2.0 / (2 * n + 1)) * float(specfun.legendre_coeffs(n).as_float()(x))
-
-
-def _fourier_basis_value(n: int, x: float) -> float:
-    if n == 0:
-        return 1.0 / math.sqrt(2.0)
-    if n % 2:
-        return math.sin((n + 1) / 2 * x)
-    return math.cos(n / 2 * x)
-
-
 def measure(target, family: Family, orders: Sequence[int],
             quad: GaussLegendre | None = None) -> list:
     """Apply the family's functionals C_n to ``target`` for the given orders."""
     orders = list(orders)
     if not orders:
         return []
-    quad = quad or GaussLegendre()
-
-    if isinstance(family, Derivative):
-        jet = _target_jet(target, family.center, max(orders))
-        der = jet.derivatives()
-        return [der[n] for n in orders]
-
-    if isinstance(family, Moments):
-        p = _target_poly(target)
-        if p is not None:
-            return [(p * Poly([0] * n + [1])).integral(family.a, family.b)
-                    for n in orders]
-        return [quad.integrate(lambda x, n=n: x ** n * float(target(x)),
-                               family.a, family.b) for n in orders]
-
-    if isinstance(family, HigherIntegral):
-        if min(orders) < 1:
-            raise DomainError("higher-integral functionals start at order 1")
-        p = _target_poly(target)
-        out = []
-        for n in orders:
-            if p is not None:
-                kernel = Poly([1, -1]) ** (n - 1)
-                val = (kernel * p).integral(-1, 1)
-                val = val / math.factorial(n - 1) if not p.is_exact() \
-                    else val * Fraction(1, math.factorial(n - 1))
-            else:
-                val = quad.integrate(
-                    lambda t, n=n: (1 - t) ** (n - 1) * float(target(t)), -1, 1
-                ) / math.factorial(n - 1)
-            out.append(val)
-        return out
-
-    if isinstance(family, EndpointDiff):
-        top = max(orders)
-        out = []
-        ja = jb = None
-        if top >= 1:
-            ja = _target_jet(target, family.a, top - 1)
-            jb = _target_jet(target, family.b, top - 1)
-        for n in orders:
-            if n == 0:
-                if family.zeroth == "value":
-                    p = _target_poly(target)
-                    out.append(p(family.anchor) if p is not None
-                               else target(family.anchor))
-                else:
-                    p = _target_poly(target)
-                    out.append(p.integral(family.a, family.b) if p is not None
-                               else quad.integrate(lambda x: float(target(x)),
-                                                   family.a, family.b))
-            else:
-                fact = math.factorial(n - 1)
-                out.append(fact * (jb.coeffs[n - 1] - ja.coeffs[n - 1]))
-        return out
-
-    if isinstance(family, ValueNodes):
-        return [target(x) for x in family.nodes]
-
-    if isinstance(family, Projection):
-        a, b = family.interval
-        basis = (_fourier_basis_value if family.basis == "fourier"
-                 else _legendre_basis_value)
-        out = []
-        for n in orders:
-            inner = quad.integrate(lambda x, n=n: basis(n, x) * float(target(x)), a, b)
-            if family.basis == "fourier":
-                norm = math.pi
-            else:
-                norm = (2.0 / (2 * n + 1)) ** 2
-            out.append(inner / norm)
-        return out
-
-    if isinstance(family, Nonlinear):
-        transform = NONLINEAR_TRANSFORMS.get(family.transform)
-        if transform is None:
-            raise DomainError(f"unknown nonlinear transform {family.transform!r}")
-        # approximants of the form Omega(series) expose Lambda(A) in closed
-        # form; that keeps the measurement defined even where Omega itself is
-        # not smooth (e.g. cube roots of a series vanishing at the center)
-        hook = getattr(target, "transformed_jet", None)
-        if hook is not None:
-            lifted = hook(family.transform, family.center, max(orders))
-        else:
-            jet = _target_jet(target, family.center, max(orders))
-            lifted = transform.lam_jet(jet)
-        der = lifted.derivatives()
-        return [der[n] for n in orders]
-
-    raise FamilyMismatchError(f"unknown family {family!r}")
+    family_measure = getattr(family, "measure", None)
+    if family_measure is None:
+        raise FamilyMismatchError(f"unknown family {family!r}")
+    return family_measure(target, orders, quad or GaussLegendre())
 
 
 # -- verification ----------------------------------------------------------------
@@ -560,8 +556,8 @@ def verify_matching(approximant, c: CharNumbers, tol_rel: float = 1e-9,
 
 def derivative_chars(target, x0=0, order: int = 8) -> CharNumbers:
     """Characteristic numbers c_n = f^(n)(x0) of any jet-evaluable target."""
-    jet = _target_jet(target, x0, order)
-    return CharNumbers(jet.derivatives(), Derivative(x0))
+    family = Derivative(x0)
+    return CharNumbers(measure(target, family, range(order + 1)), family)
 
 
 def delta_check(basis: Sequence, family: Family, count: int | None = None,

@@ -56,8 +56,15 @@ class Poly:
         return all(is_exact(c) for c in self.coeffs)
 
     def __call__(self, x):
-        """Horner evaluation; exact when coefficients and ``x`` are exact."""
+        """Horner evaluation at a number, a Poly or a Jet (the package's one
+        Horner loop); exact when coefficients and ``x`` are exact.
+
+        The result has the kind of ``x``, also for a constant polynomial.
+        """
         acc = self.coeffs[-1]
+        constant_like = getattr(x, "constant_like", None)
+        if constant_like is not None:
+            acc = constant_like(acc)
         for c in reversed(self.coeffs[:-1]):
             acc = acc * x + c
         return acc
@@ -131,11 +138,7 @@ class Poly:
 
     def compose_affine(self, alpha, beta) -> "Poly":
         """Return p(alpha*x + beta) by Horner over polynomials."""
-        lin = Poly([beta, alpha])
-        acc = Poly([self.coeffs[-1]])
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * lin + Poly([c])
-        return acc
+        return self(Poly([beta, alpha]))
 
     def shift(self, a) -> "Poly":
         """Return q with q(t) = p(t + a), i.e. re-expansion around ``a``."""
@@ -147,15 +150,15 @@ class Poly:
     def as_poly(self) -> "Poly":
         return self
 
+    def constant_like(self, value) -> "Poly":
+        """The constant polynomial ``value``."""
+        return Poly([value])
+
     def eval_jet(self, x0, order: int):
         """Jet of the polynomial at ``x0`` (exact when inputs are exact)."""
         from .jets import Jet
 
-        var = Jet.variable(x0, order)
-        acc = Jet.constant(self.coeffs[-1], x0, order)
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * var + c
-        return acc
+        return self(Jet.variable(x0, order))
 
 
 def monomial(k: int, coeff=1) -> Poly:

@@ -9,8 +9,6 @@ and ``lambert_w0``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
@@ -36,9 +34,6 @@ __all__ = [
     "dirichlet_inverse",
     "bessel_j",
     "lambert_w0",
-    "SeqKind",
-    "SeqTable",
-    "seq_table",
 ]
 
 
@@ -374,57 +369,3 @@ def lambert_w0(x: float) -> float:
         if abs(dw) <= 1e-16 * (2.0 + abs(w)):
             break
     return w
-
-
-# -- sequence tables ----------------------------------------------------------
-
-
-class SeqKind(str, Enum):
-    STIRLING2 = "stirling2"
-    STIRLING1_UNSIGNED = "stirling1_unsigned"
-    CENTRAL_FACTORIAL_ABS = "central_factorial_abs"
-    BERNOULLI_NUMBER = "bernoulli_number"
-    MOEBIUS = "moebius"
-    NU = "nu"
-    BELL_ARG_SPECIAL = "bell_arg_special"
-
-
-@dataclass(frozen=True)
-class SeqTable:
-    """Materialized table of one special sequence.
-
-    2-D kinds store rows indexed by n (row n has entries k = 0..n); 1-D kinds
-    store a flat tuple.  ``first_index`` records where indexing starts, so
-    out-of-range entries are genuinely absent rather than zero-filled.
-    """
-
-    kind: SeqKind
-    values: tuple
-    first_index: int = 0
-
-    def entry(self, n: int, k: int | None = None):
-        row = self.values[n - self.first_index]
-        return row if k is None else row[k]
-
-
-_TRIANGLE_FNS = {
-    SeqKind.STIRLING2: stirling2,
-    SeqKind.STIRLING1_UNSIGNED: stirling1_unsigned,
-    SeqKind.CENTRAL_FACTORIAL_ABS: central_factorial_abs,
-    SeqKind.BELL_ARG_SPECIAL: bell_binomial_power,
-}
-
-
-def seq_table(kind: SeqKind | str, n_max: int) -> SeqTable:
-    kind = SeqKind(kind)
-    if kind in _TRIANGLE_FNS:
-        fn = _TRIANGLE_FNS[kind]
-        first = 1 if kind is SeqKind.CENTRAL_FACTORIAL_ABS else 0
-        rows = tuple(
-            tuple(fn(n, k) for k in range(n + 1)) for n in range(first, n_max + 1)
-        )
-        return SeqTable(kind, rows, first)
-    if kind is SeqKind.BERNOULLI_NUMBER:
-        return SeqTable(kind, tuple(bernoulli_number(k) for k in range(n_max + 1)), 0)
-    fn = moebius if kind is SeqKind.MOEBIUS else nu
-    return SeqTable(kind, tuple(fn(n) for n in range(1, n_max + 1)), 1)

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from charmatch.cli import main
 
 
@@ -89,6 +91,18 @@ def test_verify_family_mismatch_exits_3(capsys):
                        "--f", "1 - x^2", "--family", "derivative")
     assert code == 3
     assert "family mismatch" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--f", "ln(x)", "--kind", "taylor"),
+    ("coeffs", "--f", "1/x", "--kind", "taylor"),
+    ("coeffs", "--f", "sqrt(x^2)", "--kind", "taylor"),
+])
+def test_jet_domain_errors_exit_2(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
 
 
 # -- figure --------------------------------------------------------------------------

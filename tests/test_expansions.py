@@ -387,6 +387,14 @@ def test_dirichlet_g_domain():
         approx(1.0)
 
 
+def test_dirichlet_g_refuses_unconverged_series():
+    # at 0.999 the Moebius series misses its tail bound within the term cap
+    approx = xp.dirichlet_approx(chars_of("exp(x)", 6), "dirichlet_g")
+    with pytest.raises(EvalDomainError, match="tail bound"):
+        approx(0.999)
+    assert math.isfinite(approx(0.5))
+
+
 def test_moebius_g_eval():
     assert xp.moebius_G_eval(0.0, 10).value == 0.0
     v40 = xp.moebius_G_eval(0.5, 40)

@@ -47,6 +47,25 @@ def test_parse_errors(bad):
         exprs.parse(bad)
 
 
+@pytest.mark.parametrize("text", [
+    "(" * 1500 + "x" + ")" * 1500,
+    "-" * 1500 + "x",
+    "exp(" * 400 + "x" + ")" * 400,
+    "(" * (exprs.MAX_DEPTH + 1) + "x" + ")" * (exprs.MAX_DEPTH + 1),
+])
+def test_deep_nesting_is_a_syntax_error(text):
+    with pytest.raises(exprs.ExprSyntaxError, match="nested deeper"):
+        exprs.parse(text)
+
+
+def test_nesting_within_the_limit_parses():
+    assert exprs.parse("(" * 150 + "x" + ")" * 150)(2) == 2
+    assert exprs.parse("-" * 150 + "x")(2) == 2
+    assert exprs.parse("sin(" * 150 + "x" + ")" * 150)(0) == 0
+    deepest = exprs.MAX_DEPTH - 1
+    assert exprs.parse("(" * deepest + "x" + ")" * deepest)(3) == 3
+
+
 def test_eval_domain_errors():
     with pytest.raises(EvalDomainError):
         exprs.parse("ln(x)")(-1.0)

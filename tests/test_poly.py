@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from charmatch.jets import Jet
 from charmatch.poly import Poly, monomial
 
 
@@ -39,6 +40,15 @@ def test_eval_jet_matches_derivatives():
     assert jet.coeffs[0] == p(F(1, 2))
     assert jet.coeffs[1] == p.derivative()(F(1, 2))
     assert jet.is_exact()
+
+
+def test_constant_poly_keeps_the_argument_kind():
+    c = Poly([F(3, 2)])
+    jet = c(Jet.variable(F(1, 2), 3))
+    assert jet == Jet.constant(F(3, 2), F(1, 2), 3)
+    assert c(Poly([0, 1])) == Poly([F(3, 2)])
+    assert c.eval_jet(0, 2) == Jet.constant(F(3, 2), 0, 2)
+    assert c(2.0) == F(3, 2)
 
 
 def test_monomial():

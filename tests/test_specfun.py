@@ -350,22 +350,6 @@ def test_lambert_branch_point():
     assert abs(w + 1.0) < 1e-6
 
 
-# -- sequence tables ------------------------------------------------------------------
-
-
-def test_seq_table_shapes():
-    t = specfun.seq_table("stirling2", 5)
-    assert len(t.values) == 6 and len(t.values[3]) == 4
-    assert t.entry(3, 2) == 3
-    c = specfun.seq_table("central_factorial_abs", 4)
-    assert c.first_index == 1 and len(c.values) == 4
-    assert c.entry(3, 1) == Fraction(1, 4)
-    m = specfun.seq_table("moebius", 10)
-    assert m.first_index == 1 and m.entry(6) == 1
-    b = specfun.seq_table("bell_arg_special", 4)
-    assert b.entry(4, 2) == math.comb(4, 2) * 2 ** 2
-
-
 def test_bell_binomial_power():
     assert specfun.bell_binomial_power(0, 0) == 1
     assert specfun.bell_binomial_power(3, 1) == 3
