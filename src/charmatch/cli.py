@@ -76,6 +76,24 @@ def _grid_spec(text: str) -> tuple:
     return lo, hi, pts
 
 
+def _perturb(value) -> tuple:
+    """IDX,DELTA (a string, or a 2-element list from a config file) as
+    (int >= 0, finite float)."""
+    parts = value.split(",") if isinstance(value, str) else value
+    try:
+        idx, delta = parts
+        idx = int(idx) if isinstance(idx, str) else idx
+        delta = float(delta) if isinstance(delta, str) else delta
+        ok = (isinstance(parts, list) and type(idx) is int and idx >= 0
+              and type(delta) in (int, float) and math.isfinite(delta))
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
+        raise UsageError("perturb expects IDX,DELTA with an integer IDX >= 0 and "
+                         f"a finite number DELTA, got {value!r}")
+    return idx, float(delta)
+
+
 _CONFIG_KEYS = ("f", "kind", "order", "x0", "w", "q", "alpha", "interval",
                 "grid", "preset", "lam", "csv", "svg", "json", "family",
                 "perturb")
@@ -146,9 +164,8 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
             value = _pair(value) if isinstance(value, str) else tuple(value)
         if key == "grid" and isinstance(value, (str, list)):
             value = _grid_spec(value) if isinstance(value, str) else tuple(value)
-        if key == "perturb" and isinstance(value, str):
-            idx, delta = value.split(",")
-            value = (int(idx), float(delta))
+        if key == "perturb":
+            value = _perturb(value)
         setattr(cfg, "json_path" if key == "json" else key, value)
     return cfg
 
@@ -243,7 +260,7 @@ def _cmd_verify(cfg: RunConfig) -> int:
     if cfg.perturb is not None:
         idx, delta = cfg.perturb
         x0 = cfg.x0 if not cfg.preset else 0
-        approx = _CorruptedApproximant(approx, x0, int(idx), float(delta))
+        approx = _CorruptedApproximant(approx, x0, idx, delta)
     if cfg.family:
         chars = _override_family(cfg, approx, chars)
     report = verify_matching(approx, chars)

@@ -32,7 +32,7 @@ from .matching import (
     TriMatrix,
     measure,
 )
-from .poly import Poly, is_exact
+from .poly import Poly, div, over
 
 __all__ = [
     "taylor_coeffs", "taylor_approx",
@@ -58,10 +58,6 @@ def _require_derivative(c: CharNumbers) -> Derivative:
     return c.family
 
 
-def _one_over_factorial(n: int, exact: bool):
-    return Fraction(1, math.factorial(n)) if exact else 1.0 / math.factorial(n)
-
-
 # -- Taylor -----------------------------------------------------------------
 
 
@@ -74,10 +70,7 @@ def taylor_coeffs(c: CharNumbers) -> CoeffSeq:
 def taylor_approx(c: CharNumbers) -> PolynomialApproximant:
     fam = _require_derivative(c)
     coeffs = taylor_coeffs(c)
-    poly = Poly(
-        a * _one_over_factorial(n, is_exact(a))
-        for n, a in enumerate(coeffs.values)
-    )
+    poly = Poly(over(a, math.factorial(n)) for n, a in enumerate(coeffs.values))
     return PolynomialApproximant(poly, center=fam.center, kind="taylor", coeffs=coeffs)
 
 
@@ -149,9 +142,9 @@ def _solve_dense(matrix: list[list], rhs: list) -> list:
         a[col], a[pivot] = a[pivot], a[col]
         piv = a[col][col]
         for r in range(col + 1, n):
-            f = a[r][col] / piv
-            if f == 0:
+            if a[r][col] == 0:
                 continue
+            f = div(a[r][col], piv)
             for k in range(col, n + 1):
                 a[r][k] -= f * a[col][k]
     out = [0] * n
@@ -159,7 +152,7 @@ def _solve_dense(matrix: list[list], rhs: list) -> list:
         acc = a[r][n]
         for k in range(r + 1, n):
             acc -= a[r][k] * out[k]
-        out[r] = acc / a[r][r]
+        out[r] = div(acc, a[r][r])
     return out
 
 
@@ -174,21 +167,20 @@ def pade_solve(c: CharNumbers, m: int, n: int) -> CoeffSeq:
     total = m + n + 1
     if len(c.values) < total:
         raise DomainError(f"need {total} characteristic numbers, got {len(c.values)}")
-    exact = all(is_exact(v) for v in c.values[:total])
-    f = [c.values[k] * _one_over_factorial(k, exact) for k in range(total)]
+    f = [over(c.values[k], math.factorial(k)) for k in range(total)]
     # unknowns: p_0..p_m, q_1..q_n
     size = m + n + 1
-    matrix = [[Fraction(0) if exact else 0.0] * size for _ in range(size)]
+    matrix = [[0] * size for _ in range(size)]
     rhs = []
     for k in range(total):
         if k <= m:
-            matrix[k][k] = Fraction(1) if exact else 1.0
+            matrix[k][k] = 1
         for j in range(1, min(k, n) + 1):
             matrix[k][m + j] = -f[k - j]
         rhs.append(f[k])
     sol = _solve_dense(matrix, rhs)
     p = tuple(sol[: m + 1])
-    q = (Fraction(1) if exact else 1.0,) + tuple(sol[m + 1:])
+    q = (1,) + tuple(sol[m + 1:])
     return CoeffSeq(p + q[1:], "pade", params={"m": m, "n": n,
                                                "numerator": p, "denominator": q})
 
@@ -227,13 +219,12 @@ def pow_sine_coeffs(c: CharNumbers) -> CoeffSeq:
     _require_derivative(c)
     values = [c.values[0]]
     for n in range(1, len(c.values)):
-        exact = all(is_exact(v) for v in c.values[1: n + 1])
-        acc = Fraction(0) if exact else 0.0
+        acc = 0
         for k in range(1, n + 1):
             t = specfun.central_factorial_abs(n, k)
             if t:
                 acc += c.values[k] * t
-        values.append(acc * 2 ** n * _one_over_factorial(n, exact))
+        values.append(over(acc * 2 ** n, math.factorial(n)))
     return CoeffSeq(tuple(values), "pow_sine")
 
 
@@ -244,29 +235,33 @@ def _uv(n: int, q: int) -> tuple[int, int]:
     return n // q, n % q
 
 
-def exp_weighted_coeffs(c: CharNumbers, w, q: int) -> CoeffSeq:
-    """Coefficients of exp(w x^q) sum a_n x^n.
-
-    a_n = sum_i m_{n,i} c_i with
+def _m_entry(n: int, i: int, w, q: int):
+    """m_{n,i} = num / den as the pair (num, den), or None where it vanishes:
     m_{n,i} = delta_{v_{n-i},0} (-1)^(u_{n-i}) w^[[u_{n-i}]] / ((v_n + q u_i)! u_{n-i}!).
     """
+    u, v = _uv(n - i, q)
+    if v != 0:
+        return None
+    _, vn = _uv(n, q)
+    ui, _ = _uv(i, q)
+    den = math.factorial(vn + q * ui) * math.factorial(u)
+    return (-1) ** u * specfun.gen_pow(w, u), den
+
+
+def exp_weighted_coeffs(c: CharNumbers, w, q: int) -> CoeffSeq:
+    """Coefficients of exp(w x^q) sum a_n x^n: a_n = sum_i m_{n,i} c_i."""
     _require_derivative(c)
     if q < 1 or int(q) != q:
         raise DomainError("q must be a positive integer")
     q = int(q)
     values = []
     for n in range(len(c.values)):
-        _, vn = _uv(n, q)
-        exact = is_exact(w) and all(is_exact(v) for v in c.values[: n + 1])
-        acc = Fraction(0) if exact else 0.0
+        acc = 0
         for i in range(n + 1):
-            u, v = _uv(n - i, q)
-            if v != 0:
-                continue
-            ui, _ = _uv(i, q)
-            num = (-1) ** u * specfun.gen_pow(w, u)
-            den = math.factorial(vn + q * ui) * math.factorial(u)
-            acc += c.values[i] * num * (Fraction(1, den) if exact else 1.0 / den)
+            entry = _m_entry(n, i, w, q)
+            if entry is not None:
+                num, den = entry
+                acc += over(c.values[i] * num, den)
         values.append(acc)
     return CoeffSeq(tuple(values), "exp_weighted", params={"w": w, "q": q})
 
@@ -280,26 +275,18 @@ def dmatrix_build(w, q: int, order: int) -> tuple[TriMatrix, TriMatrix]:
     """
     if q < 1:
         raise DomainError("q must be a positive integer")
-    exact = is_exact(w)
 
     def d_entry(m, j):
         u, v = _uv(m - j, q)
         if v != 0:
-            return Fraction(0) if exact else 0.0
+            return 0
         num = math.factorial(m) * math.factorial(u * q)
         den = math.factorial(m - j) * math.factorial(u)
-        scale = Fraction(num, den) if exact else num / den
-        return scale * specfun.gen_pow(w, u)
+        return Fraction(num, den) * specfun.gen_pow(w, u)
 
     def dinv_entry(n, i):
-        u, v = _uv(n - i, q)
-        if v != 0:
-            return Fraction(0) if exact else 0.0
-        _, vn = _uv(n, q)
-        ui, _ = _uv(i, q)
-        den = math.factorial(vn + q * ui) * math.factorial(u)
-        sign = (-1) ** u * specfun.gen_pow(w, u)
-        return sign * (Fraction(1, den) if exact else 1.0 / den)
+        entry = _m_entry(n, i, w, q)
+        return 0 if entry is None else over(*entry)
 
     d = TriMatrix([[d_entry(m, j) for j in range(m + 1)] for m in range(order + 1)])
     dinv = TriMatrix([[dinv_entry(n, i) for i in range(n + 1)] for n in range(order + 1)])
@@ -359,14 +346,13 @@ def powers_of_g_coeffs(c: CharNumbers, variant: str,
             raise DomainError(f"unknown powers-of-g variant {variant!r}")
     values = []
     for n in range(len(c.values)):
-        exact = all(is_exact(v) for v in c.values[: n + 1])
-        acc = Fraction(0) if exact else 0.0
+        acc = 0
         for k in range(n + 1):
             # b_{n,0} = delta_{n,0} by generalized exponentiation
             bkn = (1 if n == 0 else 0) if k == 0 else b(n, k)
             if bkn:
                 acc += c.values[k] * bkn
-        values.append(acc * _one_over_factorial(n, exact))
+        values.append(over(acc, math.factorial(n)))
     return CoeffSeq(tuple(values), variant)
 
 
@@ -383,6 +369,8 @@ def _lambert_series_jet(var: Jet) -> Jet:
     coeffs = [0] + [
         Fraction((-n) ** (n - 1), math.factorial(n)) for n in range(1, var.order + 1)
     ]
+    # at a float center the head 0.0 is a float but the tail of var is exact;
+    # float series keep the composition out of Fraction arithmetic
     if not var.is_exact():
         coeffs = [float(c) for c in coeffs]
     w0 = Jet(var.coeffs[0], coeffs)
@@ -479,20 +467,13 @@ def rational_x1_coeffs(c: CharNumbers, alpha=-1) -> CoeffSeq:
     _require_derivative(c)
     if alpha == 0:
         raise DomainError("pole location alpha must be nonzero")
-    exact_alpha = is_exact(alpha)
-    values = []
-    for n in range(len(c.values)):
-        if n == 0:
-            values.append(c.values[0])
-            continue
-        exact = exact_alpha and all(is_exact(v) for v in c.values[1: n + 1])
-        acc = Fraction(0) if exact else 0.0
+    values = [c.values[0]]
+    for n in range(1, len(c.values)):
+        acc = 0
         for k in range(1, n + 1):
-            scaled = (-alpha) ** k * c.values[k]
-            num = math.comb(n - 1, k - 1) * math.factorial(n)
-            den = math.factorial(k)
-            acc += scaled * (Fraction(num, den) if exact else num / den)
-        values.append(acc * _one_over_factorial(n, exact))
+            lah = math.comb(n - 1, k - 1) * (math.factorial(n) // math.factorial(k))
+            acc += (-alpha) ** k * c.values[k] * lah
+        values.append(over(acc, math.factorial(n)))
     return CoeffSeq(tuple(values), "rational_x_over_x1", params={"alpha": alpha})
 
 
@@ -587,12 +568,10 @@ def dirichlet_expansion_coeffs(c: CharNumbers, variant: str) -> CoeffSeq:
     if seq is None:
         raise DomainError(f"unknown Dirichlet expansion variant {variant!r}")
     order = len(c.values) - 1
-    exact = all(is_exact(v) for v in c.values)
-    f = [c.values[k] * _one_over_factorial(k, is_exact(c.values[k]))
-         for k in range(order + 1)]
+    f = [over(c.values[k], math.factorial(k)) for k in range(order + 1)]
     values = []
     for n in range(1, order + 1):
-        acc = Fraction(0) if exact else 0.0
+        acc = 0
         for k in range(1, n + 1):
             if n % k == 0:
                 s = seq(k)
@@ -715,12 +694,8 @@ class DexApproximant(Approximant):
         t0 = x0 - self.center
         if t0 != 0:
             raise DomainError("dex jets are only supported at the expansion point")
-        exact = all(is_exact(v) for v in self.coeffs.values) and is_exact(t0)
-        coeffs = []
-        for j in range(order + 1):
-            cn = self.coeffs.values[j % self.ring]
-            coeffs.append(cn * _one_over_factorial(j, exact and is_exact(cn)))
-        return Jet(x0, coeffs)
+        return Jet(x0, [over(self.coeffs.values[j % self.ring], math.factorial(j))
+                        for j in range(order + 1)])
 
 
 def dex_approx(c: CharNumbers, ring: int | None = None) -> DexApproximant:
@@ -767,11 +742,7 @@ class NonlinearApproximant(Approximant):
         super().__init__("nonlinear", coeffs)
         self.center = center
         self.transform = NONLINEAR_TRANSFORMS[transform]
-        exact = all(is_exact(v) for v in coeffs.values)
-        self.inner = Poly(
-            a * _one_over_factorial(n, exact and is_exact(a))
-            for n, a in enumerate(coeffs.values)
-        )
+        self.inner = Poly(over(a, math.factorial(n)) for n, a in enumerate(coeffs.values))
 
     def __call__(self, x):
         y = self.inner(x - self.center)

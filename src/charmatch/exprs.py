@@ -15,12 +15,14 @@ possible; pi and e are floats.
 
 Every node supports float evaluation and jet lifting, so an ``Expr`` can be
 used directly wherever the verification machinery expects something
-measurable.
+measurable.  A chain such as ``a + b - c``, ``a * b / c`` or ``a ^ 2 ^ 3`` is
+one node folded left to right by a loop, so its length costs no recursion.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,6 +30,7 @@ from fractions import Fraction
 from . import specfun
 from .errors import CharmatchError, EvalDomainError
 from .jets import Jet
+from .poly import div
 
 __all__ = ["Expr", "Const", "Var", "parse", "ExprSyntaxError"]
 
@@ -83,50 +86,57 @@ class Neg(Expr):
         return -self.arg.lift(x0, order)
 
 
+def _divide(a, b):
+    if b == 0:
+        raise EvalDomainError("division by zero in expression")
+    return div(a, b)
+
+
+_NUMBER_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _divide}
+_JET_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
 @dataclass(frozen=True)
-class BinOp(Expr):
-    op: str
-    left: Expr
-    right: Expr
+class Chain(Expr):
+    """``first op_1 operand_1 op_2 operand_2 ...`` of '+'/'-' or of '*'/'/',
+    combined left to right."""
+
+    first: Expr
+    rest: tuple  # ((op, Expr), ...)
 
     def evaluate(self, x):
-        a = self.left.evaluate(x)
-        b = self.right.evaluate(x)
-        if self.op == "+":
-            return a + b
-        if self.op == "-":
-            return a - b
-        if self.op == "*":
-            return a * b
-        if b == 0:
-            raise EvalDomainError("division by zero in expression")
-        return a / b
+        acc = self.first.evaluate(x)
+        for op, operand in self.rest:
+            acc = _NUMBER_OPS[op](acc, operand.evaluate(x))
+        return acc
 
     def lift(self, x0, order):
-        a = self.left.lift(x0, order)
-        b = self.right.lift(x0, order)
-        if self.op == "+":
-            return a + b
-        if self.op == "-":
-            return a - b
-        if self.op == "*":
-            return a * b
-        return a / b
+        acc = self.first.lift(x0, order)
+        for op, operand in self.rest:
+            acc = _JET_OPS[op](acc, operand.lift(x0, order))
+        return acc
 
 
 @dataclass(frozen=True)
 class Pow(Expr):
+    """``base ^ e_1 ^ e_2 ...`` read as ``(base ^ e_1) ^ e_2 ...``."""
+
     base: Expr
-    exponent: int
+    exponents: tuple  # of int
 
     def evaluate(self, x):
         b = self.base.evaluate(x)
-        if self.exponent < 0 and b == 0:
-            raise EvalDomainError("zero raised to a negative power")
-        return b ** self.exponent
+        for e in self.exponents:
+            if e < 0 and b == 0:
+                raise EvalDomainError("zero raised to a negative power")
+            b = b ** e
+        return b
 
     def lift(self, x0, order):
-        return self.base.lift(x0, order) ** self.exponent
+        b = self.base.lift(x0, order)
+        for e in self.exponents:
+            b = b ** e
+        return b
 
 
 _EVAL_FNS = {
@@ -230,19 +240,21 @@ class _Parser:
             raise ExprSyntaxError(f"trailing input near {self.peek()[1]!r}")
         return e
 
+    # expr and term loop inline: a shared helper would add a frame per
+    # nesting level and hit the recursion limit before MAX_DEPTH
     def expr(self) -> Expr:
-        node = self.term()
-        while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
-            _, op = self.take()
-            node = BinOp(op, node, self.term())
-        return node
+        first = self.term()
+        rest = []
+        while self.peek() in (("op", "+"), ("op", "-")):
+            rest.append((self.take()[1], self.term()))
+        return Chain(first, tuple(rest)) if rest else first
 
     def term(self) -> Expr:
-        node = self.unary()
-        while self.peek() == ("op", "*") or self.peek() == ("op", "/"):
-            _, op = self.take()
-            node = BinOp(op, node, self.unary())
-        return node
+        first = self.unary()
+        rest = []
+        while self.peek() in (("op", "*"), ("op", "/")):
+            rest.append((self.take()[1], self.unary()))
+        return Chain(first, tuple(rest)) if rest else first
 
     def unary(self) -> Expr:
         # every nesting level passes through here exactly once
@@ -259,10 +271,11 @@ class _Parser:
 
     def power(self) -> Expr:
         node = self.atom()
+        exponents = []
         while self.peek() == ("op", "^"):
             self.take()
-            node = Pow(node, self._exponent())
-        return node
+            exponents.append(self._exponent())
+        return Pow(node, tuple(exponents)) if exponents else node
 
     def _exponent(self) -> int:
         sign = 1

@@ -29,7 +29,7 @@ from .matching import (
     measure,
     target_poly,
 )
-from .poly import Poly, is_exact
+from .poly import Poly, div, over
 from .quadrature import GaussLegendre
 
 __all__ = [
@@ -96,12 +96,11 @@ def legendre_moment_match(m: MomentSet) -> PolynomialApproximant:
     a, b = m.interval
     if not (a == -1 and b == 1):
         raise DomainError("Legendre moment matching is defined on (-1, 1)")
-    exact = m.source == "exact" and all(is_exact(v) for v in m.values)
     total = Poly([0])
     for n in range(len(m.values)):
         gamma = specfun.legendre_coeffs(n)
         acc = sum(gamma.coeffs[j] * m.values[j] for j in range(n + 1))
-        beta = (Fraction(2 * n + 1, 2) if exact else (2 * n + 1) / 2) * acc
+        beta = Fraction(2 * n + 1, 2) * acc
         total = total + beta * gamma
     return PolynomialApproximant(total, kind="legendre_moment",
                                  coeffs=CoeffSeq(m.values, "legendre_moment"))
@@ -208,12 +207,8 @@ def higher_integral_approx(c: CharNumbers) -> PolynomialApproximant:
     if not isinstance(c.family, HigherIntegral):
         raise DomainError("expected higher-integral characteristic numbers")
     n_moments = len(c.values)
-    exact = all(is_exact(v) for v in c.values)
-    moments = []
-    for n in range(n_moments):
-        scale = (Fraction(math.factorial(n), 2 ** (n + 1)) if exact
-                 else math.factorial(n) / 2 ** (n + 1))
-        moments.append(scale * c.values[n])
+    moments = [Fraction(math.factorial(n), 2 ** (n + 1)) * c.values[n]
+               for n in range(n_moments)]
     total = Poly([0])
     for n in range(n_moments):
         gamma = specfun.legendre_coeffs(n, shifted=True)
@@ -221,7 +216,7 @@ def higher_integral_approx(c: CharNumbers) -> PolynomialApproximant:
         beta = (2 * n + 1) * acc
         total = total + beta * gamma
     # back to x: w = (1 - x) / 2
-    half = Fraction(1, 2) if exact else 0.5
+    half = Fraction(1, 2)
     poly_x = total.compose_affine(-half, half)
     return PolynomialApproximant(poly_x, kind="higher_integral",
                                  coeffs=CoeffSeq(c.values, "higher_integral"))
@@ -252,15 +247,13 @@ def bernoulli_approx(c: CharNumbers) -> PolynomialApproximant:
     fam = c.family
     a, b = fam.a, fam.b
     width = b - a
-    exact = is_exact(width) and all(is_exact(v) for v in c.values)
-    inv_width = Fraction(1, 1) / Fraction(width) if exact else 1.0 / width
+    inv_width = div(1, width)
     total = Poly([0])
     for n in range(1, len(c.values)):
         if c.values[n] == 0:
             continue
         basis = specfun.bernoulli_poly(n).compose_affine(inv_width, -a * inv_width)
-        scale = width ** (n - 1) * (Fraction(1, math.factorial(n)) if exact
-                                    else 1.0 / math.factorial(n))
+        scale = over(width ** (n - 1), math.factorial(n))
         total = total + (c.values[n] * scale) * basis
     if fam.zeroth == "value":
         shift = c.values[0] - total(fam.anchor)

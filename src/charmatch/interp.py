@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Callable
 
 from . import exprs, specfun
@@ -27,8 +26,9 @@ from .matching import (
     CoeffSeq,
     PolynomialApproximant,
     ValueNodes,
+    measure,
 )
-from .poly import Poly, is_exact
+from .poly import Poly, div
 
 __all__ = [
     "NodeSystem",
@@ -171,9 +171,8 @@ def ws_node_systems() -> dict[str, NodeSystem]:
 
 def value_chars(f, system: NodeSystem, n_max: int) -> CharNumbers:
     """c_n = f(x_n) over the system's retained nodes."""
-    nodes = tuple(x for _, x in system.nodes(n_max))
-    values = tuple(float(f(x)) for x in nodes)
-    return CharNumbers(values, ValueNodes(nodes))
+    family = ValueNodes(tuple(x for _, x in system.nodes(n_max)))
+    return CharNumbers(measure(f, family, range(len(family.nodes))), family)
 
 
 # -- polynomial interpolation ---------------------------------------------------
@@ -201,9 +200,7 @@ def lagrange_interp(c: CharNumbers) -> PolynomialApproximant:
             if i != n:
                 numer = numer * Poly([-xi, 1])
                 denom = denom * (xn - xi)
-        scale = cn / denom if not (is_exact(cn) and is_exact(denom)) \
-            else Fraction(cn, 1) / denom
-        total = total + scale * numer
+        total = total + div(cn, denom) * numer
     return PolynomialApproximant(total, kind="lagrange",
                                  coeffs=CoeffSeq(c.values, "lagrange"))
 
@@ -237,12 +234,11 @@ class NewtonApproximant(Approximant):
 def newton_interp(c: CharNumbers) -> NewtonApproximant:
     """Triangular (divided-difference) form of the interpolation polynomial."""
     nodes = _check_value_family(c)
-    exact = all(is_exact(v) for v in c.values) and all(is_exact(x) for x in nodes)
-    table = [Fraction(v) if exact else float(v) for v in c.values]
+    table = list(c.values)
     diffs = [table[0]]
     for level in range(1, len(nodes)):
         for i in range(len(nodes) - level):
-            table[i] = (table[i + 1] - table[i]) / (nodes[i + level] - nodes[i])
+            table[i] = div(table[i + 1] - table[i], nodes[i + level] - nodes[i])
         diffs.append(table[0])
     return NewtonApproximant(CoeffSeq(tuple(diffs), "newton"), tuple(nodes))
 

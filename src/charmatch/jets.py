@@ -20,7 +20,7 @@ from typing import Sequence
 
 from . import specfun
 from .errors import DomainError, JetDomainError
-from .poly import Poly, is_exact
+from .poly import Poly, div, is_exact
 
 __all__ = ["Jet", "compose", "bessel_jn_jet"]
 
@@ -48,14 +48,6 @@ def _exact_cbrt(v):
                 r = Fraction(n if f >= 0 else -n, d)
                 return int(r) if r.denominator == 1 else r
     return None
-
-
-
-def _exact_div(a, b):
-    """a / b staying in exact rationals whenever both operands are exact."""
-    if is_exact(a) and is_exact(b):
-        return Fraction(a) / Fraction(b)
-    return a / b
 
 
 class Jet:
@@ -163,7 +155,7 @@ class Jet:
         if isinstance(other, Jet):
             self._check_compatible(other)
             return Jet(self.center, _div_series(self.coeffs, other.coeffs))
-        return Jet(self.center, tuple(_exact_div(c, other) for c in self.coeffs))
+        return Jet(self.center, tuple(div(c, other) for c in self.coeffs))
 
     def __rtruediv__(self, other):
         num = Jet.constant(other, self.center, self.order)
@@ -190,14 +182,17 @@ class Jet:
 
     def exp(self) -> "Jet":
         u = self.coeffs
-        v0 = 1 if (is_exact(u[0]) and u[0] == 0) else math.exp(float(u[0]))
+        try:
+            v0 = 1 if (is_exact(u[0]) and u[0] == 0) else math.exp(float(u[0]))
+        except OverflowError:
+            raise JetDomainError("exp", f"overflows at {u[0]}") from None
         v = [v0] + [0] * self.order
         for k in range(1, len(u)):
             acc = 0
             for j in range(1, k + 1):
                 if u[j] != 0:
                     acc += j * u[j] * v[k - j]
-            v[k] = _exact_div(acc, k)
+            v[k] = div(acc, k)
         return Jet(self.center, v)
 
     def ln(self) -> "Jet":
@@ -211,7 +206,7 @@ class Jet:
             acc = k * u[k]
             for j in range(1, k):
                 acc -= j * v[j] * u[k - j]
-            v[k] = _exact_div(acc, k * head)
+            v[k] = div(acc, k * head)
         return Jet(self.center, v)
 
     def _sin_cos(self) -> tuple["Jet", "Jet"]:
@@ -229,8 +224,8 @@ class Jet:
                 if u[j] != 0:
                     sa += j * u[j] * c[k - j]
                     ca += j * u[j] * s[k - j]
-            s[k] = _exact_div(sa, k)
-            c[k] = _exact_div(-ca, k)
+            s[k] = div(sa, k)
+            c[k] = div(-ca, k)
         return Jet(self.center, s), Jet(self.center, c)
 
     def sin(self) -> "Jet":
@@ -252,7 +247,7 @@ class Jet:
             acc = u[k]
             for j in range(1, k):
                 acc -= v[j] * v[k - j]
-            v[k] = _exact_div(acc, 2 * v0)
+            v[k] = div(acc, 2 * v0)
         return Jet(self.center, v)
 
     def arctan(self) -> "Jet":
@@ -261,7 +256,7 @@ class Jet:
         w = (Jet.constant(1, self.center, self.order) + self * self).coeffs
         uprime = tuple((j + 1) * u[j + 1] for j in range(self.order)) + (0,)
         t = _div_series(uprime, w)
-        v = [v0] + [_exact_div(t[k - 1], k) for k in range(1, len(u))]
+        v = [v0] + [div(t[k - 1], k) for k in range(1, len(u))]
         return Jet(self.center, v)
 
     def cbrt(self) -> "Jet":
@@ -292,7 +287,7 @@ def _div_series(p: Sequence, q: Sequence) -> tuple:
         for i in range(k):
             if out[i] != 0:
                 acc -= out[i] * q[k - i]
-        out[k] = _exact_div(acc, q[0])
+        out[k] = div(acc, q[0])
     return tuple(out)
 
 
@@ -324,14 +319,13 @@ def bessel_jn_jet(n: int, t0, order: int) -> Jet:
         raise DomainError("Bessel order must be nonnegative")
     if t0 == 0:
         coeffs = [0] * (order + 1)
-        exact = is_exact(t0)
         for j in range(n, order + 1):
             if (j - n) % 2:
                 continue
             k = (j - n) // 2
             num = (-1) ** k
             den = 2 ** j * math.factorial(k) * math.factorial(n + k)
-            coeffs[j] = Fraction(num, den) if exact else num / den
+            coeffs[j] = Fraction(num, den) if is_exact(t0) else num / den
         return Jet(t0, coeffs)
     t0f = float(t0)
     h = [0.0] * (max(order, 1) + 2)

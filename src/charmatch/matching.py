@@ -19,12 +19,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import DomainError, FamilyMismatchError, SingularSystemError
 from .jets import Jet
-from .poly import Poly, is_exact
+from .poly import Poly, div
 from .quadrature import GaussLegendre
 from . import specfun
 
@@ -135,13 +134,10 @@ class HigherIntegral:
         for n in orders:
             if p is None:
                 val = quad.integrate(
-                    lambda t, n=n: (1 - t) ** (n - 1) * float(target(t)), -1, 1
-                ) / math.factorial(n - 1)
+                    lambda t, n=n: (1 - t) ** (n - 1) * float(target(t)), -1, 1)
             else:
                 val = (Poly([1, -1]) ** (n - 1) * p).integral(-1, 1)
-                val = val * Fraction(1, math.factorial(n - 1)) if p.is_exact() \
-                    else val / math.factorial(n - 1)
-            out.append(val)
+            out.append(div(val, math.factorial(n - 1)))
         return out
 
 
@@ -472,8 +468,7 @@ def tri_forward_solve(T: TriMatrix, c) -> CoeffSeq:
         acc = values[n]
         for m in range(n):
             acc = acc - row[m] * t[m]
-        t.append(acc / diag if not (is_exact(acc) and is_exact(diag))
-                 else Fraction(acc, 1) / diag)
+        t.append(div(acc, diag))
     return CoeffSeq(tuple(t), kind="tri_solve")
 
 
@@ -527,8 +522,8 @@ def verify_matching(approximant, c: CharNumbers, tol_rel: float = 1e-9,
                     quad: GaussLegendre | None = None) -> VerifyReport:
     """Check that C_n(approximant) reproduces c_n for every order.
 
-    A residual passes if |C_n(A) - c_n| <= max(tol_rel * |c_n|, tol_abs);
-    exact arithmetic yields exact-zero residuals.
+    A residual passes if |C_n(A) - c_n| <= max(tol_rel * |c_n|, tol_abs), so
+    a NaN residual fails; exact arithmetic yields exact-zero residuals.
     """
     orders = list(c.orders())
     measured = measure(approximant, c.family, orders, quad=quad)
@@ -538,9 +533,11 @@ def verify_matching(approximant, c: CharNumbers, tol_rel: float = 1e-9,
         r = abs(got - want)
         residuals.append(r)
         allowed = max(tol_rel * abs(want), tol_abs)
-        if float(r) > allowed:
+        if not float(r) <= allowed:
             passed = False
-    max_res = max((float(r) for r in residuals), default=0.0)
+    # a NaN ranks above every number, so max_residual shows it
+    max_res = max((float(r) for r in residuals), key=lambda r: (math.isnan(r), r),
+                  default=0.0)
     kind = getattr(approximant, "kind", type(approximant).__name__)
     return VerifyReport(
         kind=kind,

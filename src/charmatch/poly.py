@@ -4,6 +4,8 @@ Coefficients are plain Python numbers (``int``, ``fractions.Fraction`` or
 ``float``); arithmetic stays exact as long as every participating number is
 exact.  This is the workhorse behind the combinatorial polynomial tables
 (Bernoulli, Legendre) and every place the tests demand exact-zero residuals.
+Exactness follows the operand types; ``div`` and ``over`` are the only two
+places where the package chooses between exact and float arithmetic by hand.
 """
 
 from __future__ import annotations
@@ -17,6 +19,21 @@ EXACT_TYPES = (int, Fraction)
 def is_exact(value) -> bool:
     """True for numbers participating in exact (rational) arithmetic."""
     return isinstance(value, EXACT_TYPES)
+
+
+def div(a, b):
+    """``a / b``, an exact Fraction when both operands are exact (``int / int``
+    alone would give a float)."""
+    if isinstance(a, EXACT_TYPES) and isinstance(b, EXACT_TYPES):
+        return Fraction(a) / b
+    return a / b
+
+
+def over(x, den: int):
+    """``x / den`` for an integer ``den`` as ``x`` times the reciprocal; for a
+    float ``x`` that is the float ``1.0 / den`` (at ``den = 23!`` an ulp away
+    from the correctly rounded 1/23!), which the float coefficients rely on."""
+    return x * Fraction(1, den) if isinstance(x, EXACT_TYPES) else x * (1.0 / den)
 
 
 class Poly:
@@ -51,9 +68,6 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({list(self.coeffs)!r})"
-
-    def is_exact(self) -> bool:
-        return all(is_exact(c) for c in self.coeffs)
 
     def __call__(self, x):
         """Horner evaluation at a number, a Poly or a Jet (the package's one
@@ -126,7 +140,7 @@ class Poly:
         """Antiderivative with zero constant term (exact over Fractions)."""
         out = [0]
         for k, c in enumerate(self.coeffs):
-            out.append(c * Fraction(1, k + 1) if is_exact(c) else c / (k + 1))
+            out.append(div(c, k + 1))
         return Poly(out)
 
     def integral(self, a, b):

@@ -16,7 +16,7 @@ from typing import Sequence
 import mpmath
 
 from .errors import DomainError
-from .poly import Poly, is_exact
+from .poly import Poly, div, is_exact
 
 __all__ = [
     "gen_pow",
@@ -59,10 +59,10 @@ def binomial_general(r, k: int):
     """
     if k < 0:
         raise DomainError("binomial lower index must be nonnegative")
-    acc = Fraction(1) if is_exact(r) else 1.0
+    acc = 1
     for i in range(k):
         acc *= r - i
-    return acc / math.factorial(k)
+    return div(acc, math.factorial(k))
 
 
 # -- Stirling-type tables ------------------------------------------------
@@ -263,12 +263,9 @@ def dirichlet_inverse(u: Sequence, n_max: int | None = None) -> list:
         raise DomainError("sequence shorter than requested order")
     if n_max < 1 or u[0] == 0:
         raise DomainError("no Dirichlet inverse: u_1 = 0")
-    u1 = u[0]
-    if is_exact(u1):
-        head = 1 / Fraction(u1)
-        head = int(head) if head.denominator == 1 else head
-    else:
-        head = 1.0 / u1
+    head = div(1, u[0])
+    if is_exact(head) and head.denominator == 1:
+        head = int(head)
     inv = [head] + [0] * (n_max - 1)
     for n in range(2, n_max + 1):
         acc = 0

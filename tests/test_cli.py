@@ -105,6 +105,39 @@ def test_jet_domain_errors_exit_2(capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["coeffs", "verify"])
+def test_exp_overflow_exits_2(capsys, command):
+    code, _, err = run(capsys, command, "--f", "exp(x)", "--kind", "taylor",
+                       "--x0", "1000")
+    assert code == 2
+    assert err.startswith("error:") and "exp" in err
+
+
+@pytest.mark.parametrize("perturb", ["1", "0,abc", "1,2,3"])
+def test_malformed_perturb_exits_2(capsys, perturb):
+    code, _, err = run(capsys, "verify", "--f", "exp(x)", "--kind", "taylor",
+                       "--order", "4", "--perturb", perturb)
+    assert code == 2
+    assert err.startswith("error:") and "perturb" in err
+
+
+def test_malformed_perturb_in_config_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"f": "exp(x)", "kind": "taylor", "perturb": 3}))
+    code, _, err = run(capsys, "verify", "--config", str(cfg))
+    assert code == 2
+    assert err.startswith("error:") and "perturb" in err
+
+
+def test_perturb_from_config_list(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"f": "exp(x)", "kind": "taylor", "order": 4,
+                               "perturb": [2, 0.001]}))
+    code, out, _ = run(capsys, "verify", "--config", str(cfg))
+    assert code == 1
+    assert json.loads(out)["pass"] is False
+
+
 # -- figure --------------------------------------------------------------------------
 
 

@@ -539,3 +539,14 @@ def test_registry_names_and_aliases():
     assert normalize_kind("dirichlet-G") == "dirichlet_g"
     with pytest.raises(DomainError):
         normalize_kind("fourier-madeup")
+
+
+@pytest.mark.parametrize("kind", KIND_NAMES)
+def test_coefficients_follow_the_type_of_the_characteristic_numbers(kind):
+    f = exprs.parse("exp(x)")
+    floats = build_kind(kind, f, 40, x0=0.5)
+    assert all(isinstance(v, float) for v in floats.chars.values)
+    assert all(isinstance(v, float) for v in floats.coeffs.values)
+    exact = build_kind(kind, f, 40, x0=0)
+    assert all(isinstance(v, (int, F)) for v in exact.chars.values)
+    assert all(isinstance(v, (int, F)) for v in exact.coeffs.values)

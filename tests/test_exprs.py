@@ -79,3 +79,19 @@ def test_expr_is_measurable_target():
     e = exprs.parse("exp(x)")
     jet = e.eval_jet(0, 3)
     assert jet.derivatives() == (1, 1, 1, 1)
+
+
+def test_long_chains_evaluate_and_lift_without_recursion():
+    e = exprs.parse("+".join(["x"] * 3000))
+    assert e(Fraction(1, 2)) == 1500
+    assert e.lift(0, 2).coeffs == (0, 3000, 0)
+    p = exprs.parse("*".join(["x"] * 3000))
+    assert p(1) == 1 and p.lift(1, 1).coeffs == (1, 3000)
+    assert exprs.parse("x" + "^1" * 3000)(3) == 3
+
+
+def test_chains_combine_left_to_right():
+    assert exprs.parse("1 - 2 - 3")(0) == -4
+    assert exprs.parse("64 / 4 / 2")(0) == 8
+    assert exprs.parse("x^2^3")(2) == 64
+    assert exprs.parse("x / x")(3) == 1 and isinstance(exprs.parse("x / x")(3), Fraction)

@@ -18,6 +18,7 @@ from charmatch.matching import (
     Nonlinear,
     NONLINEAR_TRANSFORMS,
     TriMatrix,
+    PolynomialApproximant,
     ValueNodes,
     delta_check,
     derivative_chars,
@@ -180,3 +181,11 @@ def test_endpoint_family_validation():
         EndpointDiff(0, 1, zeroth="nope")
     fam = EndpointDiff(0, 1, zeroth="value")
     assert fam.anchor == 0
+
+
+@pytest.mark.parametrize("values", [(math.nan, 1.0), (1.0, math.nan)])
+def test_nan_residual_fails_verification(values):
+    approx = PolynomialApproximant(Poly([0.0, 1.0]))
+    report = verify_matching(approx, CharNumbers(values, Derivative(0)))
+    assert report.passed is False
+    assert math.isnan(report.max_residual)

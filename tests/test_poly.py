@@ -1,11 +1,12 @@
 """Polynomial helper tests."""
 
+import math
 from fractions import Fraction
 
 import pytest
 
 from charmatch.jets import Jet
-from charmatch.poly import Poly, monomial
+from charmatch.poly import Poly, div, monomial, over
 
 
 F = Fraction
@@ -49,6 +50,26 @@ def test_constant_poly_keeps_the_argument_kind():
     assert c(Poly([0, 1])) == Poly([F(3, 2)])
     assert c.eval_jet(0, 2) == Jet.constant(F(3, 2), 0, 2)
     assert c(2.0) == F(3, 2)
+
+
+def test_div_is_exact_for_exact_operands():
+    assert div(1, 3) == F(1, 3) and isinstance(div(1, 3), F)
+    assert div(F(1, 2), 2) == F(1, 4)
+    assert over(3, 6) == F(1, 2)
+
+
+def test_float_operands_give_floats():
+    for value in (div(1.0, 3), div(1, 3.0), div(F(1, 2), 0.5), over(1.0, 6)):
+        assert isinstance(value, float)
+    assert div(1.0, 3) == 1.0 / 3
+
+
+def test_over_keeps_the_rounded_float_reciprocal():
+    # float coefficients multiply by the float 1.0 / n!; the Pade case
+    # ln(x^2 + 1) at x0 = 0.5, N = 40 verifies only with these bits
+    den = math.factorial(23)
+    assert over(1.0, den) == 1.0 / den
+    assert over(1.0, den) != float(F(1, den))
 
 
 def test_monomial():
