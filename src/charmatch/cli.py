@@ -43,14 +43,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _num(text: str):
-    """Parse a numeric flag exactly when possible (keeps rational paths exact)."""
+    """Parse a numeric flag exactly when possible (keeps rational paths exact);
+    NaN and infinities are refused."""
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         try:
-            return float(text)
+            value = float(text)
         except ValueError:
             raise UsageError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise UsageError(f"not a finite number: {text!r}")
+    return value
 
 
 def _pair(text: str) -> tuple:
@@ -60,20 +64,41 @@ def _pair(text: str) -> tuple:
     return _num(parts[0]), _num(parts[1])
 
 
-def _grid_spec(text: str) -> tuple:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise UsageError(f"expected 'lo,hi,points', got {text!r}")
-    lo, hi = float(parts[0]), float(parts[1])
+def _grid_spec(value) -> tuple:
+    """'lo,hi,points' (a string, or a 3-element list from a config file) as
+    (lo, hi, points) with finite lo < hi and an integer points >= 2."""
+    parts = value.split(",") if isinstance(value, str) else value
     try:
-        pts = int(parts[2])
-    except ValueError:
-        raise UsageError(f"grid point count must be an integer: {parts[2]!r}") from None
+        lo, hi, pts = parts
+        lo, hi = float(lo), float(hi)
+        pts = int(pts) if isinstance(pts, str) else pts
+    except (TypeError, ValueError):
+        pts = None
+    if type(pts) is not int:
+        raise UsageError(f"grid expects 'lo,hi,points' with an integer point count, "
+                         f"got {value!r}")
     if pts < 2:
         raise UsageError("grid needs at least 2 points")
-    if not hi > lo:
-        raise UsageError("grid needs hi > lo")
+    if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
+        raise UsageError("grid needs finite lo < hi")
     return lo, hi, pts
+
+
+def _number(key: str, value):
+    """A finite number: a flag's text through ``_num``, or an int, Fraction or
+    float as the flag parser or a config file delivers it."""
+    if isinstance(value, str):
+        return _num(value)
+    exact = isinstance(value, (int, Fraction)) and not isinstance(value, bool)
+    if exact or (isinstance(value, float) and math.isfinite(value)):
+        return value
+    raise UsageError(f"{key} must be a finite number, got {value!r}")
+
+
+def _integer(key: str, value, low: int) -> int:
+    if type(value) is not int or value < low:
+        raise UsageError(f"{key} must be an integer >= {low}, got {value!r}")
+    return value
 
 
 def _perturb(value) -> tuple:
@@ -94,9 +119,34 @@ def _perturb(value) -> tuple:
     return idx, float(delta)
 
 
-_CONFIG_KEYS = ("f", "kind", "order", "x0", "w", "q", "alpha", "interval",
-                "grid", "preset", "lam", "csv", "svg", "json", "family",
-                "perturb")
+_TEXT_KEYS = ("f", "kind", "preset", "lam", "csv", "svg", "json", "family")
+_CONFIG_KEYS = _TEXT_KEYS + ("order", "x0", "w", "q", "alpha", "interval", "grid",
+                             "perturb")
+
+
+def _config_value(key: str, value):
+    """A flag or config-file value, checked as strictly for either source."""
+    if key in _TEXT_KEYS:
+        if not isinstance(value, str):
+            raise UsageError(f"{key} must be a string, got {value!r}")
+        return value
+    if key in ("x0", "w", "alpha"):
+        return _number(key, value)
+    if key == "interval":
+        if isinstance(value, str):
+            return _pair(value)
+        if not (isinstance(value, (list, tuple)) and len(value) == 2):
+            raise UsageError(f"interval expects 'a,b', got {value!r}")
+        return tuple(_number(key, v) for v in value)
+    if key == "grid":
+        return value if isinstance(value, tuple) else _grid_spec(value)
+    if key == "order":
+        return _integer(key, value, 0)
+    if key == "q":
+        return _integer(key, value, 1)
+    if key == "perturb":
+        return _perturb(value)
+    raise UsageError(f"unknown config key {key!r}")
 
 
 @dataclass
@@ -156,17 +206,7 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
             data[key] = cli_val
     cfg = RunConfig()
     for key, value in data.items():
-        if key not in _CONFIG_KEYS:
-            raise UsageError(f"unknown config key {key!r}")
-        if key in ("x0", "w", "alpha") and isinstance(value, str):
-            value = _num(value)
-        if key == "interval" and isinstance(value, (str, list)):
-            value = _pair(value) if isinstance(value, str) else tuple(value)
-        if key == "grid" and isinstance(value, (str, list)):
-            value = _grid_spec(value) if isinstance(value, str) else tuple(value)
-        if key == "perturb":
-            value = _perturb(value)
-        setattr(cfg, "json_path" if key == "json" else key, value)
+        setattr(cfg, "json_path" if key == "json" else key, _config_value(key, value))
     return cfg
 
 
@@ -180,8 +220,6 @@ def _grid_points(cfg: RunConfig) -> list[float]:
     if cfg.grid is None:
         raise UsageError("--grid lo,hi,points is required")
     lo, hi, pts = cfg.grid
-    if pts < 2:
-        raise UsageError("grid needs at least 2 points")
     return [lo + (hi - lo) * i / (pts - 1) for i in range(pts)]
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 from . import specfun
@@ -108,9 +108,9 @@ class NsbfApproximant(Approximant):
         self.center = center
 
     def __call__(self, x):
-        t = float(x - self.center)
-        return sum(float(a) * specfun.bessel_j(n, t)
-                   for n, a in enumerate(self.coeffs.values) if a != 0)
+        a = self.coeffs.floats
+        j = specfun.bessel_j_all(len(a) - 1, float(x - self.center))
+        return sum(an * jn for an, jn in zip(a, j) if an != 0)
 
     def eval_jet(self, x0, order: int) -> Jet:
         t0 = x0 - self.center
@@ -424,16 +424,12 @@ class SeriesInGApproximant(Approximant):
         self.center = center
         self.series = Poly(coeffs.values)
 
-    @cached_property
-    def _float_series(self) -> Poly:
-        return self.series.as_float()
-
     def __call__(self, x):
         t = float(x - self.center)
         basis = _G_BASIS[self.g_name]
         if not basis["domain"](t):
             raise EvalDomainError(f"{self.g_name} basis undefined at x={x}")
-        return self._float_series(basis["eval"](t))
+        return self.series(basis["eval"](t))
 
     def eval_jet(self, x0, order: int) -> Jet:
         var = Jet.variable(x0, order) - self.center
@@ -486,10 +482,6 @@ class RationalX1Approximant(Approximant):
         self.alpha = coeffs.params["alpha"]
         self.series = Poly(coeffs.values)
 
-    @cached_property
-    def _float_series(self) -> Poly:
-        return self.series.as_float()
-
     def _u(self, t):
         return -t / self.alpha
 
@@ -497,7 +489,7 @@ class RationalX1Approximant(Approximant):
         u = self._u(x - self.center)
         if u == -1:
             raise EvalDomainError(f"pole of the rational expansion at x={x}")
-        return self._float_series(u / (u + 1))
+        return self.series(float(u / (u + 1)))
 
     def eval_jet(self, x0, order: int) -> Jet:
         u = self._u(Jet.variable(x0, order) - self.center)
@@ -517,34 +509,47 @@ class GEval(NamedTuple):
     tail_bound: float
 
 
+# a term below 2^-55 |acc| is under a quarter ulp of acc and rounds away
+_G_NEGLIGIBLE = 2.0 ** -55
+
+
+def _G_tail_bound(x: float, n_terms: int) -> float:
+    return abs(x) ** (n_terms + 1) / (1 - abs(x))
+
+
 def moebius_G_eval(x: float, n_terms: int = 64) -> GEval:
-    """Partial sum of G(x) = sum mu_n x^n with its geometric tail bound."""
+    """Partial sum of G(x) = sum mu_n x^n with its geometric tail bound.
+
+    The loop stops once |x^n| < 2^-55 |acc|: with |x| < 1 every later term
+    rounds away too, so the value is that of the full partial sum to the bit.
+    """
     x = float(x)
     if abs(x) >= 1:
         raise DomainError("the Moebius generating function needs |x| < 1")
     acc = 0.0
     xn = 1.0
-    for n in range(1, n_terms + 1):
+    for mu in specfun.moebius_table(n_terms):
         xn *= x
-        mu = specfun.moebius(n)
+        if abs(xn) < _G_NEGLIGIBLE * abs(acc):
+            break
         if mu:
             acc += mu * xn
-    bound = abs(x) ** (n_terms + 1) / (1 - abs(x))
-    return GEval(acc, bound)
+    return GEval(acc, _G_tail_bound(x, n_terms))
 
 
 def _G_adaptive(x: float, tol: float = 1e-15) -> float:
+    """G(x) summed to the first n in 64, 128, ..., 8192 whose tail bound
+    meets ``tol``."""
+    x = float(x)
     n = 64
-    while True:
-        val, bound = moebius_G_eval(x, n)
-        if bound <= tol:
-            return val
+    while abs(x) < 1 and _G_tail_bound(x, n) > tol:
         if n >= 8192:
             raise EvalDomainError(
                 f"Moebius G series at x={x} misses its tail bound after {n} terms "
-                f"(bound {bound:.3g} > {tol:.0e})"
+                f"(bound {_G_tail_bound(x, n):.3g} > {tol:.0e})"
             )
         n *= 2
+    return moebius_G_eval(x, n).value
 
 
 _DIRICHLET_INVERSE_SEQ = {
@@ -603,7 +608,7 @@ class DirichletApproximant(Approximant):
                 "the 1/(1-x^n) expansion diverges on |x| = 1 (poles at roots of unity)"
             )
         acc = float(self.b0)
-        for n, a in enumerate(self.coeffs.values, start=1):
+        for n, a in enumerate(self.coeffs.floats, start=1):
             if a == 0:
                 continue
             y = t ** n
@@ -613,7 +618,7 @@ class DirichletApproximant(Approximant):
                 basis = 1.0 / (1.0 - y)
             else:
                 basis = y / (y * y + 1.0)
-            acc += float(a) * basis
+            acc += a * basis
         return acc
 
     def eval_jet(self, x0, order: int) -> Jet:
@@ -630,7 +635,7 @@ class DirichletApproximant(Approximant):
                         "Moebius-G jets are only supported at the expansion point"
                     )
                 # truncated at the jet order, exact since y has no constant term
-                mu_poly = Poly([0] + [specfun.moebius(k) for k in range(1, order + 1)])
+                mu_poly = Poly((0,) + specfun.moebius_table(order))
                 basis = mu_poly(y)
             elif variant == "dirichlet_rat1":
                 basis = 1 / (1 - y)
@@ -649,24 +654,38 @@ def dirichlet_approx(c: CharNumbers, variant: str) -> DirichletApproximant:
 # -- dex functions --------------------------------------------------------------
 
 
+# x^j / j! overflows near |x| = 709; the ladder runs to j >= 2|x|
+_DEX_X_MAX = 700.0
+# ladder length that serves every index of rings up to this size
+_DEX_MIN_TERMS = 64
+
+
+@lru_cache(maxsize=256)
+def _dex_ladder(x: float, tol: float, length: int) -> tuple:
+    """T_j = x^j / j! by T_j = T_{j-1} (x/j), at least ``length`` terms and
+    on until the terms are decreasing and below ``tol``."""
+    terms = [1.0]
+    j = 0
+    while j + 1 < length or j < 2 * abs(x) or abs(terms[-1]) > tol:
+        j += 1
+        terms.append(terms[-1] * (x / j))
+    return tuple(terms)
+
+
 def dex_eval(ring: int, index: int, x: float, tol: float = 1e-15) -> float:
-    """dex_[N,n](x) = sum_k x^(n + kN) / (n + kN)! with adaptive truncation."""
+    """dex_[N,n](x) = sum_k x^(n + kN) / (n + kN)!, read from one shared
+    ladder of x^j / j! per x (cut where its terms fall below ``tol``)."""
     if ring < 1:
         raise DomainError("dex ring size must be >= 1")
     if not (0 <= index < ring):
         raise DomainError(f"dex index must satisfy 0 <= n < N, got ({ring}, {index})")
     x = float(x)
-    term = x ** index / math.factorial(index)
-    acc = term
-    power = index
-    for _ in range(500):
-        for _ in range(ring):
-            power += 1
-            term *= x / power
-        acc += term
-        if abs(term) <= tol * max(1.0, abs(acc)):
-            break
-    return acc
+    if not abs(x) <= _DEX_X_MAX:
+        raise DomainError(f"dex_eval needs a finite |x| <= {_DEX_X_MAX:g}, got {x}")
+    terms = _dex_ladder(x, tol, _DEX_MIN_TERMS)
+    if index >= len(terms):  # past the cut: reach index and its next ring term
+        terms = _dex_ladder(x, tol, index + ring + 1)
+    return sum(terms[index::ring])
 
 
 def dex_jet(ring: int, index: int, order: int) -> Jet:
@@ -687,8 +706,8 @@ class DexApproximant(Approximant):
 
     def __call__(self, x):
         t = x - self.center
-        return sum(float(cn) * dex_eval(self.ring, n, t)
-                   for n, cn in enumerate(self.coeffs.values) if cn != 0)
+        return sum(cn * dex_eval(self.ring, n, t)
+                   for n, cn in enumerate(self.coeffs.floats) if cn != 0)
 
     def eval_jet(self, x0, order: int) -> Jet:
         t0 = x0 - self.center

@@ -50,6 +50,17 @@ def _exact_cbrt(v):
     return None
 
 
+def _float_head(primitive: str, head) -> float:
+    """The head value as a finite float, or ``JetDomainError``."""
+    try:
+        value = float(head)
+    except OverflowError:
+        raise JetDomainError(primitive, "constant term is beyond float range") from None
+    if not math.isfinite(value):
+        raise JetDomainError(primitive, f"constant term must be finite, got {value}")
+    return value
+
+
 class Jet:
     """Taylor data of a function at a point: coeffs[n] = f^(n)(x0) / n!."""
 
@@ -183,7 +194,7 @@ class Jet:
     def exp(self) -> "Jet":
         u = self.coeffs
         try:
-            v0 = 1 if (is_exact(u[0]) and u[0] == 0) else math.exp(float(u[0]))
+            v0 = 1 if (is_exact(u[0]) and u[0] == 0) else math.exp(_float_head("exp", u[0]))
         except OverflowError:
             raise JetDomainError("exp", f"overflows at {u[0]}") from None
         v = [v0] + [0] * self.order
@@ -200,7 +211,7 @@ class Jet:
         head = u[0]
         if not (head > 0):
             raise JetDomainError("ln", f"constant term must be positive, got {head}")
-        v0 = 0 if (is_exact(head) and head == 1) else math.log(float(head))
+        v0 = 0 if (is_exact(head) and head == 1) else math.log(_float_head("ln", head))
         v = [v0] + [0] * self.order
         for k in range(1, len(u)):
             acc = k * u[k]
@@ -214,7 +225,8 @@ class Jet:
         if is_exact(u[0]) and u[0] == 0:
             s0, c0 = 0, 1
         else:
-            s0, c0 = math.sin(float(u[0])), math.cos(float(u[0]))
+            h = _float_head("sin/cos", u[0])
+            s0, c0 = math.sin(h), math.cos(h)
         s = [s0] + [0] * self.order
         c = [c0] + [0] * self.order
         for k in range(1, len(u)):
@@ -241,7 +253,7 @@ class Jet:
             raise JetDomainError("sqrt", f"constant term must be positive, got {head}")
         v0 = exact_sqrt(head) if is_exact(head) else None
         if v0 is None:
-            v0 = math.sqrt(float(head))
+            v0 = math.sqrt(_float_head("sqrt", head))
         v = [v0] + [0] * self.order
         for k in range(1, len(u)):
             acc = u[k]
@@ -252,7 +264,7 @@ class Jet:
 
     def arctan(self) -> "Jet":
         u = self.coeffs
-        v0 = 0 if (is_exact(u[0]) and u[0] == 0) else math.atan(float(u[0]))
+        v0 = 0 if (is_exact(u[0]) and u[0] == 0) else math.atan(_float_head("arctan", u[0]))
         w = (Jet.constant(1, self.center, self.order) + self * self).coeffs
         uprime = tuple((j + 1) * u[j + 1] for j in range(self.order)) + (0,)
         t = _div_series(uprime, w)
@@ -268,7 +280,7 @@ class Jet:
             return -((-self).cbrt())
         v0 = _exact_cbrt(head) if is_exact(head) else None
         if v0 is None:
-            v0 = float(head) ** (1.0 / 3.0)
+            v0 = _float_head("cbrt", head) ** (1.0 / 3.0)
         # v = v0 * exp(ln(u/u0)/3) keeps exact arithmetic when possible
         w = self / head
         return v0 * (w.ln() / 3).exp()
@@ -311,9 +323,11 @@ def compose(outer: Jet, inner: Jet) -> Jet:
 def bessel_jn_jet(n: int, t0, order: int) -> Jet:
     """Jet of J_n at ``t0``.
 
-    At the origin the ascending series gives exact rational coefficients;
-    elsewhere the Taylor coefficients follow from the Bessel differential
-    equation, seeded with J_n(t0) and J_n'(t0).
+    At the origin the ascending series gives exact rational coefficients.
+    Elsewhere J_n^(k) = 2^-k sum_i (-1)^i C(k, i) J_{n-k+2i} (DLMF 10.6.7),
+    with J_{-m} = (-1)^m J_m, from one sweep of J_0..J_{n+order} at t0;
+    every term is bounded, unlike the Taylor recurrence of the Bessel
+    equation, whose error grows like k! / t0^k.
     """
     if n < 0:
         raise DomainError("Bessel order must be nonnegative")
@@ -327,22 +341,14 @@ def bessel_jn_jet(n: int, t0, order: int) -> Jet:
             den = 2 ** j * math.factorial(k) * math.factorial(n + k)
             coeffs[j] = Fraction(num, den) if is_exact(t0) else num / den
         return Jet(t0, coeffs)
-    t0f = float(t0)
-    h = [0.0] * (max(order, 1) + 2)
-    h[0] = specfun.bessel_j(n, t0f)
-    if n == 0:
-        h[1] = -specfun.bessel_j(1, t0f)
-    else:
-        h[1] = 0.5 * (specfun.bessel_j(n - 1, t0f) - specfun.bessel_j(n + 1, t0f))
-    # (t0+s)^2 h'' + (t0+s) h' + ((t0+s)^2 - n^2) h = 0, collected by powers of s
-    for k in range(0, order - 1):
-        hm1 = h[k - 1] if k >= 1 else 0.0
-        hm2 = h[k - 2] if k >= 2 else 0.0
-        num = (
-            t0f * (k + 1) * (2 * k + 1) * h[k + 1]
-            + (k * k + t0f * t0f - n * n) * h[k]
-            + 2 * t0f * hm1
-            + hm2
-        )
-        h[k + 2] = -num / (t0f * t0f * (k + 2) * (k + 1))
-    return Jet(t0, h[: order + 1])
+    top = n + order
+    js = specfun.bessel_j_all(top, _float_head("bessel_j", t0))
+    # J_m for m = -top..top at index m + top
+    j = [(-1) ** m * js[m] for m in range(top, 0, -1)] + js
+    coeffs = []
+    for k in range(order + 1):
+        acc = 0.0
+        for i in range(k + 1):
+            acc += (-1) ** i * math.comb(k, i) * j[n - k + 2 * i + top]
+        coeffs.append(acc / (2 ** k * math.factorial(k)))
+    return Jet(t0, coeffs)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 from .errors import DomainError, FamilyMismatchError, SingularSystemError
@@ -365,6 +366,11 @@ class CoeffSeq:
 
     def __getitem__(self, i):
         return self.values[i]
+
+    @cached_property
+    def floats(self) -> tuple:
+        """The values as floats, converted on first use."""
+        return tuple(float(a) for a in self.values)
 
 
 class Approximant:

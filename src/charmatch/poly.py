@@ -39,7 +39,7 @@ def over(x, den: int):
 class Poly:
     """Immutable polynomial ``c[0] + c[1] x + ... + c[d] x^d``."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_floats")
 
     def __init__(self, coeffs: Iterable = (0,)):
         cs = list(coeffs)
@@ -73,15 +73,30 @@ class Poly:
         """Horner evaluation at a number, a Poly or a Jet (the package's one
         Horner loop); exact when coefficients and ``x`` are exact.
 
-        The result has the kind of ``x``, also for a constant polynomial.
+        The result has the kind of ``x``, also for a constant polynomial.  At
+        a float ``x`` the loop runs on float copies of the coefficients, made
+        once; that gives the same bits, since a Fraction meeting a float is
+        converted with ``float`` first.
         """
-        acc = self.coeffs[-1]
+        coeffs = self.coeffs
+        if isinstance(x, float):
+            coeffs = self.floats
+        acc = coeffs[-1]
         constant_like = getattr(x, "constant_like", None)
         if constant_like is not None:
             acc = constant_like(acc)
-        for c in reversed(self.coeffs[:-1]):
+        for c in reversed(coeffs[:-1]):
             acc = acc * x + c
         return acc
+
+    @property
+    def floats(self) -> tuple:
+        """The coefficients as floats, converted on first use."""
+        try:
+            return self._floats
+        except AttributeError:
+            object.__setattr__(self, "_floats", tuple(float(c) for c in self.coeffs))
+            return self._floats
 
     # -- ring operations ------------------------------------------------
 
@@ -159,7 +174,7 @@ class Poly:
         return self.compose_affine(1, a)
 
     def as_float(self) -> "Poly":
-        return Poly(float(c) for c in self.coeffs)
+        return Poly(self.floats)
 
     def as_poly(self) -> "Poly":
         return self

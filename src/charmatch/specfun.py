@@ -2,8 +2,8 @@
 
 Every table-valued quantity (Stirling numbers, central factorials, Bernoulli
 data, Legendre coefficients, Moebius-type sequences) is computed over exact
-rationals; floats only appear in the evaluation-level functions ``bessel_j``
-and ``lambert_w0``.
+rationals; floats only appear in the evaluation-level functions
+``bessel_j``/``bessel_j_all`` and ``lambert_w0``.
 """
 
 from __future__ import annotations
@@ -12,8 +12,6 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
-
-import mpmath
 
 from .errors import DomainError
 from .poly import Poly, div, is_exact
@@ -29,10 +27,13 @@ __all__ = [
     "bernoulli_poly",
     "legendre_coeffs",
     "moebius",
+    "moebius_table",
     "nu",
     "dirichlet_convolve",
     "dirichlet_inverse",
+    "BESSEL_X_MAX",
     "bessel_j",
+    "bessel_j_all",
     "lambert_w0",
 ]
 
@@ -213,6 +214,29 @@ def moebius(n: int) -> int:
     return -1 if len(factors) % 2 else 1
 
 
+@lru_cache(maxsize=32)
+def moebius_table(n: int) -> tuple[int, ...]:
+    """(mu(1), ..., mu(n)) from one linear sieve."""
+    if n < 0:
+        raise DomainError("Moebius table length must be nonnegative")
+    mu = [1] * (n + 1)
+    composite = bytearray(n + 1)
+    primes = []
+    for i in range(2, n + 1):
+        if not composite[i]:
+            primes.append(i)
+            mu[i] = -1
+        for p in primes:
+            if i * p > n:
+                break
+            composite[i * p] = 1
+            if i % p == 0:
+                mu[i * p] = 0
+                break
+            mu[i * p] = -mu[i]
+    return tuple(mu[1:])
+
+
 @lru_cache(maxsize=None)
 def nu(n: int) -> int:
     """Dirichlet inverse of sin(n pi / 2): (-1)^(sum (p+1)/2) on square-free
@@ -279,46 +303,63 @@ def dirichlet_inverse(u: Sequence, n_max: int | None = None) -> list:
 
 # -- Bessel functions of the first kind --------------------------------------
 
-_BESSEL_FLOAT_CUTOFF = 6.0
-_BESSEL_REL_STOP = 1e-18
+# the backward recurrence takes O(|x|) steps; beyond this |x| bessel_j refuses
+BESSEL_X_MAX = 1.0e4
+_BESSEL_RESCALE = 1.0e250
+# below this |x| one step of the recurrence could overflow past the rescaling
+_BESSEL_TINY = 1.0e-30
 
 
-def _bessel_series(n: int, x, factorial, one):
-    """Ascending series with adaptive truncation; generic over float/mpf."""
-    half = x / 2
-    term = half ** n / factorial(n)
-    acc = term * 0 + term
-    msq = -(half * half)
-    for k in range(1, 400):
-        term = term * msq / (k * (n + k))
-        acc += term
-        if abs(term) <= _BESSEL_REL_STOP * abs(acc) + 1e-300:
-            break
-    return acc
+def bessel_j_all(n_max: int, x: float) -> list[float]:
+    """[J_0(x), ..., J_{n_max}(x)] from one Miller backward recurrence.
+
+    J_{k-1} = (2k/x) J_k - J_{k+1} runs down from an even start well above
+    max(n_max, |x|), rescaled whenever it nears overflow, and is normalized
+    by J_0 + 2 sum_k J_2k = 1 (DLMF 10.74(iv)); J_n(-x) = (-1)^n J_n(x).
+    Accurate to about 1e-15 absolute for |x| <= ``BESSEL_X_MAX``; a larger
+    or non-finite argument raises ``DomainError``.
+    """
+    if n_max < 0:
+        raise DomainError("Bessel order must be nonnegative")
+    x = float(x)
+    if not abs(x) <= BESSEL_X_MAX:
+        raise DomainError(f"bessel_j needs a finite |x| <= {BESSEL_X_MAX:g}, got {x}")
+    ax = abs(x)
+    out = [0.0] * (n_max + 1)
+    if ax < _BESSEL_TINY:
+        # J_n = (x/2)^n / n! to a relative (x/2)^2 / (n+1); also covers x = 0
+        term = 1.0
+        for i in range(n_max + 1):
+            out[i] = term
+            term *= ax / 2 / (i + 1)
+        norm = 1.0
+    else:
+        top = max(n_max, int(ax))
+        start = top + 20 + int(8.0 * top ** (1.0 / 3.0))
+        start += start % 2
+        nxt, cur = 0.0, 1.0  # J_{k+1}, J_k up to a common scale, k = start
+        norm = 0.0
+        for k in range(start, 0, -1):
+            nxt, cur = cur, (2 * k / ax) * cur - nxt  # cur is now J_{k-1}
+            if abs(cur) > _BESSEL_RESCALE:
+                nxt /= _BESSEL_RESCALE
+                cur /= _BESSEL_RESCALE
+                norm /= _BESSEL_RESCALE
+                for i in range(k, n_max + 1):
+                    out[i] /= _BESSEL_RESCALE
+            if k - 1 <= n_max:
+                out[k - 1] = cur
+            if k % 2 == 1 and k > 1:
+                norm += 2.0 * cur
+        norm += cur
+    for i in range(n_max + 1):
+        out[i] = (-out[i] if x < 0 and i % 2 else out[i]) / norm
+    return out
 
 
 def bessel_j(n: int, x: float) -> float:
-    """J_n(x) by the ascending power series with adaptive truncation.
-
-    For |x| beyond the float-cancellation range the same series is summed
-    in higher-precision arithmetic, so the result stays accurate to about
-    1e-12 absolute over the desk scale |x| <= 30, n <= 40.
-    """
-    if n < 0:
-        raise DomainError("Bessel order must be nonnegative")
-    x = float(x)
-    sign = 1
-    if x < 0:
-        x = -x
-        sign = -1 if n % 2 else 1
-    if x == 0.0:
-        return 1.0 if n == 0 else 0.0
-    if x <= _BESSEL_FLOAT_CUTOFF:
-        return sign * _bessel_series(n, x, math.factorial, 1.0)
-    # cancellation grows like I_0(x); add ~0.5 digits per unit of |x|
-    with mpmath.workdps(20 + int(0.5 * x)):
-        value = _bessel_series(n, mpmath.mpf(x), mpmath.factorial, mpmath.mpf(1))
-        return sign * float(value)
+    """J_n(x), the last entry of ``bessel_j_all(n, x)``."""
+    return bessel_j_all(n, x)[n]
 
 
 # -- Lambert W ---------------------------------------------------------------

@@ -1,9 +1,14 @@
 """CLI behavior: subcommands, exit codes, config handling, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import charmatch
 from charmatch.cli import main
 
 
@@ -254,3 +259,72 @@ def test_config_unknown_key(tmp_path, capsys):
 
 def test_usage_error_on_missing_subcommand(capsys):
     assert main([]) == 2
+
+
+@pytest.mark.parametrize("body", [{"grid": "a,1,11"}, {"grid": [0, 1]},
+                                  {"grid": [0, 1, 1.5]}, {"grid": "1,0,11"}])
+def test_malformed_config_grid_exits_2(tmp_path, capsys, body):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(body))
+    code, _, err = run(capsys, "compare", "--f", "exp(x)", "--kind", "taylor,nsbf",
+                       "--config", str(cfg), "--config", str(cfg))
+    assert code == 2
+    assert err.startswith("error:") and "grid" in err
+
+
+def test_config_grid_list_works(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"f": "exp(x)", "kind": "taylor", "order": 4,
+                               "grid": [-1, 1, 11]}))
+    code, out, _ = run(capsys, "compare", "--config", str(cfg), "--config", str(cfg))
+    assert code == 0
+    assert "taylor" in out
+
+
+@pytest.mark.parametrize("key, value", [
+    ("order", "abc"), ("order", -1), ("order", 2.5), ("order", None),
+    ("x0", float("nan")), ("x0", float("inf")), ("x0", True), ("w", [1]),
+    ("q", "abc"), ("interval", [1]), ("kind", 5), ("f", 5),
+])
+def test_malformed_config_value_exits_2(tmp_path, capsys, key, value):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"f": "exp(x)", "kind": "exp_weighted", "order": 4,
+                               key: value}))
+    code, _, err = run(capsys, "coeffs", "--config", str(cfg))
+    assert code == 2
+    assert err.startswith("error:") and key in err
+
+
+@pytest.mark.parametrize("f, x0, want", [
+    ("ln(x)", "1e400", 2),
+    ("arctan(x)", "1e400", 2),
+    ("sin(x)", "1e400", 2),
+    ("sin(x)", "inf", 2),
+    ("bessel_j0(x)", "nan", 2),
+    ("bessel_j0(x)", "inf", 2),
+    ("bessel_j0(x)", "1e400", 2),
+    ("exp(x)", "nan", 2),
+    ("exp(x)", "inf", 2),
+    ("exp(x)", "-inf", 2),
+    ("sqrt(x)", "nan", 2),
+    ("sqrt(x)", "inf", 2),
+    ("x^2", "nan", 2),
+    ("x^2", "inf", 2),
+    ("x^2", "1e400", 0),
+])
+def test_bad_centers_exit_2(capsys, f, x0, want):
+    code, _, err = run(capsys, "coeffs", "--f", f, "--kind", "taylor", "--order", "4",
+                       f"--x0={x0}")
+    assert code == want
+    assert "Traceback" not in err
+    if want == 2:
+        assert err.startswith("error:")
+
+
+def test_import_does_not_load_mpmath():
+    # mpmath is a test-only oracle, never a runtime import
+    src = Path(charmatch.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = ("import charmatch, charmatch.cli, charmatch.figures, sys; "
+            "assert 'mpmath' not in sys.modules")
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -415,6 +415,43 @@ def test_moebius_g_even_part():
     assert abs(0.5 * (g1 + g2) - even) < 1e-14
 
 
+def _moebius_G_full(x, n_terms):
+    # the plain partial sum over all n_terms terms, no early exit
+    acc, xn = 0.0, 1.0
+    for n in range(1, n_terms + 1):
+        xn *= x
+        mu = specfun.moebius(n)
+        if mu:
+            acc += mu * xn
+    return acc
+
+
+@pytest.mark.parametrize("n_terms", [64, 4096])
+def test_moebius_g_early_exit_is_bit_identical(n_terms):
+    rng = random.Random(4)
+    for _ in range(200):
+        x = rng.uniform(-0.999, 0.999)
+        got = xp.moebius_G_eval(x, n_terms)
+        assert got.value == _moebius_G_full(x, n_terms)
+        assert got.tail_bound == abs(x) ** (n_terms + 1) / (1 - abs(x))
+
+
+def test_dirichlet_g_sums_to_the_first_sufficient_length():
+    # G at x is the full partial sum of the first doubling length whose
+    # geometric tail bound is at most 1e-15
+    approx = xp.dirichlet_approx(chars_of("exp(x)", 3), "dirichlet_g")
+    x = 0.93
+    a1, a2, a3 = (float(a) for a in approx.coeffs.values)
+    want = float(approx.b0)
+    for n, a in ((1, a1), (2, a2), (3, a3)):
+        y = x ** n
+        length = 64
+        while abs(y) ** (length + 1) / (1 - abs(y)) > 1e-15:
+            length *= 2
+        want += a * _moebius_G_full(y, length)
+    assert approx(x) == want
+
+
 # -- dex functions ----------------------------------------------------------------------
 
 
@@ -431,6 +468,42 @@ def test_dex_ring_derivative_property():
     j2 = xp.dex_jet(3, 2, 12)
     deriv = tuple((k + 1) * j0.coeffs[k + 1] for k in range(12))
     assert deriv == j2.coeffs[:12]
+
+
+def _dex_per_ring(ring, index, x, tol=1e-15):
+    # the per-ring series with its own adaptive truncation
+    term = x ** index / math.factorial(index)
+    acc = term
+    power = index
+    for _ in range(500):
+        for _ in range(ring):
+            power += 1
+            term *= x / power
+        acc += term
+        if abs(term) <= tol * max(1.0, abs(acc)):
+            break
+    return acc
+
+
+def test_dex_ladder_matches_per_ring_series():
+    xs = [-3.0 + 0.37 * i for i in range(17)] + [3.0, -1e-3, 0.0]
+    for ring in range(1, 46):
+        for index in range(ring):
+            for x in xs:
+                v = xp.dex_eval(ring, index, x)
+                assert abs(v - _dex_per_ring(ring, index, x)) <= 1e-15 * max(1.0, abs(v))
+
+
+def test_dex_high_index_keeps_its_leading_term():
+    # index 44 lies far beyond where the ladder's terms drop below 1e-15
+    v = xp.dex_eval(45, 44, 0.5)
+    assert v == pytest.approx(0.5 ** 44 / math.factorial(44), rel=1e-13)
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, 701.0, -1e6])
+def test_dex_refuses_nonfinite_and_large_arguments(x):
+    with pytest.raises(DomainError):
+        xp.dex_eval(2, 0, x)
 
 
 def test_dex_index_domain():

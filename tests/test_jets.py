@@ -193,6 +193,17 @@ def test_bessel_jn_jet_matches_mpmath_derivatives():
                 assert abs(got - want) < 1e-10 * max(1.0, abs(want))
 
 
+def test_bessel_jn_jet_accurate_at_high_order():
+    # |J_n^(k)| <= 1 everywhere; the jet keeps every derivative to ~1e-16
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        for n, t0, order in ((0, 0.5, 40), (3, 2.1, 30), (10, -0.7, 25)):
+            jet = bessel_jn_jet(n, t0, order)
+            for k in range(order + 1):
+                want = float(mpmath.besselj(n, mpmath.mpf(t0), derivative=k))
+                assert abs(jet.coeffs[k] * math.factorial(k) - want) < 1e-14
+
+
 def test_bessel_j0_jet_composed_with_affine():
     jet = exprs.parse("bessel_j0(2*x + 1)").lift(0.0, 3)
     mpmath = pytest.importorskip("mpmath")

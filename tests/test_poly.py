@@ -1,6 +1,7 @@
 """Polynomial helper tests."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -80,3 +81,17 @@ def test_immutability():
     p = Poly([1, 2])
     with pytest.raises(AttributeError):
         p.coeffs = (3,)
+
+
+def test_float_argument_matches_fraction_horner_bitwise():
+    rng = random.Random(7)
+    for _ in range(50):
+        coeffs = [F(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 6))
+                  for _ in range(rng.randint(2, 12))] + [rng.randint(1, 9)]
+        p = Poly(coeffs)
+        for x in (rng.uniform(-3, 3), 0.1, -2.5):
+            acc = coeffs[-1]
+            for c in reversed(coeffs[:-1]):
+                acc = acc * x + c
+            assert p(x) == acc
+            assert p(F(x)) == sum(c * F(x) ** k for k, c in enumerate(coeffs))

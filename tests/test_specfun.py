@@ -306,6 +306,44 @@ def test_bessel_against_scipy():
             assert abs(specfun.bessel_j(n, x) - want) < 1e-12
 
 
+def test_bessel_j_all_against_scipy():
+    # one sweep gives every order, for small and large |x| alike
+    scipy_special = pytest.importorskip("scipy.special")
+    for x in (0.001, -0.001, 0.7, 6.0, 12.6, 30.0, 300.0, 1000.0):
+        values = specfun.bessel_j_all(40, x)
+        assert len(values) == 41
+        for n, v in enumerate(values):
+            assert abs(v - float(scipy_special.jv(n, x))) < 1e-14
+
+
+def test_bessel_j_all_small_and_zero_arguments():
+    assert specfun.bessel_j_all(3, 0.0) == [1.0, 0.0, 0.0, 0.0]
+    # below the recurrence range J_n is its leading term (x/2)^n / n!
+    values = specfun.bessel_j_all(4, -1e-40)
+    assert values[0] == 1.0
+    for n in range(1, 5):
+        assert values[n] == pytest.approx((-0.5e-40) ** n / math.factorial(n), rel=1e-15)
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf,
+                               specfun.BESSEL_X_MAX * 1.01, -2e4, 1e6])
+def test_bessel_refuses_nonfinite_and_large_arguments(x):
+    with pytest.raises(DomainError):
+        specfun.bessel_j(0, x)
+    with pytest.raises(DomainError):
+        specfun.bessel_j_all(5, x)
+
+
+def test_bessel_at_the_cap_is_finite():
+    values = specfun.bessel_j_all(2, specfun.BESSEL_X_MAX)
+    assert all(math.isfinite(v) and abs(v) < 0.01 for v in values)
+
+
+def test_moebius_table_matches_moebius():
+    assert specfun.moebius_table(0) == ()
+    assert specfun.moebius_table(5000) == tuple(specfun.moebius(n) for n in range(1, 5001))
+
+
 # -- Lambert W ----------------------------------------------------------------------
 
 
