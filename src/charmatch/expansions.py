@@ -108,9 +108,10 @@ class NsbfApproximant(Approximant):
         self.center = center
 
     def __call__(self, x):
-        a = self.coeffs.floats
-        j = specfun.bessel_j_all(len(a) - 1, float(x - self.center))
-        return sum(an * jn for an, jn in zip(a, j) if an != 0)
+        # one Bessel sweep per point: every order here lies in one block
+        t = float(x - self.center)
+        return sum(an * specfun.bessel_j(n, t)
+                   for n, an in enumerate(self.coeffs.floats) if an != 0)
 
     def eval_jet(self, x0, order: int) -> Jet:
         t0 = x0 - self.center
@@ -682,10 +683,7 @@ def dex_eval(ring: int, index: int, x: float, tol: float = 1e-15) -> float:
     x = float(x)
     if not abs(x) <= _DEX_X_MAX:
         raise DomainError(f"dex_eval needs a finite |x| <= {_DEX_X_MAX:g}, got {x}")
-    terms = _dex_ladder(x, tol, _DEX_MIN_TERMS)
-    if index >= len(terms):  # past the cut: reach index and its next ring term
-        terms = _dex_ladder(x, tol, index + ring + 1)
-    return sum(terms[index::ring])
+    return sum(_dex_ladder(x, tol, max(_DEX_MIN_TERMS, index + 1))[index::ring])
 
 
 def dex_jet(ring: int, index: int, order: int) -> Jet:

@@ -308,34 +308,53 @@ BESSEL_X_MAX = 1.0e4
 _BESSEL_RESCALE = 1.0e250
 # below this |x| one step of the recurrence could overflow past the rescaling
 _BESSEL_TINY = 1.0e-30
+# orders come in blocks of this size: all of J_0..J_{32m-1} at one x come
+# from one sweep, so per-order calls at one point (NSBF) share it
+_BESSEL_BLOCK = 32
 
 
 def bessel_j_all(n_max: int, x: float) -> list[float]:
     """[J_0(x), ..., J_{n_max}(x)] from one Miller backward recurrence.
 
     J_{k-1} = (2k/x) J_k - J_{k+1} runs down from an even start well above
-    max(n_max, |x|), rescaled whenever it nears overflow, and is normalized
-    by J_0 + 2 sum_k J_2k = 1 (DLMF 10.74(iv)); J_n(-x) = (-1)^n J_n(x).
+    max(top, |x|), where top is n_max rounded up to the end of its block of
+    32 orders; it is rescaled whenever it nears overflow and normalized by
+    J_0 + 2 sum_k J_2k = 1 (DLMF 10.74(iv)); J_n(-x) = (-1)^n J_n(x).
     Accurate to about 1e-15 absolute for |x| <= ``BESSEL_X_MAX``; a larger
     or non-finite argument raises ``DomainError``.
     """
-    if n_max < 0:
+    return list(_bessel_block(n_max, x)[:n_max + 1])
+
+
+def bessel_j(n: int, x: float) -> float:
+    """J_n(x), equal to ``bessel_j_all(n, x)[n]``; calls at one x for orders
+    in one block of 32 read the same (cached) sweep."""
+    return _bessel_block(n, x)[n]
+
+
+def _bessel_block(n: int, x) -> tuple:
+    if n < 0:
         raise DomainError("Bessel order must be nonnegative")
-    x = float(x)
+    return _bessel_sweep(n | (_BESSEL_BLOCK - 1), float(x))
+
+
+@lru_cache(maxsize=16)
+def _bessel_sweep(top: int, x: float) -> tuple:
+    """(J_0(x), ..., J_top(x)), see ``bessel_j_all``."""
     if not abs(x) <= BESSEL_X_MAX:
         raise DomainError(f"bessel_j needs a finite |x| <= {BESSEL_X_MAX:g}, got {x}")
     ax = abs(x)
-    out = [0.0] * (n_max + 1)
+    out = [0.0] * (top + 1)
     if ax < _BESSEL_TINY:
         # J_n = (x/2)^n / n! to a relative (x/2)^2 / (n+1); also covers x = 0
         term = 1.0
-        for i in range(n_max + 1):
+        for i in range(top + 1):
             out[i] = term
             term *= ax / 2 / (i + 1)
         norm = 1.0
     else:
-        top = max(n_max, int(ax))
-        start = top + 20 + int(8.0 * top ** (1.0 / 3.0))
+        big = max(top, int(ax))
+        start = big + 20 + int(8.0 * big ** (1.0 / 3.0))
         start += start % 2
         nxt, cur = 0.0, 1.0  # J_{k+1}, J_k up to a common scale, k = start
         norm = 0.0
@@ -345,21 +364,14 @@ def bessel_j_all(n_max: int, x: float) -> list[float]:
                 nxt /= _BESSEL_RESCALE
                 cur /= _BESSEL_RESCALE
                 norm /= _BESSEL_RESCALE
-                for i in range(k, n_max + 1):
+                for i in range(k, top + 1):
                     out[i] /= _BESSEL_RESCALE
-            if k - 1 <= n_max:
+            if k - 1 <= top:
                 out[k - 1] = cur
             if k % 2 == 1 and k > 1:
                 norm += 2.0 * cur
         norm += cur
-    for i in range(n_max + 1):
-        out[i] = (-out[i] if x < 0 and i % 2 else out[i]) / norm
-    return out
-
-
-def bessel_j(n: int, x: float) -> float:
-    """J_n(x), the last entry of ``bessel_j_all(n, x)``."""
-    return bessel_j_all(n, x)[n]
+    return tuple((-v if x < 0 and i % 2 else v) / norm for i, v in enumerate(out))
 
 
 # -- Lambert W ---------------------------------------------------------------

@@ -495,9 +495,10 @@ def test_dex_ladder_matches_per_ring_series():
 
 
 def test_dex_high_index_keeps_its_leading_term():
-    # index 44 lies far beyond where the ladder's terms drop below 1e-15
-    v = xp.dex_eval(45, 44, 0.5)
-    assert v == pytest.approx(0.5 ** 44 / math.factorial(44), rel=1e-13)
+    # index 69 lies past the shared 64-term ladder, whose terms at x = 0.5
+    # drop below 1e-15 from j = 14 on, so the ladder is extended to reach it
+    v = xp.dex_eval(70, 69, 0.5)
+    assert v == pytest.approx(0.5 ** 69 / math.factorial(69), rel=1e-13)
 
 
 @pytest.mark.parametrize("x", [math.nan, math.inf, 701.0, -1e6])

@@ -316,6 +316,16 @@ def test_bessel_j_all_against_scipy():
             assert abs(v - float(scipy_special.jv(n, x))) < 1e-14
 
 
+def test_bessel_orders_in_one_block_share_one_sweep():
+    # bessel_j(n, x) is bessel_j_all(n, x)[n]; the orders of one block of 32
+    # come from one sweep, so they agree bit for bit across calls
+    for x in (-7.3, 0.4, 45.0):
+        block = specfun.bessel_j_all(31, x)
+        for n in range(32):
+            assert specfun.bessel_j(n, x) == block[n] == specfun.bessel_j_all(n, x)[n]
+        assert specfun.bessel_j(50, x) == specfun.bessel_j_all(50, x)[50]
+
+
 def test_bessel_j_all_small_and_zero_arguments():
     assert specfun.bessel_j_all(3, 0.0) == [1.0, 0.0, 0.0, 0.0]
     # below the recurrence range J_n is its leading term (x/2)^n / n!
