@@ -320,8 +320,8 @@ def bessel_j_all(n_max: int, x: float) -> list[float]:
     max(top, |x|), where top is n_max rounded up to the end of its block of
     32 orders; it is rescaled whenever it nears overflow and normalized by
     J_0 + 2 sum_k J_2k = 1 (DLMF 10.74(iv)); J_n(-x) = (-1)^n J_n(x).
-    Accurate to about 1e-15 absolute for |x| <= ``BESSEL_X_MAX``; a larger
-    or non-finite argument raises ``DomainError``.
+    Accurate to about 1e-15 absolute for |x| <= 1000 and to 1e-14 up to
+    ``BESSEL_X_MAX``; a larger or non-finite argument raises ``DomainError``.
     """
     return list(_bessel_block(n_max, x)[:n_max + 1])
 
