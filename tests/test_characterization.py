@@ -1,11 +1,12 @@
 """Characterization test: digests of exact outputs that refactors must keep.
 
-For every expansion kind on the six acceptance targets at x0 = 0, and for
-the moment, higher-integral and Bernoulli families on three fixed exact
-polynomials, the sha256 of ``repr((chars.values, coeffs.values, residuals))``
-must equal the digest stored in ``data/characterization.json``.  Only cases
-whose characteristic numbers are exact rationals are kept, so the digests do
-not depend on the platform's libm.
+For every expansion kind on the six acceptance targets at x0 = 0 and orders
+11, 20 and 40, and for the moment, higher-integral and Bernoulli families on
+three fixed exact polynomials, the sha256 of
+``repr((chars.values, coeffs.values, residuals))`` must equal the digest
+stored in ``data/characterization.json``.  Only cases whose characteristic
+numbers are exact rationals are kept, so the digests do not depend on the
+platform's libm.
 
 Regenerate the fixture (only when an output change is intended) with::
 
@@ -27,7 +28,7 @@ from charmatch.registry import KIND_NAMES, build_kind
 FIXTURE = Path(__file__).parent / "data" / "characterization.json"
 
 TARGETS = ("exp(x)", "sin(x)", "cos(x)", "arctan(x)", "ln(x^2 + 1)", "sqrt(4 - x^2)")
-ORDERS = (11, 20)
+ORDERS = (11, 20, 40)
 F = Fraction
 POLYS = (
     (F(1), F(-2, 3), F(0), F(5, 7)),
