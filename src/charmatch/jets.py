@@ -15,12 +15,13 @@ falls back to floats elsewhere.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Sequence
 
 from . import specfun
 from .errors import DomainError, JetDomainError
-from .poly import Poly, div, is_exact
+from .poly import Poly, div, is_exact, mul, scaled
 
 __all__ = ["Jet", "compose", "bessel_jn_jet"]
 
@@ -148,16 +149,7 @@ class Jet:
     def __mul__(self, other):
         if isinstance(other, Jet):
             self._check_compatible(other)
-            n = self.order + 1
-            out = [0] * n
-            for i, a in enumerate(self.coeffs):
-                if a == 0:
-                    continue
-                for j in range(n - i):
-                    b = other.coeffs[j]
-                    if b != 0:
-                        out[i + j] += a * b
-            return Jet(self.center, out)
+            return Jet(self.center, mul(self.coeffs, other.coeffs, self.order + 1))
         return Jet(self.center, tuple(c * other for c in self.coeffs))
 
     __rmul__ = __mul__
@@ -290,9 +282,33 @@ class Jet:
 
 
 def _div_series(p: Sequence, q: Sequence) -> tuple:
+    """The first len(p) coefficients of p / q.
+
+    Exact operands run the same recurrence on integers: p = P / Dp and
+    q = Q / Dq, and the outputs so far are kept as integer numerators over
+    the lcm L of their denominators, so each step is one integer dot
+    product S = sum_i L out_i Q_(k-i) and one gcd:
+    out_k = (P_k L Dq - S Dp) / (Dp L Q_0).  The result is a Fraction
+    throughout, as the plain recurrence gives it.
+    """
     if q[0] == 0:
         raise JetDomainError("division", "divisor jet has zero constant term")
     n = len(p)
+    if all(is_exact(c) for c in p) and all(is_exact(c) for c in q[:n]):
+        num_p, den_p = scaled(p)
+        num_q, den_q = scaled(q[:n])
+        nums, den = [], 1
+        out = []
+        for k in range(n):
+            s = sum(map(operator.mul, nums, num_q[k:0:-1]))
+            c = Fraction(num_p[k] * den * den_q - s * den_p, den_p * den * num_q[0])
+            out.append(c)
+            if den % c.denominator:
+                grow = c.denominator // math.gcd(den, c.denominator)
+                nums = [x * grow for x in nums]
+                den *= grow
+            nums.append(c.numerator * (den // c.denominator))
+        return tuple(out)
     out = [0] * n
     for k in range(n):
         acc = p[k]

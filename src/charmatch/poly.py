@@ -6,10 +6,13 @@ exact.  This is the workhorse behind the combinatorial polynomial tables
 (Bernoulli, Legendre) and every place the tests demand exact-zero residuals.
 Exactness follows the operand types; ``div`` and ``over`` are the only two
 places where the package chooses between exact and float arithmetic by hand.
+``mul``, the product of coefficient sequences, only picks a faster route to
+the same exact result.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable
 
@@ -34,6 +37,74 @@ def over(x, den: int):
     float ``x`` that is the float ``1.0 / den`` (at ``den = 23!`` an ulp away
     from the correctly rounded 1/23!), which the float coefficients rely on."""
     return x * Fraction(1, den) if isinstance(x, EXACT_TYPES) else x * (1.0 / den)
+
+
+def scaled(cs) -> tuple[list, int]:
+    """Integer numerators of the ints/Fractions ``cs`` over the lcm of their
+    denominators, and that lcm."""
+    den = math.lcm(*[c.denominator for c in cs])
+    return [c.numerator * (den // c.denominator) for c in cs], den
+
+
+def _mixes_fractions(a, b) -> bool:
+    """True when every entry of ``a`` and ``b`` is an int or a Fraction and
+    at least one is a Fraction."""
+    types = set(map(type, a))
+    types.update(map(type, b))
+    return Fraction in types and types <= {int, Fraction}
+
+
+def mul(a, b, n: int, skip_zero_b: bool = True) -> list:
+    """The first ``n`` coefficients of the product of the coefficient
+    sequences ``a`` and ``b``, as the double loop ``out[i + j] += a[i] * b[j]``
+    gives them; a zero ``a[i]`` is skipped, and so is a zero ``b[j]`` when
+    ``skip_zero_b``.
+
+    Operands of ints and Fractions go through integer numerators over one
+    shared denominator (fraction-free, as in Bareiss elimination): the
+    convolution runs on ints and each output takes one gcd instead of one
+    per product.  Value and type match the double loop: a slot that no
+    product reaches stays int 0, a slot that a Fraction factor reaches is a
+    Fraction, the rest are ints.  Int-only operands, for which the loop is
+    already integer arithmetic, and floats take the loop itself.
+    """
+    out = [0] * n
+    if not _mixes_fractions(a, b):
+        for i, x in enumerate(a[:n]):
+            if x == 0:
+                continue
+            for k, y in enumerate(b[:n - i], i):
+                if y != 0 or not skip_zero_b:
+                    out[k] += x * y
+        return out
+    num_a, den_a = scaled(a[:n])
+    num_b, den_b = scaled(b[:n])
+    nonzero_b = [(j, y) for j, y in enumerate(num_b) if y]
+    # bit j: b[j] takes part in products (reached), and is a Fraction (frac)
+    reached_b = frac_b = 0
+    for j, y in enumerate(b[:n]):
+        if y != 0 or not skip_zero_b:
+            reached_b |= 1 << j
+            if type(y) is Fraction:
+                frac_b |= 1 << j
+    reached = frac = 0
+    for i, x in enumerate(num_a):
+        if not x:
+            continue
+        reached |= reached_b << i
+        frac |= (reached_b if type(a[i]) is Fraction else frac_b) << i
+        for j, y in nonzero_b:
+            k = i + j
+            if k >= n:
+                break
+            out[k] += x * y
+    den = den_a * den_b
+    for k in range(n):
+        if frac >> k & 1:
+            out[k] = Fraction(out[k], den)
+        elif reached >> k & 1:
+            out[k] //= den
+    return out
 
 
 class Poly:
@@ -77,10 +148,33 @@ class Poly:
         a float ``x`` the loop runs on float copies of the coefficients, made
         once; that gives the same bits, since a Fraction meeting a float is
         converted with ``float`` first.
+
+        A jet ``x`` whose head is 0 and whose first nonzero coefficient has
+        index v adds nothing to orders beyond N from x^k with k v > N, so the
+        loop starts at degree N // v, and the accumulator that ends up
+        multiplied by x^k keeps orders up to N - k v only.  Those orders are
+        the same sums of the same products as in the full loop, so floats
+        keep their bits.
         """
         coeffs = self.coeffs
         if isinstance(x, float):
             coeffs = self.floats
+        else:
+            from .jets import Jet
+
+            if isinstance(x, Jet) and x.value == 0 and len(coeffs) > 1:
+                ys = x.coeffs
+                order = len(ys) - 1
+                v = next((k for k, y in enumerate(ys) if y != 0), 0)
+                if v:
+                    top = min(len(coeffs) - 1, order // v)
+                    acc = Jet.constant(coeffs[top], x.center, order - top * v)
+                    for k in range(top - 1, -1, -1):
+                        # the orders of the cofactor of x^k that count
+                        keep = order - k * v
+                        acc = (Jet(x.center, acc.coeffs + (0,) * v)
+                               * Jet(x.center, ys[:keep + 1]) + coeffs[k])
+                    return acc
         acc = coeffs[-1]
         constant_like = getattr(x, "constant_like", None)
         if constant_like is not None:
@@ -121,13 +215,8 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, Poly):
-            out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a == 0:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return Poly(out)
+            n = len(self.coeffs) + len(other.coeffs) - 1
+            return Poly(mul(self.coeffs, other.coeffs, n, skip_zero_b=False))
         return Poly(c * other for c in self.coeffs)
 
     __rmul__ = __mul__

@@ -321,6 +321,30 @@ def test_bad_centers_exit_2(capsys, f, x0, want):
         assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("flag, value, argv", [
+    ("--x0", "-1e-3", ("coeffs", "--f", "exp(x)", "--kind", "taylor")),
+    ("--x0", "-.5", ("coeffs", "--f", "exp(x)", "--kind", "taylor")),
+    ("--alpha", "-1/2", ("coeffs", "--f", "exp(x)", "--kind", "newpade")),
+    ("--w", "-1/2", ("coeffs", "--f", "exp(x)", "--kind", "exp_weighted", "--q", "2")),
+    ("--grid", "-1,1,11", ("compare", "--f", "exp(x)", "--kind", "taylor,nsbf")),
+])
+def test_negative_values_after_a_space_parse_like_the_equals_form(capsys, flag, value, argv):
+    spaced = run(capsys, *argv, flag, value)
+    assert spaced[0] == 0, spaced[2]
+    assert run(capsys, *argv, f"{flag}={value}")[:2] == spaced[:2]
+
+
+@pytest.mark.parametrize("argv", [
+    ("coeffs", "--x0", "--kind", "taylor", "--f", "exp(x)"),
+    ("coeffs", "--f", "exp(x)", "--kind", "taylor", "--x0"),
+    ("coeffs", "--f", "exp(x)", "--kind", "taylor", "--x0", "-x"),
+])
+def test_missing_value_still_exits_2(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:")
+
+
 def test_import_does_not_load_mpmath():
     # mpmath is a test-only oracle, never a runtime import
     src = Path(charmatch.__file__).resolve().parents[1]

@@ -1,0 +1,128 @@
+"""Property tests: the fraction-free product and quotient and the
+valuation-aware jet Horner give exactly what the plain loops give.
+
+Every comparison is by ``repr``, so the type of each coefficient (int 0 for
+a slot no product reaches, Fraction, float) counts as well as its value, and
+floats must agree bit for bit.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from charmatch.jets import Jet, _div_series
+from charmatch.poly import Poly, div
+
+F = Fraction
+
+nonzero = st.one_of(
+    st.integers(min_value=1, max_value=30),
+    st.integers(min_value=-30, max_value=-1),
+    st.fractions(min_value=-20, max_value=20, max_denominator=60).filter(bool),
+)
+exact = st.one_of(nonzero, st.just(0), st.just(F(0)))
+floats = st.floats(min_value=-8, max_value=8, allow_nan=False)
+number = st.one_of(exact, floats)
+nonzero_number = st.one_of(nonzero, floats.filter(bool))
+nonzero_head = st.one_of(st.sampled_from([2, -3, F(3, 7), F(-5, 2), F(-1, 9), 1, -1]), nonzero)
+
+
+def plain_mul(a, b, n, skip_zero_b=True):
+    out = [0] * n
+    for i, x in enumerate(a[:n]):
+        if x == 0:
+            continue
+        for j, y in enumerate(b[:n - i]):
+            if y != 0 or not skip_zero_b:
+                out[i + j] += x * y
+    return out
+
+
+def plain_div(p, q):
+    out = [0] * len(p)
+    for k in range(len(p)):
+        acc = p[k]
+        for i in range(k):
+            if out[i] != 0:
+                acc -= out[i] * q[k - i]
+        out[k] = div(acc, q[0])
+    return tuple(out)
+
+
+def plain_horner(coeffs, y):
+    acc = [coeffs[-1]] + [0] * y.order
+    for c in reversed(coeffs[:-1]):
+        acc = plain_mul(acc, y.coeffs, y.order + 1)
+        acc[0] = acc[0] + c
+    return Jet(y.center, acc)
+
+
+@st.composite
+def jet_pair(draw, entries):
+    n = draw(st.integers(min_value=1, max_value=9))
+    a = draw(st.lists(entries, min_size=n, max_size=n))
+    b = draw(st.lists(entries, min_size=n, max_size=n))
+    return a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(jet_pair(number))
+def test_jet_product_matches_the_double_loop(pair):
+    a, b = pair
+    got = Jet(0, a) * Jet(0, b)
+    assert repr(got) == repr(Jet(0, plain_mul(a, b, len(a))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(number, min_size=1, max_size=8), st.lists(number, min_size=1, max_size=8))
+def test_poly_product_matches_the_double_loop(a, b):
+    a, b = Poly(a).coeffs, Poly(b).coeffs
+    want = Poly(plain_mul(a, b, len(a) + len(b) - 1, skip_zero_b=False))
+    assert repr(Poly(a) * Poly(b)) == repr(want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(jet_pair(exact), nonzero_head)
+def test_exact_quotient_matches_the_plain_recurrence(pair, q0):
+    p, q = pair
+    q = [q0] + q[1:]
+    got = _div_series(p, q)
+    assert repr(got) == repr(plain_div(p, q))
+    assert all(type(c) is Fraction for c in got)
+
+
+@st.composite
+def horner_case(draw, entries, lead):
+    order = draw(st.integers(min_value=1, max_value=10))
+    v = draw(st.integers(min_value=1, max_value=3))
+    head = draw(st.sampled_from([0, F(0), 0.0]))
+    tail = draw(st.lists(entries, min_size=order, max_size=order))
+    ys = [head] + [0 if k < v else c for k, c in enumerate(tail, 1)]
+    if v <= order:
+        ys[v] = draw(lead)
+    coeffs = draw(st.lists(entries, min_size=1, max_size=12))
+    return coeffs, Jet(0, ys)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(horner_case(exact, nonzero), horner_case(number, nonzero_number)))
+def test_horner_on_a_zero_head_jet_matches_full_horner(case):
+    coeffs, y = case
+    got = Poly(coeffs)(y)
+    assert repr(got) == repr(plain_horner(Poly(coeffs).coeffs, y))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(number, min_size=1, max_size=8), nonzero_head, st.lists(number, max_size=6))
+def test_horner_on_a_nonzero_head_jet_is_full_horner(coeffs, head, tail):
+    y = Jet(0, [head] + tail)
+    assert repr(Poly(coeffs)(y)) == repr(plain_horner(Poly(coeffs).coeffs, y))
+
+
+def test_kernel_keeps_int_slots_and_untouched_zeros():
+    a = Jet(0, (F(1, 2), 0, 3, 0))
+    b = Jet(0, (0, 2, 0, 0))
+    assert repr((a * b).coeffs) == repr((0, F(1), 0, 6))
+    # a zero right factor still reaches its slot in a polynomial product
+    assert repr((Poly([F(1, 2)]) * Poly([0, 0, 1])).coeffs) == repr((F(0), F(0), F(1, 2)))

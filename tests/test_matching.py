@@ -28,6 +28,7 @@ from charmatch.matching import (
 )
 from charmatch.poly import Poly, monomial
 from charmatch.expansions import taylor_approx
+from charmatch.registry import build_kind
 
 
 F = Fraction
@@ -82,6 +83,18 @@ def test_taylor_self_verification_is_exact():
     report = verify_matching(taylor_approx(c), c)
     assert report.passed
     assert all(r == 0 for r in report.residuals)
+
+
+@pytest.mark.parametrize("kind", [
+    "log_powers", "stirling1_g", "lambert_w_g", "rational_x_over_x1",
+    "dirichlet_g", "dirichlet_rat1", "dirichlet_rat2",
+])
+def test_exact_verification_holds_past_the_tested_orders(kind):
+    res = build_kind(kind, exprs.parse("exp(x)"), 60)
+    report = verify_matching(res.approximant, res.chars)
+    assert len(report.residuals) == 61
+    assert all(isinstance(r, (int, Fraction)) and r == 0 for r in report.residuals)
+    assert report.passed
 
 
 def test_verify_fails_on_perturbed_numbers():
