@@ -41,11 +41,10 @@ class UsageError(CharmatchError, ValueError):
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # a value given after a space that starts like a negative number
-        # (-1e-3, -1/2, -1,1,11) is that value; argparse alone reads only
-        # plain decimals such as -1 or -0.5 this way, and no flag here
-        # looks like a number
-        self._negative_number_matcher = re.compile(r"^-\.?\d")
+        # a token after a flag that starts with a single dash (-1e-3, -1/2,
+        # -1,1,11, -x^2) is that flag's value unless it names a flag itself;
+        # argparse alone reads only plain decimals such as -1 or -0.5 so
+        self._negative_number_matcher = re.compile(r"^-[^-]")
 
     def error(self, message):  # route argparse failures through exit code 2
         raise UsageError(message)

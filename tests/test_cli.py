@@ -327,6 +327,7 @@ def test_bad_centers_exit_2(capsys, f, x0, want):
     ("--alpha", "-1/2", ("coeffs", "--f", "exp(x)", "--kind", "newpade")),
     ("--w", "-1/2", ("coeffs", "--f", "exp(x)", "--kind", "exp_weighted", "--q", "2")),
     ("--grid", "-1,1,11", ("compare", "--f", "exp(x)", "--kind", "taylor,nsbf")),
+    ("--f", "-x^2", ("coeffs", "--kind", "taylor")),
 ])
 def test_negative_values_after_a_space_parse_like_the_equals_form(capsys, flag, value, argv):
     spaced = run(capsys, *argv, flag, value)
@@ -337,9 +338,10 @@ def test_negative_values_after_a_space_parse_like_the_equals_form(capsys, flag, 
 @pytest.mark.parametrize("argv", [
     ("coeffs", "--x0", "--kind", "taylor", "--f", "exp(x)"),
     ("coeffs", "--f", "exp(x)", "--kind", "taylor", "--x0"),
-    ("coeffs", "--f", "exp(x)", "--kind", "taylor", "--x0", "-x"),
+    ("coeffs", "--f", "exp(x)", "--kind", "taylor", "--x0", "-h"),
+    ("coeffs", "-f", "exp(x)", "--kind", "taylor"),
 ])
-def test_missing_value_still_exits_2(capsys, argv):
+def test_missing_value_or_unknown_flag_still_exits_2(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("error:")
