@@ -7,8 +7,8 @@ Subcommands::
     figure   emit a named figure as CSV (+ SVG)
     compare  grid error norms for several expansions of one function
 
-Exit codes: 0 ok/pass, 1 verification failure, 2 usage or domain error,
-3 family/kind mismatch.
+Exit codes: 0 ok/pass, 1 verification failure, 2 usage or domain error
+(a value beyond the float range included), 3 family/kind mismatch.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass
+from decimal import Context, Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -220,7 +221,12 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
 
 def _format_number(v) -> str:
     if is_exact(v):
-        return str(v)
+        try:
+            return str(v)
+        except ValueError:  # beyond the int-to-str digit limit: 17 digits
+            v = Fraction(v)
+            d = Context(prec=17).divide(Decimal(v.numerator), Decimal(v.denominator))
+            return format(d.normalize(), ".17g")
     return f"{float(v):.17g}"
 
 
@@ -453,6 +459,9 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except CharmatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:  # an exact number met a float beyond its range
+        print(f"error: a value lies beyond the float range: {exc}", file=sys.stderr)
         return 2
 
 

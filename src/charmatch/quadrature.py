@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -29,20 +29,31 @@ class GaussLegendre:
         self.panels = panels
         self.nodes, self.weights = _rule(order)
 
-    def integrate(self, f: Callable[[float], float], a: float, b: float,
-                  panels: int | None = None) -> float:
+    def points(self, a: float, b: float, panels: int | None = None) -> list[float]:
+        """The nodes of the composite rule on (a, b), panel by panel: the
+        points at which ``integrate`` takes the values of its integrand."""
         a = float(a)
-        b = float(b)
         m = panels if panels is not None else self.panels
-        width = (b - a) / m
+        width = (float(b) - a) / m
+        half = 0.5 * width
+        return [a + p * width + half + half * t for p in range(m) for t in self.nodes]
+
+    def integrate(self, f: Callable[[float], float] | Sequence[float], a: float,
+                  b: float, panels: int | None = None) -> float:
+        """The rule applied to ``f`` on (a, b): a callable, or its values at
+        ``points(a, b, panels)`` when a family samples once for many
+        integrands."""
+        m = panels if panels is not None else self.panels
+        values = [f(x) for x in self.points(a, b, m)] if callable(f) else f
+        k = self.order
+        if len(values) != k * m:
+            raise DomainError(f"quadrature needs {k * m} sampled values, got {len(values)}")
+        half = 0.5 * ((float(b) - float(a)) / m)
         total = 0.0
-        for p in range(m):
-            lo = a + p * width
-            half = 0.5 * width
-            mid = lo + half
+        for p in range(0, k * m, k):
             acc = 0.0
-            for t, w in zip(self.nodes, self.weights):
-                acc += w * f(mid + half * t)
+            for w, v in zip(self.weights, values[p:p + k]):
+                acc += w * v
             total += half * acc
         return total
 

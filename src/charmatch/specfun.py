@@ -163,8 +163,9 @@ def bernoulli_poly(n: int) -> Poly:
 def legendre_coeffs(n: int, shifted: bool = False) -> Poly:
     """Exact coefficients of P_n on (-1,1), or of the shifted P_n on (0,1).
 
-    Plain case: gamma_j = 2^n C(n,j) C((n+j-1)/2, n) with the generalized
-    binomial; shifted case: (-1)^(n+j) C(n,j) C(n+j,j).
+    Plain case: gamma_j = (-1)^k C(n,k) C(n+j,n) / 2^n with k = (n-j)/2 when
+    n-j is even, and 0 when it is odd (the integer form of
+    2^n C(n,j) C((n+j-1)/2, n)); shifted case: (-1)^(n+j) C(n,j) C(n+j,j).
     """
     if n < 0:
         raise DomainError("Legendre index must be nonnegative")
@@ -174,10 +175,11 @@ def legendre_coeffs(n: int, shifted: bool = False) -> Poly:
             for j in range(n + 1)
         ]
     else:
-        coeffs = [
-            (2 ** n) * math.comb(n, j) * binomial_general(Fraction(n + j - 1, 2), n)
-            for j in range(n + 1)
-        ]
+        coeffs = []
+        for j in range(n + 1):
+            k, odd = divmod(n - j, 2)
+            coeffs.append(Fraction(0) if odd else Fraction(
+                (-1) ** k * math.comb(n, k) * math.comb(n + j, n), 2 ** n))
     return Poly(coeffs)
 
 

@@ -4,12 +4,16 @@ import json
 import os
 import subprocess
 import sys
+from datetime import timedelta
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import charmatch
 from charmatch.cli import main
+from charmatch.registry import KIND_NAMES
 
 
 def run(capsys, *argv):
@@ -354,3 +358,83 @@ def test_import_does_not_load_mpmath():
     code = ("import charmatch, charmatch.cli, charmatch.figures, sys; "
             "assert 'mpmath' not in sys.modules")
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+# -- exit-code contract ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", ["taylor", "nsbf", "dirichlet_g"])
+def test_constant_beyond_float_range_verifies(capsys, kind):
+    # the exact constant 1.1e309 has no float tolerance; its residuals are 0
+    code, out, err = run(capsys, "verify", "--f", "11e308", "--kind", kind,
+                         "--order", "12")
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["pass"] and report["max_residual"] == 0.0
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--f", "11e308", "--preset", "ws-f", "--order", "1"),
+    ("compare", "--f", "-11e308", "--kind", "dex,taylor", "--grid", "-1,1,9"),
+    ("verify", "--f", "exp(1000*x)", "--kind", "nsbf", "--order", "0",
+     "--family", "moments"),
+    ("verify", "--f", "ln(x)", "--kind", "lambert_w_g", "--order", "12",
+     "--x0", "1e-300", "--perturb", "1,1e-3"),
+])
+def test_values_beyond_float_range_exit_2(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:") and "float range" in err
+
+
+def test_exact_numbers_beyond_the_digit_limit_print(capsys):
+    # 10^16000 has more digits than str(int) allows; it prints in 17 digits
+    code, out, _ = run(capsys, "coeffs", "--f", "x^40", "--kind", "taylor",
+                       "--order", "0", "--x0", "1e400")
+    assert code == 0
+    assert out.splitlines()[-1].split() == ["0", "1e+16000", "1e+16000"]
+
+
+_FUZZ_EXPRS = ("exp(x)", "sin(x)", "cos(x) + x", "arctan(x)", "ln(x)", "sqrt(x)", "1/x",
+               "1/(1 - x)", "x^2", "x^40", "-x^3 + 2", "11e308", "-11e308", "1e-320", "0",
+               "exp(exp(x))", "exp(100*x)", "exp(1000*x)", "bessel_j0(x)", "ln(x^2 + 1)",
+               "sqrt(4 - x^2)", "x^-1", "(x", "")
+_FUZZ_NUMBERS = ("0", "0.5", "-1e-3", "1/3", "-2", "3", "1e400", "11e308", "1e-300",
+                 "nan", "-inf", "abc")
+_FUZZ_FLAGS = (
+    ("--x0", _FUZZ_NUMBERS),
+    ("--w", _FUZZ_NUMBERS),
+    ("--q", ("0", "1", "2", "x")),
+    ("--alpha", _FUZZ_NUMBERS),
+    ("--interval", ("-1,1", "0,2", "1,1", "-2,1e400", "a")),
+    ("--family", ("derivative", "moments", "bogus")),
+    ("--perturb", ("1,1e-3", "0,-2", "3,1e300", "0,nan", "x")),
+    ("--lambda", ("ln", "sqrt", "cube")),
+    ("--preset", ("ws-a", "ws-f", "ws-z")),
+)
+
+
+@st.composite
+def _cli_argv(draw):
+    command = draw(st.sampled_from(("coeffs", "verify", "compare")))
+    kinds = st.sampled_from(KIND_NAMES + ("gauss",))
+    argv = [command, "--f", draw(st.sampled_from(_FUZZ_EXPRS))]
+    if command == "compare":
+        argv += ["--kind", ",".join(draw(st.lists(kinds, min_size=1, max_size=3))),
+                 "--grid", draw(st.sampled_from(("-1,1,9", "0.1,2,5", "1,0,5", "-1,1,1")))]
+    else:
+        argv += ["--kind", draw(kinds)]
+    argv += ["--order", draw(st.sampled_from(("0", "1", "3", "6", "12", "-1", "x")))]
+    for flag, values in _FUZZ_FLAGS:
+        if draw(st.integers(0, 3)) == 0:
+            argv += [flag, draw(st.sampled_from(values))]
+    return argv
+
+
+@settings(max_examples=150, derandomize=True, deadline=timedelta(seconds=10),
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_cli_argv())
+def test_exit_code_contract_fuzz(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code in (0, 1, 2, 3), (argv, err)
+    assert "Traceback" not in err

@@ -4,12 +4,15 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from charmatch import exprs, specfun
 from charmatch import integral_match as im
 from charmatch.errors import DomainError
 from charmatch.matching import (
     EndpointDiff,
+    HigherIntegral,
     Moments,
     Projection,
     measure,
@@ -39,6 +42,85 @@ def test_quadrature_error_estimate():
     val, err = q.integrate_with_error(math.exp, 0, 1)
     assert abs(val - (math.e - 1)) < 1e-13
     assert err < 1e-12
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(a=st.floats(-50, 50), length=st.floats(1e-3, 20), order=st.integers(1, 12),
+       panels=st.integers(1, 6))
+def test_quadrature_sampled_values_sum_like_the_callable(a, length, order, panels):
+    b = a + length
+    q = GaussLegendre(order=order, panels=panels)
+    f = lambda x: math.sin(3 * x) * math.exp(-0.1 * x)  # noqa: E731
+    xs = q.points(a, b)
+    assert len(xs) == order * panels
+    # the composite rule written out panel by panel
+    width = (b - a) / panels
+    ref = 0.0
+    for p in range(panels):
+        half = 0.5 * width
+        mid = a + p * width + half
+        acc = 0.0
+        for t, w in zip(q.nodes, q.weights):
+            acc += w * f(mid + half * t)
+        ref += half * acc
+    assert q.integrate([f(x) for x in xs], a, b) == q.integrate(f, a, b) == ref
+    fine = q.points(a, b, 2 * panels)
+    assert q.integrate([f(x) for x in fine], a, b, 2 * panels) == q.integrate(f, a, b, 2 * panels)
+
+
+def test_quadrature_rejects_a_sample_of_the_wrong_length():
+    q = GaussLegendre(order=4, panels=2)
+    with pytest.raises(DomainError):
+        q.integrate([1.0] * 7, 0, 1)
+
+
+class _Counting:
+    """A float-only target that counts its evaluations."""
+
+    def __init__(self, text):
+        self.f = exprs.parse(text)
+        self.calls = 0
+
+    def __call__(self, x):
+        self.calls += 1
+        return self.f(x)
+
+
+@pytest.mark.parametrize("family", [Projection("fourier"), Projection("legendre"),
+                                    Moments(-1, 1), HigherIntegral()],
+                         ids=lambda fam: fam.describe())
+def test_quadrature_families_sample_the_target_once(family):
+    quad = GaussLegendre()
+    target = _Counting("arctan(x)")
+    a, b = getattr(family, "interval", (-1, 1))
+    values = measure(target, family, family.orders(41), quad)
+    assert len(values) == 41
+    assert target.calls == len(quad.points(a, b)) == 256
+
+
+def test_sampled_families_equal_one_integral_per_order():
+    # each order's value is bit for bit the rule applied to w_n(x) f(x)
+    quad = GaussLegendre()
+    f = exprs.parse("arctan(x) + exp(x)")
+    orders = list(range(1, 21))
+    weights = {
+        Moments(-1, 1): lambda n, x: x ** n,
+        HigherIntegral(): lambda n, x: (1 - x) ** (n - 1),
+    }
+    for family, w in weights.items():
+        want = [quad.integrate(lambda x, n=n: w(n, x) * float(f(x)), -1, 1) for n in orders]
+        if isinstance(family, HigherIntegral):
+            want = [v / math.factorial(n - 1) for n, v in zip(orders, want)]
+        assert measure(f, family, orders, quad) == want
+    for basis in ("fourier", "legendre"):
+        family = Projection(basis)
+        a, b = family.interval
+        want = []
+        for n in orders:
+            scale, shape = family.term(n)
+            want.append(quad.integrate(lambda x: scale * shape(x) * float(f(x)), a, b)
+                        / family.norm(n))
+        assert measure(f, family, orders, quad) == want
 
 
 # -- moments --------------------------------------------------------------------------

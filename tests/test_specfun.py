@@ -180,6 +180,19 @@ def test_legendre_examples():
     assert specfun.legendre_coeffs(1, shifted=True) == Poly([-1, 2])
 
 
+def test_legendre_closed_form_matches_binomial_definition():
+    # gamma_j = 2^n C(n,j) C((n+j-1)/2, n), the product form of the
+    # generalized binomial, entry by entry and type by type
+    for n in range(61):
+        want = []
+        for j in range(n + 1):
+            r, acc = Fraction(n + j - 1, 2), Fraction(1)
+            for i in range(n):
+                acc *= r - i
+            want.append(2 ** n * math.comb(n, j) * acc / math.factorial(n))
+        assert repr(list(specfun.legendre_coeffs(n).coeffs)) == repr(want)
+
+
 def test_legendre_against_recurrence():
     for n in range(11):
         assert specfun.legendre_coeffs(n) == legendre_recurrence(n)
