@@ -31,6 +31,7 @@ from .matching import (
     PolynomialApproximant,
     TriMatrix,
     measure,
+    tri_map,
 )
 from .poly import Poly, div, over
 
@@ -83,21 +84,13 @@ def nsbf_coeffs(c: CharNumbers) -> CoeffSeq:
     a_0 = c_0 and, for n > 0,
     a_n = sum_{2i <= n} 2^(n-2i) [C(n-i-1, n-2i-1) + 2 C(n-i-1, n-2i)] c_{n-2i};
     the i = n/2 term (2 c_0, present for even n) is required for the matching
-    property to hold, as jet verification confirms.
+    property to hold, as jet verification confirms.  With k = n - 2i and
+    j = n - i, Pascal's rule writes the bracket as C(j, k) + C(j - 1, k).
     """
     _require_derivative(c)
-
-    def comb(a: int, b: int) -> int:
-        return math.comb(a, b) if b >= 0 else 0
-
-    values = [c.values[0]]
-    for n in range(1, len(c.values)):
-        acc = 0
-        for i in range(0, n // 2 + 1):
-            weight = comb(n - i - 1, n - 2 * i - 1) + 2 * comb(n - i - 1, n - 2 * i)
-            acc += 2 ** (n - 2 * i) * weight * c.values[n - 2 * i]
-        values.append(acc)
-    return CoeffSeq(tuple(values), "nsbf")
+    rows = [[(k, 2 ** k * (math.comb((n + k) // 2, k) + math.comb((n + k) // 2 - 1, k)))
+             for k in range(n, -1, -2)] for n in range(1, len(c.values))]
+    return CoeffSeq((c.values[0], *tri_map(rows, c.values)), "nsbf")
 
 
 class NsbfApproximant(Approximant):
@@ -218,15 +211,12 @@ def pade_approx(c: CharNumbers, m: int, n: int) -> PadeApproximant:
 def pow_sine_coeffs(c: CharNumbers) -> CoeffSeq:
     """a_0 = c_0; a_n = (2^n / n!) sum_k c_k |t(n, k)| for the basis sin(x/2)^n."""
     _require_derivative(c)
-    values = [c.values[0]]
-    for n in range(1, len(c.values)):
-        acc = 0
-        for k in range(1, n + 1):
-            t = specfun.central_factorial_abs(n, k)
-            if t:
-                acc += c.values[k] * t
-        values.append(over(acc * 2 ** n, math.factorial(n)))
-    return CoeffSeq(tuple(values), "pow_sine")
+    orders = range(1, len(c.values))
+    # 2^n is folded into the entries: a power of two scales a normal float exactly
+    rows = [[(k, t * 2 ** n) for k in range(1, n + 1)
+             if (t := specfun.central_factorial_abs(n, k))] for n in orders]
+    values = tri_map(rows, c.values, map(math.factorial, orders))
+    return CoeffSeq((c.values[0], *values), "pow_sine")
 
 
 # -- exp-weighted expansion ---------------------------------------------------------
@@ -234,6 +224,13 @@ def pow_sine_coeffs(c: CharNumbers) -> CoeffSeq:
 
 def _uv(n: int, q: int) -> tuple[int, int]:
     return n // q, n % q
+
+
+def _check_q(q) -> int:
+    """The exponent q of exp(w x^q) as an int; 2.0 passes, 1.5 and 0 do not."""
+    if not (q >= 1 and q % 1 == 0):
+        raise DomainError("q must be a positive integer")
+    return int(q)
 
 
 def _m_entry(n: int, i: int, w, q: int):
@@ -252,9 +249,8 @@ def _m_entry(n: int, i: int, w, q: int):
 def exp_weighted_coeffs(c: CharNumbers, w, q: int) -> CoeffSeq:
     """Coefficients of exp(w x^q) sum a_n x^n: a_n = sum_i m_{n,i} c_i."""
     _require_derivative(c)
-    if q < 1 or int(q) != q:
-        raise DomainError("q must be a positive integer")
-    q = int(q)
+    q = _check_q(q)
+    # each term rounds on its own, over(c_i * num, den), which no row sum of tri_map does
     values = []
     for n in range(len(c.values)):
         acc = 0
@@ -274,8 +270,7 @@ def dmatrix_build(w, q: int, order: int) -> tuple[TriMatrix, TriMatrix]:
     the inverse has the closed form used by ``exp_weighted_coeffs``.
     D @ D^-1 = I exactly over rationals -- the content of the inversion proof.
     """
-    if q < 1:
-        raise DomainError("q must be a positive integer")
+    q = _check_q(q)
 
     def d_entry(m, j):
         u, v = _uv(m - j, q)
@@ -328,33 +323,19 @@ _POWERS_OF_G_TABLES: dict[str, Callable[[int, int], object]] = {
 }
 
 
-def powers_of_g_coeffs(c: CharNumbers, variant: str,
-                       table: Callable[[int, int], object] | None = None) -> CoeffSeq:
+def powers_of_g_coeffs(c: CharNumbers, variant: str) -> CoeffSeq:
     """a_n = (1/n!) sum_k c_k b_{n,k} for the expansion sum a_n g(x)^n.
 
     The b table fixes g: Stirling-2 for g = ln(1+x), unsigned Stirling-1 for
-    g = 1 - exp(-x), C(n,k) k^(n-k) for g = W(x); a custom table may be
-    supplied with ``variant="custom"``.
+    g = 1 - exp(-x), C(n,k) k^(n-k) for g = W(x); each has b_{n,0} = delta_{n,0}.
     """
     _require_derivative(c)
-    if variant == "custom":
-        if table is None:
-            raise DomainError("custom variant needs an explicit coefficient table")
-        b = table
-    else:
-        b = _POWERS_OF_G_TABLES.get(variant)
-        if b is None:
-            raise DomainError(f"unknown powers-of-g variant {variant!r}")
-    values = []
-    for n in range(len(c.values)):
-        acc = 0
-        for k in range(n + 1):
-            # b_{n,0} = delta_{n,0} by generalized exponentiation
-            bkn = (1 if n == 0 else 0) if k == 0 else b(n, k)
-            if bkn:
-                acc += c.values[k] * bkn
-        values.append(over(acc, math.factorial(n)))
-    return CoeffSeq(tuple(values), variant)
+    b = _POWERS_OF_G_TABLES.get(variant)
+    if b is None:
+        raise DomainError(f"unknown powers-of-g variant {variant!r}")
+    orders = range(len(c.values))
+    rows = [[(k, bkn) for k in range(n + 1) if (bkn := b(n, k))] for n in orders]
+    return CoeffSeq(tuple(tri_map(rows, c.values, map(math.factorial, orders))), variant)
 
 
 def _g_jet_log_powers(var: Jet) -> Jet:
@@ -437,12 +418,9 @@ class SeriesInGApproximant(Approximant):
         return self.series(_G_BASIS[self.g_name]["jet"](var))
 
 
-def powers_of_g_approx(c: CharNumbers, variant: str,
-                       table: Callable[[int, int], object] | None = None
-                       ) -> SeriesInGApproximant:
+def powers_of_g_approx(c: CharNumbers, variant: str) -> SeriesInGApproximant:
     fam = _require_derivative(c)
-    coeffs = powers_of_g_coeffs(c, variant, table=table)
-    return SeriesInGApproximant(coeffs, variant, center=fam.center)
+    return SeriesInGApproximant(powers_of_g_coeffs(c, variant), variant, center=fam.center)
 
 
 def pow_sine_approx(c: CharNumbers) -> SeriesInGApproximant:
@@ -464,14 +442,12 @@ def rational_x1_coeffs(c: CharNumbers, alpha=-1) -> CoeffSeq:
     _require_derivative(c)
     if alpha == 0:
         raise DomainError("pole location alpha must be nonzero")
-    values = [c.values[0]]
-    for n in range(1, len(c.values)):
-        acc = 0
-        for k in range(1, n + 1):
-            lah = math.comb(n - 1, k - 1) * (math.factorial(n) // math.factorial(k))
-            acc += (-alpha) ** k * c.values[k] * lah
-        values.append(over(acc, math.factorial(n)))
-    return CoeffSeq(tuple(values), "rational_x_over_x1", params={"alpha": alpha})
+    scaled = [(-alpha) ** k * ck for k, ck in enumerate(c.values)]
+    orders = range(1, len(c.values))
+    rows = [[(k, math.comb(n - 1, k - 1) * (math.factorial(n) // math.factorial(k)))
+             for k in range(1, n + 1)] for n in orders]
+    values = tri_map(rows, scaled, map(math.factorial, orders))
+    return CoeffSeq((c.values[0], *values), "rational_x_over_x1", params={"alpha": alpha})
 
 
 class RationalX1Approximant(Approximant):
@@ -573,17 +549,11 @@ def dirichlet_expansion_coeffs(c: CharNumbers, variant: str) -> CoeffSeq:
     seq = _DIRICHLET_INVERSE_SEQ.get(variant)
     if seq is None:
         raise DomainError(f"unknown Dirichlet expansion variant {variant!r}")
-    order = len(c.values) - 1
-    f = [over(c.values[k], math.factorial(k)) for k in range(order + 1)]
-    values = []
-    for n in range(1, order + 1):
-        acc = 0
-        for k in range(1, n + 1):
-            if n % k == 0:
-                s = seq(k)
-                if s:
-                    acc += s * f[n // k]
-        values.append(acc)
+    f = [over(ck, math.factorial(k)) for k, ck in enumerate(c.values)]
+    # the divisors k of n, ascending
+    rows = [[(n // k, s) for k in range(1, n + 1) if n % k == 0 and (s := seq(k))]
+            for n in range(1, len(c.values))]
+    values = tri_map(rows, f)
     if variant == "dirichlet_rat1":
         b0 = c.values[0] - sum(values)
     else:

@@ -28,6 +28,7 @@ from .matching import (
     Projection,
     measure,
     target_poly,
+    tri_map,
 )
 from .poly import Poly, div, over
 from .quadrature import GaussLegendre
@@ -96,14 +97,24 @@ def legendre_moment_match(m: MomentSet) -> PolynomialApproximant:
     a, b = m.interval
     if not (a == -1 and b == 1):
         raise DomainError("Legendre moment matching is defined on (-1, 1)")
-    total = Poly([0])
-    for n in range(len(m.values)):
-        gamma = specfun.legendre_coeffs(n)
-        acc = sum(gamma.coeffs[j] * m.values[j] for j in range(n + 1))
-        beta = Fraction(2 * n + 1, 2) * acc
-        total = total + beta * gamma
-    return PolynomialApproximant(total, kind="legendre_moment",
+    return PolynomialApproximant(_legendre_match(m.values), kind="legendre_moment",
                                  coeffs=CoeffSeq(m.values, "legendre_moment"))
+
+
+def _legendre_match(moments: Sequence, shifted: bool = False) -> Poly:
+    """The polynomial sum beta_n P_n whose first moments on (-1, 1) are
+    ``moments`` (on (0, 1) with the shifted P_n when ``shifted``).
+
+    beta_n = sum_j gamma_nj m_j / <P_n, P_n>, with gamma_nj the exact
+    coefficients of P_n and <P_n, P_n> = 2/(2n+1), or 1/(2n+1) shifted.
+    """
+    gammas = [specfun.legendre_coeffs(n, shifted) for n in range(len(moments))]
+    sums = tri_map((enumerate(gamma.coeffs) for gamma in gammas), moments)
+    total = Poly([0])
+    for n, (gamma, acc) in enumerate(zip(gammas, sums)):
+        norm = 2 * n + 1 if shifted else Fraction(2 * n + 1, 2)
+        total = total + (norm * acc) * gamma
+    return total
 
 
 def moment_partial_delta(m_index: int, order: int) -> Poly:
@@ -209,15 +220,9 @@ def higher_integral_approx(c: CharNumbers) -> PolynomialApproximant:
     n_moments = len(c.values)
     moments = [Fraction(math.factorial(n), 2 ** (n + 1)) * c.values[n]
                for n in range(n_moments)]
-    total = Poly([0])
-    for n in range(n_moments):
-        gamma = specfun.legendre_coeffs(n, shifted=True)
-        acc = sum(gamma.coeffs[j] * moments[j] for j in range(n + 1))
-        beta = (2 * n + 1) * acc
-        total = total + beta * gamma
     # back to x: w = (1 - x) / 2
     half = Fraction(1, 2)
-    poly_x = total.compose_affine(-half, half)
+    poly_x = _legendre_match(moments, shifted=True).compose_affine(-half, half)
     return PolynomialApproximant(poly_x, kind="higher_integral",
                                  coeffs=CoeffSeq(c.values, "higher_integral"))
 

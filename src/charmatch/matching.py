@@ -20,11 +20,11 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import DomainError, FamilyMismatchError, SingularSystemError
 from .jets import Jet
-from .poly import Poly, div
+from .poly import Poly, div, over
 from .quadrature import GaussLegendre
 from . import specfun
 
@@ -42,6 +42,7 @@ __all__ = [
     "PolynomialApproximant",
     "TriMatrix",
     "tri_forward_solve",
+    "tri_map",
     "measure",
     "derivative_chars",
     "verify_matching",
@@ -458,7 +459,8 @@ class TriMatrix:
     def multiply(self, t: Sequence) -> list:
         if len(t) != len(self.rows):
             raise DomainError("vector length does not match matrix order")
-        return [sum(row[m] * t[m] for m in range(n + 1)) for n, row in enumerate(self.rows)]
+        # dense rows keep their zeros: a 0 * t[m] term still sets the sum's type
+        return tri_map((enumerate(row) for row in self.rows), t)
 
     def matmul(self, other: "TriMatrix") -> "TriMatrix":
         if self.order != other.order:
@@ -477,6 +479,21 @@ class TriMatrix:
             for n in range(self.order + 1)
             for m in range(n + 1)
         )
+
+
+def tri_map(rows: Iterable, v: Sequence, divisors: Iterable[int] | None = None) -> list:
+    """a_n = sum_k T(n, k) v_k, row n given as its (k, T(n, k)) pairs, then
+    ``over(a_n, d_n)`` for the n-th of ``divisors`` if given.  The sum starts at
+    int 0 and adds the terms in row order, zero entries listed included."""
+    out = []
+    for row in rows:
+        acc = 0
+        for k, t in row:
+            acc += t * v[k]
+        out.append(acc)
+    if divisors is not None:
+        out = [over(a, d) for a, d in zip(out, divisors)]
+    return out
 
 
 def tri_forward_solve(T: TriMatrix, c) -> CoeffSeq:

@@ -219,6 +219,20 @@ def test_exp_weighted_round_trip_exact():
     assert report.passed and all(r == 0 for r in report.residuals)
 
 
+def test_q_check_shared_by_dmatrix_and_exp_weighted():
+    # an integral float q is that integer; any other q is refused alike
+    c = chars_of("sin(x)", 4)
+    d, dinv = xp.dmatrix_build(F(-1, 2), 2.0, 4)
+    assert (d.rows, dinv.rows) == tuple(m.rows for m in xp.dmatrix_build(F(-1, 2), 2, 4))
+    assert (xp.exp_weighted_coeffs(c, F(-1, 2), 2.0).values
+            == xp.exp_weighted_coeffs(c, F(-1, 2), 2).values)
+    for q in (1.5, 0, -2, F(3, 2), math.inf, math.nan):
+        with pytest.raises(DomainError):
+            xp.dmatrix_build(F(-1, 2), q, 4)
+        with pytest.raises(DomainError):
+            xp.exp_weighted_coeffs(c, F(-1, 2), q)
+
+
 def test_dmatrix_properties():
     d, dinv = xp.dmatrix_build(F(0), 1, 6)
     for i in range(7):
@@ -269,15 +283,13 @@ def test_powers_of_g_round_trip_exact():
             assert report.passed and all(r == 0 for r in report.residuals)
 
 
-def test_powers_of_g_custom_table():
+def test_powers_of_g_unknown_variant():
     c = chars_of("exp(x)", 4)
-    custom = xp.powers_of_g_coeffs(c, "custom", table=specfun.stirling2)
-    builtin = xp.powers_of_g_coeffs(c, "log_powers")
-    assert custom.values == builtin.values
-    with pytest.raises(DomainError):
-        xp.powers_of_g_coeffs(c, "custom")
-    with pytest.raises(DomainError):
-        xp.powers_of_g_coeffs(c, "nope")
+    for variant in ("nope", "custom"):
+        with pytest.raises(DomainError):
+            xp.powers_of_g_coeffs(c, variant)
+        with pytest.raises(DomainError):
+            xp.powers_of_g_approx(c, variant)
 
 
 # -- rational x/(x+1) --------------------------------------------------------------------
