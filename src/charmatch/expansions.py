@@ -14,13 +14,14 @@ point, which is how the matching property is verified.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
 from . import specfun
 from .errors import DomainError, EvalDomainError, SingularSystemError
-from .jets import Jet, bessel_jn_jet
+from .jets import Jet, bessel_jn_jet, linear_combination
 from .matching import (
     Approximant,
     CharNumbers,
@@ -33,7 +34,7 @@ from .matching import (
     measure,
     tri_map,
 )
-from .poly import Poly, div, over
+from .poly import Poly, admit, all_exact, div, over, scaled
 
 __all__ = [
     "taylor_coeffs", "taylor_approx",
@@ -108,13 +109,10 @@ class NsbfApproximant(Approximant):
 
     def eval_jet(self, x0, order: int) -> Jet:
         t0 = x0 - self.center
-        acc = Jet.constant(0, x0, order)
-        for n, a in enumerate(self.coeffs.values):
-            if a == 0:
-                continue
-            jn = bessel_jn_jet(n, t0, order)
-            acc = acc + a * Jet(x0, jn.coeffs)
-        return acc
+        return linear_combination(
+            Jet.constant(0, x0, order),
+            ((a, Jet(x0, bessel_jn_jet(n, t0, order).coeffs))
+             for n, a in enumerate(self.coeffs.values) if a != 0))
 
 
 def nsbf_approx(c: CharNumbers) -> NsbfApproximant:
@@ -126,9 +124,12 @@ def nsbf_approx(c: CharNumbers) -> NsbfApproximant:
 
 
 def _solve_dense(matrix: list[list], rhs: list) -> list:
-    """Gaussian elimination with partial pivoting; exact over Fractions."""
+    """Gaussian elimination with partial pivoting for floats; an all-exact
+    system goes through ``_solve_bareiss`` and gives the same Fractions."""
     n = len(matrix)
     a = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
+    if all(map(all_exact, a)):
+        return _solve_bareiss([scaled(row)[0] for row in a])
     for col in range(n):
         pivot = max(range(col, n), key=lambda r: abs(a[r][col]))
         if a[pivot][col] == 0:
@@ -147,6 +148,45 @@ def _solve_dense(matrix: list[list], rhs: list) -> list:
         for k in range(r + 1, n):
             acc -= a[r][k] * out[k]
         out[r] = div(acc, a[r][r])
+    return out
+
+
+def _solve_bareiss(a: list[list[int]]) -> list:
+    """The solution of the integer augmented system ``a`` by fraction-free
+    elimination (E. H. Bareiss, Math. Comp. 1968), where every division is
+    exact.
+
+    A column with nothing to eliminate below its pivot (each p_k row of a
+    Pade block) leaves the rows below as they are, instead of scaling them
+    all by that pivot; the next step then divides by the last pivot used,
+    exactly, as a Bareiss step that takes its pivot past that row
+    (Sylvester's identity).  Back substitution keeps the unknowns found so
+    far over one denominator, so each costs one integer dot product and one
+    gcd.
+    """
+    n = len(a)
+    prev = 1
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col]), None)
+        if pivot is None:
+            raise SingularSystemError("degenerate Pade block")
+        a[col], a[pivot] = a[pivot], a[col]
+        top = a[col]
+        p = top[col]
+        if not any(a[r][col] for r in range(col + 1, n)):
+            continue
+        for r in range(col + 1, n):
+            row, f = a[r], a[r][col]
+            a[r] = row[:col] + [(p * x - f * y) // prev
+                                for x, y in zip(row[col:], top[col:])]
+        prev = p
+    out = [0] * n
+    nums, den = [], 1  # x_(n-1), x_(n-2), ... over den
+    for r in range(n - 1, -1, -1):
+        row = a[r]
+        s = sum(map(operator.mul, row[r + 1:n], reversed(nums)))
+        out[r] = Fraction(row[n] * den - s, den * row[r])
+        den = admit(nums, den, out[r])
     return out
 
 
@@ -594,8 +634,8 @@ class DirichletApproximant(Approximant):
 
     def eval_jet(self, x0, order: int) -> Jet:
         t = Jet.variable(x0, order) - self.center
-        acc = Jet.constant(self.b0, x0, order)
         variant = self.kind
+        terms = []
         for n, a in enumerate(self.coeffs.values, start=1):
             if a == 0:
                 continue
@@ -612,8 +652,8 @@ class DirichletApproximant(Approximant):
                 basis = 1 / (1 - y)
             else:
                 basis = y / (y * y + 1)
-            acc = acc + a * basis
-        return acc
+            terms.append((a, basis))
+        return linear_combination(Jet.constant(self.b0, x0, order), terms)
 
 
 def dirichlet_approx(c: CharNumbers, variant: str) -> DirichletApproximant:

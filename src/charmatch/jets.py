@@ -21,9 +21,9 @@ from typing import Sequence
 
 from . import specfun
 from .errors import DomainError, JetDomainError
-from .poly import Poly, div, is_exact, mul, scaled
+from .poly import Poly, admit, all_exact, div, is_exact, mul, scaled
 
-__all__ = ["Jet", "compose", "bessel_jn_jet"]
+__all__ = ["Jet", "compose", "bessel_jn_jet", "linear_combination"]
 
 
 def exact_sqrt(v):
@@ -60,6 +60,13 @@ def _float_head(primitive: str, head) -> float:
     if not math.isfinite(value):
         raise JetDomainError(primitive, f"constant term must be finite, got {value}")
     return value
+
+
+def _weighted(u: Sequence) -> tuple[list, int]:
+    """The integer numerators j U_j, j = 1, 2, ..., of the exact series ``u``
+    scaled as U / Du, and Du: the weights of the exp and sin/cos recurrences."""
+    num_u, den_u = scaled(u)
+    return [j * x for j, x in enumerate(num_u) if j], den_u
 
 
 class Jet:
@@ -104,7 +111,7 @@ class Jet:
         return self.coeffs[0]
 
     def is_exact(self) -> bool:
-        return all(is_exact(c) for c in self.coeffs)
+        return all_exact(self.coeffs)
 
     def derivatives(self) -> tuple:
         """(f(x0), f'(x0), ..., f^(N)(x0)) -- coefficients times n!."""
@@ -185,10 +192,21 @@ class Jet:
 
     def exp(self) -> "Jet":
         u = self.coeffs
+        exact_head = is_exact(u[0]) and u[0] == 0
         try:
-            v0 = 1 if (is_exact(u[0]) and u[0] == 0) else math.exp(_float_head("exp", u[0]))
+            v0 = 1 if exact_head else math.exp(_float_head("exp", u[0]))
         except OverflowError:
             raise JetDomainError("exp", f"overflows at {u[0]}") from None
+        if exact_head and all_exact(u):
+            # v_k = sum_j j u_j v_(k-j) / k with u = U / Du and v = V / D
+            ju, den_u = _weighted(u)
+            nums, den = [1], 1
+            v = [1]
+            for k in range(1, len(u)):
+                c = Fraction(sum(map(operator.mul, ju, reversed(nums))), den_u * den * k)
+                v.append(c)
+                den = admit(nums, den, c)
+            return Jet(self.center, v)
         v = [v0] + [0] * self.order
         for k in range(1, len(u)):
             acc = 0
@@ -204,6 +222,19 @@ class Jet:
         if not (head > 0):
             raise JetDomainError("ln", f"constant term must be positive, got {head}")
         v0 = 0 if (is_exact(head) and head == 1) else math.log(_float_head("ln", head))
+        if all_exact(u):
+            # the recurrence never reads v_0, so it stays exact at any exact head:
+            # v_k = (k U_k D - sum_j j V_j U_(k-j)) / (D k U_0), u = U / Du, v = V / D
+            num_u, _ = scaled(u)
+            nums, den = [], 1
+            v = [v0]
+            for k in range(1, len(u)):
+                s = sum(map(operator.mul, map(operator.mul, range(1, k), nums),
+                            num_u[k - 1:0:-1]))
+                c = Fraction(k * num_u[k] * den - s, den * k * num_u[0])
+                v.append(c)
+                den = admit(nums, den, c)
+            return Jet(self.center, v)
         v = [v0] + [0] * self.order
         for k in range(1, len(u)):
             acc = k * u[k]
@@ -214,11 +245,26 @@ class Jet:
 
     def _sin_cos(self) -> tuple["Jet", "Jet"]:
         u = self.coeffs
-        if is_exact(u[0]) and u[0] == 0:
+        exact_head = is_exact(u[0]) and u[0] == 0
+        if exact_head:
             s0, c0 = 0, 1
         else:
             h = _float_head("sin/cos", u[0])
             s0, c0 = math.sin(h), math.cos(h)
+        if exact_head and all_exact(u):
+            # s_k = sum_j j u_j c_(k-j) / k and c_k = -sum_j j u_j s_(k-j) / k,
+            # with u = U / Du, s = S / Ds and c = C / Dc
+            ju, den_u = _weighted(u)
+            s_nums, s_den, c_nums, c_den = [0], 1, [1], 1
+            s, c = [0], [1]
+            for k in range(1, len(u)):
+                sk = Fraction(sum(map(operator.mul, ju, reversed(c_nums))), den_u * c_den * k)
+                ck = Fraction(-sum(map(operator.mul, ju, reversed(s_nums))), den_u * s_den * k)
+                s.append(sk)
+                c.append(ck)
+                s_den = admit(s_nums, s_den, sk)
+                c_den = admit(c_nums, c_den, ck)
+            return Jet(self.center, s), Jet(self.center, c)
         s = [s0] + [0] * self.order
         c = [c0] + [0] * self.order
         for k in range(1, len(u)):
@@ -246,6 +292,19 @@ class Jet:
         v0 = exact_sqrt(head) if is_exact(head) else None
         if v0 is None:
             v0 = math.sqrt(_float_head("sqrt", head))
+        if is_exact(v0) and all_exact(u):
+            # v_k = (U_k D^2 - Du sum_j V_j V_(k-j)) Q / (Du D^2 2 P),
+            # with u = U / Du, v = V / D for k >= 1 and v_0 = P / Q
+            num_u, den_u = scaled(u)
+            nums, den = [], 1
+            v = [v0]
+            for k in range(1, len(u)):
+                s = sum(map(operator.mul, nums, reversed(nums)))
+                c = Fraction((num_u[k] * den * den - den_u * s) * v0.denominator,
+                             den_u * den * den * 2 * v0.numerator)
+                v.append(c)
+                den = admit(nums, den, c)
+            return Jet(self.center, v)
         v = [v0] + [0] * self.order
         for k in range(1, len(u)):
             acc = u[k]
@@ -294,7 +353,7 @@ def _div_series(p: Sequence, q: Sequence) -> tuple:
     if q[0] == 0:
         raise JetDomainError("division", "divisor jet has zero constant term")
     n = len(p)
-    if all(is_exact(c) for c in p) and all(is_exact(c) for c in q[:n]):
+    if all_exact(p) and all_exact(q[:n]):
         num_p, den_p = scaled(p)
         num_q, den_q = scaled(q[:n])
         nums, den = [], 1
@@ -303,11 +362,7 @@ def _div_series(p: Sequence, q: Sequence) -> tuple:
             s = sum(map(operator.mul, nums, num_q[k:0:-1]))
             c = Fraction(num_p[k] * den * den_q - s * den_p, den_p * den * num_q[0])
             out.append(c)
-            if den % c.denominator:
-                grow = c.denominator // math.gcd(den, c.denominator)
-                nums = [x * grow for x in nums]
-                den *= grow
-            nums.append(c.numerator * (den // c.denominator))
+            den = admit(nums, den, c)
         return tuple(out)
     out = [0] * n
     for k in range(n):
@@ -317,6 +372,41 @@ def _div_series(p: Sequence, q: Sequence) -> tuple:
                 acc -= out[i] * q[k - i]
         out[k] = div(acc, q[0])
     return tuple(out)
+
+
+def linear_combination(head: Jet, terms) -> Jet:
+    """``head + a_1 basis_1 + a_2 basis_2 + ...`` over the (a, basis) pairs of
+    ``terms``, as the loop ``acc = acc + a * basis`` gives it.
+
+    When every number is an int or a Fraction the sum runs on integer
+    numerators, the weights over one denominator and the jet coefficients
+    over another, with one Fraction per output coefficient.  Value and type
+    match the loop: an output coefficient is a Fraction when some Fraction
+    takes part in its sum (any Fraction weight takes part in all of them),
+    an int otherwise.  Anything else takes the loop itself.
+    """
+    terms = list(terms)
+    for _, basis in terms:
+        head._check_compatible(basis)
+    weights = [1] + [a for a, _ in terms]
+    flat = ([c for jet in [head] + [basis for _, basis in terms] for c in jet.coeffs]
+            if all_exact(weights) else None)
+    if flat is None or not all_exact(flat):
+        acc = head
+        for a, basis in terms:
+            acc = acc + a * basis
+        return acc
+    num_w, den_w = scaled(weights)
+    nums, den = scaled(flat)
+    den *= den_w
+    width = len(head.coeffs)
+    any_frac = any(type(a) is Fraction for a in weights)
+    out = []
+    for k in range(width):
+        s = sum(map(operator.mul, num_w, nums[k::width]))
+        frac = any_frac or any(type(c) is Fraction for c in flat[k::width])
+        out.append(Fraction(s, den) if frac else s // den)
+    return Jet(head.center, out)
 
 
 def compose(outer: Jet, inner: Jet) -> Jet:

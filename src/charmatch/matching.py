@@ -18,13 +18,15 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 from .errors import DomainError, FamilyMismatchError, SingularSystemError
 from .jets import Jet
-from .poly import Poly, div, over
+from .poly import Poly, all_exact, div, is_exact, mixes_fractions, over, scaled
 from .quadrature import GaussLegendre
 from . import specfun
 
@@ -104,6 +106,22 @@ class Derivative:
         return [der[n] for n in orders]
 
 
+def _exact_poly(p: Poly, a, b) -> bool:
+    """True when ``p`` and the interval (a, b) are all ints and Fractions."""
+    return is_exact(a) and is_exact(b) and all_exact(p.coeffs)
+
+
+def _power_integrals(a, b, top: int) -> tuple[list, int]:
+    """The integrals M_m of x^m over (a, b), m = 0..top, for exact a and b, as
+    integer numerators over one shared denominator, and that denominator."""
+    a, b = Fraction(a), Fraction(b)
+    pa, pb, table = a, b, []
+    for m in range(top + 1):
+        table.append((pb - pa) / (m + 1))
+        pa, pb = pa * a, pb * b
+    return scaled(table)
+
+
 @dataclass(frozen=True)
 class Moments:
     """C_n(f) = integral of x^n f(x) over (a, b)."""
@@ -120,7 +138,16 @@ class Moments:
     def measure(self, target, orders: list, quad: GaussLegendre) -> list:
         p = target_poly(target)
         if p is not None:
-            return [Poly([0] * n + list(p.coeffs)).integral(self.a, self.b) for n in orders]
+            if not _exact_poly(p, self.a, self.b):
+                return [Poly([0] * n + list(p.coeffs)).integral(self.a, self.b)
+                        for n in orders]
+            # c_n = sum_j p_j M_(n+j); the zero polynomial integrates to int 0
+            if not any(p.coeffs):
+                return [0] * len(orders)
+            num_p, den_p = scaled(p.coeffs)
+            num_m, den_m = _power_integrals(self.a, self.b, max(orders) + p.degree)
+            return [Fraction(sum(map(operator.mul, num_p, num_m[n:])), den_p * den_m)
+                    for n in orders]
         xs, vs = _samples(target, quad, self.a, self.b)
         return [quad.integrate([x ** n * v for x, v in zip(xs, vs)], self.a, self.b)
                 for n in orders]
@@ -144,6 +171,16 @@ class HigherIntegral:
         if min(orders) < 1:
             raise DomainError("higher-integral functionals start at order 1")
         p = target_poly(target)
+        if p is not None and _exact_poly(p, -1, 1):
+            # the integral of (1 - t)^(n-1) p(t) is the row of (1 - t)^(n-1)
+            # dotted with q_i = sum_j p_j M_(i+j), a Hankel product of the
+            # polynomial with the power integrals M_m over (-1, 1)
+            top = max(orders) - 1
+            num_p, den_p = scaled(p.coeffs)
+            num_m, den_m = _power_integrals(-1, 1, top + p.degree)
+            q = [sum(map(operator.mul, num_p, num_m[i:])) for i in range(top + 1)]
+            return [Fraction(sum((-1) ** i * math.comb(n - 1, i) * q[i] for i in range(n)),
+                             den_p * den_m * math.factorial(n - 1)) for n in orders]
         if p is None:
             ts, vs = _samples(target, quad, -1, 1)
         power, k = Poly([1]), 0  # power == (1 - t) ** k
@@ -484,7 +521,28 @@ class TriMatrix:
 def tri_map(rows: Iterable, v: Sequence, divisors: Iterable[int] | None = None) -> list:
     """a_n = sum_k T(n, k) v_k, row n given as its (k, T(n, k)) pairs, then
     ``over(a_n, d_n)`` for the n-th of ``divisors`` if given.  The sum starts at
-    int 0 and adds the terms in row order, zero entries listed included."""
+    int 0 and adds the terms in row order, zero entries listed included.
+
+    When the entries and v are ints and Fractions, at least one a Fraction,
+    v is scaled once to integer numerators over the lcm of its denominators
+    and the entries of each row over theirs, so a row is one integer dot
+    product and each a_n takes one gcd.  Value and type match the loop: a_n
+    is a Fraction when a divisor is given or a Fraction takes part in its
+    row, an int otherwise.  Anything else takes the loop itself.
+    """
+    rows = [list(row) for row in rows]
+    if all_exact(v) and mixes_fractions(v, [t for row in rows for _, t in row]):
+        nums, den_v = scaled(v)
+        frac_v = [type(x) is Fraction for x in v]
+        out = []
+        for row, d in zip(rows, [1] * len(rows) if divisors is None else divisors):
+            entries, den = scaled([t for _, t in row])
+            s = sum(t * nums[k] for t, (k, _) in zip(entries, row))
+            if divisors is not None or any(frac_v[k] or type(t) is Fraction for k, t in row):
+                out.append(Fraction(s, den * den_v * d))
+            else:  # ints only: den is 1 and den_v divides every term
+                out.append(s // den_v)
+        return out
     out = []
     for row in rows:
         acc = 0

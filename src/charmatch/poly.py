@@ -24,6 +24,11 @@ def is_exact(value) -> bool:
     return isinstance(value, EXACT_TYPES)
 
 
+def all_exact(values) -> bool:
+    """True when every one of ``values`` is exact."""
+    return all(map(is_exact, values))
+
+
 def div(a, b):
     """``a / b``, an exact Fraction when both operands are exact (``int / int``
     alone would give a float)."""
@@ -46,7 +51,25 @@ def scaled(cs) -> tuple[list, int]:
     return [c.numerator * (den // c.denominator) for c in cs], den
 
 
-def _mixes_fractions(a, b) -> bool:
+def admit(nums: list, den: int, c: Fraction) -> int:
+    """Append the Fraction ``c`` to ``nums``, integer numerators over ``den``,
+    and return the new shared denominator: ``den`` first grows, with every
+    numerator, to the least multiple that ``c``'s denominator divides.
+
+    The exact recurrences (series quotient, jet primitives, back
+    substitution) keep the outputs found so far this way, so each new output
+    costs one integer dot product and one gcd.
+    """
+    d = c.denominator
+    if den % d:
+        grow = d // math.gcd(den, d)
+        nums[:] = [x * grow for x in nums]
+        den *= grow
+    nums.append(c.numerator * (den // d))
+    return den
+
+
+def mixes_fractions(a, b) -> bool:
     """True when every entry of ``a`` and ``b`` is an int or a Fraction and
     at least one is a Fraction."""
     types = set(map(type, a))
@@ -69,7 +92,7 @@ def mul(a, b, n: int, skip_zero_b: bool = True) -> list:
     already integer arithmetic, and floats take the loop itself.
     """
     out = [0] * n
-    if not _mixes_fractions(a, b):
+    if not mixes_fractions(a, b):
         for i, x in enumerate(a[:n]):
             if x == 0:
                 continue

@@ -1,0 +1,351 @@
+"""The integer-numerator paths against the plain loops they replaced.
+
+``tri_map``, the jet linear combination, the jet primitives ``exp``, ``ln``,
+``sqrt`` and ``sin``/``cos``, the closed-form ``Moments`` and
+``HigherIntegral`` of a polynomial and the exact Pade solve now run on
+integer numerators over shared denominators when every operand is an int or
+a Fraction.  Each reference below is the loop used before, kept verbatim,
+and the two must agree in ``repr``: value, type (int where the loop gives an
+int, Fraction elsewhere) and float bits alike.  Float and mixed operands
+still take the loops, and nothing else in the suite guards their bits.
+"""
+
+import math
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from charmatch import expansions as xp
+from charmatch.errors import JetDomainError, SingularSystemError
+from charmatch.jets import Jet, _float_head, exact_sqrt, linear_combination
+from charmatch.matching import (
+    CharNumbers, Derivative, HigherIntegral, Moments, tri_map,
+)
+from charmatch.poly import Poly, div, is_exact, over
+from charmatch.quadrature import GaussLegendre
+
+
+F = Fraction
+
+INTS = st.integers(-10 ** 6, 10 ** 6)
+FRACTIONS = st.fractions(min_value=-1000, max_value=1000, max_denominator=60)
+ZEROS = st.sampled_from([0, 0.0, -0.0, F(0)])
+FLOATS = st.floats(-1e6, 1e6)
+EXACT = st.one_of(INTS, FRACTIONS, st.sampled_from([0, F(0)]))
+NUMBERS = st.one_of(INTS, FRACTIONS, FLOATS, ZEROS)
+
+
+def numbers(size, exact_only):
+    return st.lists(EXACT if exact_only else NUMBERS, min_size=size, max_size=size)
+
+
+def sequences(max_size=41):
+    """Up to ``max_size`` numbers: all exact half of the time, else mixed."""
+    return st.tuples(st.integers(1, max_size), st.booleans()).flatmap(
+        lambda t: numbers(*t))
+
+
+def outcome(fn):
+    try:
+        return repr(fn())
+    except Exception as exc:  # both sides must fail alike
+        return f"raised {type(exc).__name__}"
+
+
+def same(new, old):
+    assert outcome(new) == outcome(old)
+
+
+# -- the loops the integer paths replaced --------------------------------------------
+
+
+def ref_tri_map(rows, v, divisors=None):
+    out = []
+    for row in rows:
+        acc = 0
+        for k, t in row:
+            acc += t * v[k]
+        out.append(acc)
+    if divisors is not None:
+        out = [over(a, d) for a, d in zip(out, divisors)]
+    return out
+
+
+def ref_linear_combination(head, terms):
+    acc = head
+    for a, basis in terms:
+        acc = acc + a * basis
+    return acc
+
+
+def ref_exp(jet):
+    u = jet.coeffs
+    try:
+        v0 = 1 if (is_exact(u[0]) and u[0] == 0) else math.exp(_float_head("exp", u[0]))
+    except OverflowError:
+        raise JetDomainError("exp", f"overflows at {u[0]}") from None
+    v = [v0] + [0] * jet.order
+    for k in range(1, len(u)):
+        acc = 0
+        for j in range(1, k + 1):
+            if u[j] != 0:
+                acc += j * u[j] * v[k - j]
+        v[k] = div(acc, k)
+    return Jet(jet.center, v)
+
+
+def ref_ln(jet):
+    u = jet.coeffs
+    head = u[0]
+    if not (head > 0):
+        raise JetDomainError("ln", f"constant term must be positive, got {head}")
+    v0 = 0 if (is_exact(head) and head == 1) else math.log(_float_head("ln", head))
+    v = [v0] + [0] * jet.order
+    for k in range(1, len(u)):
+        acc = k * u[k]
+        for j in range(1, k):
+            acc -= j * v[j] * u[k - j]
+        v[k] = div(acc, k * head)
+    return Jet(jet.center, v)
+
+
+def ref_sin_cos(jet):
+    u = jet.coeffs
+    if is_exact(u[0]) and u[0] == 0:
+        s0, c0 = 0, 1
+    else:
+        h = _float_head("sin/cos", u[0])
+        s0, c0 = math.sin(h), math.cos(h)
+    s = [s0] + [0] * jet.order
+    c = [c0] + [0] * jet.order
+    for k in range(1, len(u)):
+        sa = 0
+        ca = 0
+        for j in range(1, k + 1):
+            if u[j] != 0:
+                sa += j * u[j] * c[k - j]
+                ca += j * u[j] * s[k - j]
+        s[k] = div(sa, k)
+        c[k] = div(-ca, k)
+    return Jet(jet.center, s), Jet(jet.center, c)
+
+
+def ref_sqrt(jet):
+    u = jet.coeffs
+    head = u[0]
+    if not (head > 0):
+        raise JetDomainError("sqrt", f"constant term must be positive, got {head}")
+    v0 = exact_sqrt(head) if is_exact(head) else None
+    if v0 is None:
+        v0 = math.sqrt(_float_head("sqrt", head))
+    v = [v0] + [0] * jet.order
+    for k in range(1, len(u)):
+        acc = u[k]
+        for j in range(1, k):
+            acc -= v[j] * v[k - j]
+        v[k] = div(acc, 2 * v0)
+    return Jet(jet.center, v)
+
+
+def ref_moments(p, a, b, orders):
+    return [Poly([0] * n + list(p.coeffs)).integral(a, b) for n in orders]
+
+
+def ref_higher_integral(p, orders):
+    power, k = Poly([1]), 0
+    out = []
+    for n in orders:
+        if k > n - 1:
+            power, k = Poly([1]), 0
+        while k < n - 1:
+            power, k = power * Poly([1, -1]), k + 1
+        val = (power * p).integral(-1, 1)
+        out.append(div(val, math.factorial(n - 1)))
+    return out
+
+
+def ref_solve_dense(matrix, rhs):
+    n = len(matrix)
+    a = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
+    for col in range(n):
+        pivot = max(range(col, n), key=lambda r: abs(a[r][col]))
+        if a[pivot][col] == 0:
+            raise SingularSystemError("degenerate Pade block")
+        a[col], a[pivot] = a[pivot], a[col]
+        piv = a[col][col]
+        for r in range(col + 1, n):
+            if a[r][col] == 0:
+                continue
+            f = div(a[r][col], piv)
+            for k in range(col, n + 1):
+                a[r][k] -= f * a[col][k]
+    out = [0] * n
+    for r in range(n - 1, -1, -1):
+        acc = a[r][n]
+        for k in range(r + 1, n):
+            acc -= a[r][k] * out[k]
+        out[r] = div(acc, a[r][r])
+    return out
+
+
+# -- the integer paths against them ----------------------------------------------------
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_tri_map_matches_the_loop(data):
+    v = data.draw(sequences())
+    exact_entries = data.draw(st.booleans())
+    entry = st.one_of(INTS, FRACTIONS) if exact_entries else NUMBERS
+    if data.draw(st.booleans()):
+        entry = INTS  # the int rows of the coefficient maps
+    rows = [data.draw(st.lists(st.tuples(st.integers(0, n), entry), max_size=n + 2))
+            for n in range(len(v))]
+    divisors = data.draw(st.none() | st.lists(st.integers(1, 10 ** 12),
+                                              min_size=len(v), max_size=len(v)))
+    same(lambda: tri_map(iter(rows), v, divisors), lambda: ref_tri_map(rows, v, divisors))
+
+
+def test_tri_map_types():
+    # a row that no Fraction reaches stays an int, as the loop gives it
+    v = [F(1, 2), 3, -0]
+    rows = [[(0, 2)], [(1, 5), (2, 7)], [], [(1, 0), (0, 0)]]
+    assert repr(tri_map(rows, v)) == repr([F(1), 15, 0, F(0)])
+    assert repr(tri_map(rows, v, [3, 5, 7, 1])) == repr([F(1, 3), F(3), F(0), F(0)])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_linear_combination_matches_the_loop(data):
+    head = data.draw(sequences())
+    exact_only = data.draw(st.booleans())
+    count = data.draw(st.integers(0, 8))
+    terms = [(data.draw(EXACT if exact_only else NUMBERS),
+              Jet(0, data.draw(numbers(len(head), exact_only)))) for _ in range(count)]
+    same(lambda: linear_combination(Jet(0, head), terms),
+         lambda: ref_linear_combination(Jet(0, head), terms))
+
+
+def jets(heads):
+    """A jet of order <= 40 with the given head strategy."""
+    return st.tuples(heads, sequences(40)).map(lambda t: Jet(0, (t[0],) + tuple(t[1])))
+
+
+ANY_HEAD = st.one_of(NUMBERS, st.sampled_from([1, F(1), 1.0, 4, F(9, 4), -0.0]))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(jet=jets(ANY_HEAD))
+def test_exp_matches_the_loop(jet):
+    same(jet.exp, lambda: ref_exp(jet))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(jet=jets(ANY_HEAD))
+def test_ln_matches_the_loop(jet):
+    same(jet.ln, lambda: ref_ln(jet))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(jet=jets(ANY_HEAD))
+def test_sqrt_matches_the_loop(jet):
+    same(jet.sqrt, lambda: ref_sqrt(jet))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(jet=jets(ANY_HEAD))
+def test_sin_cos_matches_the_loop(jet):
+    same(jet._sin_cos, lambda: ref_sin_cos(jet))
+
+
+def test_exact_head_decides_the_exp_and_sin_cos_paths():
+    # a tiny exact head is not an exact zero: the float loop runs
+    jet = Jet(0, (F(1, 10 ** 400), 1, F(1, 2)))
+    assert repr(jet.exp()) == repr(ref_exp(jet))
+    assert repr(jet._sin_cos()) == repr(ref_sin_cos(jet))
+
+
+INTERVALS = st.sampled_from([(-1, 1), (0, 1), (F(-1, 2), F(2, 3)), (2, 2), (-1.0, 1.0),
+                             (0, 0.5)])
+
+
+def polys():
+    """Polynomials of degree <= 40, the zero polynomial among them."""
+    return st.one_of(sequences(), st.sampled_from([[0], [F(0)], [0, 0, 0], [0.0]])).map(Poly)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(p=polys(), interval=INTERVALS, orders=st.lists(st.integers(0, 40), min_size=1,
+                                                       max_size=41))
+def test_moments_match_the_loop(p, interval, orders):
+    a, b = interval
+    same(lambda: Moments(a, b).measure(p, orders, GaussLegendre()),
+         lambda: ref_moments(p, a, b, orders))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(p=polys(), orders=st.lists(st.integers(1, 41), min_size=1, max_size=41))
+def test_higher_integral_matches_the_loop(p, orders):
+    same(lambda: HigherIntegral().measure(p, orders, GaussLegendre()),
+         lambda: ref_higher_integral(p, orders))
+
+
+def test_zero_polynomial_types():
+    zero = Poly([0])
+    assert repr(Moments().measure(zero, [0, 3], GaussLegendre())) == "[0, 0]"
+    assert repr(HigherIntegral().measure(zero, [1, 3], GaussLegendre())) == repr([F(0), F(0)])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_solve_dense_matches_the_loop(data):
+    size = data.draw(st.integers(1, 10))
+    exact_only = data.draw(st.booleans())
+    # small ints make singular blocks likely
+    entry = st.one_of(st.integers(-2, 2), EXACT if exact_only else NUMBERS)
+    matrix = [data.draw(st.lists(entry, min_size=size, max_size=size)) for _ in range(size)]
+    # columns with nothing below the diagonal, as the p_k columns of a Pade block
+    for col in data.draw(st.sets(st.integers(0, size - 1))):
+        for row in matrix[col + 1:]:
+            row[col] = 0
+    rhs = data.draw(st.lists(entry, min_size=size, max_size=size))
+    same(lambda: xp._solve_dense(matrix, rhs), lambda: ref_solve_dense(matrix, rhs))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(c=sequences(), data=st.data())
+def test_pade_matches_the_loop(c, data):
+    m = data.draw(st.integers(0, len(c) - 1))
+    n = len(c) - 1 - m
+
+    def new():
+        coeffs = xp.pade_solve(CharNumbers(c, Derivative(0)), m, n)
+        return coeffs.values, coeffs.params
+
+    def old():
+        total = m + n + 1
+        f = [over(c[k], math.factorial(k)) for k in range(total)]
+        matrix = [[0] * total for _ in range(total)]
+        rhs = []
+        for k in range(total):
+            if k <= m:
+                matrix[k][k] = 1
+            for j in range(1, min(k, n) + 1):
+                matrix[k][m + j] = -f[k - j]
+            rhs.append(f[k])
+        sol = ref_solve_dense(matrix, rhs)
+        p = tuple(sol[: m + 1])
+        q = (1,) + tuple(sol[m + 1:])
+        return p + q[1:], {"m": m, "n": n, "numerator": p, "denominator": q}
+
+    same(new, old)
+
+
+def test_singular_exact_block_still_raises():
+    try:
+        xp._solve_dense([[1, F(1, 2)], [2, 1]], [1, 2])
+    except SingularSystemError as exc:
+        assert str(exc) == "degenerate Pade block"
+    else:
+        raise AssertionError("a singular exact block must raise")
