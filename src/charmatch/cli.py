@@ -24,8 +24,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import exprs
-from .errors import CharmatchError, DomainError, EvalDomainError, FamilyMismatchError
-from .figures import FIGURES, build_figure, render_csv, render_svg
+from .errors import CharmatchError, DomainError, FamilyMismatchError
+from .figures import FIGURES, build_figure, render_csv, render_svg, sample
 from .interp import value_chars, ws_build, ws_node_systems
 from .jets import Jet
 from .matching import Approximant, Derivative, Moments, verify_matching
@@ -129,6 +129,8 @@ def _perturb(value) -> tuple:
 
 
 _TEXT_KEYS = ("f", "kind", "preset", "lam", "csv", "svg", "json", "family")
+# the nonlinear transforms a run may name, from a flag or a config file alike
+_LAMBDAS = ("ln", "sqrt", "cube")
 _CONFIG_KEYS = _TEXT_KEYS + ("order", "x0", "w", "q", "alpha", "interval", "grid",
                              "perturb")
 
@@ -138,6 +140,8 @@ def _config_value(key: str, value):
     if key in _TEXT_KEYS:
         if not isinstance(value, str):
             raise UsageError(f"{key} must be a string, got {value!r}")
+        if key == "lam" and value not in _LAMBDAS:
+            raise UsageError(f"lam must be one of {', '.join(_LAMBDAS)}, got {value!r}")
         return value
     if key in ("x0", "w", "alpha"):
         return _number(key, value)
@@ -241,7 +245,7 @@ class _CorruptedApproximant(Approximant):
     """Wrapper adding delta * (x - x0)^idx / idx! (negative-control testing)."""
 
     def __init__(self, inner: Approximant, x0, idx: int, delta: float):
-        super().__init__(inner.kind, inner.coeffs)
+        super().__init__(inner.coeffs, inner.center)
         self.inner = inner
         self.x0 = x0
         self.idx = idx
@@ -370,13 +374,9 @@ def _cmd_compare(cfgs: list[RunConfig]) -> int:
     rows = []
     for cfg in cfgs:
         _, _, approx = _build_for_config(cfg)
-        errs = []
-        for x, fv in zip(xs, fx):
-            try:
-                av = float(approx(x))
-            except (EvalDomainError, ArithmeticError, ValueError):
-                av = math.nan
-            errs.append(abs(av - fv) if math.isfinite(av) else math.inf)
+        # a point where the approximant fails counts as an infinite error
+        errs = [math.inf if math.isnan(av) else abs(av - fv)
+                for av, fv in zip(sample(approx, xs), fx)]
         max_err = max(errs)
         finite = [e for e in errs if math.isfinite(e)]
         l2 = math.sqrt(sum(e * e for e in finite) / len(finite)) if finite else math.inf
@@ -399,7 +399,7 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--interval", type=_pair, help="interval a,b")
     parser.add_argument("--grid", type=_grid_spec, help="grid lo,hi,points")
     parser.add_argument("--preset", help="node-system preset ws-a..ws-f")
-    parser.add_argument("--lambda", dest="lam", choices=("ln", "sqrt", "cube"),
+    parser.add_argument("--lambda", dest="lam", choices=_LAMBDAS,
                         help="nonlinear transform")
     parser.add_argument("--csv", help="CSV output path")
     parser.add_argument("--svg", help="SVG output path")

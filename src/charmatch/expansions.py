@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple
 
 from . import specfun
 from .errors import DomainError, EvalDomainError, SingularSystemError
-from .jets import Jet, bessel_jn_jet
+from .jets import Jet, bessel_jn_jet, compose
 from .matching import (
     Approximant,
     CharNumbers,
@@ -70,10 +70,9 @@ def taylor_coeffs(c: CharNumbers) -> CoeffSeq:
 
 
 def taylor_approx(c: CharNumbers) -> PolynomialApproximant:
-    fam = _require_derivative(c)
     coeffs = taylor_coeffs(c)
     poly = Poly(over(a, math.factorial(n)) for n, a in enumerate(coeffs.values))
-    return PolynomialApproximant(poly, center=fam.center, kind="taylor", coeffs=coeffs)
+    return PolynomialApproximant(poly, center=c.family.center, coeffs=coeffs)
 
 
 # -- Neumann series of Bessel functions ---------------------------------------
@@ -97,10 +96,6 @@ def nsbf_coeffs(c: CharNumbers) -> CoeffSeq:
 class NsbfApproximant(Approximant):
     """sum a_n J_n(x - center)."""
 
-    def __init__(self, coeffs: CoeffSeq, center=0):
-        super().__init__("nsbf", coeffs)
-        self.center = center
-
     def __call__(self, x):
         # one Bessel sweep per point: every order here lies in one block
         t = float(x - self.center)
@@ -117,8 +112,7 @@ class NsbfApproximant(Approximant):
 
 
 def nsbf_approx(c: CharNumbers) -> NsbfApproximant:
-    fam = _require_derivative(c)
-    return NsbfApproximant(nsbf_coeffs(c), center=fam.center)
+    return NsbfApproximant(nsbf_coeffs(c), c.family.center)
 
 
 # -- Pade ----------------------------------------------------------------------
@@ -224,8 +218,7 @@ class PadeApproximant(Approximant):
     """Rational P_m(t) / Q_n(t), t = x - center."""
 
     def __init__(self, coeffs: CoeffSeq, center=0):
-        super().__init__("pade", coeffs)
-        self.center = center
+        super().__init__(coeffs, center)
         self.p = Poly(coeffs.params["numerator"])
         self.q = Poly(coeffs.params["denominator"])
 
@@ -242,8 +235,7 @@ class PadeApproximant(Approximant):
 
 
 def pade_approx(c: CharNumbers, m: int, n: int) -> PadeApproximant:
-    fam = _require_derivative(c)
-    return PadeApproximant(pade_solve(c, m, n), center=fam.center)
+    return PadeApproximant(pade_solve(c, m, n), c.family.center)
 
 
 # -- powers of sines --------------------------------------------------------------
@@ -334,8 +326,7 @@ class ExpWeightedApproximant(Approximant):
     """exp(w t^q) * sum a_n t^n with t = x - center."""
 
     def __init__(self, coeffs: CoeffSeq, center=0):
-        super().__init__("exp_weighted", coeffs)
-        self.center = center
+        super().__init__(coeffs, center)
         self.w = coeffs.params["w"]
         self.q = coeffs.params["q"]
         self.poly = Poly(coeffs.values)
@@ -351,8 +342,7 @@ class ExpWeightedApproximant(Approximant):
 
 
 def exp_weighted_approx(c: CharNumbers, w, q: int) -> ExpWeightedApproximant:
-    fam = _require_derivative(c)
-    return ExpWeightedApproximant(exp_weighted_coeffs(c, w, q), center=fam.center)
+    return ExpWeightedApproximant(exp_weighted_coeffs(c, w, q), c.family.center)
 
 
 # -- powers of an invertible g -------------------------------------------------------
@@ -387,7 +377,9 @@ def _g_jet_stirling1(var: Jet) -> Jet:
     return 1 - (-var).exp()
 
 
-def _lambert_series_jet(var: Jet) -> Jet:
+def _g_jet_lambert(var: Jet) -> Jet:
+    if var.coeffs[0] != 0:
+        raise DomainError("Lambert-W basis jets are only supported at the expansion point")
     # W(t) = sum (-n)^(n-1) t^n / n! around 0, exactly
     coeffs = [0] + [
         Fraction((-n) ** (n - 1), math.factorial(n)) for n in range(1, var.order + 1)
@@ -396,16 +388,7 @@ def _lambert_series_jet(var: Jet) -> Jet:
     # float series keep the composition out of Fraction arithmetic
     if not var.is_exact():
         coeffs = [float(c) for c in coeffs]
-    w0 = Jet(var.coeffs[0], coeffs)
-    from .jets import compose
-
-    return compose(w0, var)
-
-
-def _g_jet_lambert(var: Jet) -> Jet:
-    if var.coeffs[0] != 0:
-        raise DomainError("Lambert-W basis jets are only supported at the expansion point")
-    return _lambert_series_jet(var)
+    return compose(Jet(var.coeffs[0], coeffs), var)
 
 
 def _g_jet_sin_half(var: Jet) -> Jet:
@@ -437,36 +420,31 @@ _G_BASIS = {
 
 
 class SeriesInGApproximant(Approximant):
-    """sum a_n [g(t)]^n evaluated Horner-style in y = g(t), t = x - center."""
+    """sum a_n [g(t)]^n evaluated Horner-style in y = g(t), t = x - center,
+    with g the ``_G_BASIS`` entry of the kind."""
 
-    def __init__(self, coeffs: CoeffSeq, g_name: str, center=0, kind: str | None = None):
-        super().__init__(kind or g_name, coeffs)
-        if g_name not in _G_BASIS:
-            raise DomainError(f"unknown basis function {g_name!r}")
-        self.g_name = g_name
-        self.center = center
+    def __init__(self, coeffs: CoeffSeq, center=0):
+        super().__init__(coeffs, center)
         self.series = Poly(coeffs.values)
 
     def __call__(self, x):
         t = float(x - self.center)
-        basis = _G_BASIS[self.g_name]
+        basis = _G_BASIS[self.kind]
         if not basis["domain"](t):
-            raise EvalDomainError(f"{self.g_name} basis undefined at x={x}")
+            raise EvalDomainError(f"{self.kind} basis undefined at x={x}")
         return self.series(basis["eval"](t))
 
     def eval_jet(self, x0, order: int) -> Jet:
         var = Jet.variable(x0, order) - self.center
-        return self.series(_G_BASIS[self.g_name]["jet"](var))
+        return self.series(_G_BASIS[self.kind]["jet"](var))
 
 
 def powers_of_g_approx(c: CharNumbers, variant: str) -> SeriesInGApproximant:
-    fam = _require_derivative(c)
-    return SeriesInGApproximant(powers_of_g_coeffs(c, variant), variant, center=fam.center)
+    return SeriesInGApproximant(powers_of_g_coeffs(c, variant), c.family.center)
 
 
 def pow_sine_approx(c: CharNumbers) -> SeriesInGApproximant:
-    fam = _require_derivative(c)
-    return SeriesInGApproximant(pow_sine_coeffs(c), "pow_sine", center=fam.center)
+    return SeriesInGApproximant(pow_sine_coeffs(c), c.family.center)
 
 
 # -- rational x/(x+1) expansion (newPade) ----------------------------------------------
@@ -495,8 +473,7 @@ class RationalX1Approximant(Approximant):
     """a_0 + sum a_n y^n with y = u/(u+1), u = -t/alpha; pole at t = alpha."""
 
     def __init__(self, coeffs: CoeffSeq, center=0):
-        super().__init__("rational_x_over_x1", coeffs)
-        self.center = center
+        super().__init__(coeffs, center)
         self.alpha = coeffs.params["alpha"]
         self.series = Poly(coeffs.values)
 
@@ -515,8 +492,7 @@ class RationalX1Approximant(Approximant):
 
 
 def rational_x1_approx(c: CharNumbers, alpha=-1) -> RationalX1Approximant:
-    fam = _require_derivative(c)
-    return RationalX1Approximant(rational_x1_coeffs(c, alpha), center=fam.center)
+    return RationalX1Approximant(rational_x1_coeffs(c, alpha), c.family.center)
 
 
 # -- Dirichlet-convolution expansions -----------------------------------------------
@@ -627,8 +603,7 @@ class DirichletApproximant(Approximant):
     """b_0 + sum_{n>=1} a_n g(t^n) for one of the three Dirichlet bases."""
 
     def __init__(self, coeffs: CoeffSeq, center=0):
-        super().__init__(coeffs.kind, coeffs)
-        self.center = center
+        super().__init__(coeffs, center)
         self.b0 = coeffs.params["b0"]
 
     def __call__(self, x):
@@ -661,9 +636,7 @@ class DirichletApproximant(Approximant):
 
 
 def dirichlet_approx(c: CharNumbers, variant: str) -> DirichletApproximant:
-    fam = _require_derivative(c)
-    return DirichletApproximant(dirichlet_expansion_coeffs(c, variant),
-                                center=fam.center)
+    return DirichletApproximant(dirichlet_expansion_coeffs(c, variant), c.family.center)
 
 
 # -- dex functions --------------------------------------------------------------
@@ -712,8 +685,7 @@ class DexApproximant(Approximant):
     """sum_{n < N} c_n dex_[N,n](t); derivatives repeat with period N."""
 
     def __init__(self, coeffs: CoeffSeq, center=0):
-        super().__init__("dex", coeffs)
-        self.center = center
+        super().__init__(coeffs, center)
         self.ring = coeffs.params["ring"]
 
     def __call__(self, x):
@@ -739,7 +711,7 @@ def dex_approx(c: CharNumbers, ring: int | None = None) -> DexApproximant:
         raise DomainError("ring size smaller than the number of characteristic numbers")
     values = tuple(c.values) + (0,) * (ring - len(c.values))
     coeffs = CoeffSeq(values, "dex", params={"ring": ring})
-    return DexApproximant(coeffs, center=fam.center)
+    return DexApproximant(coeffs, fam.center)
 
 
 def prime_indicator_P(pmax: int) -> tuple[int, ...]:
@@ -769,10 +741,9 @@ def nonlinear_chars(f, transform: str, x0=0, order: int = 8) -> CharNumbers:
 class NonlinearApproximant(Approximant):
     """Omega(sum a_n t^n / n!) with a_n = c_n and Omega = Lambda^{-1}."""
 
-    def __init__(self, coeffs: CoeffSeq, transform: str, center=0):
-        super().__init__("nonlinear", coeffs)
-        self.center = center
-        self.transform = NONLINEAR_TRANSFORMS[transform]
+    def __init__(self, coeffs: CoeffSeq, center=0):
+        super().__init__(coeffs, center)
+        self.transform = NONLINEAR_TRANSFORMS[coeffs.params["transform"]]
         self.inner = Poly(over(a, math.factorial(n)) for n, a in enumerate(coeffs.values))
 
     def __call__(self, x):
@@ -801,4 +772,4 @@ def nonlinear_approx(c: CharNumbers) -> NonlinearApproximant:
     if not isinstance(c.family, Nonlinear):
         raise DomainError("nonlinear approximants need nonlinear-family numbers")
     coeffs = CoeffSeq(c.values, "nonlinear", params={"transform": c.family.transform})
-    return NonlinearApproximant(coeffs, c.family.transform, center=c.family.center)
+    return NonlinearApproximant(coeffs, c.family.center)

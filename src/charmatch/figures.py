@@ -21,7 +21,7 @@ from .interp import value_chars, ws_build, ws_node_systems
 from .registry import build_kind
 from .svgplot import line_plot_svg
 
-__all__ = ["FIGURES", "figure_names", "build_figure", "render_csv", "render_svg"]
+__all__ = ["FIGURES", "figure_names", "build_figure", "render_csv", "render_svg", "sample"]
 
 
 @dataclass
@@ -40,7 +40,9 @@ def _grid(lo: float, hi: float, n: int) -> list[float]:
     return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
 
-def _safe_eval(fn: Callable[[float], float], xs: Sequence[float]) -> list[float]:
+def sample(fn: Callable[[float], float], xs: Sequence[float]) -> list[float]:
+    """``fn`` at each x as a float, NaN wherever it fails or is not finite;
+    the one grid loop of the figures and ``compare``."""
     out = []
     for x in xs:
         try:
@@ -53,19 +55,25 @@ def _safe_eval(fn: Callable[[float], float], xs: Sequence[float]) -> list[float]
     return out
 
 
-def _approx_columns(name: str, f: exprs.Expr, kinds: Sequence[tuple[str, str, dict]],
+def _approx_columns(name: str, f, approxes: Sequence[tuple[str, Callable]],
                     xs: Sequence[float]) -> list[tuple[str, list[float]]]:
-    fx = _safe_eval(f, xs)
+    """Columns f, then each approximant and its error |A - f|, NaN where
+    either side is NaN."""
+    fx = sample(f, xs)
     cols = [(name, fx)]
-    for label, kind, params in kinds:
-        order = params.pop("order")
-        approx = build_kind(kind, f, order, **params).approximant
-        ax = _safe_eval(approx, xs)
+    for label, approx in approxes:
+        ax = sample(approx, xs)
         cols.append((label, ax))
-        cols.append((f"err_{label}",
-                     [abs(a - b) if math.isfinite(a) and math.isfinite(b) else math.nan
-                      for a, b in zip(ax, fx)]))
+        cols.append((f"err_{label}", [abs(a - b) for a, b in zip(ax, fx)]))
     return cols
+
+
+def _kind_columns(name: str, f: exprs.Expr, kinds: Sequence[tuple[str, str, dict]],
+                  xs: Sequence[float]) -> list[tuple[str, list[float]]]:
+    """``_approx_columns`` for (label, kind, params) built by ``build_kind``."""
+    approxes = [(label, build_kind(kind, f, params.pop("order"), **params).approximant)
+                for label, kind, params in kinds]
+    return _approx_columns(name, f, approxes, xs)
 
 
 # -- individual figures ------------------------------------------------------
@@ -75,7 +83,7 @@ def _fig_besscos() -> FigureData:
     xs = _grid(-4 * math.pi, 4 * math.pi, 2001)
     f = exprs.parse("sin(x)")
     cols = [("x", xs)]
-    cols += _approx_columns("sin", f, [
+    cols += _kind_columns("sin", f, [
         ("taylor10", "taylor", {"order": 10}),
         ("nsbf10", "nsbf", {"order": 10}),
     ], xs)
@@ -90,8 +98,8 @@ def _fig_legout() -> FigureData:
     for label, text in (("exp", "exp(x)"), ("cos", "cos(x)")):
         f = exprs.parse(text)
         approx = legendre_fourier_approx(f, 8)
-        fx = _safe_eval(f, xs)
-        ax = _safe_eval(approx, xs)
+        fx = sample(f, xs)
+        ax = sample(approx, xs)
         cols.append((label, fx))
         cols.append((f"lf8_{label}", ax))
         cols.append((f"err_{label}", [abs(a - b) for a, b in zip(ax, fx)]))
@@ -104,10 +112,10 @@ def _fig_exppoly() -> FigureData:
     xs = _grid(-6.0, 6.0, 1201)
     cols = [("x", xs)]
     w = Fraction(-1, 2)
-    cols += _approx_columns("sin", exprs.parse("sin(x)"), [
+    cols += _kind_columns("sin", exprs.parse("sin(x)"), [
         ("expw_sin", "exp_weighted", {"order": 10, "w": w, "q": 2}),
     ], xs)
-    cols += _approx_columns("arctan", exprs.parse("arctan(x)"), [
+    cols += _kind_columns("arctan", exprs.parse("arctan(x)"), [
         ("expw_arctan", "exp_weighted", {"order": 10, "w": w, "q": 2}),
     ], xs)
     return FigureData("exppoly", cols,
@@ -119,7 +127,7 @@ def _fig_powers_of_g(name: str, kind: str, title: str) -> FigureData:
     xs = _grid(-0.9, 4.0, 981)
     cols = [("x", xs)]
     for label, text in (("exp", "exp(x)"), ("sin", "sin(x)")):
-        cols += _approx_columns(label, exprs.parse(text), [
+        cols += _kind_columns(label, exprs.parse(text), [
             (f"{kind}_{label}", kind, {"order": 10}),
         ], xs)
     return FigureData(name, cols, title, ylim=(-3.0, 8.0))
@@ -136,7 +144,7 @@ def _fig_inargpow(sub: str, kind: str) -> FigureData:
     xs = _grid(-0.95, 0.95, 951)
     cols = [("x", xs)]
     for label, text in (("exp", "exp(x)"), ("sin5x", "sin(5*x)")):
-        cols += _approx_columns(label, exprs.parse(text), [
+        cols += _kind_columns(label, exprs.parse(text), [
             (f"{kind}_{label}", kind, {"order": 10}),
         ], xs)
     return FigureData(f"inargpow-{sub}", cols,
@@ -169,7 +177,7 @@ def _fig_nonlin() -> FigureData:
     for label, text, lam in (("exp", "exp(x)", "ln"),
                              ("cos", "cos(x)", "sqrt"),
                              ("arctan", "arctan(x)", "cube")):
-        cols += _approx_columns(label, exprs.parse(text), [
+        cols += _kind_columns(label, exprs.parse(text), [
             (f"nl_{lam}_{label}", "nonlinear", {"order": 10, "lam": lam}),
         ], xs)
     return FigureData("nonlin", cols, "nonlinear delta approximation, 11 terms",
@@ -189,16 +197,9 @@ def _fig_ws(preset: str) -> FigureData:
     if preset == "ws-e":
         lo, hi, pad = -0.999, 0.999, 0.0
     xs = _grid(lo - pad, hi + pad, 1001)
-    fx = _safe_eval(f, xs)
-    cols = [("x", xs), ("f", fx)]
-    for n_max in orders:
-        c = value_chars(f, system, n_max)
-        approx = ws_build(system, c, n_max)
-        ax = _safe_eval(approx, xs)
-        cols.append((f"ws{n_max}", ax))
-        cols.append((f"err_ws{n_max}",
-                     [abs(a - b) if math.isfinite(a) and math.isfinite(b) else math.nan
-                      for a, b in zip(ax, fx)]))
+    approxes = [(f"ws{n_max}", ws_build(system, value_chars(f, system, n_max), n_max))
+                for n_max in orders]
+    cols = [("x", xs)] + _approx_columns("f", f, approxes, xs)
     return FigureData(preset, cols,
                       f"generalized sampling interpolation, preset {preset[-1]}",
                       ylim=None)

@@ -97,7 +97,7 @@ def legendre_moment_match(m: MomentSet) -> PolynomialApproximant:
     a, b = m.interval
     if not (a == -1 and b == 1):
         raise DomainError("Legendre moment matching is defined on (-1, 1)")
-    return PolynomialApproximant(_legendre_match(m.values), kind="legendre_moment",
+    return PolynomialApproximant(_legendre_match(m.values),
                                  coeffs=CoeffSeq(m.values, "legendre_moment"))
 
 
@@ -164,7 +164,7 @@ class FourierApproximant(Approximant):
     """sum a_n v_n with the trigonometric basis on (-pi, pi)."""
 
     def __init__(self, coeffs: CoeffSeq):
-        super().__init__("fourier", coeffs)
+        super().__init__(coeffs)
         family = Projection("fourier")
         self._terms = [family.term(n) for n in range(len(coeffs.values))]
 
@@ -192,7 +192,7 @@ def legendre_fourier_approx(f, order: int,
     for n, a in enumerate(coeffs.values):
         scale, p = family.term(n)
         total = total + (a * scale) * p
-    return PolynomialApproximant(total, kind="legendre_fourier", coeffs=coeffs)
+    return PolynomialApproximant(total, coeffs=coeffs)
 
 
 # -- higher integrals ---------------------------------------------------------------
@@ -223,8 +223,7 @@ def higher_integral_approx(c: CharNumbers) -> PolynomialApproximant:
     # back to x: w = (1 - x) / 2
     half = Fraction(1, 2)
     poly_x = _legendre_match(moments, shifted=True).compose_affine(-half, half)
-    return PolynomialApproximant(poly_x, kind="higher_integral",
-                                 coeffs=CoeffSeq(c.values, "higher_integral"))
+    return PolynomialApproximant(poly_x, coeffs=CoeffSeq(c.values, "higher_integral"))
 
 
 # -- Bernoulli endpoint-difference family ----------------------------------------------
@@ -265,8 +264,7 @@ def bernoulli_approx(c: CharNumbers) -> PolynomialApproximant:
     else:
         shift = (c.values[0] - total.integral(a, b)) * inv_width
     total = total + Poly([shift])
-    return PolynomialApproximant(total, kind="bernoulli",
-                                 coeffs=CoeffSeq(c.values, "bernoulli"))
+    return PolynomialApproximant(total, coeffs=CoeffSeq(c.values, "bernoulli"))
 
 
 def bernoulli_taylor_limit(f, a, eps_list: Sequence[float], order: int

@@ -201,15 +201,14 @@ def lagrange_interp(c: CharNumbers) -> PolynomialApproximant:
                 numer = numer * Poly([-xi, 1])
                 denom = denom * (xn - xi)
         total = total + div(cn, denom) * numer
-    return PolynomialApproximant(total, kind="lagrange",
-                                 coeffs=CoeffSeq(c.values, "lagrange"))
+    return PolynomialApproximant(total, coeffs=CoeffSeq(c.values, "lagrange"))
 
 
 class NewtonApproximant(Approximant):
     """Newton form: sum a_n prod_{i<n} (x - x_i), a_n divided differences."""
 
     def __init__(self, coeffs: CoeffSeq, nodes: tuple):
-        super().__init__("newton", coeffs)
+        super().__init__(coeffs)
         self.nodes = nodes
 
     def __call__(self, x):
@@ -247,7 +246,7 @@ class RhoApproximant(Approximant):
     """sum c_n prod_{k != n} rho(x - x_k) / rho(x_n - x_k)."""
 
     def __init__(self, coeffs: CoeffSeq, nodes: tuple, rho: Callable[[float], float]):
-        super().__init__("rho_interp", coeffs)
+        super().__init__(coeffs)
         self.nodes = nodes
         self.rho = rho
         self._denoms = []
@@ -318,8 +317,8 @@ class WsApproximant(Approximant):
         nodes = system.nodes(n_max)
         if len(c.values) != len(nodes):
             raise DomainError("one value per retained node is required")
-        super().__init__("ws", CoeffSeq(c.values, "ws", params={"preset": system.name,
-                                                                "n_max": n_max}))
+        super().__init__(CoeffSeq(c.values, "ws", params={"preset": system.name,
+                                                          "n_max": n_max}))
         self.system = system
         self.n_max = n_max
         numerators = numerators or {}
@@ -383,8 +382,8 @@ class WsIntegralDerivative(Approximant):
         nodes = system.nodes(n_max)
         if len(c.values) != len(nodes):
             raise DomainError("one primitive value per retained node is required")
-        super().__init__("ws_integral", CoeffSeq(
-            c.values, "ws_integral", params={"preset": system.name, "a": a}))
+        super().__init__(CoeffSeq(c.values, "ws_integral",
+                                  params={"preset": system.name, "a": a}))
         self.system = system
         self.a = float(a)
         self.entries = []

@@ -432,13 +432,17 @@ class CoeffSeq:
 
 
 class Approximant:
-    """An evaluable approximant; concrete kinds override the hooks they support."""
+    """An evaluable approximant A^f: coefficients in some basis about an
+    expansion point ``center``, of the kind its coefficients name.  Concrete
+    kinds override the hooks they support."""
 
     kind: str = "approximant"
 
-    def __init__(self, kind: str, coeffs: CoeffSeq | None = None):
-        self.kind = kind
+    def __init__(self, coeffs: CoeffSeq | None, center=0):
+        if coeffs is not None:
+            self.kind = coeffs.kind
         self.coeffs = coeffs
+        self.center = center
 
     def __call__(self, x):  # pragma: no cover - abstract
         raise NotImplementedError
@@ -453,11 +457,11 @@ class Approximant:
 class PolynomialApproximant(Approximant):
     """Polynomial in (x - center); exact whenever its data is exact."""
 
-    def __init__(self, poly: Poly, center=0, kind: str = "polynomial",
-                 coeffs: CoeffSeq | None = None):
-        super().__init__(kind, coeffs)
+    kind = "polynomial"
+
+    def __init__(self, poly: Poly, center=0, coeffs: CoeffSeq | None = None):
+        super().__init__(coeffs, center)
         self.poly = poly
-        self.center = center
 
     def __call__(self, x):
         return self.poly(x - self.center)

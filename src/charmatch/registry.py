@@ -1,4 +1,4 @@
-"""Registry mapping expansion-kind names to builders.
+"""Registry: a plain table from expansion-kind names to builders.
 
 Shared by the CLI and the acceptance suite: given a parsed expression, an
 order and kind parameters, a builder returns the characteristic numbers,
@@ -7,7 +7,6 @@ the coefficient sequence and an evaluable approximant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -60,77 +59,25 @@ def _build_nonlinear(f, order: int, params: dict) -> BuildResult:
     return BuildResult(c, approx.coeffs, approx)
 
 
-@dataclass(frozen=True)
-class KindSpec:
-    name: str
-    build: Callable
-    summary: str
-
-
-KINDS: dict[str, KindSpec] = {
-    "taylor": KindSpec(
-        "taylor",
-        _derivative_builder(lambda c, p: xp.taylor_approx(c)),
-        "power series x^n/n! (delta)",
-    ),
-    "nsbf": KindSpec(
-        "nsbf",
-        _derivative_builder(lambda c, p: xp.nsbf_approx(c)),
-        "Neumann series of Bessel functions (triangular)",
-    ),
-    "pade": KindSpec("pade", _build_pade, "rational P_m/Q_n block"),
-    "pow_sine": KindSpec(
-        "pow_sine",
-        _derivative_builder(lambda c, p: xp.pow_sine_approx(c)),
-        "powers of sin(x/2) (triangular)",
-    ),
-    "exp_weighted": KindSpec(
-        "exp_weighted",
-        _derivative_builder(
-            lambda c, p: xp.exp_weighted_approx(
-                c, p.get("w", Fraction(-1, 2)), p.get("q", 2))
-        ),
-        "exp(w x^q) * polynomial (triangular)",
-    ),
-    "log_powers": KindSpec(
-        "log_powers",
-        _derivative_builder(lambda c, p: xp.powers_of_g_approx(c, "log_powers")),
-        "powers of ln(1+x) (triangular)",
-    ),
-    "stirling1_g": KindSpec(
-        "stirling1_g",
-        _derivative_builder(lambda c, p: xp.powers_of_g_approx(c, "stirling1_g")),
-        "powers of 1-exp(-x) (triangular)",
-    ),
-    "lambert_w_g": KindSpec(
-        "lambert_w_g",
-        _derivative_builder(lambda c, p: xp.powers_of_g_approx(c, "lambert_w_g")),
-        "powers of the Lambert W function (triangular)",
-    ),
-    "rational_x_over_x1": KindSpec(
-        "rational_x_over_x1",
-        _derivative_builder(
-            lambda c, p: xp.rational_x1_approx(c, p.get("alpha", -1))),
-        "powers of x/(x+1): order-by-order rational expansion",
-    ),
-    "dirichlet_g": KindSpec(
-        "dirichlet_g",
-        _derivative_builder(lambda c, p: xp.dirichlet_approx(c, "dirichlet_g")),
-        "sum a_n G(x^n), G the Moebius generating function",
-    ),
-    "dirichlet_rat1": KindSpec(
-        "dirichlet_rat1",
-        _derivative_builder(lambda c, p: xp.dirichlet_approx(c, "dirichlet_rat1")),
-        "sum a_n / (1 - x^n) rational expansion",
-    ),
-    "dirichlet_rat2": KindSpec(
-        "dirichlet_rat2",
-        _derivative_builder(lambda c, p: xp.dirichlet_approx(c, "dirichlet_rat2")),
-        "sum a_n x^n/(x^2n + 1) rational expansion",
-    ),
-    "dex": KindSpec("dex", _build_dex, "decomposed-exponential derivative ring"),
-    "nonlinear": KindSpec("nonlinear", _build_nonlinear,
-                          "Omega(sum c_n x^n/n!) nonlinear delta example"),
+KINDS: dict[str, Callable[[object, int, dict], BuildResult]] = {
+    "taylor": _derivative_builder(lambda c, p: xp.taylor_approx(c)),
+    "nsbf": _derivative_builder(lambda c, p: xp.nsbf_approx(c)),
+    "pade": _build_pade,
+    "pow_sine": _derivative_builder(lambda c, p: xp.pow_sine_approx(c)),
+    "exp_weighted": _derivative_builder(
+        lambda c, p: xp.exp_weighted_approx(c, p.get("w", Fraction(-1, 2)), p.get("q", 2))),
+    "log_powers": _derivative_builder(lambda c, p: xp.powers_of_g_approx(c, "log_powers")),
+    "stirling1_g": _derivative_builder(lambda c, p: xp.powers_of_g_approx(c, "stirling1_g")),
+    "lambert_w_g": _derivative_builder(lambda c, p: xp.powers_of_g_approx(c, "lambert_w_g")),
+    "rational_x_over_x1": _derivative_builder(
+        lambda c, p: xp.rational_x1_approx(c, p.get("alpha", -1))),
+    "dirichlet_g": _derivative_builder(lambda c, p: xp.dirichlet_approx(c, "dirichlet_g")),
+    "dirichlet_rat1": _derivative_builder(
+        lambda c, p: xp.dirichlet_approx(c, "dirichlet_rat1")),
+    "dirichlet_rat2": _derivative_builder(
+        lambda c, p: xp.dirichlet_approx(c, "dirichlet_rat2")),
+    "dex": _build_dex,
+    "nonlinear": _build_nonlinear,
 }
 
 KIND_NAMES = tuple(KINDS)
@@ -155,5 +102,4 @@ def build_kind(name: str, f, order: int, **params) -> BuildResult:
     """Build chars, coefficients and approximant for a named expansion kind."""
     if order < 0:
         raise DomainError("order must be nonnegative")
-    spec = KINDS[normalize_kind(name)]
-    return spec.build(f, order, params)
+    return KINDS[normalize_kind(name)](f, order, params)

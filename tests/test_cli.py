@@ -1,6 +1,7 @@
 """CLI behavior: subcommands, exit codes, config handling, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -438,3 +439,29 @@ def test_exit_code_contract_fuzz(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code in (0, 1, 2, 3), (argv, err)
     assert "Traceback" not in err
+
+
+def test_compare_kind_failing_on_part_of_the_grid(tmp_path, capsys):
+    # log_powers is undefined for x <= -1, so 3 of the 11 points fail for it
+    path = tmp_path / "cmp.json"
+    code, out, _ = run(capsys, "compare", "--f", "exp(x)", "--grid", "-1.5,1,11",
+                       "--kind", "taylor,log_powers", "--json", str(path))
+    assert code == 0
+    rows = {row["kind"]: row for row in json.loads(path.read_text())}
+    assert list(rows) == ["taylor", "log_powers"]
+    assert rows["log_powers"]["max_abs_err"] == math.inf
+    assert math.isfinite(rows["log_powers"]["l2_err"])
+    assert math.isfinite(rows["taylor"]["max_abs_err"])
+    assert math.isfinite(rows["taylor"]["l2_err"])
+    assert "inf" in out.splitlines()[2]
+
+
+@pytest.mark.parametrize("lam", ["identity", "bogus"])
+def test_unknown_lambda_exits_2_from_flag_and_config(tmp_path, capsys, lam):
+    argv = ("verify", "--f", "exp(x)", "--kind", "nonlinear", "--order", "4")
+    code, _, err = run(capsys, *argv, "--lambda", lam)
+    assert code == 2 and err.startswith("error:")
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"lam": lam}))
+    code, _, err = run(capsys, *argv, "--config", str(cfg))
+    assert code == 2 and err.startswith("error:")
