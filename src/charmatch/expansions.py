@@ -425,6 +425,8 @@ class SeriesInGApproximant(Approximant):
 
     def __init__(self, coeffs: CoeffSeq, center=0):
         super().__init__(coeffs, center)
+        if self.kind not in _G_BASIS:
+            raise DomainError(f"unknown basis function {self.kind!r}")
         self.series = Poly(coeffs.values)
 
     def __call__(self, x):

@@ -9,6 +9,8 @@ import pytest
 from charmatch import exprs
 from charmatch import integral_match as im
 from charmatch.cli import _CorruptedApproximant
+from charmatch.errors import DomainError
+from charmatch.expansions import SeriesInGApproximant
 from charmatch.interp import (
     lagrange_interp,
     newton_interp,
@@ -18,7 +20,7 @@ from charmatch.interp import (
     ws_integral_match,
     ws_node_systems,
 )
-from charmatch.matching import CharNumbers, ValueNodes
+from charmatch.matching import CharNumbers, CoeffSeq, ValueNodes
 from charmatch.poly import Poly
 from charmatch.registry import KIND_NAMES, build_kind
 
@@ -76,3 +78,8 @@ def test_corrupted_approximant_reports_its_inner_kind():
     bad = _CorruptedApproximant(res.approximant, 0, 2, 1e-3)
     assert bad.kind == "pade"
     assert bad.coeffs is res.coeffs
+
+
+def test_series_in_g_refuses_a_kind_without_a_basis():
+    with pytest.raises(DomainError, match="unknown basis function 'taylor'"):
+        SeriesInGApproximant(CoeffSeq((1, 2), "taylor"))
