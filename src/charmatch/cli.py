@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 from dataclasses import dataclass
@@ -284,22 +285,22 @@ def _build_for_config(cfg: RunConfig):
 
 def _cmd_coeffs(cfg: RunConfig) -> int:
     chars, coeffs, _ = _build_for_config(cfg)
-    print(f"kind: {coeffs.kind}")
+    _print(f"kind: {coeffs.kind}")
     if coeffs.params:
         printable = {k: _format_number(v) if isinstance(v, (int, float, Fraction))
                      else str(v) for k, v in coeffs.params.items()
                      if k not in ("numerator", "denominator")}
         if printable:
-            print(f"params: {printable}")
+            _print(f"params: {printable}")
     start = 1 if coeffs.kind.startswith("dirichlet") else 0
-    print(f"{'n':>4}  {'a_n':>24}  {'c_n':>24}")
+    _print(f"{'n':>4}  {'a_n':>24}  {'c_n':>24}")
     for i, a in enumerate(coeffs.values):
         n = i + start
         c = chars.values[n] if n < len(chars.values) else ""
-        print(f"{n:>4}  {_format_number(a):>24}  "
+        _print(f"{n:>4}  {_format_number(a):>24}  "
               f"{_format_number(c) if c != '' else '':>24}")
     if coeffs.kind.startswith("dirichlet"):
-        print(f"b0: {_format_number(coeffs.params['b0'])}")
+        _print(f"b0: {_format_number(coeffs.params['b0'])}")
     if cfg.json_path:
         payload = {
             "kind": coeffs.kind,
@@ -320,7 +321,7 @@ def _cmd_verify(cfg: RunConfig) -> int:
     if cfg.family:
         chars = _override_family(cfg, approx, chars)
     report = verify_matching(approx, chars)
-    print(report.to_json(indent=2))
+    _print(report.to_json(indent=2))
     if cfg.json_path:
         Path(cfg.json_path).write_text(report.to_json(indent=2) + "\n")
     return 0 if report.passed else 1
@@ -352,7 +353,7 @@ def _cmd_figure(cfg: RunConfig, name: str) -> int:
     csv_path.write_text(render_csv(fig))
     svg_path = Path(cfg.svg) if cfg.svg else Path(f"{fig.name}.svg")
     svg_path.write_text(render_svg(fig))
-    print(f"wrote {csv_path} and {svg_path}")
+    _print(f"wrote {csv_path} and {svg_path}")
     return 0
 
 
@@ -367,10 +368,15 @@ def _cmd_compare(cfgs: list[RunConfig]) -> int:
             raise UsageError("compared configurations must share the function")
         if other.grid != base.grid:
             raise UsageError("compared configurations must share the grid")
-    xs = _grid_points(base)
+    # the errors are taken where f is finite, and there only
+    grid = _grid_points(base)
     f = base.expr()
-    fx = [float(f(x)) for x in xs]
-    print(f"{'kind':>22}  {'max_abs_err':>14}  {'l2_err':>14}")
+    points = [(x, fv) for x, fv in zip(grid, sample(f, grid)) if not math.isnan(fv)]
+    if not points:
+        float(f(grid[0]))  # the error of f itself says why, where it raises one
+        raise UsageError("the function is finite at no grid point")
+    xs, fx = zip(*points)
+    _print(f"{'kind':>22}  {'max_abs_err':>14}  {'l2_err':>14}")
     rows = []
     for cfg in cfgs:
         _, _, approx = _build_for_config(cfg)
@@ -382,7 +388,7 @@ def _cmd_compare(cfgs: list[RunConfig]) -> int:
         l2 = math.sqrt(sum(e * e for e in finite) / len(finite)) if finite else math.inf
         label = cfg.kind or cfg.preset or "?"
         rows.append({"kind": label, "max_abs_err": max_err, "l2_err": l2})
-        print(f"{label:>22}  {max_err:>14.6e}  {l2:>14.6e}")
+        _print(f"{label:>22}  {max_err:>14.6e}  {l2:>14.6e}")
     if base.json_path:
         Path(base.json_path).write_text(json.dumps(rows, indent=2) + "\n")
     return 0
@@ -423,7 +429,29 @@ def _build_cli() -> _Parser:
     return parser
 
 
+def _pipe_safe(write, *args) -> None:
+    """``write(*args)`` on stdout, which its reader may close early
+    (``charmatch ... | head``).  Then, as the SIGPIPE note of the ``signal``
+    docs describes, the rest of the output goes to devnull, so that neither
+    later writes nor the flush at exit raise, and the command keeps its own
+    exit code."""
+    try:
+        write(*args)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
+def _print(text: str) -> None:
+    _pipe_safe(print, text)
+
+
 def main(argv: list[str] | None = None) -> int:
+    code = _run(argv)
+    _pipe_safe(sys.stdout.flush)
+    return code
+
+
+def _run(argv: list[str] | None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = _build_cli()
     try:

@@ -34,7 +34,7 @@ from .matching import (
     measure,
     tri_map,
 )
-from .poly import Poly, admit, all_exact, div, over, scaled
+from .poly import Poly, admit, all_exact, div, is_exact, over, scaled
 
 __all__ = [
     "taylor_coeffs", "taylor_approx",
@@ -283,16 +283,20 @@ def exp_weighted_coeffs(c: CharNumbers, w, q: int) -> CoeffSeq:
     """Coefficients of exp(w x^q) sum a_n x^n: a_n = sum_i m_{n,i} c_i."""
     _require_derivative(c)
     q = _check_q(q)
-    # each term rounds on its own, over(c_i * num, den), which no row sum of tri_map does
-    values = []
-    for n in range(len(c.values)):
-        acc = 0
-        for i in range(n + 1):
-            entry = _m_entry(n, i, w, q)
-            if entry is not None:
-                num, den = entry
+    rows = [[(i, entry) for i in range(n + 1) if (entry := _m_entry(n, i, w, q)) is not None]
+            for n in range(len(c.values))]
+    if all_exact(c.values) and is_exact(w):
+        # the exact terms over(c_i * num, den) are Fractions; tri_map sums them on integers
+        values = tri_map([[(i, Fraction(num, den)) for i, (num, den) in row] for row in rows],
+                         c.values)
+    else:
+        # each float term rounds on its own, which no row sum of tri_map does
+        values = []
+        for row in rows:
+            acc = 0
+            for i, (num, den) in row:
                 acc += over(c.values[i] * num, den)
-        values.append(acc)
+            values.append(acc)
     return CoeffSeq(tuple(values), "exp_weighted", params={"w": w, "q": q})
 
 

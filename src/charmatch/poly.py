@@ -12,7 +12,9 @@ the same exact result.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable
 
@@ -130,6 +132,71 @@ def mul(a, b, n: int, skip_zero_b: bool = True) -> list:
     return out
 
 
+@functools.lru_cache(maxsize=64)
+def _power_table(ys: tuple) -> tuple:
+    """Rows n = 0..N of the power table P(n, k) = [t^n] y^k, k = 0..n // v,
+    of the exact series ``ys`` with head 0 and first nonzero index v, each
+    row as its integer numerators over one denominator.
+
+    The table holds values only, so two value-equal series of other entry
+    types (``1 == Fraction(1)``) may share it; the callers type the sums
+    from their own operands.
+    """
+    from .jets import Jet
+
+    v = next(k for k, y in enumerate(ys) if y != 0)
+    y = Jet(0, ys)
+    powers = [Jet.constant(1, 0, y.order)]
+    for _ in range(y.order // v):
+        powers.append(powers[-1] * y)
+    rows = []
+    for n in range(len(ys)):
+        nums, den = scaled([p.coeffs[n] for p in powers[:n // v + 1]])
+        rows.append((den, tuple(nums)))
+    return tuple(rows)
+
+
+def _compose_exact(cs, ys) -> list | None:
+    """sum_k cs[k] y^k to the order of ``ys`` from the power table, or None
+    where only the Horner loop knows the types.  ``ys`` has head 0 and a
+    first nonzero entry at v; ``cs`` stops at the top degree that reaches
+    its order.
+
+    Each coefficient is one integer dot product, typed as the loop
+    ``acc = acc * y + c`` types it.  Slot 0 is cs[0].  When every nonzero
+    y_j is a Fraction, slot n is a Fraction iff the loop reaches it: iff the
+    cofactor sum_(k>=1) cs[k] y^(k-1) has a nonzero coefficient i with
+    y_(n-i) != 0.  When they are all ints, slot n is a Fraction iff a
+    nonzero Fraction cs[k] reaches it, which holds when y is a monomial (one
+    term per slot) or no cs[k], k >= 1, is a nonzero Fraction.  Otherwise
+    the loop's types hang on cancellations inside it.
+    """
+    if not (all_exact(cs) and all_exact(ys)):
+        return None
+    nonzero = [j for j, y in enumerate(ys) if y != 0]
+    y_types = {type(ys[j]) for j in nonzero}
+    frac_cs = [k for k, c in enumerate(cs) if k and c != 0 and type(c) is Fraction]
+    if len(y_types) > 1 or (y_types == {int} and frac_cs and len(nonzero) > 1):
+        return None
+    rows = _power_table(ys)
+    nums, den_c = scaled(cs)
+    nums = nums[1:]
+    v = nonzero[0]
+    if y_types == {Fraction}:
+        reach = sum(1 << j for j in nonzero)
+        frac = 0
+        for i, (_, row) in enumerate(rows[:len(ys) - v]):
+            if sum(map(operator.mul, nums, row)):
+                frac |= reach << i
+    else:
+        frac = sum(1 << k * v for k in frac_cs)
+    out = [cs[0]]
+    for den, row in rows[1:]:
+        s = sum(map(operator.mul, nums, row[1:]))
+        out.append(Fraction(s, den * den_c) if frac >> len(out) & 1 else s // (den * den_c))
+    return out
+
+
 class Poly:
     """Immutable polynomial ``c[0] + c[1] x + ... + c[d] x^d``."""
 
@@ -177,7 +244,9 @@ class Poly:
         loop starts at degree N // v, and the accumulator that ends up
         multiplied by x^k keeps orders up to N - k v only.  Those orders are
         the same sums of the same products as in the full loop, so floats
-        keep their bits.
+        keep their bits.  On exact coefficients and an exact jet the loop
+        gives way to the cached power table of the jet (``_compose_exact``):
+        O(N^2) integer work per call instead of one product per degree.
         """
         coeffs = self.coeffs
         if isinstance(x, float):
@@ -191,6 +260,9 @@ class Poly:
                 v = next((k for k, y in enumerate(ys) if y != 0), 0)
                 if v:
                     top = min(len(coeffs) - 1, order // v)
+                    out = _compose_exact(coeffs[:top + 1], ys)
+                    if out is not None:
+                        return Jet(x.center, out)
                     acc = Jet.constant(coeffs[top], x.center, order - top * v)
                     for k in range(top - 1, -1, -1):
                         # the orders of the cofactor of x^k that count

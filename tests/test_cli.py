@@ -465,3 +465,46 @@ def test_unknown_lambda_exits_2_from_flag_and_config(tmp_path, capsys, lam):
     cfg.write_text(json.dumps({"lam": lam}))
     code, _, err = run(capsys, *argv, "--config", str(cfg))
     assert code == 2 and err.startswith("error:")
+
+
+@pytest.mark.parametrize("f, grid, kinds", [
+    ("ln(x)", "0,2,11", "taylor,pade"),
+    ("1/x", "-1,1,11", "taylor,log_powers"),
+    ("sqrt(x)", "-1,1,11", "taylor,pade"),
+])
+def test_compare_skips_points_where_the_function_is_not_finite(tmp_path, capsys, f, grid,
+                                                                kinds):
+    path = tmp_path / "cmp.json"
+    code, _, err = run(capsys, "compare", "--f", f, f"--grid={grid}", "--kind", kinds,
+                       "--x0", "1", "--order", "4", "--json", str(path))
+    assert code == 0, err
+    rows = json.loads(path.read_text())
+    assert [row["kind"] for row in rows] == kinds.split(",")
+    assert all(math.isfinite(row["l2_err"]) for row in rows)
+
+
+@pytest.mark.parametrize("f, grid, message", [
+    ("ln(x)", "-2,-1,5", "ln(-2.0): math domain error"),  # the error of f itself
+    ("1e308*x*x", "10,20,3", "the function is finite at no grid point"),  # inf, no error
+])
+def test_compare_of_a_function_finite_nowhere_exits_2(capsys, f, grid, message):
+    code, out, err = run(capsys, "compare", "--f", f, f"--grid={grid}",
+                         "--kind", "taylor,pade", "--x0", "1", "--order", "4")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("extra, want", [((), 0), (("--perturb", "3,0.5"), 1)])
+def test_closed_stdout_keeps_the_exit_code(extra, want):
+    # the reader goes away before the first line: no traceback, and the code
+    # still says whether the verification passed
+    src = Path(charmatch.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    argv = [sys.executable, "-m", "charmatch.cli", "verify", "--f", "exp(x)",
+            "--kind", "taylor", "--order", "40", *extra]
+    proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == want, err
+    assert "Traceback" not in err and "Error" not in err

@@ -4,7 +4,9 @@
 the closed-form ``Moments`` and ``HigherIntegral`` of a polynomial and the
 exact Pade solve now run on integer numerators over shared denominators when
 every operand is an int or a Fraction; the NSBF and Dirichlet approximant
-jets are ``tri_map`` sums.  Each reference below is the loop used before,
+jets and the exact ``exp_weighted_coeffs`` are ``tri_map`` sums, and an exact
+series composed with an exact jet of head 0 is summed from the jet's cached
+power table.  Each reference below is the loop used before,
 kept verbatim, and the two must agree in ``repr``: value, type (int where
 the loop gives an int, Fraction elsewhere) and float bits alike.  Float and
 mixed operands still take the loops, and nothing else in the suite guards
@@ -19,7 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from charmatch import expansions as xp
-from charmatch import specfun
+from charmatch import poly, specfun
 from charmatch.errors import DomainError, JetDomainError, SingularSystemError
 from charmatch.jets import Jet, _float_head, bessel_jn_jet, exact_sqrt
 from charmatch.matching import (
@@ -422,3 +424,112 @@ def test_singular_exact_block_still_raises():
         assert str(exc) == "degenerate Pade block"
     else:
         raise AssertionError("a singular exact block must raise")
+
+
+# -- the power table of an exact head-0 jet against the jet Horner loop -----------------
+
+
+def ref_head0_horner(coeffs, x):
+    """The truncated jet Horner loop of ``Poly.__call__`` at a jet with head 0."""
+    ys = x.coeffs
+    order = len(ys) - 1
+    v = next((k for k, y in enumerate(ys) if y != 0), 0)
+    top = min(len(coeffs) - 1, order // v)
+    acc = Jet.constant(coeffs[top], x.center, order - top * v)
+    for k in range(top - 1, -1, -1):
+        # the orders of the cofactor of x^k that count
+        keep = order - k * v
+        acc = (Jet(x.center, acc.coeffs + (0,) * v)
+               * Jet(x.center, ys[:keep + 1]) + coeffs[k])
+    return acc
+
+
+def ref_exp_weighted_values(c, w, q):
+    """The per-term loop of ``exp_weighted_coeffs``."""
+    values = []
+    for n in range(len(c.values)):
+        acc = 0
+        for i in range(n + 1):
+            entry = xp._m_entry(n, i, w, q)
+            if entry is not None:
+                num, den = entry
+                acc += over(c.values[i] * num, den)
+        values.append(acc)
+    return tuple(values)
+
+
+def structured_jet(name, order):
+    """The exact head-0 jets the approximants compose with, at center 0."""
+    var = Jet.variable(0, order)
+    if name in xp._G_BASIS:
+        return xp._G_BASIS[name]["jet"](var)
+    if name == "identity":
+        return var
+    u = -var / name  # the u/(u+1) jet of the rational kind with alpha = name
+    return u / (u + 1)
+
+
+STRUCTURED = ["log_powers", "stirling1_g", "lambert_w_g", "pow_sine", "identity",
+              -1, F(1, 3), 2]
+
+
+@st.composite
+def head0_jets(draw, order):
+    """A random exact jet with head 0 whose first nonzero index is 1 to 3: all
+    ints, all Fractions or mixed, with zeros among them."""
+    v = draw(st.integers(1, min(3, order)))
+    entry = draw(st.sampled_from([INTS, FRACTIONS, EXACT]))
+    zero = st.sampled_from([0, F(0)])
+    lead = draw(entry.filter(bool))
+    rest = draw(st.lists(st.one_of(entry, zero), min_size=order - v, max_size=order - v))
+    return Jet(0, (draw(zero),) + (0,) * (v - 1) + (lead,) + tuple(rest))
+
+
+def jets_of_one_order():
+    """One to three jets of one order up to 40, structured or random."""
+    return st.integers(1, 40).flatmap(lambda order: st.lists(
+        st.sampled_from(STRUCTURED).map(lambda name: structured_jet(name, order))
+        | head0_jets(order), min_size=1, max_size=3))
+
+
+def identity_jet(one, order=12):
+    return Jet(0, (0, one) + (0,) * (order - 1))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(coeffs=st.lists(EXACT, min_size=2, max_size=43), jets=jets_of_one_order())
+# value-equal jets of other types, one after the other: a table cached for the
+# first must not type the second
+@example(coeffs=[0, 1, 2, 0, -3, F(0), 5] * 2,
+         jets=[identity_jet(1), identity_jet(F(1)), identity_jet(1)])
+# 5 - y + y^2 cancels at y^2 inside the loop, which keeps slot 3 an int on int y
+@example(coeffs=[0, 5, -1, F(1)], jets=[Jet(0, (0, 1, 1, 0)), Jet(0, (0, F(1), F(1), F(0)))])
+# [t^5] y^2 = 2 (2 * 1 + (-1) * 2) = 0 and y_5 = 0, yet the loop reaches slot 5
+@example(coeffs=[1, F(1, 2), 1], jets=[Jet(0, (0, F(2), F(-1), F(2), F(1), F(0)))])
+def test_power_table_matches_the_horner_loop(coeffs, jets):
+    p = Poly(coeffs)
+    if len(p.coeffs) < 2:
+        return
+    new = [p(x) for x in jets]
+    for x, got in zip(jets, new):
+        assert repr(got) == repr(ref_head0_horner(p.coeffs, x))
+    poly._power_table.cache_clear()
+    assert repr([p(x) for x in jets]) == repr(new)
+
+
+@pytest.mark.parametrize("name", STRUCTURED)
+def test_structured_jets_take_the_power_table(name):
+    x = structured_jet(name, 20)
+    coeffs = Poly([F(k, 3) for k in range(1, 22)])
+    assert poly._compose_exact(coeffs.coeffs, x.coeffs) is not None
+    # floats keep the Horner loop
+    assert repr(coeffs.as_float()(x)) == repr(ref_head0_horner(coeffs.floats, x))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(c=st.lists(EXACT, min_size=1, max_size=41),
+       w=st.sampled_from([F(-1, 2), 1, F(3, 7)]), q=st.sampled_from([1, 2, 3]))
+def test_exp_weighted_matches_the_loop(c, w, q):
+    chars = CharNumbers(tuple(c), Derivative(0))
+    assert repr(xp.exp_weighted_coeffs(chars, w, q).values) == repr(
+        ref_exp_weighted_values(chars, w, q))

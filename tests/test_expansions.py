@@ -21,10 +21,12 @@ from charmatch.matching import (
     Derivative,
     Nonlinear,
     TriMatrix,
+    delta_check,
     derivative_chars,
     tri_forward_solve,
     verify_matching,
 )
+from charmatch.poly import is_exact
 from charmatch.registry import KIND_NAMES, build_kind, normalize_kind
 
 
@@ -290,6 +292,29 @@ def test_powers_of_g_unknown_variant():
             xp.powers_of_g_coeffs(c, variant)
         with pytest.raises(DomainError):
             xp.powers_of_g_approx(c, variant)
+
+
+SERIES_IN_G = {
+    "log_powers": lambda c: xp.powers_of_g_approx(c, "log_powers"),
+    "stirling1_g": lambda c: xp.powers_of_g_approx(c, "stirling1_g"),
+    "lambert_w_g": lambda c: xp.powers_of_g_approx(c, "lambert_w_g"),
+    "pow_sine": xp.pow_sine_approx,
+}
+
+
+@pytest.mark.parametrize("kind", SERIES_IN_G)
+def test_series_in_g_maps_are_delta_up_to_60(kind):
+    # With M the rows of the coefficient map (a = M c) and P(n, k) = [t^n] g^k,
+    # the approximant built from the unit numbers e_m is phi_m = sum_k M[k][m] g^k
+    # and C_n(phi_m) = (diag(n!) P M)[n][m].  The paper's C_n(phi_m) = delta_nm
+    # is diag(n!) P M = I, which for square matrices is M diag(n!) P = I.
+    order = 60
+    basis = [SERIES_IN_G[kind](CharNumbers(tuple(int(n == m) for n in range(order + 1)),
+                                           Derivative(0)))
+             for m in range(order + 1)]
+    m = delta_check(basis, Derivative(0))
+    assert all(is_exact(v) for row in m for v in row)
+    assert m == [[int(n == k) for k in range(order + 1)] for n in range(order + 1)]
 
 
 # -- rational x/(x+1) --------------------------------------------------------------------
