@@ -7,29 +7,36 @@ Subcommands::
     figure   emit a named figure as CSV (+ SVG)
     compare  grid error norms for several expansions of one function
 
+Each command takes only the settings it reads (``_READS``) and refuses the
+rest, as a flag or as a config-file key.
+
 Exit codes: 0 ok/pass, 1 verification failure, 2 usage or domain error
-(a value beyond the float range included), 3 family/kind mismatch.
+(a refused setting or a value beyond the float range included), 3
+family/kind mismatch.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
 import re
 import sys
-from dataclasses import dataclass
 from decimal import Context, Decimal
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 from . import exprs
 from .errors import CharmatchError, DomainError, FamilyMismatchError
-from .figures import FIGURES, build_figure, render_csv, render_svg, sample
+from .figures import FIGURES, build_figure, grid, render_csv, render_svg, sample
 from .interp import value_chars, ws_build, ws_node_systems
 from .jets import Jet
-from .matching import Approximant, Derivative, Moments, verify_matching
+from .matching import (NONLINEAR_TRANSFORMS, Approximant, CharNumbers, Derivative, Moments,
+                       measure, verify_matching)
 from .poly import is_exact
 from .registry import KIND_NAMES, build_kind, normalize_kind
 
@@ -52,31 +59,63 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _num(text: str):
-    """Parse a numeric flag exactly when possible (keeps rational paths exact);
-    NaN and infinities are refused."""
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        try:
-            value = float(text)
-        except ValueError:
-            raise UsageError(f"not a number: {text!r}") from None
-    if not math.isfinite(value):
-        raise UsageError(f"not a finite number: {text!r}")
+# Each check below reads a setting's value, as a flag's text or as a config
+# file's JSON value alike, and returns it checked and converted.
+
+
+def _text(key: str, value) -> str:
+    if not isinstance(value, str):
+        raise UsageError(f"{key} must be a string, got {value!r}")
     return value
 
 
-def _pair(text: str) -> tuple:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise UsageError(f"expected 'a,b', got {text!r}")
-    return _num(parts[0]), _num(parts[1])
+def _one_of(names: tuple):
+    def check(key: str, value) -> str:
+        if _text(key, value) not in names:
+            raise UsageError(f"{key} must be one of {', '.join(names)}, got {value!r}")
+        return value
+
+    return check
 
 
-def _grid_spec(value) -> tuple:
-    """'lo,hi,points' (a string, or a 3-element list from a config file) as
-    (lo, hi, points) with finite lo < hi and an integer points >= 2."""
+def _number(key: str, value):
+    """A finite number: text read exactly where it can be (keeps rational paths
+    exact), or a JSON int or float; NaN and infinities are refused."""
+    if isinstance(value, str):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            try:
+                value = float(value)
+            except ValueError:
+                raise UsageError(f"{key} is not a number: {value!r}") from None
+    if type(value) is int or (type(value) is float and math.isfinite(value)):
+        return value
+    raise UsageError(f"{key} must be a finite number, got {value!r}")
+
+
+def _integer(low: int):
+    def check(key: str, value) -> int:
+        if isinstance(value, str):  # read as int() reads it: '+5' and ' 5' are 5
+            with contextlib.suppress(ValueError):
+                value = int(value)
+        if type(value) is not int or value < low:
+            raise UsageError(f"{key} must be an integer >= {low}, got {value!r}")
+        return value
+
+    return check
+
+
+def _interval(key: str, value) -> tuple:
+    parts = value.split(",") if isinstance(value, str) else value
+    if not (isinstance(parts, list) and len(parts) == 2):
+        raise UsageError(f"{key} expects 'a,b', got {value!r}")
+    return tuple(_number(key, v) for v in parts)
+
+
+def _grid_spec(key: str, value) -> tuple:
+    """'lo,hi,points' (text, or a 3-element list) as (lo, hi, points) with
+    finite lo < hi and an integer points >= 2."""
     parts = value.split(",") if isinstance(value, str) else value
     try:
         lo, hi, pts = parts
@@ -85,35 +124,17 @@ def _grid_spec(value) -> tuple:
     except (TypeError, ValueError):
         pts = None
     if type(pts) is not int:
-        raise UsageError(f"grid expects 'lo,hi,points' with an integer point count, "
+        raise UsageError(f"{key} expects 'lo,hi,points' with an integer point count, "
                          f"got {value!r}")
     if pts < 2:
-        raise UsageError("grid needs at least 2 points")
+        raise UsageError(f"{key} needs at least 2 points")
     if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
-        raise UsageError("grid needs finite lo < hi")
+        raise UsageError(f"{key} needs finite lo < hi")
     return lo, hi, pts
 
 
-def _number(key: str, value):
-    """A finite number: a flag's text through ``_num``, or an int, Fraction or
-    float as the flag parser or a config file delivers it."""
-    if isinstance(value, str):
-        return _num(value)
-    exact = isinstance(value, (int, Fraction)) and not isinstance(value, bool)
-    if exact or (isinstance(value, float) and math.isfinite(value)):
-        return value
-    raise UsageError(f"{key} must be a finite number, got {value!r}")
-
-
-def _integer(key: str, value, low: int) -> int:
-    if type(value) is not int or value < low:
-        raise UsageError(f"{key} must be an integer >= {low}, got {value!r}")
-    return value
-
-
-def _perturb(value) -> tuple:
-    """IDX,DELTA (a string, or a 2-element list from a config file) as
-    (int >= 0, finite float)."""
+def _perturb(key: str, value) -> tuple:
+    """IDX,DELTA (text, or a 2-element list) as (int >= 0, finite float)."""
     parts = value.split(",") if isinstance(value, str) else value
     try:
         idx, delta = parts
@@ -124,104 +145,87 @@ def _perturb(value) -> tuple:
     except (TypeError, ValueError):
         ok = False
     if not ok:
-        raise UsageError("perturb expects IDX,DELTA with an integer IDX >= 0 and "
+        raise UsageError(f"{key} expects IDX,DELTA with an integer IDX >= 0 and "
                          f"a finite number DELTA, got {value!r}")
     return idx, float(delta)
 
 
-_TEXT_KEYS = ("f", "kind", "preset", "lam", "csv", "svg", "json", "family")
-# the nonlinear transforms a run may name, from a flag or a config file alike
-_LAMBDAS = ("ln", "sqrt", "cube")
-_CONFIG_KEYS = _TEXT_KEYS + ("order", "x0", "w", "q", "alpha", "interval", "grid",
-                             "perturb")
+class _Setting(NamedTuple):
+    flag: str
+    default: object
+    check: Callable[[str, object], object]
+    help: str
 
 
-def _config_value(key: str, value):
-    """A flag or config-file value, checked as strictly for either source."""
-    if key in _TEXT_KEYS:
-        if not isinstance(value, str):
-            raise UsageError(f"{key} must be a string, got {value!r}")
-        if key == "lam" and value not in _LAMBDAS:
-            raise UsageError(f"lam must be one of {', '.join(_LAMBDAS)}, got {value!r}")
-        return value
-    if key in ("x0", "w", "alpha"):
-        return _number(key, value)
-    if key == "interval":
-        if isinstance(value, str):
-            return _pair(value)
-        if not (isinstance(value, (list, tuple)) and len(value) == 2):
-            raise UsageError(f"interval expects 'a,b', got {value!r}")
-        return tuple(_number(key, v) for v in value)
-    if key == "grid":
-        return value if isinstance(value, tuple) else _grid_spec(value)
-    if key == "order":
-        return _integer(key, value, 0)
-    if key == "q":
-        return _integer(key, value, 1)
-    if key == "perturb":
-        return _perturb(value)
-    raise UsageError(f"unknown config key {key!r}")
+# identity is left out: with it, the nonlinear kind is the taylor kind
+_LAMBDAS = tuple(name for name in NONLINEAR_TRANSFORMS if name != "identity")
+
+# every run setting, once; its key is also its config-file key
+_SETTINGS = {
+    "f": _Setting("--f", None, _text, "function expression, e.g. 'sin(5*x)'"),
+    "kind": _Setting("--kind", None, _text, f"expansion kind: {', '.join(KIND_NAMES)}"),
+    "order": _Setting("--order", 8, _integer(0), "expansion order N (default 8)"),
+    "x0": _Setting("--x0", 0, _number, "expansion point (default 0)"),
+    "w": _Setting("--w", None, _number, "exp-weighted w parameter"),
+    "q": _Setting("--q", None, _integer(1), "exp-weighted q parameter"),
+    "alpha": _Setting("--alpha", None, _number, "pole location for rational kinds"),
+    "lam": _Setting("--lambda", None, _one_of(_LAMBDAS),
+                    f"nonlinear transform: {', '.join(_LAMBDAS)}"),
+    "preset": _Setting("--preset", None, _text, "node-system preset ws-a..ws-f"),
+    "json": _Setting("--json", None, _text, "JSON output path"),
+    "family": _Setting("--family", None, _one_of(("derivative", "moments")),
+                       "verification family override: derivative, moments"),
+    "interval": _Setting("--interval", None, _interval,
+                         "moments interval a,b (default -1,1)"),
+    "perturb": _Setting("--perturb", None, _perturb,
+                        "IDX,DELTA coefficient corruption (testing)"),
+    "grid": _Setting("--grid", None, _grid_spec, "grid lo,hi,points"),
+    "csv": _Setting("--csv", None, _text, "CSV output path"),
+    "svg": _Setting("--svg", None, _text, "SVG output path"),
+}
+# the settings that build an approximant
+_BUILD = ("f", "kind", "order", "x0", "w", "q", "alpha", "lam", "preset")
+# the settings each command reads; it refuses every other one
+_READS = {
+    "coeffs": _BUILD + ("json",),
+    "verify": _BUILD + ("json", "family", "interval", "perturb"),
+    "compare": _BUILD + ("grid", "json"),
+    "figure": ("csv", "svg"),
+}
 
 
-@dataclass
-class RunConfig:
-    f: str | None = None
-    kind: str | None = None
-    order: int = 8
-    x0: object = 0
-    w: object = None
-    q: int | None = None
-    alpha: object = None
-    interval: tuple | None = None
-    grid: tuple | None = None
-    preset: str | None = None
-    lam: str | None = None
-    csv: str | None = None
-    svg: str | None = None
-    json_path: str | None = None
-    family: str | None = None
-    perturb: tuple | None = None
-
-    def expr(self) -> exprs.Expr:
-        if not self.f:
-            raise UsageError("--f EXPR is required")
-        try:
-            return exprs.parse(self.f)
-        except exprs.ExprSyntaxError as exc:
-            raise UsageError(f"cannot parse expression: {exc}") from exc
-
-    def kind_params(self) -> dict:
-        params = {"x0": self.x0}
-        if self.w is not None:
-            params["w"] = self.w
-        if self.q is not None:
-            params["q"] = self.q
-        if self.alpha is not None:
-            params["alpha"] = self.alpha
-        if self.lam is not None:
-            params["lam"] = self.lam
-        return params
-
-
-def _merge_config(args: argparse.Namespace) -> RunConfig:
+def _settings(command: str, flags: dict, paths: list[str]) -> SimpleNamespace:
+    """The settings of one run: the defaults, then each config file in turn,
+    then the flags, each value through its setting's check."""
     data: dict = {}
-    if getattr(args, "config", None):
-        for path in args.config:
-            try:
-                file_data = json.loads(Path(path).read_text())
-            except (OSError, json.JSONDecodeError) as exc:
-                raise UsageError(f"cannot read config {path}: {exc}") from exc
-            if not isinstance(file_data, dict):
-                raise UsageError(f"config {path} must hold a JSON object")
-            data.update(file_data)
-    for key in _CONFIG_KEYS:
-        cli_val = getattr(args, key, None)
-        if cli_val is not None:
-            data[key] = cli_val
-    cfg = RunConfig()
+    for path in paths:
+        try:
+            file_data = json.loads(Path(path).read_text())
+        except (OSError, ValueError) as exc:  # JSON, UTF-8 and int-digit errors
+            raise UsageError(f"cannot read config {path}: {exc}") from exc
+        if not isinstance(file_data, dict):
+            raise UsageError(f"config {path} must hold a JSON object")
+        data.update(file_data)
+    data.update((key, flags[key]) for key in _READS[command] if flags[key] is not None)
+    cfg = SimpleNamespace(**{key: s.default for key, s in _SETTINGS.items()})
     for key, value in data.items():
-        setattr(cfg, "json_path" if key == "json" else key, _config_value(key, value))
+        if key not in _SETTINGS:
+            raise UsageError(f"unknown config key {key!r}")
+        if key not in _READS[command]:
+            raise UsageError(f"{command} does not read {key!r}")
+        setattr(cfg, key, _SETTINGS[key].check(key, value))
+    if cfg.interval is not None and cfg.family != "moments":
+        raise UsageError("interval is read only with family moments")
     return cfg
+
+
+def _expr(cfg: SimpleNamespace) -> exprs.Expr:
+    if not cfg.f:
+        raise UsageError("--f EXPR is required")
+    try:
+        return exprs.parse(cfg.f)
+    except exprs.ExprSyntaxError as exc:
+        raise UsageError(f"cannot parse expression: {exc}") from exc
 
 
 def _format_number(v) -> str:
@@ -233,13 +237,6 @@ def _format_number(v) -> str:
             d = Context(prec=17).divide(Decimal(v.numerator), Decimal(v.denominator))
             return format(d.normalize(), ".17g")
     return f"{float(v):.17g}"
-
-
-def _grid_points(cfg: RunConfig) -> list[float]:
-    if cfg.grid is None:
-        raise UsageError("--grid lo,hi,points is required")
-    lo, hi, pts = cfg.grid
-    return [lo + (hi - lo) * i / (pts - 1) for i in range(pts)]
 
 
 class _CorruptedApproximant(Approximant):
@@ -262,13 +259,13 @@ class _CorruptedApproximant(Approximant):
         return jet + (self.delta / math.factorial(self.idx)) * var
 
 
-def _build_for_config(cfg: RunConfig):
+def _build_for_config(cfg: SimpleNamespace):
     if cfg.preset:
         systems = ws_node_systems()
         if cfg.preset not in systems:
             raise UsageError(f"unknown node-system preset {cfg.preset!r}")
         system = systems[cfg.preset]
-        f = cfg.expr() if cfg.f else system.test_function
+        f = _expr(cfg) if cfg.f else system.test_function
         if f is None:
             raise UsageError("this preset needs --f EXPR")
         chars = value_chars(f, system, cfg.order)
@@ -280,10 +277,12 @@ def _build_for_config(cfg: RunConfig):
         normalize_kind(cfg.kind)
     except DomainError as exc:
         raise UsageError(f"unknown expansion kind {cfg.kind!r}") from exc
-    return build_kind(cfg.kind, cfg.expr(), cfg.order, **cfg.kind_params())
+    params = {key: value for key in ("x0", "w", "q", "alpha", "lam")
+              if (value := getattr(cfg, key)) is not None}
+    return build_kind(cfg.kind, _expr(cfg), cfg.order, **params)
 
 
-def _cmd_coeffs(cfg: RunConfig) -> int:
+def _cmd_coeffs(cfg: SimpleNamespace) -> int:
     chars, coeffs, _ = _build_for_config(cfg)
     _print(f"kind: {coeffs.kind}")
     if coeffs.params:
@@ -301,50 +300,42 @@ def _cmd_coeffs(cfg: RunConfig) -> int:
               f"{_format_number(c) if c != '' else '':>24}")
     if coeffs.kind.startswith("dirichlet"):
         _print(f"b0: {_format_number(coeffs.params['b0'])}")
-    if cfg.json_path:
+    if cfg.json:
         payload = {
             "kind": coeffs.kind,
             "order": cfg.order,
             "a": [_format_number(v) for v in coeffs.values],
             "c": [_format_number(v) for v in chars.values],
         }
-        Path(cfg.json_path).write_text(json.dumps(payload, indent=2) + "\n")
+        Path(cfg.json).write_text(json.dumps(payload, indent=2) + "\n")
     return 0
 
 
-def _cmd_verify(cfg: RunConfig) -> int:
+def _cmd_verify(cfg: SimpleNamespace) -> int:
     chars, _, approx = _build_for_config(cfg)
     if cfg.perturb is not None:
         idx, delta = cfg.perturb
         x0 = cfg.x0 if not cfg.preset else 0
         approx = _CorruptedApproximant(approx, x0, idx, delta)
     if cfg.family:
-        chars = _override_family(cfg, approx, chars)
+        chars = _override_family(cfg)
     report = verify_matching(approx, chars)
     _print(report.to_json(indent=2))
-    if cfg.json_path:
-        Path(cfg.json_path).write_text(report.to_json(indent=2) + "\n")
+    if cfg.json:
+        Path(cfg.json).write_text(report.to_json(indent=2) + "\n")
     return 0 if report.passed else 1
 
 
-def _override_family(cfg: RunConfig, approx, chars):
-    from .matching import CharNumbers, measure
-
-    name = cfg.family
-    if name == "derivative":
+def _override_family(cfg: SimpleNamespace) -> CharNumbers:
+    if cfg.family == "derivative":
         family = Derivative(cfg.x0)
-    elif name == "moments":
-        a, b = cfg.interval or (-1, 1)
-        family = Moments(a, b)
     else:
-        raise UsageError(f"unknown family override {name!r}")
-    f = cfg.expr()
-    orders = family.orders(cfg.order + 1)
-    values = measure(f, family, orders)
+        family = Moments(*(cfg.interval or (-1, 1)))
+    values = measure(_expr(cfg), family, family.orders(cfg.order + 1))
     return CharNumbers(tuple(values), family)
 
 
-def _cmd_figure(cfg: RunConfig, name: str) -> int:
+def _cmd_figure(cfg: SimpleNamespace, name: str) -> int:
     try:
         fig = build_figure(name)
     except DomainError as exc:
@@ -357,7 +348,7 @@ def _cmd_figure(cfg: RunConfig, name: str) -> int:
     return 0
 
 
-def _cmd_compare(cfgs: list[RunConfig]) -> int:
+def _cmd_compare(cfgs: list[SimpleNamespace]) -> int:
     if len(cfgs) < 2:
         raise UsageError("compare needs at least two configurations")
     base = cfgs[0]
@@ -369,17 +360,18 @@ def _cmd_compare(cfgs: list[RunConfig]) -> int:
         if other.grid != base.grid:
             raise UsageError("compared configurations must share the grid")
     # the errors are taken where f is finite, and there only
-    grid = _grid_points(base)
-    f = base.expr()
-    points = [(x, fv) for x, fv in zip(grid, sample(f, grid)) if not math.isnan(fv)]
+    xs = grid(*base.grid)
+    f = _expr(base)
+    points = [(x, fv) for x, fv in zip(xs, sample(f, xs)) if not math.isnan(fv)]
     if not points:
-        float(f(grid[0]))  # the error of f itself says why, where it raises one
+        float(f(xs[0]))  # the error of f itself says why, where it raises one
         raise UsageError("the function is finite at no grid point")
     xs, fx = zip(*points)
+    # a configuration that cannot be built fails the command before any row
+    approxes = [_build_for_config(cfg)[2] for cfg in cfgs]
     _print(f"{'kind':>22}  {'max_abs_err':>14}  {'l2_err':>14}")
     rows = []
-    for cfg in cfgs:
-        _, _, approx = _build_for_config(cfg)
+    for cfg, approx in zip(cfgs, approxes):
         # a point where the approximant fails counts as an infinite error
         errs = [math.inf if math.isnan(av) else abs(av - fv)
                 for av, fv in zip(sample(approx, xs), fx)]
@@ -389,43 +381,23 @@ def _cmd_compare(cfgs: list[RunConfig]) -> int:
         label = cfg.kind or cfg.preset or "?"
         rows.append({"kind": label, "max_abs_err": max_err, "l2_err": l2})
         _print(f"{label:>22}  {max_err:>14.6e}  {l2:>14.6e}")
-    if base.json_path:
-        Path(base.json_path).write_text(json.dumps(rows, indent=2) + "\n")
+    if base.json:
+        Path(base.json).write_text(json.dumps(rows, indent=2) + "\n")
     return 0
-
-
-def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--f", help="function expression, e.g. 'sin(5*x)'")
-    parser.add_argument("--kind", help=f"expansion kind: {', '.join(KIND_NAMES)}")
-    parser.add_argument("--order", type=int, help="expansion order N (default 8)")
-    parser.add_argument("--x0", type=_num, help="expansion point (default 0)")
-    parser.add_argument("--w", type=_num, help="exp-weighted w parameter")
-    parser.add_argument("--q", type=int, help="exp-weighted q parameter")
-    parser.add_argument("--alpha", type=_num, help="pole location for rational kinds")
-    parser.add_argument("--interval", type=_pair, help="interval a,b")
-    parser.add_argument("--grid", type=_grid_spec, help="grid lo,hi,points")
-    parser.add_argument("--preset", help="node-system preset ws-a..ws-f")
-    parser.add_argument("--lambda", dest="lam", choices=_LAMBDAS,
-                        help="nonlinear transform")
-    parser.add_argument("--csv", help="CSV output path")
-    parser.add_argument("--svg", help="SVG output path")
-    parser.add_argument("--json", help="JSON output path")
-    parser.add_argument("--family", help="verification family override")
-    parser.add_argument("--perturb", help="IDX,DELTA coefficient corruption (testing)")
-    parser.add_argument("--config", action="append",
-                        help="JSON config file (flags override)")
 
 
 def _build_cli() -> _Parser:
     parser = _Parser(prog="charmatch",
                      description="characteristic-number matching toolbox")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("coeffs", "verify", "compare"):
-        p = sub.add_parser(name)
-        _add_common(p)
-    p = sub.add_parser("figure")
-    p.add_argument("name", help=f"one of: {', '.join(FIGURES)} (or inargpow, ws)")
-    _add_common(p)
+    for command, keys in _READS.items():
+        p = sub.add_parser(command)
+        if command == "figure":
+            p.add_argument("name", help=f"one of: {', '.join(FIGURES)} (or inargpow, ws)")
+        for key in keys:
+            p.add_argument(_SETTINGS[key].flag, dest=key, help=_SETTINGS[key].help)
+        p.add_argument("--config", action="append",
+                       help="JSON config file (flags override)")
     return parser
 
 
@@ -456,32 +428,24 @@ def _run(argv: list[str] | None) -> int:
     parser = _build_cli()
     try:
         args = parser.parse_args(argv)
+        flags = vars(args)
         if args.command == "compare":
-            cfgs = []
             if args.config:
-                for path in args.config:
-                    ns = argparse.Namespace(**vars(args))
-                    ns.config = [path]
-                    cfgs.append(_merge_config(ns))
+                cfgs = [_settings("compare", flags, [path]) for path in args.config]
             else:
-                kinds = (args.kind or "").split(",") if args.kind else []
+                kinds = args.kind.split(",") if args.kind else []
                 if len(kinds) < 2:
                     raise UsageError(
                         "compare needs --config twice or --kind k1,k2[,...]")
-                for kind in kinds:
-                    ns = argparse.Namespace(**vars(args))
-                    ns.kind = kind.strip()
-                    ns.config = None
-                    cfgs.append(_merge_config(ns))
+                cfgs = [_settings("compare", flags | {"kind": kind.strip()}, [])
+                        for kind in kinds]
             return _cmd_compare(cfgs)
-        cfg = _merge_config(args)
+        cfg = _settings(args.command, flags, args.config or [])
         if args.command == "coeffs":
             return _cmd_coeffs(cfg)
         if args.command == "verify":
             return _cmd_verify(cfg)
-        if args.command == "figure":
-            return _cmd_figure(cfg, args.name)
-        raise UsageError(f"unknown command {args.command!r}")
+        return _cmd_figure(cfg, args.name)
     except FamilyMismatchError as exc:
         print(f"error: family mismatch: {exc}", file=sys.stderr)
         return 3

@@ -21,7 +21,8 @@ from .interp import value_chars, ws_build, ws_node_systems
 from .registry import build_kind
 from .svgplot import line_plot_svg
 
-__all__ = ["FIGURES", "figure_names", "build_figure", "render_csv", "render_svg", "sample"]
+__all__ = ["FIGURES", "figure_names", "build_figure", "render_csv", "render_svg", "grid",
+           "sample"]
 
 
 @dataclass
@@ -36,7 +37,9 @@ class FigureData:
         return self.columns[0][1]
 
 
-def _grid(lo: float, hi: float, n: int) -> list[float]:
+def grid(lo: float, hi: float, n: int) -> list[float]:
+    """``n`` equally spaced points from lo to hi: the grid of the figures and
+    ``compare``."""
     return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
 
@@ -80,7 +83,7 @@ def _kind_columns(name: str, f: exprs.Expr, kinds: Sequence[tuple[str, str, dict
 
 
 def _fig_besscos() -> FigureData:
-    xs = _grid(-4 * math.pi, 4 * math.pi, 2001)
+    xs = grid(-4 * math.pi, 4 * math.pi, 2001)
     f = exprs.parse("sin(x)")
     cols = [("x", xs)]
     cols += _kind_columns("sin", f, [
@@ -93,7 +96,7 @@ def _fig_besscos() -> FigureData:
 
 
 def _fig_legout() -> FigureData:
-    xs = _grid(-1.8, 1.8, 901)
+    xs = grid(-1.8, 1.8, 901)
     cols = [("x", xs)]
     for label, text in (("exp", "exp(x)"), ("cos", "cos(x)")):
         f = exprs.parse(text)
@@ -109,7 +112,7 @@ def _fig_legout() -> FigureData:
 
 
 def _fig_exppoly() -> FigureData:
-    xs = _grid(-6.0, 6.0, 1201)
+    xs = grid(-6.0, 6.0, 1201)
     cols = [("x", xs)]
     w = Fraction(-1, 2)
     cols += _kind_columns("sin", exprs.parse("sin(x)"), [
@@ -124,7 +127,7 @@ def _fig_exppoly() -> FigureData:
 
 
 def _fig_powers_of_g(name: str, kind: str, title: str) -> FigureData:
-    xs = _grid(-0.9, 4.0, 981)
+    xs = grid(-0.9, 4.0, 981)
     cols = [("x", xs)]
     for label, text in (("exp", "exp(x)"), ("sin", "sin(x)")):
         cols += _kind_columns(label, exprs.parse(text), [
@@ -134,14 +137,14 @@ def _fig_powers_of_g(name: str, kind: str, title: str) -> FigureData:
 
 
 def _fig_inargpow_a() -> FigureData:
-    xs = _grid(-0.99, 0.99, 991)
+    xs = grid(-0.99, 0.99, 991)
     g = [xp.moebius_G_eval(x, 4096).value for x in xs]
     return FigureData("inargpow-a", [("x", xs), ("G", g)],
                       "Moebius ordinary generating function G(x)")
 
 
 def _fig_inargpow(sub: str, kind: str) -> FigureData:
-    xs = _grid(-0.95, 0.95, 951)
+    xs = grid(-0.95, 0.95, 951)
     cols = [("x", xs)]
     for label, text in (("exp", "exp(x)"), ("sin5x", "sin(5*x)")):
         cols += _kind_columns(label, exprs.parse(text), [
@@ -153,7 +156,7 @@ def _fig_inargpow(sub: str, kind: str) -> FigureData:
 
 
 def _fig_pprime() -> FigureData:
-    xs = _grid(-3.0, 3.0, 1201)
+    xs = grid(-3.0, 3.0, 1201)
     cols = [("x", xs)]
     top = 40
 
@@ -172,7 +175,7 @@ def _fig_pprime() -> FigureData:
 
 
 def _fig_nonlin() -> FigureData:
-    xs = _grid(-2.0, 2.0, 801)
+    xs = grid(-2.0, 2.0, 801)
     cols = [("x", xs)]
     for label, text, lam in (("exp", "exp(x)", "ln"),
                              ("cos", "cos(x)", "sqrt"),
@@ -196,7 +199,7 @@ def _fig_ws(preset: str) -> FigureData:
         lo, hi, pad = -1.2, 1.2, 0.0
     if preset == "ws-e":
         lo, hi, pad = -0.999, 0.999, 0.0
-    xs = _grid(lo - pad, hi + pad, 1001)
+    xs = grid(lo - pad, hi + pad, 1001)
     approxes = [(f"ws{n_max}", ws_build(system, value_chars(f, system, n_max), n_max))
                 for n_max in orders]
     cols = [("x", xs)] + _approx_columns("f", f, approxes, xs)

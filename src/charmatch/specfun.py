@@ -70,41 +70,69 @@ def binomial_general(r, k: int):
 
 
 @lru_cache(maxsize=None)
-def stirling2(n: int, k: int) -> int:
-    """Stirling number of the second kind via the explicit alternating sum.
+def _table(row) -> list:
+    """[width, rows]: the rows of the triangle that ``row`` builds, computed so
+    far and each cut at ``width`` entries; ``_entry`` grows it in place."""
+    return [0, []]
 
-    Uses generalized exponentiation so that the (0, 0) entry equals 1.
+
+def _entry(row, n: int, k: int):
+    """Entry (n, k) of the triangle whose row m is ``row(rows, m, top)`` (its
+    entries 0..top), built in a loop from row 0.  The rows are cut at a width
+    that doubles whenever an entry lies past it, so N whole rows cost O(N^2)
+    and a deep narrow entry such as (1500, 3) costs O(n k)."""
+    table = _table(row)
+    if k >= table[0]:
+        table[:] = [max(2 * table[0], k + 1), []]
+    width, rows = table
+    while len(rows) <= n:
+        rows.append(row(rows, len(rows), min(len(rows), width - 1)))
+    return rows[n][k]
+
+
+def _stirling2_row(rows, n: int, top: int) -> tuple:
+    p = (*rows[n - 1], 0) if n else ()
+    return (int(n == 0), *(k * p[k] + p[k - 1] for k in range(1, top + 1)))
+
+
+def _stirling1_row(rows, n: int, top: int) -> tuple:
+    p = (*rows[n - 1], 0) if n else ()
+    return (int(n == 0), *(p[k - 1] + (n - 1) * p[k] for k in range(1, top + 1)))
+
+
+def _central_factorial_row(rows, n: int, top: int) -> tuple:
+    if n < 2:  # |t(0,0)| = 1 seeds the even rows, x^[1] = x the odd ones
+        return (Fraction(1 - n), Fraction(n))[:top + 1]
+    p = (*rows[n - 2], 0, 0)
+    s = Fraction(n - 2, 2) ** 2
+    return tuple((p[k - 2] if k > 1 else 0) + s * p[k] if (n - k) % 2 == 0 else Fraction(0)
+                 for k in range(top + 1))
+
+
+def stirling2(n: int, k: int) -> int:
+    """Stirling number of the second kind.
+
+    Recurrence S(n,k) = k S(n-1,k) + S(n-1,k-1), with S(0,0) = 1.
     """
     if n < 0 or k < 0:
         raise DomainError("stirling2 indices must be nonnegative")
     if k > n:
         raise DomainError(f"stirling2 requires k <= n, got ({n}, {k})")
-    total = 0
-    for i in range(k + 1):
-        total += (-1) ** i * math.comb(k, i) * gen_pow(k - i, n)
-    value, rem = divmod(total, math.factorial(k))
-    assert rem == 0
-    return value
+    return _entry(_stirling2_row, n, k)
 
 
-@lru_cache(maxsize=None)
 def stirling1_unsigned(n: int, k: int) -> int:
     """Unsigned Stirling number of the first kind.
 
-    Recurrence c(n,k) = c(n-1,k-1) + (n-1) c(n-1,k).
+    Recurrence c(n,k) = c(n-1,k-1) + (n-1) c(n-1,k), with c(0,0) = 1.
     """
     if n < 0 or k < 0:
         raise DomainError("stirling1 indices must be nonnegative")
     if k > n:
         raise DomainError(f"stirling1 requires k <= n, got ({n}, {k})")
-    if k == n:
-        return 1
-    if k == 0:
-        return 0
-    return stirling1_unsigned(n - 1, k - 1) + (n - 1) * stirling1_unsigned(n - 1, k)
+    return _entry(_stirling1_row, n, k)
 
 
-@lru_cache(maxsize=None)
 def central_factorial_abs(n: int, k: int) -> Fraction:
     """|t(n, k)|: absolute central factorial number of the first kind.
 
@@ -115,12 +143,7 @@ def central_factorial_abs(n: int, k: int) -> Fraction:
         raise DomainError("central factorial numbers need n >= 1")
     if k < 0 or k > n:
         raise DomainError(f"central factorial requires 0 <= k <= n, got ({n}, {k})")
-    if k == n:
-        return Fraction(1)
-    if k == 0 or (n - k) % 2:
-        return Fraction(0)
-    lower = central_factorial_abs(n - 2, k - 2) if k > 2 else 0
-    return lower + Fraction(n - 2, 2) ** 2 * central_factorial_abs(n - 2, k)
+    return _entry(_central_factorial_row, n, k)
 
 
 def bell_binomial_power(n: int, k: int) -> int:

@@ -262,6 +262,16 @@ def test_config_unknown_key(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("content", [b"{", b"\xff\xfe{}", b'{"order": ' + b"1" * 5000 + b"}"])
+def test_unreadable_config_exits_2(tmp_path, capsys, content):
+    cfg = tmp_path / "run.json"
+    cfg.write_bytes(content)
+    code, _, err = run(capsys, "coeffs", "--f", "exp(x)", "--kind", "taylor",
+                       "--config", str(cfg))
+    assert code == 2
+    assert err.startswith(f"error: cannot read config {cfg}")
+
+
 def test_usage_error_on_missing_subcommand(capsys):
     assert main([]) == 2
 
@@ -508,3 +518,105 @@ def test_closed_stdout_keeps_the_exit_code(extra, want):
     err = proc.stderr.read().decode()
     assert proc.wait(timeout=60) == want, err
     assert "Traceback" not in err and "Error" not in err
+
+
+# -- the settings each command reads --------------------------------------------
+
+_BUILD = ("f", "kind", "order", "x0", "w", "q", "alpha", "lam", "preset")
+_READS = {
+    "coeffs": _BUILD + ("json",),
+    "verify": _BUILD + ("json", "family", "interval", "perturb"),
+    "compare": _BUILD + ("grid", "json"),
+    "figure": ("csv", "svg"),
+}
+# each setting's flag and a value it accepts
+_SETTINGS = {
+    "f": ("--f", "exp(x)"), "kind": ("--kind", "taylor"), "order": ("--order", "4"),
+    "x0": ("--x0", "0"), "w": ("--w", "1"), "q": ("--q", "2"), "alpha": ("--alpha", "-1"),
+    "lam": ("--lambda", "ln"), "preset": ("--preset", "ws-a"),
+    "json": ("--json", "out.json"), "family": ("--family", "moments"),
+    "interval": ("--interval", "0,1"), "perturb": ("--perturb", "1,1"),
+    "grid": ("--grid", "-1,1,11"), "csv": ("--csv", "out.csv"), "svg": ("--svg", "out.svg"),
+}
+# an accepted run of each command
+_ACCEPTED = {
+    "coeffs": ("coeffs", "--f", "exp(x)", "--kind", "taylor", "--order", "2"),
+    "verify": ("verify", "--f", "exp(x)", "--kind", "taylor", "--order", "2"),
+    "compare": ("compare", "--f", "exp(x)", "--kind", "taylor,nsbf", "--order", "2",
+                "--grid", "-1,1,5"),
+    "figure": ("figure", "ws-d"),
+}
+
+
+@pytest.mark.parametrize("command, key", [(command, key) for command, reads in _READS.items()
+                                          for key in _SETTINGS if key not in reads])
+def test_a_setting_the_command_does_not_read_is_refused(tmp_path, monkeypatch, capsys,
+                                                         command, key):
+    monkeypatch.chdir(tmp_path)
+    flag, value = _SETTINGS[key]
+    code, out, err = run(capsys, *_ACCEPTED[command], flag, value)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and flag in err
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({key: value}))
+    code, out, err = run(capsys, *_ACCEPTED[command], "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err == f"error: {command} does not read {key!r}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
+
+
+@pytest.mark.parametrize("extra", [(), ("--family", "derivative")])
+def test_interval_without_family_moments_is_refused(capsys, extra):
+    code, out, err = run(capsys, "verify", "--f", "exp(x)", "--kind", "taylor", "--order", "4",
+                         "--interval", "0,1", *extra)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "interval" in err
+
+
+@pytest.mark.parametrize("command, bodies, extra, want", [
+    ("coeffs", [{"f": "exp(x)", "kind": "exp_weighted", "order": 3, "x0": "1/2", "w": -0.5,
+                 "q": 2, "json": "out.json"}], (), 0),
+    ("coeffs", [{"f": "exp(x)", "kind": "newpade", "order": 3, "alpha": -2}], (), 0),
+    ("coeffs", [{"f": "exp(x)", "kind": "nonlinear", "lam": "sqrt", "order": 3}], (), 0),
+    ("verify", [{"f": "x^2", "kind": "taylor", "order": 3, "family": "moments",
+                 "interval": [0, 1], "json": "out.json"}], (), 0),
+    ("verify", [{"preset": "ws-a", "order": 4, "perturb": [1, 0.5]}], (), 1),
+    ("compare", [{"f": "exp(x)", "kind": "taylor", "order": 4, "grid": [-1, 1, 11],
+                  "json": "out.json"},
+                 {"f": "exp(x)", "kind": "pade", "order": 4, "grid": "-1,1,11"}], (), 0),
+    ("figure", [{"csv": "out.csv", "svg": "out.svg"}], ("ws-d",), 0),
+])
+def test_config_files_holding_only_read_keys_work(tmp_path, monkeypatch, capsys, command,
+                                                   bodies, extra, want):
+    monkeypatch.chdir(tmp_path)
+    argv = [command, *extra]
+    for i, body in enumerate(bodies):
+        (tmp_path / f"run{i}.json").write_text(json.dumps(body))
+        argv += ["--config", f"run{i}.json"]
+    code, out, err = run(capsys, *argv)
+    assert code == want, err
+    assert out and err == ""
+    written = {value for body in bodies for key, value in body.items()
+               if key in ("json", "csv", "svg")}
+    assert all((tmp_path / name).is_file() for name in written)
+
+
+def test_compare_builds_every_kind_before_printing(capsys):
+    # pade has no block for 1/x at 1: no header and no taylor row come first
+    code, out, err = run(capsys, "compare", "--f", "1/x", "--grid=-1,1,11",
+                         "--kind", "taylor,pade", "--x0", "1", "--order", "4")
+    assert (code, out) == (2, "")
+    assert err == "error: degenerate Pade block\n"
+
+
+def test_the_benchmark_argv_shapes_run(tmp_path, capsys):
+    # the two shapes the grid workload (bench/workloads.py, Grid.argv) passes to main
+    code, _, err = run(capsys, "figure", "ws-d", "--csv", str(tmp_path / "f.csv"),
+                       "--svg", str(tmp_path / "f.svg"))
+    assert code == 0, err
+    code, _, err = run(capsys, "compare", "--f", "exp(sin(x))", "--grid=-0.9,0.9,2001",
+                       "--order", "20", "--kind", ",".join(KIND_NAMES),
+                       "--json", str(tmp_path / "compare.json"))
+    assert code == 0, err
+    rows = json.loads((tmp_path / "compare.json").read_text())
+    assert [row["kind"] for row in rows] == list(KIND_NAMES)

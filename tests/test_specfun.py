@@ -21,12 +21,12 @@ from charmatch.poly import Poly
 # -- oracles -----------------------------------------------------------------
 
 
-def stirling2_recurrence(n, k):
-    if n == 0 and k == 0:
-        return 1
-    if k == 0 or k > n:
-        return 0
-    return k * stirling2_recurrence(n - 1, k) + stirling2_recurrence(n - 1, k - 1)
+def stirling2_explicit(n, k):
+    # S(n, k) = (1/k!) sum_i (-1)^i C(k, i) (k - i)^n, with 0^0 = 1
+    total = sum((-1) ** i * math.comb(k, i) * (k - i) ** n for i in range(k + 1))
+    value, rem = divmod(total, math.factorial(k))
+    assert rem == 0
+    return value
 
 
 def rising_factorial_poly(n):
@@ -82,10 +82,10 @@ def test_stirling2_values():
         specfun.stirling2(2, 3)
 
 
-def test_stirling2_against_recurrence():
-    for n in range(11):
+def test_stirling2_against_the_explicit_sum():
+    for n in range(61):
         for k in range(n + 1):
-            assert specfun.stirling2(n, k) == stirling2_recurrence(n, k)
+            assert specfun.stirling2(n, k) == stirling2_explicit(n, k)
 
 
 def test_stirling2_row_identity():
@@ -118,6 +118,19 @@ def test_stirling1_against_polynomial_expansion():
         for k in range(n + 1):
             coeff = p.coeffs[k] if k <= p.degree else 0
             assert specfun.stirling1_unsigned(n, k) == coeff
+
+
+def test_cold_deep_entries_need_no_recursion():
+    # the rows are built in a loop: far more rows than the recursion limit allows
+    specfun._table.cache_clear()
+    assert specfun.stirling1_unsigned(1500, 1) == math.factorial(1499)
+    h1 = sum(Fraction(1, j) for j in range(1, 1500))
+    h2 = sum(Fraction(1, j * j) for j in range(1, 1500))
+    assert specfun.stirling1_unsigned(1500, 3) == math.factorial(1499) * (h1 * h1 - h2) / 2
+    # |t(2m, 2)| = ((m-1)!)^2, from x^[2m] = x^2 prod_{j<m} (x^2 - j^2)
+    specfun._table.cache_clear()
+    value = specfun.central_factorial_abs(3000, 2)
+    assert type(value) is Fraction and value == math.factorial(1499) ** 2
 
 
 # -- central factorial numbers --------------------------------------------------------
