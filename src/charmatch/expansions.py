@@ -47,7 +47,7 @@ __all__ = [
     "rational_x1_coeffs", "rational_x1_approx",
     "dirichlet_expansion_coeffs", "dirichlet_approx", "DirichletApproximant",
     "moebius_G_eval", "GEval",
-    "dex_eval", "dex_approx", "DexApproximant", "prime_indicator_P",
+    "dex_eval", "dex_approx", "DexApproximant", "prime_indicator_P", "prime_indicator_eval",
     "nonlinear_chars", "nonlinear_approx", "NonlinearApproximant",
 ]
 
@@ -513,60 +513,87 @@ class GEval(NamedTuple):
 _G_NEGLIGIBLE = 2.0 ** -55
 
 
-def _G_tail_bound(x: float, n_terms: int) -> float:
-    return abs(x) ** (n_terms + 1) / (1 - abs(x))
+@lru_cache(maxsize=16)
+def _G_series(a: tuple, n_terms: int) -> tuple:
+    """The coefficients (a * mu)_1..(a * mu)_n_terms of sum a_n G(x^n) as one
+    power series (Dirichlet convolution)."""
+    u = (a + (0,) * n_terms)[:n_terms]
+    return tuple(specfun.dirichlet_convolve(u, specfun.moebius_table(n_terms)))
 
 
-def moebius_G_eval(x: float, n_terms: int = 64) -> GEval:
-    """Partial sum of G(x) = sum mu_n x^n with its geometric tail bound.
+def _G_tail_bound(x: float, n_terms: int, weight) -> float:
+    return weight * abs(x) ** (n_terms + 1) / (1 - abs(x))
 
-    The loop stops once |x^n| < 2^-55 |acc|: with |x| < 1 every later term
-    rounds away too, so the value is that of the full partial sum to the bit.
+
+def moebius_G_eval(x: float, n_terms: int = 64, a: tuple = (1,)) -> GEval:
+    """Partial sum of sum_n a_n G(x^n) = sum_k (a * mu)_k x^k, with G(x) =
+    sum mu_n x^n the Moebius generating function, and its tail bound
+    W |x|^(n_terms+1) / (1 - |x|), W = sum |a_n|.
+
+    The loop stops once W |x^k| < 2^-55 |acc|: with |x| < 1 and every
+    |(a * mu)_j| <= W, every later term rounds away too, so the value is that
+    of the full partial sum to the bit.
     """
     x = float(x)
     if abs(x) >= 1:
         raise DomainError("the Moebius generating function needs |x| < 1")
+    a = tuple(a)
+    weight = sum(map(abs, a))
+    # W |x^k| < 2^-55 |acc| as one product per term; the rounding of 2^-55 / W
+    # is far inside the factor 2 between 2^-55 |acc| and half an ulp of acc
+    negligible = _G_NEGLIGIBLE / weight if weight else 0.0
     acc = 0.0
     xn = 1.0
-    for mu in specfun.moebius_table(n_terms):
+    for c in _G_series(a, n_terms):
         xn *= x
-        if abs(xn) < _G_NEGLIGIBLE * abs(acc):
+        if abs(xn) < negligible * abs(acc):
             break
-        if mu:
-            acc += mu * xn
-    return GEval(acc, _G_tail_bound(x, n_terms))
+        if c:
+            acc += c * xn
+    return GEval(acc, _G_tail_bound(x, n_terms, weight))
 
 
-def _G_adaptive(x: float, tol: float = 1e-15) -> float:
-    """G(x) summed to the first n in 64, 128, ..., 8192 whose tail bound
-    meets ``tol``."""
+def _G_adaptive(x: float, a: tuple, tol: float = 1e-15) -> float:
+    """sum a_n G(x^n) summed to the first n in 64, 128, ..., 8192 whose
+    weighted tail bound meets ``tol``."""
     x = float(x)
+    weight = sum(map(abs, a))
     n = 64
-    while abs(x) < 1 and _G_tail_bound(x, n) > tol:
+    while abs(x) < 1 and _G_tail_bound(x, n, weight) > tol:
         if n >= 8192:
             raise EvalDomainError(
                 f"Moebius G series at x={x} misses its tail bound after {n} terms "
-                f"(bound {_G_tail_bound(x, n):.3g} > {tol:.0e})"
+                f"(bound {_G_tail_bound(x, n, weight):.3g} > {tol:.0e})"
             )
         n *= 2
-    return moebius_G_eval(x, n).value
+    return moebius_G_eval(x, n, a).value
+
+
+def _termwise(g: Callable[[float], float]):
+    """acc + sum a_n g(t^n), one basis term at a time."""
+    def total(acc: float, t: float, a: tuple) -> float:
+        for n, an in enumerate(a, start=1):
+            if an != 0:
+                acc += an * g(t ** n)
+        return acc
+    return total
 
 
 # what each variant decides: the Dirichlet inverse of g's series coefficients
 # (the coefficient map), those coefficients gamma_j (the jet at the center),
-# g in floats and the t where its float sum is refused
+# b_0 + sum a_n g(t^n) in floats and the t where that sum is refused
 _DIRICHLET = {
     "dirichlet_g": {
         "inverse": lambda k: 1,
         "series": lambda j: specfun.moebius(j) if j else 0,
-        "eval": _G_adaptive,
+        "sum": lambda acc, t, a: acc + _G_adaptive(t, a),
         "outside": lambda t: abs(t) >= 1,
         "outside_error": "the Moebius-G expansion is defined for |x| < 1",
     },
     "dirichlet_rat1": {
         "inverse": specfun.moebius,
         "series": lambda j: Fraction(1),
-        "eval": lambda y: 1.0 / (1.0 - y),
+        "sum": _termwise(lambda y: 1.0 / (1.0 - y)),
         "outside": lambda t: abs(t) == 1,
         "outside_error": "the 1/(1-x^n) expansion diverges on |x| = 1 "
                          "(poles at roots of unity)",
@@ -574,7 +601,7 @@ _DIRICHLET = {
     "dirichlet_rat2": {
         "inverse": specfun.nu,
         "series": lambda j: Fraction((-1) ** (j // 2) if j % 2 else 0),
-        "eval": lambda y: y / (y * y + 1.0),
+        "sum": _termwise(lambda y: y / (y * y + 1.0)),
         "outside": lambda t: False,
         "outside_error": None,
     },
@@ -617,12 +644,7 @@ class DirichletApproximant(Approximant):
         table = _DIRICHLET[self.kind]
         if table["outside"](t):
             raise EvalDomainError(table["outside_error"])
-        g = table["eval"]
-        acc = float(self.b0)
-        for n, a in enumerate(self.coeffs.floats, start=1):
-            if a != 0:
-                acc += a * g(t ** n)
-        return acc
+        return table["sum"](float(self.b0), t, self.coeffs.floats)
 
     def eval_jet(self, x0, order: int) -> Jet:
         """At the center, coefficient m of g(t^n) is gamma_(m/n) where n
@@ -666,6 +688,13 @@ def _dex_ladder(x: float, tol: float, length: int) -> tuple:
     return tuple(terms)
 
 
+def _dex_point(x) -> float:
+    x = float(x)
+    if not abs(x) <= _DEX_X_MAX:
+        raise DomainError(f"dex_eval needs a finite |x| <= {_DEX_X_MAX:g}, got {x}")
+    return x
+
+
 def dex_eval(ring: int, index: int, x: float, tol: float = 1e-15) -> float:
     """dex_[N,n](x) = sum_k x^(n + kN) / (n + kN)!, read from one shared
     ladder of x^j / j! per x (cut where its terms fall below ``tol``)."""
@@ -673,10 +702,7 @@ def dex_eval(ring: int, index: int, x: float, tol: float = 1e-15) -> float:
         raise DomainError("dex ring size must be >= 1")
     if not (0 <= index < ring):
         raise DomainError(f"dex index must satisfy 0 <= n < N, got ({ring}, {index})")
-    x = float(x)
-    if not abs(x) <= _DEX_X_MAX:
-        raise DomainError(f"dex_eval needs a finite |x| <= {_DEX_X_MAX:g}, got {x}")
-    return sum(_dex_ladder(x, tol, max(_DEX_MIN_TERMS, index + 1))[index::ring])
+    return sum(_dex_ladder(_dex_point(x), tol, max(_DEX_MIN_TERMS, index + 1))[index::ring])
 
 
 def dex_jet(ring: int, index: int, order: int) -> Jet:
@@ -732,6 +758,23 @@ def prime_indicator_P(pmax: int) -> tuple[int, ...]:
     out = [0, 0]
     for p in range(2, pmax + 1):
         out.append(sum(1 for i in range(2, pmax + 2) if p % i == 0))
+    return tuple(out)
+
+
+def prime_indicator_eval(x: float) -> tuple[float, float, float, float]:
+    """P(x) = sum_{i=2..40} (dex_[i,0](x) - 1) and its first three
+    derivatives at x, exact at 0 up to order 39 (``prime_indicator_P(39)``).
+    The k-th derivative of dex_[i,0] is dex_[i,-k mod i], so all of them are
+    read from the one ladder of x^j / j! at x."""
+    ladder = _dex_ladder(_dex_point(x), 1e-15, _DEX_MIN_TERMS)
+    out = []
+    for k in range(4):
+        acc = 0.0
+        for i in range(2, 41):
+            acc += sum(ladder[(-k) % i::i])
+            if k == 0:
+                acc -= 1.0
+        out.append(acc)
     return tuple(out)
 
 

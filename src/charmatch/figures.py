@@ -157,19 +157,10 @@ def _fig_inargpow(sub: str, kind: str) -> FigureData:
 
 def _fig_pprime() -> FigureData:
     xs = grid(-3.0, 3.0, 1201)
+    rows = [xp.prime_indicator_eval(x) for x in xs]
     cols = [("x", xs)]
-    top = 40
-
-    def p_deriv(k: int, x: float) -> float:
-        acc = 0.0
-        for i in range(2, top + 1):
-            acc += xp.dex_eval(i, (i - k % i) % i, x)
-            if k == 0:
-                acc -= 1.0
-        return acc
-
     for k, label in enumerate(("P", "dP", "d2P", "d3P")):
-        cols.append((label, [p_deriv(k, x) for x in xs]))
+        cols.append((label, [row[k] for row in rows]))
     return FigureData("pprime", cols, "P(x) and derivatives (prime sieve at 0)",
                       ylim=(-3.0, 8.0))
 

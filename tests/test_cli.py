@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from datetime import timedelta
 from pathlib import Path
 
@@ -404,6 +405,36 @@ def test_exact_numbers_beyond_the_digit_limit_print(capsys):
                        "--order", "0", "--x0", "1e400")
     assert code == 0
     assert out.splitlines()[-1].split() == ["0", "1e+16000", "1e+16000"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("coeffs", "--f", "exp(x)", "--kind", "taylor", "--order", "1", "--x0", "1e300000"),
+    ("verify", "--f", "x^2 + 1", "--kind", "taylor", "--order", "2", "--x0", "1e-5000"),
+    ("compare", "--f", "exp(x)", "--kind", "taylor,dex", "--grid", "-1,1,9",
+     "--x0", "-1_0.5E+4300"),
+])
+def test_numbers_beyond_the_digit_limit_exit_2(capsys, argv):
+    # an exponent that puts the exact value past str(int)'s digit limit is
+    # refused before the integer 10^exponent is built
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:") and "digits" in err and "Traceback" not in err
+
+
+def test_a_huge_exponent_is_refused_at_once(capsys):
+    start = time.perf_counter()
+    code, _, err = run(capsys, "coeffs", "--f", "exp(x)", "--kind", "taylor",
+                       "--order", "1", "--x0", "1e999999999")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and err.startswith("error:")
+
+
+def test_numbers_at_the_digit_limit_are_read_exactly(capsys):
+    # 10^-4299 has a 4300-digit denominator, the most str(int) prints
+    code, out, err = run(capsys, "verify", "--f", "x^2 + 1", "--kind", "taylor",
+                         "--order", "2", "--x0", "1e-4299")
+    assert code == 0, err
+    assert json.loads(out)["pass"]
 
 
 _FUZZ_EXPRS = ("exp(x)", "sin(x)", "cos(x) + x", "arctan(x)", "ln(x)", "sqrt(x)", "1/x",

@@ -6,6 +6,7 @@ functionals, brute-force divisor sums, series multiplication), and the
 universal jet-verification round trip.
 """
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -15,6 +16,7 @@ import pytest
 from charmatch import exprs, specfun
 from charmatch import expansions as xp
 from charmatch.errors import DomainError, EvalDomainError, SingularSystemError
+from charmatch.figures import grid
 from charmatch.jets import bessel_jn_jet
 from charmatch.matching import (
     CharNumbers,
@@ -452,41 +454,72 @@ def test_moebius_g_even_part():
     assert abs(0.5 * (g1 + g2) - even) < 1e-14
 
 
-def _moebius_G_full(x, n_terms):
-    # the plain partial sum over all n_terms terms, no early exit
+@functools.lru_cache(maxsize=None)
+def _a_star_mu(a, n_terms):
+    # (a * mu)_k for k = 1..n_terms, summed over the divisors d of k ascending
+    return [sum(a[d - 1] * specfun.moebius(k // d)
+                for d in range(1, min(k, len(a)) + 1) if k % d == 0)
+            for k in range(1, n_terms + 1)]
+
+
+def _moebius_G_full(x, n_terms, a=(1,)):
+    # the plain partial sum of sum_k (a * mu)_k x^k, the one series of
+    # sum_n a_n G(x^n), over all n_terms terms with no early exit
     acc, xn = 0.0, 1.0
-    for n in range(1, n_terms + 1):
+    for c in _a_star_mu(a, n_terms):
         xn *= x
-        mu = specfun.moebius(n)
-        if mu:
-            acc += mu * xn
+        if c:
+            acc += c * xn
     return acc
+
+
+def _weights(rng):
+    # random weight vectors: a wide range of scales, zeros, and a_1 = 0 in some
+    out = [(1,)]
+    for i in range(6):
+        a = [rng.choice((0.0, 1.0)) * rng.uniform(-1, 1) * 10 ** rng.uniform(-3, 3)
+             for _ in range(rng.randint(1, 12))]
+        if i % 2:
+            a[0] = 0.0
+        out.append(tuple(a))
+    return out
 
 
 @pytest.mark.parametrize("n_terms", [64, 4096])
 def test_moebius_g_early_exit_is_bit_identical(n_terms):
     rng = random.Random(4)
-    for _ in range(200):
-        x = rng.uniform(-0.999, 0.999)
-        got = xp.moebius_G_eval(x, n_terms)
-        assert got.value == _moebius_G_full(x, n_terms)
-        assert got.tail_bound == abs(x) ** (n_terms + 1) / (1 - abs(x))
+    for a in _weights(rng):
+        weight = sum(map(abs, a))
+        for _ in range(200 if a == (1,) else 25):
+            x = rng.uniform(-0.999, 0.999)
+            got = xp.moebius_G_eval(x, n_terms, a)
+            assert got.value == _moebius_G_full(x, n_terms, a), (a, x)
+            assert got.tail_bound == weight * abs(x) ** (n_terms + 1) / (1 - abs(x))
 
 
 def test_dirichlet_g_sums_to_the_first_sufficient_length():
-    # G at x is the full partial sum of the first doubling length whose
-    # geometric tail bound is at most 1e-15
-    approx = xp.dirichlet_approx(chars_of("exp(x)", 3), "dirichlet_g")
-    x = 0.93
-    a1, a2, a3 = (float(a) for a in approx.coeffs.values)
-    want = float(approx.b0)
-    for n, a in ((1, a1), (2, a2), (3, a3)):
-        y = x ** n
+    # b_0 + sum a_n G(x^n) is b_0 plus the full partial sum of the one series
+    # sum_k (a * mu)_k x^k to the first doubling length whose weighted tail
+    # bound W |x|^(n+1) / (1 - |x|), W = sum |a_n|, is at most 1e-15
+    for text, order, x in (("exp(x)", 3, 0.93), ("exp(x)", 3, -0.6),
+                           ("sin(5*x)", 10, 0.93), ("sin(5*x)", 10, 0.3)):
+        approx = xp.dirichlet_approx(chars_of(text, order), "dirichlet_g")
+        a = approx.coeffs.floats
+        weight = sum(map(abs, a))
+        b0 = float(approx.b0)
         length = 64
-        while abs(y) ** (length + 1) / (1 - abs(y)) > 1e-15:
+        while weight * abs(x) ** (length + 1) / (1 - abs(x)) > 1e-15:
             length *= 2
-        want += a * _moebius_G_full(y, length)
-    assert approx(x) == want
+        got = approx(x)
+        assert got == b0 + _moebius_G_full(x, length, a)
+        # and it is the per-term sum, each G(x^n) to its own sufficient length
+        old = b0
+        for n, an in enumerate(a, start=1):
+            y, length = x ** n, 64
+            while abs(y) ** (length + 1) / (1 - abs(y)) > 1e-15:
+                length *= 2
+            old += an * _moebius_G_full(y, length)
+        assert got == pytest.approx(old, rel=1e-14)
 
 
 # -- dex functions ----------------------------------------------------------------------
@@ -542,6 +575,8 @@ def test_dex_high_index_keeps_its_leading_term():
 def test_dex_refuses_nonfinite_and_large_arguments(x):
     with pytest.raises(DomainError):
         xp.dex_eval(2, 0, x)
+    with pytest.raises(DomainError):
+        xp.prime_indicator_eval(x)
 
 
 def test_dex_index_domain():
@@ -572,6 +607,26 @@ def test_prime_indicator():
     assert vals[6] == 3
     assert vals[7] == 1
     assert vals[2] == 1
+
+
+def _prime_indicator_per_dex(k, x, top=40):
+    # P^(k)(x) one dex_eval call per ring, as the pprime figure summed it
+    acc = 0.0
+    for i in range(2, top + 1):
+        acc += xp.dex_eval(i, (i - k % i) % i, x)
+        if k == 0:
+            acc -= 1.0
+    return acc
+
+
+def test_prime_indicator_eval_reads_one_ladder():
+    # bit for bit the per-dex_eval sum on the grid of the pprime figure
+    for x in grid(-3.0, 3.0, 1201):
+        got = xp.prime_indicator_eval(x)
+        assert got == tuple(_prime_indicator_per_dex(k, x) for k in range(4)), x
+    # at 0 the truncated sum i <= 40 gives the exact derivatives up to order 39
+    exact = xp.prime_indicator_P(39)
+    assert xp.prime_indicator_eval(0.0) == tuple(exact[:4])
 
 
 # -- nonlinear approximation ------------------------------------------------------------
