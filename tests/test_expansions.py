@@ -609,10 +609,10 @@ def test_prime_indicator():
     assert vals[2] == 1
 
 
-def _prime_indicator_per_dex(k, x, top=40):
+def _prime_indicator_per_dex(k, x):
     # P^(k)(x) one dex_eval call per ring, as the pprime figure summed it
     acc = 0.0
-    for i in range(2, top + 1):
+    for i in range(2, 41):
         acc += xp.dex_eval(i, (i - k % i) % i, x)
         if k == 0:
             acc -= 1.0
