@@ -78,29 +78,11 @@ def _one_of(names: tuple):
     return check
 
 
-# the mantissa digits and the exponent of a decimal such as 12.5e-3
-_DECIMAL = re.compile(r"\s*[-+]?([\d_]*\.?[\d_]*)[eE]([-+]?[\d_]+)\s*")
-
-
-def _check_digits(key: str, text: str) -> None:
-    """Refuse decimal text whose exact value needs more digits than ``int``
-    and ``str`` convert (``sys.get_int_max_str_digits``, 4300 by default),
-    read from the text before any integer is built."""
-    m = _DECIMAL.fullmatch(text)
-    if m is None:
-        return
-    limit = sys.get_int_max_str_digits() or 4300
-    exponent = m[2].lstrip("+-").replace("_", "").lstrip("0") or "0"
-    digits = sum(ch.isdigit() for ch in m[1])
-    if len(exponent) > len(str(limit)) or digits + int(exponent) > limit:
-        raise UsageError(f"{key} {text!r} needs more than {limit} digits as an exact number")
-
-
 def _number(key: str, value):
     """A finite number: text read exactly where it can be (keeps rational paths
     exact), or a JSON int or float; NaN and infinities are refused."""
     if isinstance(value, str):
-        _check_digits(key, value)
+        exprs.check_digits(value, key)
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError):

@@ -51,6 +51,10 @@ __all__ = [
     "nonlinear_chars", "nonlinear_approx", "NonlinearApproximant",
 ]
 
+# where the float series stop: the Moebius-G tail bound and the last dex
+# ladder term must fall below it
+_TOL = 1e-15
+
 
 def _require_derivative(c: CharNumbers) -> Derivative:
     if not isinstance(c.family, Derivative):
@@ -553,17 +557,17 @@ def moebius_G_eval(x: float, n_terms: int = 64, a: tuple = (1,)) -> GEval:
     return GEval(acc, _G_tail_bound(x, n_terms, weight))
 
 
-def _G_adaptive(x: float, a: tuple, tol: float = 1e-15) -> float:
+def _G_adaptive(x: float, a: tuple) -> float:
     """sum a_n G(x^n) summed to the first n in 64, 128, ..., 8192 whose
-    weighted tail bound meets ``tol``."""
+    weighted tail bound meets ``_TOL``."""
     x = float(x)
     weight = sum(map(abs, a))
     n = 64
-    while abs(x) < 1 and _G_tail_bound(x, n, weight) > tol:
+    while abs(x) < 1 and _G_tail_bound(x, n, weight) > _TOL:
         if n >= 8192:
             raise EvalDomainError(
                 f"Moebius G series at x={x} misses its tail bound after {n} terms "
-                f"(bound {_G_tail_bound(x, n, weight):.3g} > {tol:.0e})"
+                f"(bound {_G_tail_bound(x, n, weight):.3g} > {_TOL:.0e})"
             )
         n *= 2
     return moebius_G_eval(x, n, a).value
@@ -677,12 +681,12 @@ _DEX_MIN_TERMS = 64
 
 
 @lru_cache(maxsize=256)
-def _dex_ladder(x: float, tol: float, length: int) -> tuple:
+def _dex_ladder(x: float, length: int) -> tuple:
     """T_j = x^j / j! by T_j = T_{j-1} (x/j), at least ``length`` terms and
-    on until the terms are decreasing and below ``tol``."""
+    on until the terms are decreasing and below ``_TOL``."""
     terms = [1.0]
     j = 0
-    while j + 1 < length or j < 2 * abs(x) or abs(terms[-1]) > tol:
+    while j + 1 < length or j < 2 * abs(x) or abs(terms[-1]) > _TOL:
         j += 1
         terms.append(terms[-1] * (x / j))
     return tuple(terms)
@@ -695,14 +699,14 @@ def _dex_point(x) -> float:
     return x
 
 
-def dex_eval(ring: int, index: int, x: float, tol: float = 1e-15) -> float:
+def dex_eval(ring: int, index: int, x: float) -> float:
     """dex_[N,n](x) = sum_k x^(n + kN) / (n + kN)!, read from one shared
-    ladder of x^j / j! per x (cut where its terms fall below ``tol``)."""
+    ladder of x^j / j! per x (cut where its terms fall below ``_TOL``)."""
     if ring < 1:
         raise DomainError("dex ring size must be >= 1")
     if not (0 <= index < ring):
         raise DomainError(f"dex index must satisfy 0 <= n < N, got ({ring}, {index})")
-    return sum(_dex_ladder(_dex_point(x), tol, max(_DEX_MIN_TERMS, index + 1))[index::ring])
+    return sum(_dex_ladder(_dex_point(x), max(_DEX_MIN_TERMS, index + 1))[index::ring])
 
 
 def dex_jet(ring: int, index: int, order: int) -> Jet:
@@ -733,16 +737,11 @@ class DexApproximant(Approximant):
                         for j in range(order + 1)])
 
 
-def dex_approx(c: CharNumbers, ring: int | None = None) -> DexApproximant:
+def dex_approx(c: CharNumbers) -> DexApproximant:
     """Approximant sum c_n dex_[N,n] from the first N derivatives (Eq.-level
-
     construction: the ring size equals the number of matched numbers)."""
     fam = _require_derivative(c)
-    ring = ring if ring is not None else len(c.values)
-    if ring < len(c.values):
-        raise DomainError("ring size smaller than the number of characteristic numbers")
-    values = tuple(c.values) + (0,) * (ring - len(c.values))
-    coeffs = CoeffSeq(values, "dex", params={"ring": ring})
+    coeffs = CoeffSeq(c.values, "dex", params={"ring": len(c.values)})
     return DexApproximant(coeffs, fam.center)
 
 
@@ -766,7 +765,7 @@ def prime_indicator_eval(x: float) -> tuple[float, float, float, float]:
     derivatives at x, exact at 0 up to order 39 (``prime_indicator_P(39)``).
     The k-th derivative of dex_[i,0] is dex_[i,-k mod i], so all of them are
     read from the one ladder of x^j / j! at x."""
-    ladder = _dex_ladder(_dex_point(x), 1e-15, _DEX_MIN_TERMS)
+    ladder = _dex_ladder(_dex_point(x), _DEX_MIN_TERMS)
     out = []
     for k in range(4):
         acc = 0.0

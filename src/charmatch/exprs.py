@@ -11,7 +11,8 @@ Grammar (infix, whitespace-insensitive)::
 Functions: exp, ln (alias log), sin, cos, sqrt, arctan (alias atan),
 bessel_j0 (aliases besselj0, j0).  Constants: pi, e.  Numeric literals are
 parsed into exact Fractions so that rational arithmetic survives as far as
-possible; pi and e are floats.
+possible; pi and e are floats.  A literal whose exact value needs more
+digits than Python's int/str limit is a syntax error (``check_digits``).
 
 Every node supports float evaluation and jet lifting, so an ``Expr`` can be
 used directly wherever the verification machinery expects something
@@ -24,6 +25,7 @@ from __future__ import annotations
 import math
 import operator
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -32,7 +34,7 @@ from .errors import CharmatchError, EvalDomainError
 from .jets import Jet
 from .poly import div
 
-__all__ = ["Expr", "Const", "Var", "parse", "ExprSyntaxError"]
+__all__ = ["Expr", "Const", "Var", "parse", "check_digits", "ExprSyntaxError"]
 
 
 class ExprSyntaxError(CharmatchError, ValueError):
@@ -192,6 +194,25 @@ _TOKEN_RE = re.compile(
 )
 
 
+# the mantissa digits and the exponent of a decimal such as 125 or 12.5e-3
+_DECIMAL = re.compile(r"\s*[-+]?([\d_]*\.?[\d_]*)(?:[eE]([-+]?[\d_]+))?\s*")
+
+
+def check_digits(text: str, what: str = "number") -> None:
+    """Refuse decimal text whose exact value needs more digits than ``int``
+    and ``str`` convert (``sys.get_int_max_str_digits``, 4300 by default),
+    read from the text before any integer is built."""
+    m = _DECIMAL.fullmatch(text)
+    if m is None:
+        return
+    limit = sys.get_int_max_str_digits() or 4300
+    exponent = (m[2] or "").lstrip("+-").replace("_", "").lstrip("0") or "0"
+    digits = sum(ch.isdigit() for ch in m[1])
+    if len(exponent) > len(str(limit)) or digits + int(exponent) > limit:
+        raise ExprSyntaxError(
+            f"{what} {text!r} needs more than {limit} digits as an exact number")
+
+
 def _tokenize(text: str) -> list[tuple[str, str]]:
     tokens = []
     pos = 0
@@ -205,6 +226,8 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
         for kind in ("num", "name", "op"):
             val = m.group(kind)
             if val is not None:
+                if kind == "num":
+                    check_digits(val)
                 tokens.append((kind, "^" if val == "**" else val))
                 break
     return tokens

@@ -31,7 +31,6 @@ from .matching import (
     tri_map,
 )
 from .poly import Poly, div, over
-from .quadrature import GaussLegendre
 
 __all__ = [
     "MomentSet",
@@ -78,12 +77,11 @@ class MomentSet:
         return json.dumps(self.as_dict(), indent=indent)
 
 
-def moments_compute(f, interval: tuple, order: int,
-                    quad: GaussLegendre | None = None) -> MomentSet:
+def moments_compute(f, interval: tuple, order: int) -> MomentSet:
     """Moments c_0..c_order of ``f``: closed-form integrals when ``f`` has a
     polynomial form (source "exact"), quadrature otherwise."""
     a, b = interval
-    values = measure(f, Moments(a, b), range(order + 1), quad)
+    values = measure(f, Moments(a, b), range(order + 1))
     source = "exact" if target_poly(f) is not None else "quadrature"
     return MomentSet((a, b), tuple(values), source)
 
@@ -122,14 +120,7 @@ def moment_partial_delta(m_index: int, order: int) -> Poly:
     delta_{n, m_index} for all n <= order, exactly over rationals."""
     if not (0 <= m_index <= order):
         raise DomainError("need 0 <= m <= N")
-    total = Poly([0])
-    for n in range(order + 1):
-        gamma = specfun.legendre_coeffs(n)
-        if m_index <= gamma.degree:
-            beta = Fraction(2 * n + 1, 2) * gamma.coeffs[m_index]
-            if beta:
-                total = total + beta * gamma
-    return total
+    return _legendre_match([int(n == m_index) for n in range(order + 1)])
 
 
 def moment_delta_growth(m_index: int, orders: Sequence[int],
@@ -153,10 +144,10 @@ def moment_delta_growth(m_index: int, orders: Sequence[int],
 # -- Fourier and Legendre-Fourier -------------------------------------------------
 
 
-def fourier_coeffs(f, order: int, quad: GaussLegendre | None = None) -> CoeffSeq:
+def fourier_coeffs(f, order: int) -> CoeffSeq:
     """Coefficients a_n = c_n of the trigonometric delta approximation on
     (-pi, pi); the functionals are normalized so the delta property holds."""
-    values = measure(f, Projection("fourier"), range(order + 1), quad)
+    values = measure(f, Projection("fourier"), range(order + 1))
     return CoeffSeq(tuple(values), "fourier")
 
 
@@ -173,20 +164,18 @@ class FourierApproximant(Approximant):
                    for a, (scale, shape) in zip(self.coeffs.values, self._terms) if a != 0)
 
 
-def fourier_approx(f, order: int, quad: GaussLegendre | None = None) -> FourierApproximant:
-    return FourierApproximant(fourier_coeffs(f, order, quad))
+def fourier_approx(f, order: int) -> FourierApproximant:
+    return FourierApproximant(fourier_coeffs(f, order))
 
 
-def legendre_fourier_coeffs(f, order: int,
-                            quad: GaussLegendre | None = None) -> CoeffSeq:
+def legendre_fourier_coeffs(f, order: int) -> CoeffSeq:
     """Coefficients a_n = c_n for the basis v_n = sqrt(2/(2n+1)) P_n."""
-    values = measure(f, Projection("legendre"), range(order + 1), quad)
+    values = measure(f, Projection("legendre"), range(order + 1))
     return CoeffSeq(tuple(values), "legendre_fourier")
 
 
-def legendre_fourier_approx(f, order: int,
-                            quad: GaussLegendre | None = None) -> PolynomialApproximant:
-    coeffs = legendre_fourier_coeffs(f, order, quad)
+def legendre_fourier_approx(f, order: int) -> PolynomialApproximant:
+    coeffs = legendre_fourier_coeffs(f, order)
     family = Projection("legendre")
     total = Poly([0])
     for n, a in enumerate(coeffs.values):
@@ -198,14 +187,13 @@ def legendre_fourier_approx(f, order: int,
 # -- higher integrals ---------------------------------------------------------------
 
 
-def higher_integral_chars(f, order: int,
-                          quad: GaussLegendre | None = None) -> CharNumbers:
+def higher_integral_chars(f, order: int) -> CharNumbers:
     """c_n = n-fold repeated integral of f on (-1, 1) at the right endpoint,
     n = 1..order, via the Cauchy formula; exact for exact polynomials."""
     if order < 1:
         raise DomainError("higher-integral matching starts at order 1")
     family = HigherIntegral()
-    return CharNumbers(measure(f, family, range(1, order + 1), quad), family)
+    return CharNumbers(measure(f, family, range(1, order + 1)), family)
 
 
 def higher_integral_approx(c: CharNumbers) -> PolynomialApproximant:
@@ -230,7 +218,7 @@ def higher_integral_approx(c: CharNumbers) -> PolynomialApproximant:
 
 
 def bernoulli_chars(f, interval: tuple, order: int, zeroth: str = "value",
-                    anchor=None, quad: GaussLegendre | None = None) -> CharNumbers:
+                    anchor=None) -> CharNumbers:
     """Characteristic numbers c_n = f^(n-1)(b) - f^(n-1)(a) for n >= 1.
 
     The zeroth entry is either the plain integral of f over (a, b)
@@ -241,7 +229,7 @@ def bernoulli_chars(f, interval: tuple, order: int, zeroth: str = "value",
     if a == b:
         raise DomainError("degenerate interval")
     family = EndpointDiff(a, b, zeroth=zeroth, anchor=anchor)
-    return CharNumbers(measure(f, family, range(order + 1), quad), family)
+    return CharNumbers(measure(f, family, range(order + 1)), family)
 
 
 def bernoulli_approx(c: CharNumbers) -> PolynomialApproximant:

@@ -9,9 +9,10 @@ the acceptance primitive of the whole package.
 Each family owns its ``measure``; the same method computes c_n(f) for a
 target f and C_n(A) for an approximant A, so the characteristic numbers and
 their verification cannot drift apart.  Measurement prefers exact paths
-(jets for derivative-type families, closed-form integration for targets with
-a polynomial form) and falls back to quadrature for targets that are only
-float-evaluable.
+(jets for derivative-type families; closed-form integrals of targets with a
+polynomial form for Moments, HigherIntegral and EndpointDiff) and otherwise
+integrates with one composite Gauss-Legendre rule, which Projection uses for
+every target.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Sequence
 
 from .errors import DomainError, FamilyMismatchError, SingularSystemError
@@ -66,14 +67,21 @@ def target_poly(target) -> Poly | None:
     return p if isinstance(p, Poly) else None
 
 
-def _samples(target, quad: GaussLegendre, a, b) -> tuple[list, list]:
-    """The nodes of ``quad`` on (a, b) and the float values of ``target`` there.
+@lru_cache(maxsize=None)
+def _quad() -> GaussLegendre:
+    """The rule of every integral family, 32 nodes on each of 8 panels, built
+    on first use: importing the package computes no nodes."""
+    return GaussLegendre()
+
+
+def _samples(target, a, b) -> tuple[list, list]:
+    """The nodes of the rule on (a, b) and the float values of ``target`` there.
 
     The integrand of every integral functional is a weight w_n(x) times
-    f(x), so a family samples f once and hands ``quad.integrate`` the
+    f(x), so a family samples f once and hands ``_quad().integrate`` the
     products w_n(x) * f(x) for each order n.
     """
-    xs = quad.points(a, b)
+    xs = _quad().points(a, b)
     return xs, [float(target(x)) for x in xs]
 
 
@@ -101,7 +109,7 @@ class Derivative:
     def describe(self) -> str:
         return f"derivative@{self.center}"
 
-    def measure(self, target, orders: list, quad: GaussLegendre) -> list:
+    def measure(self, target, orders: list) -> list:
         der = _target_jet(target, self.center, max(orders)).derivatives()
         return [der[n] for n in orders]
 
@@ -122,6 +130,11 @@ def _power_integrals(a, b, top: int) -> tuple[list, int]:
     return scaled(table)
 
 
+def _one_minus_t(k: int) -> list[int]:
+    """The coefficients (-1)^i C(k, i) of (1 - t)^k."""
+    return [(-1) ** i * math.comb(k, i) for i in range(k + 1)]
+
+
 @dataclass(frozen=True)
 class Moments:
     """C_n(f) = integral of x^n f(x) over (a, b)."""
@@ -135,7 +148,7 @@ class Moments:
     def describe(self) -> str:
         return f"moments({self.a},{self.b})"
 
-    def measure(self, target, orders: list, quad: GaussLegendre) -> list:
+    def measure(self, target, orders: list) -> list:
         p = target_poly(target)
         if p is not None:
             if not _exact_poly(p, self.a, self.b):
@@ -148,8 +161,8 @@ class Moments:
             num_m, den_m = _power_integrals(self.a, self.b, max(orders) + p.degree)
             return [Fraction(sum(map(operator.mul, num_p, num_m[n:])), den_p * den_m)
                     for n in orders]
-        xs, vs = _samples(target, quad, self.a, self.b)
-        return [quad.integrate([x ** n * v for x, v in zip(xs, vs)], self.a, self.b)
+        xs, vs = _samples(target, self.a, self.b)
+        return [_quad().integrate([x ** n * v for x, v in zip(xs, vs)], self.a, self.b)
                 for n in orders]
 
 
@@ -167,7 +180,7 @@ class HigherIntegral:
     def describe(self) -> str:
         return "higher_integral(-1,1)"
 
-    def measure(self, target, orders: list, quad: GaussLegendre) -> list:
+    def measure(self, target, orders: list) -> list:
         if min(orders) < 1:
             raise DomainError("higher-integral functionals start at order 1")
         p = target_poly(target)
@@ -179,23 +192,15 @@ class HigherIntegral:
             num_p, den_p = scaled(p.coeffs)
             num_m, den_m = _power_integrals(-1, 1, top + p.degree)
             q = [sum(map(operator.mul, num_p, num_m[i:])) for i in range(top + 1)]
-            return [Fraction(sum((-1) ** i * math.comb(n - 1, i) * q[i] for i in range(n)),
+            return [Fraction(sum(map(operator.mul, _one_minus_t(n - 1), q)),
                              den_p * den_m * math.factorial(n - 1)) for n in orders]
         if p is None:
-            ts, vs = _samples(target, quad, -1, 1)
-        power, k = Poly([1]), 0  # power == (1 - t) ** k
-        out = []
-        for n in orders:
-            if p is None:
-                val = quad.integrate([(1 - t) ** (n - 1) * v for t, v in zip(ts, vs)], -1, 1)
-            else:
-                if k > n - 1:
-                    power, k = Poly([1]), 0
-                while k < n - 1:
-                    power, k = power * Poly([1, -1]), k + 1
-                val = (power * p).integral(-1, 1)
-            out.append(div(val, math.factorial(n - 1)))
-        return out
+            ts, vs = _samples(target, -1, 1)
+            vals = [_quad().integrate([(1 - t) ** (n - 1) * v for t, v in zip(ts, vs)], -1, 1)
+                    for n in orders]
+        else:
+            vals = [(Poly(_one_minus_t(n - 1)) * p).integral(-1, 1) for n in orders]
+        return [div(val, math.factorial(n - 1)) for n, val in zip(orders, vals)]
 
 
 @dataclass(frozen=True)
@@ -225,7 +230,7 @@ class EndpointDiff:
     def describe(self) -> str:
         return f"endpoint_diff({self.a},{self.b};zeroth={self.zeroth})"
 
-    def measure(self, target, orders: list, quad: GaussLegendre) -> list:
+    def measure(self, target, orders: list) -> list:
         top = max(orders)
         if top >= 1:
             ja = _target_jet(target, self.a, top - 1)
@@ -239,8 +244,8 @@ class EndpointDiff:
             else:
                 p = target_poly(target)
                 out.append(p.integral(self.a, self.b) if p is not None
-                           else quad.integrate(_samples(target, quad, self.a, self.b)[1],
-                                               self.a, self.b))
+                           else _quad().integrate(_samples(target, self.a, self.b)[1],
+                                                  self.a, self.b))
         return out
 
 
@@ -256,7 +261,7 @@ class ValueNodes:
     def describe(self) -> str:
         return f"values@{len(self.nodes)} nodes"
 
-    def measure(self, target, orders: list, quad: GaussLegendre) -> list:
+    def measure(self, target, orders: list) -> list:
         return [target(x) for x in self.nodes]
 
 
@@ -304,13 +309,13 @@ class Projection:
         """<v_n, v_n> over the interval."""
         return math.pi if self.basis == "fourier" else (2.0 / (2 * n + 1)) ** 2
 
-    def measure(self, target, orders: list, quad: GaussLegendre) -> list:
+    def measure(self, target, orders: list) -> list:
         a, b = self.interval
-        xs, vs = _samples(target, quad, a, b)
+        xs, vs = _samples(target, a, b)
         out = []
         for n in orders:
             scale, shape = self.term(n)
-            inner = quad.integrate([scale * shape(x) * v for x, v in zip(xs, vs)], a, b)
+            inner = _quad().integrate([scale * shape(x) * v for x, v in zip(xs, vs)], a, b)
             out.append(inner / self.norm(n))
         return out
 
@@ -328,7 +333,7 @@ class Nonlinear:
     def describe(self) -> str:
         return f"nonlinear({self.transform})@{self.center}"
 
-    def measure(self, target, orders: list, quad: GaussLegendre) -> list:
+    def measure(self, target, orders: list) -> list:
         transform = NONLINEAR_TRANSFORMS.get(self.transform)
         if transform is None:
             raise DomainError(f"unknown nonlinear transform {self.transform!r}")
@@ -580,8 +585,7 @@ def tri_forward_solve(T: TriMatrix, c) -> CoeffSeq:
 # -- measurement ---------------------------------------------------------------
 
 
-def measure(target, family: Family, orders: Sequence[int],
-            quad: GaussLegendre | None = None) -> list:
+def measure(target, family: Family, orders: Sequence[int]) -> list:
     """Apply the family's functionals C_n to ``target`` for the given orders."""
     orders = list(orders)
     if not orders:
@@ -589,7 +593,7 @@ def measure(target, family: Family, orders: Sequence[int],
     family_measure = getattr(family, "measure", None)
     if family_measure is None:
         raise FamilyMismatchError(f"unknown family {family!r}")
-    return family_measure(target, orders, quad or GaussLegendre())
+    return family_measure(target, orders)
 
 
 # -- verification ----------------------------------------------------------------
@@ -605,8 +609,6 @@ class VerifyReport:
     residuals: tuple
     max_residual: float
     passed: bool
-    tol_rel: float
-    tol_abs: float
 
     def as_dict(self) -> dict:
         return {
@@ -623,15 +625,14 @@ class VerifyReport:
 
 
 def verify_matching(approximant, c: CharNumbers, tol_rel: float = 1e-9,
-                    tol_abs: float = 1e-12,
-                    quad: GaussLegendre | None = None) -> VerifyReport:
+                    tol_abs: float = 1e-12) -> VerifyReport:
     """Check that C_n(approximant) reproduces c_n for every order.
 
     A residual passes if |C_n(A) - c_n| <= max(tol_rel * |c_n|, tol_abs), so
     a NaN residual fails; exact arithmetic yields exact-zero residuals.
     """
     orders = list(c.orders())
-    measured = measure(approximant, c.family, orders, quad=quad)
+    measured = measure(approximant, c.family, orders)
     residuals = []
     passed = True
     for got, want in zip(measured, c.values):
@@ -654,8 +655,6 @@ def verify_matching(approximant, c: CharNumbers, tol_rel: float = 1e-9,
         residuals=tuple(residuals),
         max_residual=max_res,
         passed=passed,
-        tol_rel=tol_rel,
-        tol_abs=tol_abs,
     )
 
 
@@ -665,8 +664,7 @@ def derivative_chars(target, x0=0, order: int = 8) -> CharNumbers:
     return CharNumbers(measure(target, family, range(order + 1)), family)
 
 
-def delta_check(basis: Sequence, family: Family, count: int | None = None,
-                quad: GaussLegendre | None = None) -> list[list]:
+def delta_check(basis: Sequence, family: Family, count: int | None = None) -> list[list]:
     """Matrix M[n][m] = C_n(basis[m]).
 
     The basis is a delta basis iff M is the identity and a triangular basis
@@ -675,5 +673,5 @@ def delta_check(basis: Sequence, family: Family, count: int | None = None,
     basis = list(basis)
     count = count if count is not None else len(basis)
     orders = list(family.orders(count))
-    columns = [measure(b, family, orders, quad=quad) for b in basis]
+    columns = [measure(b, family, orders) for b in basis]
     return [[columns[m][i] for m in range(len(basis))] for i in range(len(orders))]

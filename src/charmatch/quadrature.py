@@ -29,22 +29,20 @@ class GaussLegendre:
         self.panels = panels
         self.nodes, self.weights = _rule(order)
 
-    def points(self, a: float, b: float, panels: int | None = None) -> list[float]:
+    def points(self, a: float, b: float) -> list[float]:
         """The nodes of the composite rule on (a, b), panel by panel: the
         points at which ``integrate`` takes the values of its integrand."""
-        a = float(a)
-        m = panels if panels is not None else self.panels
+        a, m = float(a), self.panels
         width = (float(b) - a) / m
         half = 0.5 * width
         return [a + p * width + half + half * t for p in range(m) for t in self.nodes]
 
     def integrate(self, f: Callable[[float], float] | Sequence[float], a: float,
-                  b: float, panels: int | None = None) -> float:
+                  b: float) -> float:
         """The rule applied to ``f`` on (a, b): a callable, or its values at
-        ``points(a, b, panels)`` when a family samples once for many
-        integrands."""
-        m = panels if panels is not None else self.panels
-        values = [f(x) for x in self.points(a, b, m)] if callable(f) else f
+        ``points(a, b)`` when a family samples once for many integrands."""
+        m = self.panels
+        values = [f(x) for x in self.points(a, b)] if callable(f) else f
         k = self.order
         if len(values) != k * m:
             raise DomainError(f"quadrature needs {k * m} sampled values, got {len(values)}")
@@ -59,6 +57,6 @@ class GaussLegendre:
 
     def integrate_with_error(self, f, a, b) -> tuple[float, float]:
         """Value on 2x panels plus a doubling-refinement error estimate."""
-        coarse = self.integrate(f, a, b, panels=self.panels)
-        fine = self.integrate(f, a, b, panels=2 * self.panels)
+        coarse = self.integrate(f, a, b)
+        fine = GaussLegendre(self.order, 2 * self.panels).integrate(f, a, b)
         return fine, abs(fine - coarse)

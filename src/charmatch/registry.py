@@ -32,26 +32,6 @@ def _derivative_builder(make) -> Callable:
     return build
 
 
-def _build_pade(f, order: int, params: dict) -> BuildResult:
-    m = params.get("m")
-    n = params.get("n")
-    if m is None and n is None:
-        m = (order + 1) // 2
-        n = order - m
-    elif m is None or n is None:
-        raise DomainError("Pade needs both m and n (or neither)")
-    c = derivative_chars(f, params.get("x0", 0), m + n)
-    approx = xp.pade_approx(c, m, n)
-    return BuildResult(c, approx.coeffs, approx)
-
-
-def _build_dex(f, order: int, params: dict) -> BuildResult:
-    ring = params.get("ring", order + 1)
-    c = derivative_chars(f, params.get("x0", 0), ring - 1)
-    approx = xp.dex_approx(c, ring)
-    return BuildResult(c, approx.coeffs, approx)
-
-
 def _build_nonlinear(f, order: int, params: dict) -> BuildResult:
     transform = params.get("lam", "ln")
     c = xp.nonlinear_chars(f, transform, params.get("x0", 0), order)
@@ -62,7 +42,8 @@ def _build_nonlinear(f, order: int, params: dict) -> BuildResult:
 KINDS: dict[str, Callable[[object, int, dict], BuildResult]] = {
     "taylor": _derivative_builder(lambda c, p: xp.taylor_approx(c)),
     "nsbf": _derivative_builder(lambda c, p: xp.nsbf_approx(c)),
-    "pade": _build_pade,
+    "pade": _derivative_builder(
+        lambda c, p: xp.pade_approx(c, (c.order + 1) // 2, c.order // 2)),
     "pow_sine": _derivative_builder(lambda c, p: xp.pow_sine_approx(c)),
     "exp_weighted": _derivative_builder(
         lambda c, p: xp.exp_weighted_approx(c, p.get("w", Fraction(-1, 2)), p.get("q", 2))),
@@ -76,7 +57,7 @@ KINDS: dict[str, Callable[[object, int, dict], BuildResult]] = {
         lambda c, p: xp.dirichlet_approx(c, "dirichlet_rat1")),
     "dirichlet_rat2": _derivative_builder(
         lambda c, p: xp.dirichlet_approx(c, "dirichlet_rat2")),
-    "dex": _build_dex,
+    "dex": _derivative_builder(lambda c, p: xp.dex_approx(c)),
     "nonlinear": _build_nonlinear,
 }
 

@@ -372,6 +372,16 @@ def test_import_does_not_load_mpmath():
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
+def test_import_builds_no_quadrature_rule():
+    # the Gauss-Legendre nodes are computed on first use, not at import
+    src = Path(charmatch.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = ("import charmatch, charmatch.cli, charmatch.figures; "
+            "from charmatch import quadrature; "
+            "assert quadrature._rule.cache_info().currsize == 0")
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
 # -- exit-code contract ----------------------------------------------------------
 
 
@@ -427,6 +437,24 @@ def test_a_huge_exponent_is_refused_at_once(capsys):
                        "--order", "1", "--x0", "1e999999999")
     assert time.perf_counter() - start < 1.0
     assert code == 2 and err.startswith("error:")
+
+
+@pytest.mark.parametrize("f", ["1e300000*x", "1" * 5000 + "*x", "x^" + "1" * 5000],
+                         ids=["exponent", "digits", "power"])
+def test_expression_numbers_beyond_the_digit_limit_exit_2(capsys, f):
+    # a literal of --f is checked like a number flag, before any integer is built
+    start = time.perf_counter()
+    code, out, err = run(capsys, "coeffs", "--f", f, "--kind", "taylor", "--order", "1")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "digits" in err and "Traceback" not in err
+
+
+def test_expression_numbers_at_the_digit_limit_are_read_exactly(capsys):
+    code, out, err = run(capsys, "coeffs", "--f", "1e-4299*x", "--kind", "taylor",
+                         "--order", "1")
+    assert code == 0, err
+    assert out.splitlines()[-1].split()[1] == "1/1" + "0" * 4299
 
 
 def test_numbers_at_the_digit_limit_are_read_exactly(capsys):

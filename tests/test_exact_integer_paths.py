@@ -28,7 +28,6 @@ from charmatch.matching import (
     CharNumbers, CoeffSeq, Derivative, HigherIntegral, Moments, tri_map,
 )
 from charmatch.poly import Poly, div, is_exact, over
-from charmatch.quadrature import GaussLegendre
 
 
 F = Fraction
@@ -355,21 +354,21 @@ def polys():
                                                        max_size=41))
 def test_moments_match_the_loop(p, interval, orders):
     a, b = interval
-    same(lambda: Moments(a, b).measure(p, orders, GaussLegendre()),
+    same(lambda: Moments(a, b).measure(p, orders),
          lambda: ref_moments(p, a, b, orders))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(p=polys(), orders=st.lists(st.integers(1, 41), min_size=1, max_size=41))
 def test_higher_integral_matches_the_loop(p, orders):
-    same(lambda: HigherIntegral().measure(p, orders, GaussLegendre()),
+    same(lambda: HigherIntegral().measure(p, orders),
          lambda: ref_higher_integral(p, orders))
 
 
 def test_zero_polynomial_types():
     zero = Poly([0])
-    assert repr(Moments().measure(zero, [0, 3], GaussLegendre())) == "[0, 0]"
-    assert repr(HigherIntegral().measure(zero, [1, 3], GaussLegendre())) == repr([F(0), F(0)])
+    assert repr(Moments().measure(zero, [0, 3])) == "[0, 0]"
+    assert repr(HigherIntegral().measure(zero, [1, 3])) == repr([F(0), F(0)])
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -43,6 +43,14 @@ def test_registry_approximants_carry_kind_and_center(name, x0):
     assert repr(res.approximant.center) == repr(x0)
 
 
+@pytest.mark.parametrize("order", [0, 3, 4, 11])
+def test_pade_and_dex_take_their_sizes_from_the_order(order):
+    f = exprs.parse("exp(x)")
+    pade = build_kind("pade", f, order).coeffs.params
+    assert (pade["m"], pade["n"]) == ((order + 1) // 2, order // 2)
+    assert build_kind("dex", f, order).coeffs.params["ring"] == order + 1
+
+
 def _value_numbers():
     return CharNumbers((1, 2, 5), ValueNodes((0, 1, 2)))
 
