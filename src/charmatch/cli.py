@@ -24,7 +24,7 @@ import math
 import os
 import re
 import sys
-from decimal import Context, Decimal
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -36,7 +36,7 @@ from .figures import FIGURES, build_figure, grid, render_csv, render_svg, sample
 from .interp import value_chars, ws_build, ws_node_systems
 from .jets import Jet
 from .matching import (NONLINEAR_TRANSFORMS, Approximant, CharNumbers, Derivative, Moments,
-                       measure, verify_matching)
+                       verify_matching)
 from .poly import is_exact
 from .registry import KIND_NAMES, build_kind, normalize_kind
 
@@ -234,10 +234,32 @@ def _format_number(v) -> str:
         try:
             return str(v)
         except ValueError:  # beyond the int-to-str digit limit: 17 digits
-            v = Fraction(v)
-            d = Context(prec=17).divide(Decimal(v.numerator), Decimal(v.denominator))
-            return format(d.normalize(), ".17g")
+            return format(_digits17(Fraction(v)), ".17g")
     return f"{float(v):.17g}"
+
+
+def _digits17(v: Fraction) -> Decimal:
+    """The nonzero ``v`` rounded half to even to 17 significant digits, with
+    no trailing zeros.  Converting a huge numerator to ``Decimal`` takes time
+    quadratic in its digits, so this runs on integers: the decimal exponent
+    from ``math.log10``, corrected by comparison, and one ``divmod`` by a
+    power of ten."""
+    num, den = abs(v.numerator), v.denominator
+    e = math.floor(math.log10(num) - math.log10(den)) - 16
+    while True:  # v = (q + r / d) * 10^e with 10^16 <= q < 10^17
+        d = den * 10 ** max(e, 0)
+        q, r = divmod(num * 10 ** max(-e, 0), d)
+        if q < 10 ** 16:
+            e -= 1
+        elif q >= 10 ** 17:
+            e += 1
+        else:
+            break
+    if 2 * r > d or (2 * r == d and q % 2):
+        q += 1
+    while q % 10 == 0:
+        q, e = q // 10, e + 1
+    return Decimal(f"{'-' if v < 0 else ''}{q}e{e}")
 
 
 class _CorruptedApproximant(Approximant):
@@ -332,8 +354,7 @@ def _override_family(cfg: SimpleNamespace) -> CharNumbers:
         family = Derivative(cfg.x0)
     else:
         family = Moments(*(cfg.interval or (-1, 1)))
-    values = measure(_expr(cfg), family, family.orders(cfg.order + 1))
-    return CharNumbers(tuple(values), family)
+    return family.chars(_expr(cfg), cfg.order + 1)
 
 
 def _cmd_figure(cfg: SimpleNamespace, name: str) -> int:

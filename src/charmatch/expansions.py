@@ -31,7 +31,6 @@ from .matching import (
     NONLINEAR_TRANSFORMS,
     PolynomialApproximant,
     TriMatrix,
-    measure,
     tri_map,
 )
 from .poly import Poly, admit, all_exact, div, is_exact, over, scaled
@@ -782,8 +781,7 @@ def prime_indicator_eval(x: float) -> tuple[float, float, float, float]:
 
 def nonlinear_chars(f, transform: str, x0=0, order: int = 8) -> CharNumbers:
     """c_n = d^n/dx^n Lambda(f(x)) at x0, computed through jets."""
-    family = Nonlinear(transform, x0)
-    return CharNumbers(measure(f, family, range(order + 1)), family)
+    return Nonlinear(transform, x0).chars(f, order + 1)
 
 
 class NonlinearApproximant(Approximant):

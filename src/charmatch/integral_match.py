@@ -192,8 +192,7 @@ def higher_integral_chars(f, order: int) -> CharNumbers:
     n = 1..order, via the Cauchy formula; exact for exact polynomials."""
     if order < 1:
         raise DomainError("higher-integral matching starts at order 1")
-    family = HigherIntegral()
-    return CharNumbers(measure(f, family, range(1, order + 1)), family)
+    return HigherIntegral().chars(f, order)
 
 
 def higher_integral_approx(c: CharNumbers) -> PolynomialApproximant:
@@ -228,8 +227,7 @@ def bernoulli_chars(f, interval: tuple, order: int, zeroth: str = "value",
     a, b = interval
     if a == b:
         raise DomainError("degenerate interval")
-    family = EndpointDiff(a, b, zeroth=zeroth, anchor=anchor)
-    return CharNumbers(measure(f, family, range(order + 1)), family)
+    return EndpointDiff(a, b, zeroth=zeroth, anchor=anchor).chars(f, order + 1)
 
 
 def bernoulli_approx(c: CharNumbers) -> PolynomialApproximant:

@@ -26,7 +26,6 @@ from .matching import (
     CoeffSeq,
     PolynomialApproximant,
     ValueNodes,
-    measure,
 )
 from .poly import Poly, div
 
@@ -172,7 +171,7 @@ def ws_node_systems() -> dict[str, NodeSystem]:
 def value_chars(f, system: NodeSystem, n_max: int) -> CharNumbers:
     """c_n = f(x_n) over the system's retained nodes."""
     family = ValueNodes(tuple(x for _, x in system.nodes(n_max)))
-    return CharNumbers(measure(f, family, range(len(family.nodes))), family)
+    return family.chars(f, len(family.nodes))
 
 
 # -- polynomial interpolation ---------------------------------------------------

@@ -39,15 +39,27 @@ def exact_sqrt(v):
     return None
 
 
+def _icbrt(n: int) -> int:
+    """The integer cube root floor(n^(1/3)) of an int n >= 0, by Newton's
+    method from a power of two above the root."""
+    if n == 0:
+        return 0
+    x = 1 << -(-n.bit_length() // 3)
+    while True:
+        y = (2 * x + n // (x * x)) // 3
+        if y >= x:
+            return x
+        x = y
+
+
 def _exact_cbrt(v):
+    """Exact cube root of an int/Fraction if it is a perfect cube, else None."""
     f = Fraction(v)
-    num = round(abs(f.numerator) ** (1 / 3))
-    den = round(f.denominator ** (1 / 3))
-    for n in (num - 1, num, num + 1):
-        for d in (den - 1, den, den + 1):
-            if d > 0 and n >= 0 and n ** 3 == abs(f.numerator) and d ** 3 == f.denominator:
-                r = Fraction(n if f >= 0 else -n, d)
-                return int(r) if r.denominator == 1 else r
+    num = _icbrt(abs(f.numerator))
+    den = _icbrt(f.denominator)
+    if num ** 3 == abs(f.numerator) and den ** 3 == f.denominator:
+        r = Fraction(num if f >= 0 else -num, den)
+        return int(r) if r.denominator == 1 else r
     return None
 
 

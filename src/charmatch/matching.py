@@ -6,13 +6,14 @@ reproduce.  ``verify_matching`` re-measures an approximant under the family
 that produced a CharNumbers object and reports per-order residuals -- it is
 the acceptance primitive of the whole package.
 
-Each family owns its ``measure``; the same method computes c_n(f) for a
-target f and C_n(A) for an approximant A, so the characteristic numbers and
-their verification cannot drift apart.  Measurement prefers exact paths
-(jets for derivative-type families; closed-form integrals of targets with a
-polynomial form for Moments, HigherIntegral and EndpointDiff) and otherwise
-integrates with one composite Gauss-Legendre rule, which Projection uses for
-every target.
+Every family subclasses ``Family`` and owns its ``measure``; the same
+method computes c_n(f) for a target f and C_n(A) for an approximant A, so
+the characteristic numbers (``Family.chars``) and their verification cannot
+drift apart.  Derivative-type families measure through jets.  The integral
+families (Moments, HigherIntegral, the zeroth functional of EndpointDiff and
+Projection) measure through ``_integrals``, which takes closed-form
+integrals of targets with a polynomial form and otherwise one composite
+Gauss-Legendre rule; Projection uses the rule for every target.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .quadrature import GaussLegendre
 from . import specfun
 
 __all__ = [
+    "Family",
     "Derivative",
     "Moments",
     "HigherIntegral",
@@ -78,8 +80,8 @@ def _samples(target, a, b) -> tuple[list, list]:
     """The nodes of the rule on (a, b) and the float values of ``target`` there.
 
     The integrand of every integral functional is a weight w_n(x) times
-    f(x), so a family samples f once and hands ``_quad().integrate`` the
-    products w_n(x) * f(x) for each order n.
+    f(x), so ``_integrals`` samples f once and hands ``_quad().integrate``
+    the products w_n(x) * f(x) for each order n.
     """
     xs = _quad().points(a, b)
     return xs, [float(target(x)) for x in xs]
@@ -97,14 +99,24 @@ def _target_jet(target, x0, order: int) -> Jet:
 # -- functional families -----------------------------------------------------
 
 
+class Family:
+    """A sequence of functionals C_n.  A concrete family gives ``describe()``
+    and ``measure(target, orders)``, the values C_n(target) in that order."""
+
+    def orders(self, count: int) -> range:
+        """The orders of the first ``count`` functionals."""
+        return range(count)
+
+    def chars(self, target, count: int) -> "CharNumbers":
+        """The characteristic numbers C_n(target) of the first ``count`` orders."""
+        return CharNumbers(measure(target, self, self.orders(count)), self)
+
+
 @dataclass(frozen=True)
-class Derivative:
+class Derivative(Family):
     """C_n(f) = f^(n)(center)."""
 
     center: object = 0
-
-    def orders(self, count: int) -> range:
-        return range(count)
 
     def describe(self) -> str:
         return f"derivative@{self.center}"
@@ -112,11 +124,6 @@ class Derivative:
     def measure(self, target, orders: list) -> list:
         der = _target_jet(target, self.center, max(orders)).derivatives()
         return [der[n] for n in orders]
-
-
-def _exact_poly(p: Poly, a, b) -> bool:
-    """True when ``p`` and the interval (a, b) are all ints and Fractions."""
-    return is_exact(a) and is_exact(b) and all_exact(p.coeffs)
 
 
 def _power_integrals(a, b, top: int) -> tuple[list, int]:
@@ -135,39 +142,53 @@ def _one_minus_t(k: int) -> list[int]:
     return [(-1) ** i * math.comb(k, i) for i in range(k + 1)]
 
 
+def _integrals(target, a, b, orders: list, row, weighted) -> list:
+    """The integrals of w_n(x) f(x) over (a, b) for each n in ``orders``: the
+    one place where an integral family picks closed form or quadrature.
+
+    ``row(n)`` gives the integer coefficients of w_n (``row`` is None when
+    w_n has none) and ``weighted(n, xs, vs)`` the products w_n(x) * v of the
+    float w_n at the points ``xs`` with the samples ``vs`` there, in one pass.
+    A polynomial w_n and a target with a polynomial form p take the closed
+    form: on integer numerators when p and (a, b) are exact, through
+    q_i = sum_j p_j M_(i+j), a Hankel product of p with the power integrals
+    M_m over (a, b), so that the integral of w_n p is sum_i w_ni q_i; as the
+    float polynomial w_n p otherwise.  Every other target is sampled once
+    and each order integrates its weighted samples with the one rule.
+    """
+    p = target_poly(target) if row is not None else None
+    if p is not None:
+        if not (is_exact(a) and is_exact(b) and all_exact(p.coeffs)):
+            return [(Poly(row(n)) * p).integral(a, b) for n in orders]
+        if not any(p.coeffs):  # the zero polynomial integrates to int 0
+            return [0] * len(orders)
+        rows = [row(n) for n in orders]
+        top = max(map(len, rows)) - 1
+        num_p, den_p = scaled(p.coeffs)
+        num_m, den_m = _power_integrals(a, b, top + p.degree)
+        q = [sum(map(operator.mul, num_p, num_m[i:])) for i in range(top + 1)]
+        return [Fraction(sum(map(operator.mul, w, q)), den_p * den_m) for w in rows]
+    xs, vs = _samples(target, a, b)
+    return [_quad().integrate(weighted(n, xs, vs), a, b) for n in orders]
+
+
 @dataclass(frozen=True)
-class Moments:
+class Moments(Family):
     """C_n(f) = integral of x^n f(x) over (a, b)."""
 
     a: object = -1
     b: object = 1
 
-    def orders(self, count: int) -> range:
-        return range(count)
-
     def describe(self) -> str:
         return f"moments({self.a},{self.b})"
 
     def measure(self, target, orders: list) -> list:
-        p = target_poly(target)
-        if p is not None:
-            if not _exact_poly(p, self.a, self.b):
-                return [Poly([0] * n + list(p.coeffs)).integral(self.a, self.b)
-                        for n in orders]
-            # c_n = sum_j p_j M_(n+j); the zero polynomial integrates to int 0
-            if not any(p.coeffs):
-                return [0] * len(orders)
-            num_p, den_p = scaled(p.coeffs)
-            num_m, den_m = _power_integrals(self.a, self.b, max(orders) + p.degree)
-            return [Fraction(sum(map(operator.mul, num_p, num_m[n:])), den_p * den_m)
-                    for n in orders]
-        xs, vs = _samples(target, self.a, self.b)
-        return [_quad().integrate([x ** n * v for x, v in zip(xs, vs)], self.a, self.b)
-                for n in orders]
+        return _integrals(target, self.a, self.b, orders, lambda n: [0] * n + [1],
+                          lambda n, xs, vs: [x ** n * v for x, v in zip(xs, vs)])
 
 
 @dataclass(frozen=True)
-class HigherIntegral:
+class HigherIntegral(Family):
     """C_n(f) = n-fold repeated integral on (-1, 1), evaluated at 1.
 
     Defined for n >= 1 only; via the Cauchy formula
@@ -183,28 +204,13 @@ class HigherIntegral:
     def measure(self, target, orders: list) -> list:
         if min(orders) < 1:
             raise DomainError("higher-integral functionals start at order 1")
-        p = target_poly(target)
-        if p is not None and _exact_poly(p, -1, 1):
-            # the integral of (1 - t)^(n-1) p(t) is the row of (1 - t)^(n-1)
-            # dotted with q_i = sum_j p_j M_(i+j), a Hankel product of the
-            # polynomial with the power integrals M_m over (-1, 1)
-            top = max(orders) - 1
-            num_p, den_p = scaled(p.coeffs)
-            num_m, den_m = _power_integrals(-1, 1, top + p.degree)
-            q = [sum(map(operator.mul, num_p, num_m[i:])) for i in range(top + 1)]
-            return [Fraction(sum(map(operator.mul, _one_minus_t(n - 1), q)),
-                             den_p * den_m * math.factorial(n - 1)) for n in orders]
-        if p is None:
-            ts, vs = _samples(target, -1, 1)
-            vals = [_quad().integrate([(1 - t) ** (n - 1) * v for t, v in zip(ts, vs)], -1, 1)
-                    for n in orders]
-        else:
-            vals = [(Poly(_one_minus_t(n - 1)) * p).integral(-1, 1) for n in orders]
+        vals = _integrals(target, -1, 1, orders, lambda n: _one_minus_t(n - 1),
+                          lambda n, ts, vs: [(1 - t) ** (n - 1) * v for t, v in zip(ts, vs)])
         return [div(val, math.factorial(n - 1)) for n, val in zip(orders, vals)]
 
 
 @dataclass(frozen=True)
-class EndpointDiff:
+class EndpointDiff(Family):
     """C_n(f) = f^(n-1)(b) - f^(n-1)(a) for n >= 1.
 
     The zeroth functional is either the plain integral over (a, b)
@@ -224,9 +230,6 @@ class EndpointDiff:
         if self.zeroth == "value" and self.anchor is None:
             object.__setattr__(self, "anchor", self.a)
 
-    def orders(self, count: int) -> range:
-        return range(count)
-
     def describe(self) -> str:
         return f"endpoint_diff({self.a},{self.b};zeroth={self.zeroth})"
 
@@ -242,31 +245,25 @@ class EndpointDiff:
             elif self.zeroth == "value":
                 out.append(_target_jet(target, self.anchor, 0).coeffs[0])
             else:
-                p = target_poly(target)
-                out.append(p.integral(self.a, self.b) if p is not None
-                           else _quad().integrate(_samples(target, self.a, self.b)[1],
-                                                  self.a, self.b))
+                out.append(Moments(self.a, self.b).measure(target, [0])[0])
         return out
 
 
 @dataclass(frozen=True)
-class ValueNodes:
+class ValueNodes(Family):
     """C_n(f) = f(x_n) on a fixed node set."""
 
     nodes: tuple
-
-    def orders(self, count: int) -> range:
-        return range(count)
 
     def describe(self) -> str:
         return f"values@{len(self.nodes)} nodes"
 
     def measure(self, target, orders: list) -> list:
-        return [target(x) for x in self.nodes]
+        return [target(self.nodes[n]) for n in orders]
 
 
 @dataclass(frozen=True)
-class Projection:
+class Projection(Family):
     """Orthogonal-projection functionals C_n(f) = <v_n, f> / <v_n, v_n>.
 
     ``basis="fourier"`` uses the trigonometric system on (-pi, pi);
@@ -282,9 +279,6 @@ class Projection:
     @property
     def interval(self) -> tuple[float, float]:
         return (-math.pi, math.pi) if self.basis == "fourier" else (-1.0, 1.0)
-
-    def orders(self, count: int) -> range:
-        return range(count)
 
     def describe(self) -> str:
         return f"projection({self.basis})"
@@ -310,25 +304,20 @@ class Projection:
         return math.pi if self.basis == "fourier" else (2.0 / (2 * n + 1)) ** 2
 
     def measure(self, target, orders: list) -> list:
-        a, b = self.interval
-        xs, vs = _samples(target, a, b)
-        out = []
-        for n in orders:
+        def weighted(n, xs, vs):
             scale, shape = self.term(n)
-            inner = _quad().integrate([scale * shape(x) * v for x, v in zip(xs, vs)], a, b)
-            out.append(inner / self.norm(n))
-        return out
+            return [scale * shape(x) * v for x, v in zip(xs, vs)]
+
+        inners = _integrals(target, *self.interval, orders, None, weighted)
+        return [inner / self.norm(n) for n, inner in zip(orders, inners)]
 
 
 @dataclass(frozen=True)
-class Nonlinear:
+class Nonlinear(Family):
     """C_n(f) = d^n/dx^n Lambda(f(x)) at ``center`` for a fixed transform."""
 
     transform: str = "ln"
     center: object = 0
-
-    def orders(self, count: int) -> range:
-        return range(count)
 
     def describe(self) -> str:
         return f"nonlinear({self.transform})@{self.center}"
@@ -347,9 +336,6 @@ class Nonlinear:
             lifted = transform.lam_jet(_target_jet(target, self.center, max(orders)))
         der = lifted.derivatives()
         return [der[n] for n in orders]
-
-
-Family = object  # union of the dataclasses above
 
 
 # -- nonlinear transform registry ---------------------------------------------
@@ -660,8 +646,7 @@ def verify_matching(approximant, c: CharNumbers, tol_rel: float = 1e-9,
 
 def derivative_chars(target, x0=0, order: int = 8) -> CharNumbers:
     """Characteristic numbers c_n = f^(n)(x0) of any jet-evaluable target."""
-    family = Derivative(x0)
-    return CharNumbers(measure(target, family, range(order + 1)), family)
+    return Derivative(x0).chars(target, order + 1)
 
 
 def delta_check(basis: Sequence, family: Family, count: int | None = None) -> list[list]:

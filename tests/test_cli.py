@@ -3,10 +3,13 @@
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
 from datetime import timedelta
+from decimal import Context, Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -14,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import charmatch
-from charmatch.cli import main
+from charmatch.cli import _format_number, main
 from charmatch.registry import KIND_NAMES
 
 
@@ -395,6 +398,18 @@ def test_constant_beyond_float_range_verifies(capsys, kind):
     assert report["pass"] and report["max_residual"] == 0.0
 
 
+@pytest.mark.parametrize("constant", ["1" + "0" * 20, "1" + "0" * 400],
+                         ids=["10^20", "10^400"])
+def test_nonlinear_cube_of_a_huge_constant_verifies_exactly(capsys, constant):
+    # the approximant takes the exact cube root of (10^k)^3, past 2^53 and
+    # past the float range
+    code, out, err = run(capsys, "verify", "--f", f"{constant} + x", "--kind", "nonlinear",
+                         "--lambda", "cube", "--family", "derivative", "--order", "3")
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["pass"] and report["residuals"] == [0.0] * 4
+
+
 @pytest.mark.parametrize("argv", [
     ("verify", "--f", "11e308", "--preset", "ws-f", "--order", "1"),
     ("compare", "--f", "-11e308", "--kind", "dex,taylor", "--grid", "-1,1,9"),
@@ -415,6 +430,41 @@ def test_exact_numbers_beyond_the_digit_limit_print(capsys):
                        "--order", "0", "--x0", "1e400")
     assert code == 0
     assert out.splitlines()[-1].split() == ["0", "1e+16000", "1e+16000"]
+
+
+def test_huge_numbers_print_as_the_correctly_rounded_decimal():
+    # 17 significant digits rounded half to even, as Decimal division gives
+    # them, fixed point included for values near 1
+    rng = random.Random(15)
+    context = Context(prec=17)
+    for _ in range(60):
+        big = rng.randrange(10 ** 4400, 10 ** rng.randint(4401, 6000))
+        num = big * rng.randint(1, 10 ** rng.randint(0, 20)) + rng.randint(-10 ** 30, 10 ** 30)
+        for den in (1, rng.randrange(1, 10 ** 40), big * rng.randint(1, 10 ** rng.randint(0, 20)),
+                    big * big):
+            v = Fraction(rng.choice((1, -1)) * num, den)
+            want = format(context.divide(Decimal(v.numerator), Decimal(v.denominator))
+                          .normalize(), ".17g")
+            assert _format_number(v) == want
+    assert _format_number(Fraction(10 ** 5000 + 5 * 10 ** 4983)) == "1e+5000"  # tie to even
+    assert _format_number(Fraction(10 ** 5000 + 15 * 10 ** 4983)) == "1.0000000000000002e+5000"
+    assert _format_number(Fraction(10 ** 5000 - 1)) == "1e+5000"  # rounds up a digit
+    assert _format_number(Fraction(10 ** 5000 + 1, 10 ** 5000)) == "1"
+
+
+def test_a_huge_power_prints_fast(capsys):
+    # the Decimal conversion of 2^999999 took about 2 s per printed number
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "coeffs", "--f", "x^999999", "--kind", "taylor",
+                       "--order", "2", "--x0", "2")
+    assert time.perf_counter() - start < 3
+    assert code == 0
+    assert out.splitlines()[1:] == [
+        "   n                       a_n                       c_n",
+        "   0  4.9503281146479491e+301029  4.9503281146479491e+301029",
+        "   1  2.4751615821599172e+301035  2.4751615821599172e+301035",
+        "   2  1.2375783159183765e+301041  1.2375783159183765e+301041",
+    ]
 
 
 @pytest.mark.parametrize("argv", [

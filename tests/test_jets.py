@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from charmatch import exprs
 from charmatch.errors import DomainError, JetDomainError
-from charmatch.jets import Jet, bessel_jn_jet, compose
+from charmatch.jets import Jet, _exact_cbrt, bessel_jn_jet, compose
 from charmatch.matching import derivative_chars
 from charmatch.poly import Poly
 
@@ -223,6 +223,25 @@ def test_cbrt_jet():
     assert neg.coeffs[0] == -2
     with pytest.raises(JetDomainError):
         Jet(0, (0, 1)).cbrt()
+
+
+@pytest.mark.parametrize("root", [3, 2 ** 53 + 1, 10 ** 20, 10 ** 200, 7 ** 300 + 2,
+                                  F(10 ** 100, 3), F(-5, 7 ** 120)],
+                         ids=["3", "2^53+1", "10^20", "10^200", "7^300+2", "10^100/3",
+                              "-5/7^120"])
+def test_exact_cube_roots_beyond_the_float_range(root):
+    # integer cube roots: 10^600 = (10^200)^3 lies far past the float range
+    for r in (root, -root):
+        got = _exact_cbrt(r ** 3)
+        assert got == r and type(got) is type(r)
+        assert _exact_cbrt(r ** 3 + 1) is None
+        assert _exact_cbrt(F(r ** 3, 2)) is None
+    assert _exact_cbrt(0) == 0
+
+
+def test_cube_root_jet_of_a_huge_cube_is_exact():
+    jet = Jet(0, (10 ** 60, 3, 0)).cbrt()
+    assert jet.coeffs[:2] == (10 ** 20, F(1, 10 ** 40)) and jet.is_exact()
 
 
 def test_integer_powers_and_reciprocal():

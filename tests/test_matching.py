@@ -14,11 +14,14 @@ from charmatch.matching import (
     CharNumbers,
     Derivative,
     EndpointDiff,
+    Family,
+    HigherIntegral,
     Moments,
     Nonlinear,
     NONLINEAR_TRANSFORMS,
     TriMatrix,
     PolynomialApproximant,
+    Projection,
     ValueNodes,
     delta_check,
     derivative_chars,
@@ -137,6 +140,29 @@ def test_family_mismatch_for_non_jet_target():
 
     with pytest.raises(FamilyMismatchError):
         measure(Opaque(), Derivative(0), range(3))
+
+
+FAMILIES = [Derivative(0), Moments(-1, 1), HigherIntegral(), EndpointDiff(0, 1),
+            EndpointDiff(0, 1, zeroth="value"), ValueNodes((0, F(1, 2), 1, 2)),
+            Projection("legendre"), Projection("fourier"), Nonlinear("ln", 0)]
+# exact polynomial, float polynomial and non-polynomial targets, f(0) > 0 for ln
+TARGETS = [Poly([1, F(1, 2), 3]), Poly([1.0, 0.5, 3.0]), exprs.parse("exp(x) + x^2")]
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=repr)
+@pytest.mark.parametrize("target", TARGETS, ids=["exact", "float", "expr"])
+def test_measure_gives_one_value_per_order_in_order(family, target):
+    orders = [3, 1] if isinstance(family, HigherIntegral) else [2, 0]
+    got = measure(target, family, orders)
+    assert got == [measure(target, family, [n])[0] for n in orders]
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=repr)
+def test_family_chars_measures_its_orders(family):
+    assert isinstance(family, Family)
+    f = TARGETS[-1]
+    want = CharNumbers(measure(f, family, family.orders(4)), family)
+    assert repr(family.chars(f, 4)) == repr(want)
 
 
 # -- delta checks ----------------------------------------------------------------------

@@ -1,0 +1,139 @@
+"""Write sha256 digests of charmatch's outputs, to show that a change keeps them.
+
+    python tools/output_digest.py OUT.json [--root CHECKOUT]
+
+The digests cover, for the checkout at ``--root`` (default: the one that
+holds this script):
+
+* ``figures``: the CSV and SVG bytes of every figure recipe;
+* ``compare``: stdout and the JSON file of the benchmark's ``compare`` run
+  for each function of ``COMPARE_POOL``;
+* ``roundtrip``: ``repr((case id, chars, residuals, verdict))`` of every
+  case of one pass of ``roundtrip_exact`` (seeds 5, 6) and of
+  ``roundtrip_float`` (seeds 31, 32);
+* ``kinds``: ``repr`` of the characteristic numbers and coefficients of
+  every expansion kind for every benchmark target at orders 11, 20 and 40
+  and centers 0, 1/3 and 0.5 (the ``repr`` of the error where a build
+  raises).
+
+charmatch is imported from ``<root>/src`` and the cases come from
+``<root>/bench/workloads.py``, which is read and not changed.  Run it once
+on each checkout and compare the files: ``diff`` lists the entries that
+moved.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import importlib.util
+import io
+import json
+import sys
+import tempfile
+from fractions import Fraction
+from pathlib import Path
+
+ORDERS = (11, 20, 40)
+CENTERS = (0, Fraction(1, 3), 0.5)
+ROUNDTRIP_SEEDS = (("roundtrip_exact", 5), ("roundtrip_exact", 6),
+                   ("roundtrip_float", 31), ("roundtrip_float", 32))
+
+
+def digest(*parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part if isinstance(part, bytes) else part.encode())
+        h.update(b"\0")
+    return h.hexdigest()
+
+
+def load_workloads(root: Path):
+    """``<root>/bench/workloads.py`` as a module, with charmatch from ``<root>/src``."""
+    spec = importlib.util.spec_from_file_location("workloads", root / "bench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules["workloads"] = module
+    spec.loader.exec_module(module)
+    module.load_program()
+    return module
+
+
+def run_cli(cli, argv: list[str]) -> tuple[int, str]:
+    with contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+def grid_digests(wl, out_dir: Path) -> tuple[dict, dict]:
+    grid = wl.make_workload("grid", 1, out_dir)
+    figures, compare = {}, {}
+    for name in grid.figure_names:
+        case = wl.Case("figure", name)
+        wl.clear_caches()
+        code, _ = run_cli(grid.cli, grid.argv(case))
+        csv, svg = grid._paths(case)
+        figures[name] = digest(str(code), csv.read_bytes(), svg.read_bytes())
+    for function in wl.COMPARE_POOL:
+        wl.clear_caches()
+        code, stdout = run_cli(grid.cli, grid.argv(wl.Case("compare", function)))
+        compare[function] = digest(str(code), stdout,
+                                   (out_dir / "compare.json").read_bytes())
+    return figures, compare
+
+
+def roundtrip_digests(wl, out_dir: Path) -> dict:
+    out = {}
+    for name, seed in ROUNDTRIP_SEEDS:
+        workload = wl.make_workload(name, seed, out_dir)
+        workload.before_pass()
+        rows = []
+        for case in workload.build_pass():
+            try:
+                chars, report = workload.run(case)
+                text = repr((case.id, chars, report.residuals, report.passed))
+            except Exception as exc:  # a refusal is an output too
+                text = repr((case.id, exc))
+            rows.append([case.id, digest(text)])
+        out[f"{name}:{seed}"] = rows
+    return out
+
+
+def kind_digests(wl) -> dict:
+    import charmatch
+    from charmatch import registry
+
+    out = {}
+    for kind in registry.KIND_NAMES:
+        for target in wl.ACCEPTANCE + wl.POOL:
+            f = charmatch.parse(target.text)
+            for order in ORDERS:
+                for x0 in CENTERS:
+                    try:
+                        res = registry.build_kind(kind, f, order, x0=x0)
+                        text = repr((res.chars, res.coeffs))
+                    except Exception as exc:
+                        text = repr(exc)
+                    out[f"{kind}|{target.text}|{order}|{x0}"] = digest(text)
+    return out
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("out", help="JSON file to write")
+    parser.add_argument("--root", default=str(Path(__file__).resolve().parent.parent),
+                        help="checkout whose src/ and bench/ to use")
+    args = parser.parse_args(argv)
+    wl = load_workloads(Path(args.root).resolve())
+    with tempfile.TemporaryDirectory() as tmp:
+        figures, compare = grid_digests(wl, Path(tmp))
+        roundtrip = roundtrip_digests(wl, Path(tmp))
+    result = {"figures": figures, "compare": compare, "roundtrip": roundtrip,
+              "kinds": kind_digests(wl)}
+    Path(args.out).write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
