@@ -217,6 +217,11 @@ def _settings(command: str, flags: dict, paths: list[str]) -> SimpleNamespace:
         setattr(cfg, key, _SETTINGS[key].check(key, value))
     if cfg.interval is not None and cfg.family != "moments":
         raise UsageError("interval is read only with family moments")
+    # a preset builds its own approximant: it reads no kind and no kind parameter
+    for key in ("kind", "w", "q", "alpha", "lam") if cfg.preset else ():
+        if getattr(cfg, key) is not None:
+            raise UsageError(f"--preset and {_SETTINGS[key].flag} do not combine: "
+                             "a preset builds its own approximant")
     return cfg
 
 

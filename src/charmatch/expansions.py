@@ -354,13 +354,6 @@ def exp_weighted_approx(c: CharNumbers, w, q: int) -> ExpWeightedApproximant:
 
 # -- powers of an invertible g -------------------------------------------------------
 
-_POWERS_OF_G_TABLES: dict[str, Callable[[int, int], object]] = {
-    "log_powers": specfun.stirling2,
-    "stirling1_g": specfun.stirling1_unsigned,
-    "lambert_w_g": specfun.bell_binomial_power,
-}
-
-
 def powers_of_g_coeffs(c: CharNumbers, variant: str) -> CoeffSeq:
     """a_n = (1/n!) sum_k c_k b_{n,k} for the expansion sum a_n g(x)^n.
 
@@ -368,7 +361,7 @@ def powers_of_g_coeffs(c: CharNumbers, variant: str) -> CoeffSeq:
     g = 1 - exp(-x), C(n,k) k^(n-k) for g = W(x); each has b_{n,0} = delta_{n,0}.
     """
     _require_derivative(c)
-    b = _POWERS_OF_G_TABLES.get(variant)
+    b = _G_BASIS.get(variant, {}).get("table")
     if b is None:
         raise DomainError(f"unknown powers-of-g variant {variant!r}")
     orders = range(len(c.values))
@@ -407,16 +400,19 @@ _G_BASIS = {
         "eval": lambda t: math.log1p(t),
         "jet": _g_jet_log_powers,
         "domain": lambda t: t > -1,
+        "table": specfun.stirling2,
     },
     "stirling1_g": {
         "eval": lambda t: -math.expm1(-t),
         "jet": _g_jet_stirling1,
         "domain": lambda t: True,
+        "table": specfun.stirling1_unsigned,
     },
     "lambert_w_g": {
         "eval": specfun.lambert_w0,
         "jet": _g_jet_lambert,
         "domain": lambda t: t >= -math.exp(-1.0),
+        "table": specfun.bell_binomial_power,
     },
     "pow_sine": {
         "eval": lambda t: math.sin(t / 2.0),
@@ -749,14 +745,11 @@ def prime_indicator_P(pmax: int) -> tuple[int, ...]:
 
     With the sum truncated at i = pmax + 1 the values are exact for all
     p <= pmax: the p-th derivative counts the divisors of p that are >= 2,
-    so it equals 1 exactly when p is prime.
+    (1 * 1)(p) - 1, so it equals 1 exactly when p is prime.
     """
     if pmax < 2:
         raise DomainError("pmax must be at least 2")
-    out = [0, 0]
-    for p in range(2, pmax + 1):
-        out.append(sum(1 for i in range(2, pmax + 2) if p % i == 0))
-    return tuple(out)
+    return (0, *(d - 1 for d in specfun.dirichlet_convolve([1] * pmax, [1] * pmax)))
 
 
 def prime_indicator_eval(x: float) -> tuple[float, float, float, float]:

@@ -94,8 +94,9 @@ def _divide(a, b):
     return div(a, b)
 
 
-_NUMBER_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _divide}
-_JET_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+# symbol -> (number op, jet op)
+_OPS = {"+": (operator.add, operator.add), "-": (operator.sub, operator.sub),
+        "*": (operator.mul, operator.mul), "/": (_divide, operator.truediv)}
 
 
 @dataclass(frozen=True)
@@ -109,13 +110,13 @@ class Chain(Expr):
     def evaluate(self, x):
         acc = self.first.evaluate(x)
         for op, operand in self.rest:
-            acc = _NUMBER_OPS[op](acc, operand.evaluate(x))
+            acc = _OPS[op][0](acc, operand.evaluate(x))
         return acc
 
     def lift(self, x0, order):
         acc = self.first.lift(x0, order)
         for op, operand in self.rest:
-            acc = _JET_OPS[op](acc, operand.lift(x0, order))
+            acc = _OPS[op][1](acc, operand.lift(x0, order))
         return acc
 
 
@@ -141,24 +142,15 @@ class Pow(Expr):
         return b
 
 
-_EVAL_FNS = {
-    "exp": math.exp,
-    "ln": math.log,
-    "sin": math.sin,
-    "cos": math.cos,
-    "sqrt": math.sqrt,
-    "arctan": math.atan,
-    "bessel_j0": lambda t: specfun.bessel_j(0, t),
-}
-
-_JET_FNS = {
-    "exp": Jet.exp,
-    "ln": Jet.ln,
-    "sin": Jet.sin,
-    "cos": Jet.cos,
-    "sqrt": Jet.sqrt,
-    "arctan": Jet.arctan,
-    "bessel_j0": Jet.bessel_j0,
+# name -> (float function, jet primitive)
+_FNS = {
+    "exp": (math.exp, Jet.exp),
+    "ln": (math.log, Jet.ln),
+    "sin": (math.sin, Jet.sin),
+    "cos": (math.cos, Jet.cos),
+    "sqrt": (math.sqrt, Jet.sqrt),
+    "arctan": (math.atan, Jet.arctan),
+    "bessel_j0": (lambda t: specfun.bessel_j(0, t), Jet.bessel_j0),
 }
 
 _FN_ALIASES = {
@@ -177,12 +169,12 @@ class Call(Expr):
     def evaluate(self, x):
         t = self.arg.evaluate(x)
         try:
-            return _EVAL_FNS[self.fn](float(t))
+            return _FNS[self.fn][0](float(t))
         except ValueError as exc:
             raise EvalDomainError(f"{self.fn}({t}): {exc}") from exc
 
     def lift(self, x0, order):
-        return _JET_FNS[self.fn](self.arg.lift(x0, order))
+        return _FNS[self.fn][1](self.arg.lift(x0, order))
 
 
 _CONSTANTS = {"pi": math.pi, "e": math.e}
@@ -325,7 +317,7 @@ class _Parser:
             if name in _CONSTANTS:
                 return Const(_CONSTANTS[name])
             fn = _FN_ALIASES.get(name, name)
-            if fn in _EVAL_FNS:
+            if fn in _FNS:
                 self.expect("(")
                 inner = self.expr()
                 self.expect(")")

@@ -30,7 +30,7 @@ from .matching import (
     target_poly,
     tri_map,
 )
-from .poly import Poly, div, over
+from .poly import Poly, all_exact, div, over
 
 __all__ = [
     "MomentSet",
@@ -79,10 +79,14 @@ class MomentSet:
 
 def moments_compute(f, interval: tuple, order: int) -> MomentSet:
     """Moments c_0..c_order of ``f``: closed-form integrals when ``f`` has a
-    polynomial form (source "exact"), quadrature otherwise."""
+    polynomial form (source "exact" when every value is exact, "float-poly"
+    otherwise), quadrature when it has none."""
     a, b = interval
     values = measure(f, Moments(a, b), range(order + 1))
-    source = "exact" if target_poly(f) is not None else "quadrature"
+    if target_poly(f) is None:
+        source = "quadrature"
+    else:
+        source = "exact" if all_exact(values) else "float-poly"
     return MomentSet((a, b), tuple(values), source)
 
 

@@ -339,7 +339,9 @@ class Poly:
         """Antiderivative with zero constant term (exact over Fractions)."""
         out = [0]
         for k, c in enumerate(self.coeffs):
-            out.append(div(c, k + 1))
+            # a zero stays as it is: div(0, k + 1) is Fraction(0), which every
+            # float evaluation would then add through Fraction arithmetic
+            out.append(div(c, k + 1) if c else c)
         return Poly(out)
 
     def integral(self, a, b):

@@ -208,34 +208,21 @@ def legendre_coeffs(n: int, shifted: bool = False) -> Poly:
 # -- multiplicative number theory -------------------------------------------
 
 
-def _factorize(n: int) -> list[tuple[int, int]]:
-    """Prime factorization by trial division (desk scale)."""
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            out.append((d, e))
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append((n, 1))
-    return out
-
-
 @lru_cache(maxsize=None)
 def moebius(n: int) -> int:
-    """Moebius function mu(n) by trial factorization."""
+    """Moebius function mu(n) by trial division: each prime factor flips the
+    sign, a repeated one gives 0."""
     if n < 1:
         raise DomainError("Moebius function needs n >= 1")
-    if n == 1:
-        return 1
-    factors = _factorize(n)
-    if any(e > 1 for _, e in factors):
-        return 0
-    return -1 if len(factors) % 2 else 1
+    mu, d = 1, 2
+    while d * d <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            mu = -mu
+        d += 1 if d == 2 else 2
+    return -mu if n > 1 else mu
 
 
 @lru_cache(maxsize=32)
@@ -261,21 +248,13 @@ def moebius_table(n: int) -> tuple[int, ...]:
     return tuple(mu[1:])
 
 
-@lru_cache(maxsize=None)
 def nu(n: int) -> int:
-    """Dirichlet inverse of sin(n pi / 2): (-1)^(sum (p+1)/2) on square-free
-    odd n, zero elsewhere."""
+    """Dirichlet inverse of chi_4(n) = sin(n pi / 2) (0, 1, 0, -1 for n = 0, 1,
+    2, 3 mod 4): chi_4 is completely multiplicative, so its inverse is mu chi_4
+    (Apostol 1976, Thm 2.17)."""
     if n < 1:
         raise DomainError("nu needs n >= 1")
-    if n == 1:
-        return 1
-    if n % 2 == 0:
-        return 0
-    factors = _factorize(n)
-    if any(e > 1 for _, e in factors):
-        return 0
-    s = sum((p + 1) // 2 for p, _ in factors)
-    return -1 if s % 2 else 1
+    return moebius(n) * (0, 1, 0, -1)[n % 4]
 
 
 # -- Dirichlet convolution ---------------------------------------------------
@@ -284,12 +263,9 @@ def nu(n: int) -> int:
 # index i+1 (arithmetic functions are 1-based).
 
 
-def dirichlet_convolve(u: Sequence, v: Sequence, n_max: int | None = None) -> list:
-    """(u * v)_n = sum_{k | n} u_k v_{n/k}, exactly, for n = 1..n_max."""
-    if n_max is None:
-        n_max = min(len(u), len(v))
-    if n_max > len(u) or n_max > len(v):
-        raise DomainError("sequences shorter than requested order")
+def dirichlet_convolve(u: Sequence, v: Sequence) -> list:
+    """(u * v)_n = sum_{k | n} u_k v_{n/k}, exactly, for n up to the shorter length."""
+    n_max = min(len(u), len(v))
     out = [0] * n_max
     for d in range(1, n_max + 1):
         ud = u[d - 1]
@@ -300,15 +276,12 @@ def dirichlet_convolve(u: Sequence, v: Sequence, n_max: int | None = None) -> li
     return out
 
 
-def dirichlet_inverse(u: Sequence, n_max: int | None = None) -> list:
+def dirichlet_inverse(u: Sequence) -> list:
     """Inverse with respect to Dirichlet convolution, (u * u^-1)_n = delta_{1,n}.
 
     Requires u_1 != 0.
     """
-    if n_max is None:
-        n_max = len(u)
-    if n_max > len(u):
-        raise DomainError("sequence shorter than requested order")
+    n_max = len(u)
     if n_max < 1 or u[0] == 0:
         raise DomainError("no Dirichlet inverse: u_1 = 0")
     head = div(1, u[0])

@@ -385,6 +385,23 @@ def test_import_builds_no_quadrature_rule():
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
+def test_numpy_loads_with_the_first_quadrature_rule(tmp_path):
+    # a derivative kind integrates nothing, so numpy stays unloaded
+    src = Path(charmatch.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = """if True:
+        import sys
+        import charmatch, charmatch.cli, charmatch.figures
+        main = charmatch.cli.main
+        assert main(["coeffs", "--f", "exp(x)", "--kind", "taylor", "--order", "3"]) == 0
+        assert "numpy" not in sys.modules
+        assert main(["figure", "legout"]) == 0
+        assert "numpy" in sys.modules
+    """
+    subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path, check=True,
+                   stdout=subprocess.DEVNULL)
+
+
 # -- exit-code contract ----------------------------------------------------------
 
 
@@ -729,3 +746,47 @@ def test_the_benchmark_argv_shapes_run(tmp_path, capsys):
     assert code == 0, err
     rows = json.loads((tmp_path / "compare.json").read_text())
     assert [row["kind"] for row in rows] == list(KIND_NAMES)
+
+
+# -- a preset reads no kind --------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [
+    ("compare", "--f", "exp(x)", "--kind", "taylor,nsbf", "--preset", "ws-a",
+     "--grid=-1,1,21", "--order", "4"),
+    ("coeffs", "--f", "exp(x)", "--kind", "taylor", "--preset", "ws-a"),
+    ("verify", "--preset", "ws-a", "--kind", "pade"),
+])
+def test_preset_with_kind_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "--preset" in err and "--kind" in err
+
+
+@pytest.mark.parametrize("command", ["coeffs", "verify", "compare"])
+@pytest.mark.parametrize("key, flag, value", [
+    ("kind", "--kind", "taylor"), ("w", "--w", "1"), ("q", "--q", "2"),
+    ("alpha", "--alpha", "-1"), ("lam", "--lambda", "ln"),
+])
+def test_preset_with_a_kind_setting_exits_2_from_flag_and_config(tmp_path, capsys, command,
+                                                                 key, flag, value):
+    configs = [{"preset": "ws-a", key: value, "order": 4}]
+    if command == "compare":  # one configuration per config file
+        configs.append({"f": "exp(x)", "kind": "nsbf", "order": 4})
+    else:
+        code, out, err = run(capsys, command, "--preset", "ws-a", "--order", "4", flag, value)
+        assert (code, out) == (2, "")
+        assert "--preset" in err and flag in err
+    argv = [command]
+    for i, body in enumerate(configs):
+        (tmp_path / f"run{i}.json").write_text(json.dumps(body))
+        argv += ["--config", str(tmp_path / f"run{i}.json")]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "--preset" in err and flag in err
+
+
+def test_preset_alone_still_works(capsys):
+    code, out, err = run(capsys, "coeffs", "--preset", "ws-a", "--order", "4")
+    assert code == 0 and err == ""
+    assert out.startswith("kind: ws")

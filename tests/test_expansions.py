@@ -609,6 +609,15 @@ def test_prime_indicator():
     assert vals[2] == 1
 
 
+
+def test_prime_indicator_counts_the_divisors_past_1():
+    vals = xp.prime_indicator_P(300)
+    want = (0, *(sum(1 for i in range(2, p + 1) if p % i == 0) for p in range(1, 301)))
+    assert vals == want and all(type(v) is int for v in vals)
+    assert xp.prime_indicator_P(2) == (0, 0, 1)
+    with pytest.raises(DomainError):
+        xp.prime_indicator_P(1)
+
 def _prime_indicator_per_dex(k, x):
     # P^(k)(x) one dex_eval call per ring, as the pprime figure summed it
     acc = 0.0

@@ -18,7 +18,7 @@ from charmatch.matching import (
     measure,
     verify_matching,
 )
-from charmatch.poly import Poly
+from charmatch.poly import Poly, is_exact
 from charmatch.quadrature import GaussLegendre
 
 
@@ -134,6 +134,18 @@ def test_moments_examples():
     ms = im.moments_compute(exprs.parse("sin(x)"), (-1, 1), 4)
     assert ms.source == "quadrature"
     assert abs(ms.values[0]) < 1e-12 and abs(ms.values[2]) < 1e-12
+
+
+@pytest.mark.parametrize("f, interval, source", [
+    (Poly([F(1, 2), 1, F(1, 4)]), (-1, 1), "exact"),
+    (Poly([0.5, 1.0, 0.25]), (-1, 1), "float-poly"),
+    (Poly([1, 2]), (-0.5, 1), "float-poly"),
+    (exprs.parse("exp(x)"), (-1, 1), "quadrature"),
+])
+def test_moments_source_names_how_the_values_were_found(f, interval, source):
+    m = im.moments_compute(f, interval, 3)
+    assert m.source == source
+    assert all(map(is_exact, m.values)) == (source == "exact")
 
 
 def test_momentset_json():

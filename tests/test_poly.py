@@ -95,3 +95,10 @@ def test_float_argument_matches_fraction_horner_bitwise():
                 acc = acc * x + c
             assert p(x) == acc
             assert p(F(x)) == sum(c * F(x) ** k for k, c in enumerate(coeffs))
+
+
+def test_float_antiderivative_keeps_int_zeros_out_of_fraction():
+    anti = Poly([0.5, 0, 0, 2.0]).antiderivative()
+    assert not any(isinstance(c, F) for c in anti.coeffs)
+    assert anti.coeffs == (0, 0.5, 0, 0, 0.5)
+    assert isinstance(anti(0.5), float)

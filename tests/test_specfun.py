@@ -390,6 +390,28 @@ def test_moebius_table_matches_moebius():
     assert specfun.moebius_table(5000) == tuple(specfun.moebius(n) for n in range(1, 5001))
 
 
+
+def test_moebius_loop_matches_the_sieve_and_nu_is_moebius_times_chi4():
+    n_max = 20_000
+    mu = specfun.moebius_table(n_max)
+    assert tuple(specfun.moebius(n) for n in range(1, n_max + 1)) == mu
+    for n in range(1, n_max + 1):
+        nu = specfun.nu(n)
+        assert type(nu) is int and nu == mu[n - 1] * (0, 1, 0, -1)[n % 4]
+    # a prime and the square of a prime past the sieve's reach
+    assert specfun.moebius(1_000_000_007) == -1
+    assert specfun.moebius(10_007 ** 2) == 0
+    for n in (0, -3):
+        with pytest.raises(DomainError):
+            specfun.nu(n)
+
+
+def test_dirichlet_inverse_refuses_an_empty_sequence():
+    with pytest.raises(DomainError):
+        specfun.dirichlet_inverse([])
+    assert specfun.dirichlet_convolve([], [1, 2]) == []
+
+
 # -- Lambert W ----------------------------------------------------------------------
 
 
