@@ -108,10 +108,15 @@ def _integer(low: int):
 
 
 def _interval(key: str, value) -> tuple:
+    """'a,b' (text, or a 2-element list) as (a, b) with a != b: over an empty
+    interval every integral is 0, so any approximant would match."""
     parts = value.split(",") if isinstance(value, str) else value
     if not (isinstance(parts, list) and len(parts) == 2):
         raise UsageError(f"{key} expects 'a,b', got {value!r}")
-    return tuple(_number(key, v) for v in parts)
+    a, b = (_number(key, v) for v in parts)
+    if a == b:
+        raise UsageError(f"{key} needs a != b, got {value!r}")
+    return a, b
 
 
 def _grid_spec(key: str, value) -> tuple:
@@ -166,7 +171,7 @@ _SETTINGS = {
     "f": _Setting("--f", None, _text, "function expression, e.g. 'sin(5*x)'"),
     "kind": _Setting("--kind", None, _text, f"expansion kind: {', '.join(KIND_NAMES)}"),
     "order": _Setting("--order", 8, _integer(0), "expansion order N (default 8)"),
-    "x0": _Setting("--x0", 0, _number, "expansion point (default 0)"),
+    "x0": _Setting("--x0", None, _number, "expansion point (default 0)"),
     "w": _Setting("--w", None, _number, "exp-weighted w parameter"),
     "q": _Setting("--q", None, _integer(1), "exp-weighted q parameter"),
     "alpha": _Setting("--alpha", None, _number, "pole location for rational kinds"),
@@ -217,8 +222,9 @@ def _settings(command: str, flags: dict, paths: list[str]) -> SimpleNamespace:
         setattr(cfg, key, _SETTINGS[key].check(key, value))
     if cfg.interval is not None and cfg.family != "moments":
         raise UsageError("interval is read only with family moments")
-    # a preset builds its own approximant: it reads no kind and no kind parameter
-    for key in ("kind", "w", "q", "alpha", "lam") if cfg.preset else ():
+    # a preset builds its own approximant: it reads no kind, no kind parameter
+    # and no center
+    for key in ("kind", "x0", "w", "q", "alpha", "lam") if cfg.preset else ():
         if getattr(cfg, key) is not None:
             raise UsageError(f"--preset and {_SETTINGS[key].flag} do not combine: "
                              "a preset builds its own approximant")
@@ -343,7 +349,7 @@ def _cmd_verify(cfg: SimpleNamespace) -> int:
     chars, _, approx = _build_for_config(cfg)
     if cfg.perturb is not None:
         idx, delta = cfg.perturb
-        x0 = cfg.x0 if not cfg.preset else 0
+        x0 = 0 if cfg.x0 is None else cfg.x0
         approx = _CorruptedApproximant(approx, x0, idx, delta)
     if cfg.family:
         chars = _override_family(cfg)
@@ -356,7 +362,7 @@ def _cmd_verify(cfg: SimpleNamespace) -> int:
 
 def _override_family(cfg: SimpleNamespace) -> CharNumbers:
     if cfg.family == "derivative":
-        family = Derivative(cfg.x0)
+        family = Derivative(0 if cfg.x0 is None else cfg.x0)
     else:
         family = Moments(*(cfg.interval or (-1, 1)))
     return family.chars(_expr(cfg), cfg.order + 1)

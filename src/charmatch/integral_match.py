@@ -164,8 +164,9 @@ class FourierApproximant(Approximant):
         self._terms = [family.term(n) for n in range(len(coeffs.values))]
 
     def __call__(self, x):
-        return sum(float(a) * (scale * shape(float(x)))
-                   for a, (scale, shape) in zip(self.coeffs.values, self._terms) if a != 0)
+        x = float(x)
+        return sum(a * (scale * shape(x)) for v, a, (scale, shape)
+                   in zip(self.coeffs.values, self.coeffs.floats, self._terms) if v != 0)
 
 
 def fourier_approx(f, order: int) -> FourierApproximant:

@@ -13,7 +13,9 @@ drift apart.  Derivative-type families measure through jets.  The integral
 families (Moments, HigherIntegral, the zeroth functional of EndpointDiff and
 Projection) measure through ``_integrals``, which takes closed-form
 integrals of targets with a polynomial form and otherwise one composite
-Gauss-Legendre rule; Projection uses the rule for every target.
+Gauss-Legendre rule; Projection uses the rule for every target.  The
+weights w_n of such a family at the nodes of the rule are tabulated once
+per family and order (``_node_weights``).
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -76,15 +79,13 @@ def _quad() -> GaussLegendre:
     return GaussLegendre()
 
 
-def _samples(target, a, b) -> tuple[list, list]:
-    """The nodes of the rule on (a, b) and the float values of ``target`` there.
-
-    The integrand of every integral functional is a weight w_n(x) times
-    f(x), so ``_integrals`` samples f once and hands ``_quad().integrate``
-    the products w_n(x) * f(x) for each order n.
-    """
-    xs = _quad().points(a, b)
-    return xs, [float(target(x)) for x in xs]
+@lru_cache(maxsize=256)
+def _node_weights(family: Family, n: int) -> array:
+    """The float w_n of an integral family at the nodes of the rule on its
+    interval, in node order: one table per family and order, shared by every
+    target and by verification.  Equal families give the same nodes, since
+    ``points`` reads the interval ends as floats."""
+    return array("d", family.weights(n, _quad().points(*family.interval)))
 
 
 def _target_jet(target, x0, order: int) -> Jet:
@@ -142,20 +143,22 @@ def _one_minus_t(k: int) -> list[int]:
     return [(-1) ** i * math.comb(k, i) for i in range(k + 1)]
 
 
-def _integrals(target, a, b, orders: list, row, weighted) -> list:
-    """The integrals of w_n(x) f(x) over (a, b) for each n in ``orders``: the
-    one place where an integral family picks closed form or quadrature.
+def _integrals(target, family, orders: list, row=None) -> list:
+    """The integrals of w_n(x) f(x) over the family's interval (a, b) for each
+    n in ``orders``: the one place where an integral family picks closed form
+    or quadrature.
 
     ``row(n)`` gives the integer coefficients of w_n (``row`` is None when
-    w_n has none) and ``weighted(n, xs, vs)`` the products w_n(x) * v of the
-    float w_n at the points ``xs`` with the samples ``vs`` there, in one pass.
-    A polynomial w_n and a target with a polynomial form p take the closed
-    form: on integer numerators when p and (a, b) are exact, through
+    w_n has none) and ``family.weights(n, xs)`` the float w_n at the points
+    ``xs``.  A polynomial w_n and a target with a polynomial form p take the
+    closed form: on integer numerators when p and (a, b) are exact, through
     q_i = sum_j p_j M_(i+j), a Hankel product of p with the power integrals
     M_m over (a, b), so that the integral of w_n p is sum_i w_ni q_i; as the
-    float polynomial w_n p otherwise.  Every other target is sampled once
-    and each order integrates its weighted samples with the one rule.
+    float polynomial w_n p otherwise.  Every other target is sampled once at
+    the nodes of the one rule, and each order integrates the products
+    w_n(x) * f(x) of its table of w_n with those samples.
     """
+    a, b = family.interval
     p = target_poly(target) if row is not None else None
     if p is not None:
         if not (is_exact(a) and is_exact(b) and all_exact(p.coeffs)):
@@ -168,8 +171,9 @@ def _integrals(target, a, b, orders: list, row, weighted) -> list:
         num_m, den_m = _power_integrals(a, b, top + p.degree)
         q = [sum(map(operator.mul, num_p, num_m[i:])) for i in range(top + 1)]
         return [Fraction(sum(map(operator.mul, w, q)), den_p * den_m) for w in rows]
-    xs, vs = _samples(target, a, b)
-    return [_quad().integrate(weighted(n, xs, vs), a, b) for n in orders]
+    vs = [float(target(x)) for x in _quad().points(a, b)]
+    return [_quad().integrate([w * v for w, v in zip(_node_weights(family, n), vs)], a, b)
+            for n in orders]
 
 
 @dataclass(frozen=True)
@@ -179,12 +183,18 @@ class Moments(Family):
     a: object = -1
     b: object = 1
 
+    @property
+    def interval(self) -> tuple:
+        return self.a, self.b
+
     def describe(self) -> str:
         return f"moments({self.a},{self.b})"
 
+    def weights(self, n: int, xs: list) -> list:
+        return [x ** n for x in xs]
+
     def measure(self, target, orders: list) -> list:
-        return _integrals(target, self.a, self.b, orders, lambda n: [0] * n + [1],
-                          lambda n, xs, vs: [x ** n * v for x, v in zip(xs, vs)])
+        return _integrals(target, self, orders, lambda n: [0] * n + [1])
 
 
 @dataclass(frozen=True)
@@ -195,17 +205,21 @@ class HigherIntegral(Family):
     C_n(f) = (1/(n-1)!) * integral of (1-t)^(n-1) f(t) over (-1, 1).
     """
 
+    interval = (-1, 1)
+
     def orders(self, count: int) -> range:
         return range(1, count + 1)
 
     def describe(self) -> str:
         return "higher_integral(-1,1)"
 
+    def weights(self, n: int, ts: list) -> list:
+        return [(1 - t) ** (n - 1) for t in ts]
+
     def measure(self, target, orders: list) -> list:
         if min(orders) < 1:
             raise DomainError("higher-integral functionals start at order 1")
-        vals = _integrals(target, -1, 1, orders, lambda n: _one_minus_t(n - 1),
-                          lambda n, ts, vs: [(1 - t) ** (n - 1) * v for t, v in zip(ts, vs)])
+        vals = _integrals(target, self, orders, lambda n: _one_minus_t(n - 1))
         return [div(val, math.factorial(n - 1)) for n, val in zip(orders, vals)]
 
 
@@ -303,12 +317,12 @@ class Projection(Family):
         """<v_n, v_n> over the interval."""
         return math.pi if self.basis == "fourier" else (2.0 / (2 * n + 1)) ** 2
 
-    def measure(self, target, orders: list) -> list:
-        def weighted(n, xs, vs):
-            scale, shape = self.term(n)
-            return [scale * shape(x) * v for x, v in zip(xs, vs)]
+    def weights(self, n: int, xs: list) -> list:
+        scale, shape = self.term(n)
+        return [scale * shape(x) for x in xs]
 
-        inners = _integrals(target, *self.interval, orders, None, weighted)
+    def measure(self, target, orders: list) -> list:
+        inners = _integrals(target, self, orders)
         return [inner / self.norm(n) for n, inner in zip(orders, inners)]
 
 

@@ -790,3 +790,66 @@ def test_preset_alone_still_works(capsys):
     code, out, err = run(capsys, "coeffs", "--preset", "ws-a", "--order", "4")
     assert code == 0 and err == ""
     assert out.startswith("kind: ws")
+
+
+# -- a preset reads no center ------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [
+    ("coeffs", "--preset", "ws-a", "--order", "4", "--x0", "7"),
+    ("verify", "--preset", "ws-a", "--order", "4", "--x0", "1"),
+])
+def test_preset_with_x0_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "--preset" in err and "--x0" in err
+
+
+def test_preset_with_x0_in_a_config_exits_2(tmp_path, capsys):
+    (tmp_path / "run.json").write_text(json.dumps({"preset": "ws-a", "x0": 1}))
+    code, out, err = run(capsys, "verify", "--config", str(tmp_path / "run.json"),
+                         "--order", "4")
+    assert (code, out) == (2, "")
+    assert "--preset" in err and "--x0" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("coeffs", "--f", "exp(x)", "--kind", "pade", "--order", "5"),
+    ("verify", "--f", "exp(x)", "--kind", "nsbf", "--order", "5"),
+    ("verify", "--f", "exp(x)", "--kind", "taylor", "--order", "5", "--family", "derivative",
+     "--perturb", "2,0.5"),
+])
+def test_x0_left_out_reads_as_zero(capsys, argv):
+    left_out = run(capsys, *argv)
+    assert left_out == run(capsys, *argv, "--x0", "0")
+    assert left_out[0] in (0, 1) and left_out[2] == ""
+
+
+# -- an empty moments interval is refused ---------------------------------------------
+
+
+@pytest.mark.parametrize("interval", ["1,1", "1,1.0", "-0.5,-1/2"])
+def test_empty_interval_exits_2(capsys, interval):
+    code, out, err = run(capsys, "verify", "--f", "x^2", "--kind", "taylor", "--order", "4",
+                         "--family", "moments", "--interval", interval, "--perturb", "1,1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "interval" in err
+
+
+def test_empty_interval_in_a_config_exits_2(tmp_path, capsys):
+    body = {"f": "x^2", "kind": "taylor", "order": 4, "family": "moments",
+            "interval": [1, 1.0], "perturb": [1, 1]}
+    (tmp_path / "run.json").write_text(json.dumps(body))
+    code, out, err = run(capsys, "verify", "--config", str(tmp_path / "run.json"))
+    assert (code, out) == (2, "")
+    assert "interval" in err
+
+
+@pytest.mark.parametrize("interval, perturb, want", [
+    ("0,1", "1,1", 1), ("0,1", "1,0", 0), ("1,0", "1,0", 0), ("1,0", "1,1", 1),
+])
+def test_nonempty_intervals_still_verify(capsys, interval, perturb, want):
+    code, out, err = run(capsys, "verify", "--f", "x^2", "--kind", "taylor", "--order", "4",
+                         "--family", "moments", "--interval", interval, "--perturb", perturb)
+    assert (code, err) == (want, "")
+    assert json.loads(out)["pass"] is (want == 0)

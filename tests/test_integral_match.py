@@ -374,3 +374,17 @@ def test_bernoulli_taylor_limit_polynomial_is_exactish():
 def test_bernoulli_degenerate_interval():
     with pytest.raises(DomainError):
         im.bernoulli_chars(Poly([1]), (1, 1), 3)
+
+
+def test_fourier_approximant_sums_the_old_terms_bit_for_bit():
+    values = (F(1, 3), 0, 0.5, F(0), -2.0, F(-7, 5), 0.0, 1e-300, F(1, 10 ** 400), 3)
+    approx = im.FourierApproximant(im.CoeffSeq(values, "fourier"))
+    family = Projection("fourier")
+    terms = [family.term(n) for n in range(len(values))]
+    xs = GaussLegendre().points(-math.pi, math.pi) + [0, F(1, 2), -0.0, 3.0]
+    for x in xs:
+        # the sum as written before: each term converts a_n and x itself
+        want = sum(float(a) * (scale * shape(float(x)))
+                   for a, (scale, shape) in zip(values, terms) if a != 0)
+        got = approx(x)
+        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
