@@ -654,9 +654,8 @@ class DirichletApproximant(Approximant):
                               "at the expansion point")
         series = _DIRICHLET[self.kind]["series"]
         gamma = [series(j) for j in range(order + 1)]
-        zero = 0 * gamma[0]  # typed as g's series: int for G, Fraction otherwise
         nonzero = [n for n, a in enumerate(self.coeffs.values, start=1) if a != 0]
-        rows = [[(n, zero if m % n else gamma[m // n]) for n in nonzero]
+        rows = [[(n, 0 if m % n else gamma[m // n]) for n in nonzero]
                 for m in range(order + 1)]
         rows[0].insert(0, (0, 1))
         return Jet(x0, tri_map(rows, (self.b0, *self.coeffs.values)))

@@ -21,7 +21,7 @@ from typing import Sequence
 
 from . import specfun
 from .errors import DomainError, JetDomainError
-from .poly import Poly, admit, all_exact, div, is_exact, mul, scaled
+from .poly import Poly, admit, all_exact, div, is_exact, mul, rational, scaled
 
 __all__ = ["Jet", "compose", "bessel_jn_jet"]
 
@@ -34,8 +34,7 @@ def exact_sqrt(v):
     num = math.isqrt(f.numerator)
     den = math.isqrt(f.denominator)
     if num * num == f.numerator and den * den == f.denominator:
-        r = Fraction(num, den)
-        return int(r) if r.denominator == 1 else r
+        return rational(num, den)
     return None
 
 
@@ -58,8 +57,7 @@ def _exact_cbrt(v):
     num = _icbrt(abs(f.numerator))
     den = _icbrt(f.denominator)
     if num ** 3 == abs(f.numerator) and den ** 3 == f.denominator:
-        r = Fraction(num if f >= 0 else -num, den)
-        return int(r) if r.denominator == 1 else r
+        return rational(num if f >= 0 else -num, den)
     return None
 
 

@@ -31,7 +31,7 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import DomainError, FamilyMismatchError, SingularSystemError
 from .jets import Jet
-from .poly import Poly, all_exact, div, is_exact, mixes_fractions, over, scaled
+from .poly import Poly, all_exact, div, is_exact, over, rational, scaled
 from .quadrature import GaussLegendre
 from . import specfun
 
@@ -163,14 +163,12 @@ def _integrals(target, family, orders: list, row=None) -> list:
     if p is not None:
         if not (is_exact(a) and is_exact(b) and all_exact(p.coeffs)):
             return [(Poly(row(n)) * p).integral(a, b) for n in orders]
-        if not any(p.coeffs):  # the zero polynomial integrates to int 0
-            return [0] * len(orders)
         rows = [row(n) for n in orders]
         top = max(map(len, rows)) - 1
         num_p, den_p = scaled(p.coeffs)
         num_m, den_m = _power_integrals(a, b, top + p.degree)
         q = [sum(map(operator.mul, num_p, num_m[i:])) for i in range(top + 1)]
-        return [Fraction(sum(map(operator.mul, w, q)), den_p * den_m) for w in rows]
+        return [rational(sum(map(operator.mul, w, q)), den_p * den_m) for w in rows]
     vs = [float(target(x)) for x in _quad().points(a, b)]
     return [_quad().integrate([w * v for w, v in zip(_node_weights(family, n), vs)], a, b)
             for n in orders]
@@ -505,7 +503,8 @@ class TriMatrix:
     def multiply(self, t: Sequence) -> list:
         if len(t) != len(self.rows):
             raise DomainError("vector length does not match matrix order")
-        # dense rows keep their zeros: a 0 * t[m] term still sets the sum's type
+        # dense rows keep their zeros: a 0 * t[m] term with a float t[m] makes
+        # the sum a float, or nan where t[m] is infinite
         return tri_map((enumerate(row) for row in self.rows), t)
 
     def matmul(self, other: "TriMatrix") -> "TriMatrix":
@@ -532,25 +531,19 @@ def tri_map(rows: Iterable, v: Sequence, divisors: Iterable[int] | None = None) 
     ``over(a_n, d_n)`` for the n-th of ``divisors`` if given.  The sum starts at
     int 0 and adds the terms in row order, zero entries listed included.
 
-    When the entries and v are ints and Fractions, at least one a Fraction,
-    v is scaled once to integer numerators over the lcm of its denominators
-    and the entries of each row over theirs, so a row is one integer dot
-    product and each a_n takes one gcd.  Value and type match the loop: a_n
-    is a Fraction when a divisor is given or a Fraction takes part in its
-    row, an int otherwise.  Anything else takes the loop itself.
+    When the entries and v are ints and Fractions, v is scaled once to
+    integer numerators over the lcm of its denominators and the entries of
+    each row over theirs, so a row is one integer dot product and each a_n
+    one ``rational``.  Anything with a float takes the loop itself.
     """
     rows = [list(row) for row in rows]
-    if all_exact(v) and mixes_fractions(v, [t for row in rows for _, t in row]):
+    if all_exact(v) and all_exact(t for row in rows for _, t in row):
         nums, den_v = scaled(v)
-        frac_v = [type(x) is Fraction for x in v]
         out = []
         for row, d in zip(rows, [1] * len(rows) if divisors is None else divisors):
             entries, den = scaled([t for _, t in row])
             s = sum(t * nums[k] for t, (k, _) in zip(entries, row))
-            if divisors is not None or any(frac_v[k] or type(t) is Fraction for k, t in row):
-                out.append(Fraction(s, den * den_v * d))
-            else:  # ints only: den is 1 and den_v divides every term
-                out.append(s // den_v)
+            out.append(rational(s, den * den_v * d))
         return out
     out = []
     for row in rows:

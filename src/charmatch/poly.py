@@ -6,8 +6,9 @@ exact.  This is the workhorse behind the combinatorial polynomial tables
 (Bernoulli, Legendre) and every place the tests demand exact-zero residuals.
 Exactness follows the operand types; ``div`` and ``over`` are the only two
 places where the package chooses between exact and float arithmetic by hand.
-``mul``, the product of coefficient sequences, only picks a faster route to
-the same exact result.
+The exact integer kernels (``mul``, ``_compose_exact``, ``matching.tri_map``)
+follow one rule for their results: ``rational(num, den)``, an int where the
+value is an integer and a Fraction otherwise.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ def is_exact(value) -> bool:
 
 
 def all_exact(values) -> bool:
-    """True when every one of ``values`` is exact."""
-    return all(map(is_exact, values))
+    """True when every one of ``values`` is exact, tested once per type."""
+    return all(issubclass(t, EXACT_TYPES) for t in set(map(type, values)))
 
 
 def div(a, b):
@@ -71,12 +72,11 @@ def admit(nums: list, den: int, c: Fraction) -> int:
     return den
 
 
-def mixes_fractions(a, b) -> bool:
-    """True when every entry of ``a`` and ``b`` is an int or a Fraction and
-    at least one is a Fraction."""
-    types = set(map(type, a))
-    types.update(map(type, b))
-    return Fraction in types and types <= {int, Fraction}
+def rational(num: int, den: int):
+    """``num / den`` for ints: an int when ``den`` divides ``num``, else a
+    Fraction.  Every exact integer kernel types its results this way."""
+    q, r = divmod(num, den)
+    return Fraction(num, den) if r else q
 
 
 def mul(a, b, n: int, skip_zero_b: bool = True) -> list:
@@ -87,49 +87,33 @@ def mul(a, b, n: int, skip_zero_b: bool = True) -> list:
 
     Operands of ints and Fractions go through integer numerators over one
     shared denominator (fraction-free, as in Bareiss elimination): the
-    convolution runs on ints and each output takes one gcd instead of one
-    per product.  Value and type match the double loop: a slot that no
-    product reaches stays int 0, a slot that a Fraction factor reaches is a
-    Fraction, the rest are ints.  Int-only operands, for which the loop is
-    already integer arithmetic, and floats take the loop itself.
+    convolution runs on ints and each output is one ``rational``.  Anything
+    with a float takes the loop itself, whose skip rules decide the sign of
+    a zero and whether inf * 0 makes a nan.
     """
+    a, b = a[:n], b[:n]
     out = [0] * n
-    if not mixes_fractions(a, b):
-        for i, x in enumerate(a[:n]):
+    if not (all_exact(a) and all_exact(b)):
+        for i, x in enumerate(a):
             if x == 0:
                 continue
             for k, y in enumerate(b[:n - i], i):
                 if y != 0 or not skip_zero_b:
                     out[k] += x * y
         return out
-    num_a, den_a = scaled(a[:n])
-    num_b, den_b = scaled(b[:n])
+    num_a, den_a = scaled(a)
+    num_b, den_b = scaled(b)
     nonzero_b = [(j, y) for j, y in enumerate(num_b) if y]
-    # bit j: b[j] takes part in products (reached), and is a Fraction (frac)
-    reached_b = frac_b = 0
-    for j, y in enumerate(b[:n]):
-        if y != 0 or not skip_zero_b:
-            reached_b |= 1 << j
-            if type(y) is Fraction:
-                frac_b |= 1 << j
-    reached = frac = 0
     for i, x in enumerate(num_a):
         if not x:
             continue
-        reached |= reached_b << i
-        frac |= (reached_b if type(a[i]) is Fraction else frac_b) << i
         for j, y in nonzero_b:
             k = i + j
             if k >= n:
                 break
             out[k] += x * y
     den = den_a * den_b
-    for k in range(n):
-        if frac >> k & 1:
-            out[k] = Fraction(out[k], den)
-        elif reached >> k & 1:
-            out[k] //= den
-    return out
+    return [rational(s, den) for s in out]
 
 
 @functools.lru_cache(maxsize=64)
@@ -138,9 +122,8 @@ def _power_table(ys: tuple) -> tuple:
     of the exact series ``ys`` with head 0 and first nonzero index v, each
     row as its integer numerators over one denominator.
 
-    The table holds values only, so two value-equal series of other entry
-    types (``1 == Fraction(1)``) may share it; the callers type the sums
-    from their own operands.
+    The table holds values only, so value-equal series of other entry types
+    (``1 == Fraction(1)``) share it; the sums read from it are ``rational``.
     """
     from .jets import Jet
 
@@ -156,45 +139,15 @@ def _power_table(ys: tuple) -> tuple:
     return tuple(rows)
 
 
-def _compose_exact(cs, ys) -> list | None:
-    """sum_k cs[k] y^k to the order of ``ys`` from the power table, or None
-    where only the Horner loop knows the types.  ``ys`` has head 0 and a
-    first nonzero entry at v; ``cs`` stops at the top degree that reaches
-    its order.
-
-    Each coefficient is one integer dot product, typed as the loop
-    ``acc = acc * y + c`` types it.  Slot 0 is cs[0].  When every nonzero
-    y_j is a Fraction, slot n is a Fraction iff the loop reaches it: iff the
-    cofactor sum_(k>=1) cs[k] y^(k-1) has a nonzero coefficient i with
-    y_(n-i) != 0.  When they are all ints, slot n is a Fraction iff a
-    nonzero Fraction cs[k] reaches it, which holds when y is a monomial (one
-    term per slot) or no cs[k], k >= 1, is a nonzero Fraction.  Otherwise
-    the loop's types hang on cancellations inside it.
+def _compose_exact(cs, ys) -> list:
+    """sum_k cs[k] y^k to the order of ``ys`` from the power table, for
+    exact ``cs`` and ``ys``.  ``ys`` has head 0; ``cs`` stops at the top
+    degree that reaches its order.  Each coefficient is one integer dot
+    product and one ``rational``.
     """
-    if not (all_exact(cs) and all_exact(ys)):
-        return None
-    nonzero = [j for j, y in enumerate(ys) if y != 0]
-    y_types = {type(ys[j]) for j in nonzero}
-    frac_cs = [k for k, c in enumerate(cs) if k and c != 0 and type(c) is Fraction]
-    if len(y_types) > 1 or (y_types == {int} and frac_cs and len(nonzero) > 1):
-        return None
-    rows = _power_table(ys)
     nums, den_c = scaled(cs)
-    nums = nums[1:]
-    v = nonzero[0]
-    if y_types == {Fraction}:
-        reach = sum(1 << j for j in nonzero)
-        frac = 0
-        for i, (_, row) in enumerate(rows[:len(ys) - v]):
-            if sum(map(operator.mul, nums, row)):
-                frac |= reach << i
-    else:
-        frac = sum(1 << k * v for k in frac_cs)
-    out = [cs[0]]
-    for den, row in rows[1:]:
-        s = sum(map(operator.mul, nums, row[1:]))
-        out.append(Fraction(s, den * den_c) if frac >> len(out) & 1 else s // (den * den_c))
-    return out
+    return [rational(sum(map(operator.mul, nums, row)), den * den_c)
+            for den, row in _power_table(ys)]
 
 
 class Poly:
@@ -259,10 +212,10 @@ class Poly:
                 order = len(ys) - 1
                 v = next((k for k, y in enumerate(ys) if y != 0), 0)
                 if v:
-                    top = min(len(coeffs) - 1, order // v)
-                    out = _compose_exact(coeffs[:top + 1], ys)
-                    if out is not None:
-                        return Jet(x.center, out)
+                    coeffs = coeffs[:min(len(coeffs) - 1, order // v) + 1]
+                    top = len(coeffs) - 1
+                    if all_exact(coeffs) and all_exact(ys):
+                        return Jet(x.center, _compose_exact(coeffs, ys))
                     acc = Jet.constant(coeffs[top], x.center, order - top * v)
                     for k in range(top - 1, -1, -1):
                         # the orders of the cofactor of x^k that count

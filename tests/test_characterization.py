@@ -3,10 +3,12 @@
 For every expansion kind on the six acceptance targets at x0 = 0 and orders
 11, 20 and 40, and for the moment, higher-integral and Bernoulli families on
 three fixed exact polynomials, the sha256 of
-``repr((chars.values, coeffs.values, residuals))`` must equal the digest
-stored in ``data/characterization.json``.  Only cases whose characteristic
-numbers are exact rationals are kept, so the digests do not depend on the
-platform's libm.
+``repr(key((chars.values, coeffs.values, residuals)))`` must equal the
+digest stored in ``data/characterization.json``.  ``result_key.key`` keeps
+exact values and exactness and float bits, not whether an exact value is
+held as an int or a Fraction.  Only cases whose characteristic numbers are
+exact rationals are kept, so the digests do not depend on the platform's
+libm.
 
 Regenerate the fixture (only when an output change is intended) with::
 
@@ -24,6 +26,7 @@ from charmatch.errors import CharmatchError
 from charmatch.matching import verify_matching
 from charmatch.poly import Poly, is_exact
 from charmatch.registry import KIND_NAMES, build_kind
+from result_key import key
 
 FIXTURE = Path(__file__).parent / "data" / "characterization.json"
 
@@ -40,7 +43,7 @@ POLY_ORDER = 11
 
 def _digest(chars, approx) -> str:
     residuals = verify_matching(approx, chars).residuals
-    text = repr((chars.values, approx.coeffs.values, residuals))
+    text = repr(key((chars.values, approx.coeffs.values, residuals)))
     return hashlib.sha256(text.encode()).hexdigest()
 
 

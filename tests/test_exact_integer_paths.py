@@ -6,11 +6,12 @@ exact Pade solve now run on integer numerators over shared denominators when
 every operand is an int or a Fraction; the NSBF and Dirichlet approximant
 jets and the exact ``exp_weighted_coeffs`` are ``tri_map`` sums, and an exact
 series composed with an exact jet of head 0 is summed from the jet's cached
-power table.  Each reference below is the loop used before,
-kept verbatim, and the two must agree in ``repr``: value, type (int where
-the loop gives an int, Fraction elsewhere) and float bits alike.  Float and
-mixed operands still take the loops, and nothing else in the suite guards
-their bits.
+power table.  Each reference below is the loop used before, kept verbatim,
+and the two must agree by ``result_key.key``: exact values and exactness,
+and float bits.  An exact integer path gives an int where a value is an
+integer and a Fraction otherwise (``poly.rational``), whatever type the
+loop gave.  Float and mixed operands still take the loops, and nothing else
+in the suite guards their bits.
 """
 
 import math
@@ -28,6 +29,7 @@ from charmatch.matching import (
     CharNumbers, CoeffSeq, Derivative, HigherIntegral, Moments, tri_map,
 )
 from charmatch.poly import Poly, div, is_exact, over
+from result_key import key, same
 
 
 F = Fraction
@@ -48,17 +50,6 @@ def sequences(max_size=41):
     """Up to ``max_size`` numbers: all exact half of the time, else mixed."""
     return st.tuples(st.integers(1, max_size), st.booleans()).flatmap(
         lambda t: numbers(*t))
-
-
-def outcome(fn):
-    try:
-        return repr(fn())
-    except Exception as exc:  # both sides must fail alike
-        return f"raised {type(exc).__name__}"
-
-
-def same(new, old):
-    assert outcome(new) == outcome(old)
 
 
 # -- the loops the integer paths replaced --------------------------------------------
@@ -243,12 +234,12 @@ def test_tri_map_matches_the_loop(data):
     same(lambda: tri_map(iter(rows), v, divisors), lambda: ref_tri_map(rows, v, divisors))
 
 
-def test_tri_map_types():
-    # a row that no Fraction reaches stays an int, as the loop gives it
+def test_tri_map_gives_exact_values():
+    # an empty row and a row of zero entries sum to an exact 0
     v = [F(1, 2), 3, -0]
     rows = [[(0, 2)], [(1, 5), (2, 7)], [], [(1, 0), (0, 0)]]
-    assert repr(tri_map(rows, v)) == repr([F(1), 15, 0, F(0)])
-    assert repr(tri_map(rows, v, [3, 5, 7, 1])) == repr([F(1, 3), F(3), F(0), F(0)])
+    assert key(tri_map(rows, v)) == key([1, 15, 0, 0])
+    assert key(tri_map(rows, v, [3, 5, 7, 1])) == key([F(1, 3), 3, 0, 0])
 
 
 CENTERS = st.sampled_from([0, F(1, 3), 0.5])
@@ -288,7 +279,7 @@ def test_dirichlet_jet_matches_the_basis_sum(values, b0, variant, center, order)
     if is_negative_zero(b0) and is_negative_zero(old.coeffs[0]):
         assert repr(new.coeffs[0]) == "0.0"
         old = Jet(old.center, (0.0,) + old.coeffs[1:])
-    assert repr(new) == repr(old)
+    assert key(new) == key(old)
 
 
 @pytest.mark.parametrize("variant", ["dirichlet_g", "dirichlet_rat1", "dirichlet_rat2"])
@@ -336,8 +327,8 @@ def test_sin_cos_matches_the_loop(jet):
 def test_exact_head_decides_the_exp_and_sin_cos_paths():
     # a tiny exact head is not an exact zero: the float loop runs
     jet = Jet(0, (F(1, 10 ** 400), 1, F(1, 2)))
-    assert repr(jet.exp()) == repr(ref_exp(jet))
-    assert repr(jet._sin_cos()) == repr(ref_sin_cos(jet))
+    assert key(jet.exp()) == key(ref_exp(jet))
+    assert key(jet._sin_cos()) == key(ref_sin_cos(jet))
 
 
 INTERVALS = st.sampled_from([(-1, 1), (0, 1), (F(-1, 2), F(2, 3)), (2, 2), (-1.0, 1.0),
@@ -365,10 +356,10 @@ def test_higher_integral_matches_the_loop(p, orders):
          lambda: ref_higher_integral(p, orders))
 
 
-def test_zero_polynomial_types():
-    zero = Poly([0])
-    assert repr(Moments().measure(zero, [0, 3])) == "[0, 0]"
-    assert repr(HigherIntegral().measure(zero, [1, 3])) == repr([F(0), F(0)])
+def test_zero_polynomial_integrates_to_exact_zeros():
+    for zero in (Poly([0]), Poly([F(0)])):
+        assert key(Moments().measure(zero, [0, 3])) == key([0, 0])
+        assert key(HigherIntegral().measure(zero, [1, 3])) == key([0, 0])
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -497,13 +488,12 @@ def identity_jet(one, order=12):
 
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(coeffs=st.lists(EXACT, min_size=2, max_size=43), jets=jets_of_one_order())
-# value-equal jets of other types, one after the other: a table cached for the
-# first must not type the second
+# value-equal jets of other types, one after the other, share one cached table
 @example(coeffs=[0, 1, 2, 0, -3, F(0), 5] * 2,
          jets=[identity_jet(1), identity_jet(F(1)), identity_jet(1)])
-# 5 - y + y^2 cancels at y^2 inside the loop, which keeps slot 3 an int on int y
+# 5 - y + y^2 cancels at y^2 inside the loop
 @example(coeffs=[0, 5, -1, F(1)], jets=[Jet(0, (0, 1, 1, 0)), Jet(0, (0, F(1), F(1), F(0)))])
-# [t^5] y^2 = 2 (2 * 1 + (-1) * 2) = 0 and y_5 = 0, yet the loop reaches slot 5
+# [t^5] y^2 = 2 (2 * 1 + (-1) * 2) = 0 and y_5 = 0: a zero inside the table
 @example(coeffs=[1, F(1, 2), 1], jets=[Jet(0, (0, F(2), F(-1), F(2), F(1), F(0)))])
 def test_power_table_matches_the_horner_loop(coeffs, jets):
     p = Poly(coeffs)
@@ -511,18 +501,35 @@ def test_power_table_matches_the_horner_loop(coeffs, jets):
         return
     new = [p(x) for x in jets]
     for x, got in zip(jets, new):
-        assert repr(got) == repr(ref_head0_horner(p.coeffs, x))
+        assert key(got) == key(ref_head0_horner(p.coeffs, x))
     poly._power_table.cache_clear()
-    assert repr([p(x) for x in jets]) == repr(new)
+    assert key([p(x) for x in jets]) == key(new)
+
+
+def composed_from_one_new_table(p, x):
+    """``p(x)`` with an emptied power-table cache, which must miss once."""
+    poly._power_table.cache_clear()
+    got = p(x)
+    assert poly._power_table.cache_info().misses == 1
+    return got
 
 
 @pytest.mark.parametrize("name", STRUCTURED)
 def test_structured_jets_take_the_power_table(name):
     x = structured_jet(name, 20)
     coeffs = Poly([F(k, 3) for k in range(1, 22)])
-    assert poly._compose_exact(coeffs.coeffs, x.coeffs) is not None
+    got = composed_from_one_new_table(coeffs, x)
+    assert key(got) == key(ref_head0_horner(coeffs.coeffs, x))
     # floats keep the Horner loop
-    assert repr(coeffs.as_float()(x)) == repr(ref_head0_horner(coeffs.floats, x))
+    assert key(coeffs.as_float()(x)) == key(ref_head0_horner(coeffs.floats, x))
+
+
+@pytest.mark.parametrize("x", [Jet(0, (0, 1, F(1, 2), 3)), Jet(0, (F(0), 2, 0, F(1, 3), -1)),
+                               Jet(0, (0, 0, F(5), 1, F(-1, 7)))])
+def test_jets_mixing_ints_and_fractions_take_the_power_table(x):
+    p = Poly([F(1, 2), F(1, 3), F(1, 5)])
+    got = composed_from_one_new_table(p, x)
+    assert key(got) == key(ref_head0_horner(p.coeffs, x))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -530,5 +537,5 @@ def test_structured_jets_take_the_power_table(name):
        w=st.sampled_from([F(-1, 2), 1, F(3, 7)]), q=st.sampled_from([1, 2, 3]))
 def test_exp_weighted_matches_the_loop(c, w, q):
     chars = CharNumbers(tuple(c), Derivative(0))
-    assert repr(xp.exp_weighted_coeffs(chars, w, q).values) == repr(
+    assert key(xp.exp_weighted_coeffs(chars, w, q).values) == key(
         ref_exp_weighted_values(chars, w, q))

@@ -1,18 +1,21 @@
 """Property tests: the fraction-free product and quotient and the
 valuation-aware jet Horner give exactly what the plain loops give.
 
-Every comparison is by ``repr``, so the type of each coefficient (int 0 for
-a slot no product reaches, Fraction, float) counts as well as its value, and
-floats must agree bit for bit.
+Every comparison is by ``result_key.key``: exact coefficients by value and
+exactness, floats bit for bit (sign of zero included).  An exact kernel
+gives an int where a value is an integer and a Fraction otherwise
+(``poly.rational``); the loops' own int-or-Fraction types are not kept.
 """
 
+import math
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from charmatch.jets import Jet, _div_series
-from charmatch.poly import Poly, div
+from charmatch.poly import Poly, div, rational
+from result_key import key
 
 F = Fraction
 
@@ -71,7 +74,7 @@ def jet_pair(draw, entries):
 def test_jet_product_matches_the_double_loop(pair):
     a, b = pair
     got = Jet(0, a) * Jet(0, b)
-    assert repr(got) == repr(Jet(0, plain_mul(a, b, len(a))))
+    assert key(got) == key(Jet(0, plain_mul(a, b, len(a))))
 
 
 @settings(max_examples=200, deadline=None)
@@ -79,7 +82,7 @@ def test_jet_product_matches_the_double_loop(pair):
 def test_poly_product_matches_the_double_loop(a, b):
     a, b = Poly(a).coeffs, Poly(b).coeffs
     want = Poly(plain_mul(a, b, len(a) + len(b) - 1, skip_zero_b=False))
-    assert repr(Poly(a) * Poly(b)) == repr(want)
+    assert key(Poly(a) * Poly(b)) == key(want)
 
 
 @settings(max_examples=150, deadline=None)
@@ -88,7 +91,7 @@ def test_exact_quotient_matches_the_plain_recurrence(pair, q0):
     p, q = pair
     q = [q0] + q[1:]
     got = _div_series(p, q)
-    assert repr(got) == repr(plain_div(p, q))
+    assert key(got) == key(plain_div(p, q))
     assert all(type(c) is Fraction for c in got)
 
 
@@ -110,19 +113,29 @@ def horner_case(draw, entries, lead):
 def test_horner_on_a_zero_head_jet_matches_full_horner(case):
     coeffs, y = case
     got = Poly(coeffs)(y)
-    assert repr(got) == repr(plain_horner(Poly(coeffs).coeffs, y))
+    assert key(got) == key(plain_horner(Poly(coeffs).coeffs, y))
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(number, min_size=1, max_size=8), nonzero_head, st.lists(number, max_size=6))
 def test_horner_on_a_nonzero_head_jet_is_full_horner(coeffs, head, tail):
     y = Jet(0, [head] + tail)
-    assert repr(Poly(coeffs)(y)) == repr(plain_horner(Poly(coeffs).coeffs, y))
+    assert key(Poly(coeffs)(y)) == key(plain_horner(Poly(coeffs).coeffs, y))
 
 
-def test_kernel_keeps_int_slots_and_untouched_zeros():
+def test_rational_is_an_int_where_the_value_is_an_integer():
+    assert [type(rational(n, d)) for n, d in ((6, 3), (-4, -2), (0, 5))] == [int] * 3
+    assert rational(6, 3) == 2 and rational(-4, -2) == 2 and rational(0, 5) == 0
+    assert rational(3, 6) == F(1, 2) and rational(3, -6) == F(-1, 2)
+
+
+def test_kernel_gives_exact_values_and_exact_zeros():
     a = Jet(0, (F(1, 2), 0, 3, 0))
     b = Jet(0, (0, 2, 0, 0))
-    assert repr((a * b).coeffs) == repr((0, F(1), 0, 6))
-    # a zero right factor still reaches its slot in a polynomial product
-    assert repr((Poly([F(1, 2)]) * Poly([0, 0, 1])).coeffs) == repr((F(0), F(0), F(1, 2)))
+    # a slot that no product reaches is an exact 0
+    assert key((a * b).coeffs) == key((0, 1, 0, 6))
+    assert key((Poly([F(1, 2)]) * Poly([0, 0, 1])).coeffs) == key((0, 0, F(1, 2)))
+    # with floats the skip rules still count: a polynomial product reaches a
+    # slot through a zero right factor (inf * 0 is nan), a jet product does not
+    assert key((Poly([math.inf]) * Poly([0, 1.0])).coeffs) == key((math.nan, math.inf))
+    assert key((Jet(0, (math.inf, 0)) * Jet(0, (0, 1.0))).coeffs) == key((0, math.inf))

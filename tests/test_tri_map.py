@@ -2,9 +2,12 @@
 
 Every lower-triangular coefficient formula now runs through
 ``matching.tri_map``.  Each reference below is the loop a kind used before,
-kept verbatim, and the two must agree in ``repr``: value, type and float
-bits alike, on int, Fraction and float characteristic numbers (signed zeros
-included).  The exact characterization digests cannot see the float path.
+kept verbatim, and the two must agree by ``result_key.key`` on int,
+Fraction and float characteristic numbers (signed zeros included): exact
+values and exactness, and float bits.  On exact operands the map gives an
+int where a value is an integer and a Fraction otherwise
+(``poly.rational``), whatever type the loop gave.  The exact
+characterization digests cannot see the float path.
 """
 
 import math
@@ -18,6 +21,7 @@ from charmatch import expansions as xp
 from charmatch import integral_match as im
 from charmatch.matching import CharNumbers, Derivative, HigherIntegral, TriMatrix, tri_map
 from charmatch.poly import Poly, over
+from result_key import same
 
 
 F = Fraction
@@ -37,17 +41,6 @@ def chars(floats=FLOATS):
     entries = st.one_of(INTS, FRACTIONS, floats, ZEROS)
     return st.integers(0, 40).flatmap(
         lambda n: st.lists(entries, min_size=n + 1, max_size=n + 1))
-
-
-def outcome(fn):
-    try:
-        return repr(fn())
-    except Exception as exc:  # both sides must fail alike
-        return f"raised {type(exc).__name__}"
-
-
-def same(new, old):
-    assert outcome(new) == outcome(old)
 
 
 # -- the loops the map replaced --------------------------------------------------

@@ -8,13 +8,18 @@ holds this script):
 * ``figures``: the CSV and SVG bytes of every figure recipe;
 * ``compare``: stdout and the JSON file of the benchmark's ``compare`` run
   for each function of ``COMPARE_POOL``;
-* ``roundtrip``: ``repr((case id, chars, residuals, verdict))`` of every
-  case of one pass of ``roundtrip_exact`` (seeds 5, 6) and of
+* ``roundtrip``: ``repr(key((case id, chars, residuals, verdict)))`` of
+  every case of one pass of ``roundtrip_exact`` (seeds 5, 6) and of
   ``roundtrip_float`` (seeds 31, 32);
-* ``kinds``: ``repr`` of the characteristic numbers and coefficients of
-  every expansion kind for every benchmark target at orders 11, 20 and 40
-  and centers 0, 1/3 and 0.5 (the ``repr`` of the error where a build
-  raises).
+* ``kinds``: ``repr(key(...))`` of the characteristic numbers and
+  coefficients of every expansion kind for every benchmark target at orders
+  11, 20 and 40 and centers 0, 1/3 and 0.5 (the ``repr`` of the error where
+  a build raises).
+
+``key`` is ``tests/result_key.py`` of the checkout that holds this script:
+exact numbers by value and exactness, whether held as an int or a
+Fraction, and floats by their bits.  ``figures`` and ``compare`` are byte
+digests.
 
 charmatch is imported from ``<root>/src`` and the cases come from
 ``<root>/bench/workloads.py``, which is read and not changed.  Run it once
@@ -39,6 +44,7 @@ ORDERS = (11, 20, 40)
 CENTERS = (0, Fraction(1, 3), 0.5)
 ROUNDTRIP_SEEDS = (("roundtrip_exact", 5), ("roundtrip_exact", 6),
                    ("roundtrip_float", 31), ("roundtrip_float", 32))
+TESTS = Path(__file__).resolve().parent.parent / "tests"
 
 
 def digest(*parts) -> str:
@@ -57,6 +63,14 @@ def load_workloads(root: Path):
     spec.loader.exec_module(module)
     module.load_program()
     return module
+
+
+def load_key():
+    """``key`` of ``tests/result_key.py``, once charmatch is imported."""
+    sys.path.insert(0, str(TESTS))
+    from result_key import key
+
+    return key
 
 
 def run_cli(cli, argv: list[str]) -> tuple[int, str]:
@@ -83,7 +97,7 @@ def grid_digests(wl, out_dir: Path) -> tuple[dict, dict]:
     return figures, compare
 
 
-def roundtrip_digests(wl, out_dir: Path) -> dict:
+def roundtrip_digests(wl, key, out_dir: Path) -> dict:
     out = {}
     for name, seed in ROUNDTRIP_SEEDS:
         workload = wl.make_workload(name, seed, out_dir)
@@ -92,7 +106,7 @@ def roundtrip_digests(wl, out_dir: Path) -> dict:
         for case in workload.build_pass():
             try:
                 chars, report = workload.run(case)
-                text = repr((case.id, chars, report.residuals, report.passed))
+                text = repr(key((case.id, chars, report.residuals, report.passed)))
             except Exception as exc:  # a refusal is an output too
                 text = repr((case.id, exc))
             rows.append([case.id, digest(text)])
@@ -100,7 +114,7 @@ def roundtrip_digests(wl, out_dir: Path) -> dict:
     return out
 
 
-def kind_digests(wl) -> dict:
+def kind_digests(wl, key) -> dict:
     import charmatch
     from charmatch import registry
 
@@ -112,7 +126,7 @@ def kind_digests(wl) -> dict:
                 for x0 in CENTERS:
                     try:
                         res = registry.build_kind(kind, f, order, x0=x0)
-                        text = repr((res.chars, res.coeffs))
+                        text = repr(key((res.chars, res.coeffs)))
                     except Exception as exc:
                         text = repr(exc)
                     out[f"{kind}|{target.text}|{order}|{x0}"] = digest(text)
@@ -126,11 +140,12 @@ def main(argv: list[str] | None = None) -> int:
                         help="checkout whose src/ and bench/ to use")
     args = parser.parse_args(argv)
     wl = load_workloads(Path(args.root).resolve())
+    key = load_key()
     with tempfile.TemporaryDirectory() as tmp:
         figures, compare = grid_digests(wl, Path(tmp))
-        roundtrip = roundtrip_digests(wl, Path(tmp))
+        roundtrip = roundtrip_digests(wl, key, Path(tmp))
     result = {"figures": figures, "compare": compare, "roundtrip": roundtrip,
-              "kinds": kind_digests(wl)}
+              "kinds": kind_digests(wl, key)}
     Path(args.out).write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
     return 0
 
