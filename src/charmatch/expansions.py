@@ -31,7 +31,9 @@ from .matching import (
     NONLINEAR_TRANSFORMS,
     PolynomialApproximant,
     TriMatrix,
+    TriRows,
     tri_map,
+    tri_table,
 )
 from .poly import Poly, admit, all_exact, div, is_exact, over, scaled
 
@@ -91,9 +93,22 @@ def nsbf_coeffs(c: CharNumbers) -> CoeffSeq:
     j = n - i, Pascal's rule writes the bracket as C(j, k) + C(j - 1, k).
     """
     _require_derivative(c)
-    rows = [[(k, 2 ** k * (math.comb((n + k) // 2, k) + math.comb((n + k) // 2 - 1, k)))
-             for k in range(n, -1, -2)] for n in range(1, len(c.values))]
-    return CoeffSeq((c.values[0], *tri_map(rows, c.values)), "nsbf")
+    values = tri_table(_nsbf_rows, len(c.values)).apply(c.values)
+    return CoeffSeq((c.values[0], *values), "nsbf")
+
+
+def _nsbf_rows(size: int) -> TriRows:
+    return TriRows([[(k, 2 ** k * (math.comb((n + k) // 2, k) + math.comb((n + k) // 2 - 1, k)))
+                     for k in range(n, -1, -2)] for n in range(1, size)])
+
+
+def _nsbf_jet_rows(order: int, size: int) -> TriRows:
+    """Row j lists (n, j-th coefficient of J_n at 0) for every n < size where
+    that coefficient is nonzero.  Read on exact coefficients only, where a
+    zero entry or a zero a_n adds nothing."""
+    jets = [bessel_jn_jet(n, 0, order).coeffs for n in range(size)]
+    return TriRows([[(n, cs[j]) for n, cs in enumerate(jets) if cs[j]]
+                    for j in range(order + 1)])
 
 
 class NsbfApproximant(Approximant):
@@ -106,12 +121,15 @@ class NsbfApproximant(Approximant):
                    for n, an in enumerate(self.coeffs.floats) if an != 0)
 
     def eval_jet(self, x0, order: int) -> Jet:
-        # row j lists (n, j-th coefficient of J_n) for every nonzero a_n
         t0 = x0 - self.center
+        values = self.coeffs.values
+        if t0 == 0 and is_exact(t0) and all_exact(values):
+            return Jet(x0, tri_table(_nsbf_jet_rows, order, len(values)).apply(values))
+        # row j lists (n, j-th coefficient of J_n) for every nonzero a_n
         jets = [(n, bessel_jn_jet(n, t0, order).coeffs)
-                for n, a in enumerate(self.coeffs.values) if a != 0]
+                for n, a in enumerate(values) if a != 0]
         rows = [[(n, coeffs[j]) for n, coeffs in jets] for j in range(order + 1)]
-        return Jet(x0, tri_map(rows, self.coeffs.values))
+        return Jet(x0, tri_map(rows, values))
 
 
 def nsbf_approx(c: CharNumbers) -> NsbfApproximant:
@@ -247,12 +265,16 @@ def pade_approx(c: CharNumbers, m: int, n: int) -> PadeApproximant:
 def pow_sine_coeffs(c: CharNumbers) -> CoeffSeq:
     """a_0 = c_0; a_n = (2^n / n!) sum_k c_k |t(n, k)| for the basis sin(x/2)^n."""
     _require_derivative(c)
-    orders = range(1, len(c.values))
-    # 2^n is folded into the entries: a power of two scales a normal float exactly
-    rows = [[(k, t * 2 ** n) for k in range(1, n + 1)
-             if (t := specfun.central_factorial_abs(n, k))] for n in orders]
-    values = tri_map(rows, c.values, map(math.factorial, orders))
+    values = tri_table(_pow_sine_rows, len(c.values)).apply(c.values)
     return CoeffSeq((c.values[0], *values), "pow_sine")
+
+
+def _pow_sine_rows(size: int) -> TriRows:
+    orders = range(1, size)
+    # 2^n is folded into the entries: a power of two scales a normal float exactly
+    return TriRows([[(k, t * 2 ** n) for k in range(1, n + 1)
+                     if (t := specfun.central_factorial_abs(n, k))] for n in orders],
+                   map(math.factorial, orders))
 
 
 # -- exp-weighted expansion ---------------------------------------------------------
@@ -286,21 +308,34 @@ def exp_weighted_coeffs(c: CharNumbers, w, q: int) -> CoeffSeq:
     """Coefficients of exp(w x^q) sum a_n x^n: a_n = sum_i m_{n,i} c_i."""
     _require_derivative(c)
     q = _check_q(q)
-    rows = [[(i, entry) for i in range(n + 1) if (entry := _m_entry(n, i, w, q)) is not None]
-            for n in range(len(c.values))]
     if all_exact(c.values) and is_exact(w):
-        # the exact terms over(c_i * num, den) are Fractions; tri_map sums them on integers
-        values = tri_map([[(i, Fraction(num, den)) for i, (num, den) in row] for row in rows],
-                         c.values)
+        # the exact terms over(c_i * num, den) sum on integers
+        values = tri_table(_exp_weighted_rows, w, q, len(c.values)).apply(c.values)
     else:
         # each float term rounds on its own, which no row sum of tri_map does
         values = []
-        for row in rows:
+        for n in range(len(c.values)):
             acc = 0
-            for i, (num, den) in row:
-                acc += over(c.values[i] * num, den)
+            for i in range(n + 1):
+                if (entry := _m_entry(n, i, w, q)) is not None:
+                    acc += over(c.values[i] * entry[0], entry[1])
             values.append(acc)
     return CoeffSeq(tuple(values), "exp_weighted", params={"w": w, "q": q})
+
+
+def _exp_weighted_rows(w, q: int, size: int) -> TriRows:
+    """The m_{n,i} of an exact w = p / r as integer rows, with no Fraction
+    built: m_{n,i} is the ``_m_entry`` (num, den) of p over a further r^u."""
+    ints = []
+    for n in range(size):
+        cols, entries = [], []
+        for i in range(n + 1):
+            if (entry := _m_entry(n, i, w.numerator, q)) is not None:
+                cols.append(i)
+                entries.append((entry[0], entry[1] * w.denominator ** ((n - i) // q)))
+        den = math.lcm(*(d for _, d in entries))
+        ints.append((tuple(cols), [num * (den // d) for num, d in entries], den))
+    return TriRows(ints=ints)
 
 
 def dmatrix_build(w, q: int, order: int) -> tuple[TriMatrix, TriMatrix]:
@@ -361,12 +396,17 @@ def powers_of_g_coeffs(c: CharNumbers, variant: str) -> CoeffSeq:
     g = 1 - exp(-x), C(n,k) k^(n-k) for g = W(x); each has b_{n,0} = delta_{n,0}.
     """
     _require_derivative(c)
-    b = _G_BASIS.get(variant, {}).get("table")
-    if b is None:
+    if _G_BASIS.get(variant, {}).get("table") is None:
         raise DomainError(f"unknown powers-of-g variant {variant!r}")
-    orders = range(len(c.values))
-    rows = [[(k, bkn) for k in range(n + 1) if (bkn := b(n, k))] for n in orders]
-    return CoeffSeq(tuple(tri_map(rows, c.values, map(math.factorial, orders))), variant)
+    return CoeffSeq(tuple(tri_table(_powers_of_g_rows, variant, len(c.values)).apply(c.values)),
+                    variant)
+
+
+def _powers_of_g_rows(variant: str, size: int) -> TriRows:
+    b = _G_BASIS[variant]["table"]
+    orders = range(size)
+    return TriRows([[(k, bkn) for k in range(n + 1) if (bkn := b(n, k))] for n in orders],
+                   map(math.factorial, orders))
 
 
 def _g_jet_log_powers(var: Jet) -> Jet:
@@ -467,11 +507,15 @@ def rational_x1_coeffs(c: CharNumbers, alpha=-1) -> CoeffSeq:
     if alpha == 0:
         raise DomainError("pole location alpha must be nonzero")
     scaled = [(-alpha) ** k * ck for k, ck in enumerate(c.values)]
-    orders = range(1, len(c.values))
-    rows = [[(k, math.comb(n - 1, k - 1) * (math.factorial(n) // math.factorial(k)))
-             for k in range(1, n + 1)] for n in orders]
-    values = tri_map(rows, scaled, map(math.factorial, orders))
+    values = tri_table(_rational_x1_rows, len(c.values)).apply(scaled)
     return CoeffSeq((c.values[0], *values), "rational_x_over_x1", params={"alpha": alpha})
+
+
+def _rational_x1_rows(size: int) -> TriRows:
+    orders = range(1, size)
+    return TriRows([[(k, math.comb(n - 1, k - 1) * (math.factorial(n) // math.factorial(k)))
+                     for k in range(1, n + 1)] for n in orders],
+                   map(math.factorial, orders))
 
 
 class RationalX1Approximant(Approximant):
@@ -619,16 +663,31 @@ def dirichlet_expansion_coeffs(c: CharNumbers, variant: str) -> CoeffSeq:
     table = _DIRICHLET.get(variant)
     if table is None:
         raise DomainError(f"unknown Dirichlet expansion variant {variant!r}")
-    seq = table["inverse"]
     f = [over(ck, math.factorial(k)) for k, ck in enumerate(c.values)]
-    # the divisors k of n, ascending
-    rows = [[(n // k, s) for k in range(1, n + 1) if n % k == 0 and (s := seq(k))]
-            for n in range(1, len(c.values))]
-    values = tri_map(rows, f)
+    values = tri_table(_dirichlet_rows, variant, len(c.values)).apply(f)
     b0 = c.values[0]
     if table["series"](0):
         b0 = b0 - sum(values)
     return CoeffSeq(tuple(values), variant, params={"b0": b0})
+
+
+def _dirichlet_rows(variant: str, size: int) -> TriRows:
+    seq = _DIRICHLET[variant]["inverse"]
+    # the divisors k of n, ascending
+    return TriRows([[(n // k, s) for k in range(1, n + 1) if n % k == 0 and (s := seq(k))]
+                    for n in range(1, size)])
+
+
+def _dirichlet_jet_rows(variant: str, order: int, size: int) -> TriRows:
+    """Row m lists (n, gamma_(m/n)) for every n <= size dividing m with that
+    gamma nonzero, after (0, 1) for b_0.  Read on exact coefficients only,
+    where a zero a_n adds nothing."""
+    series = _DIRICHLET[variant]["series"]
+    gamma = [series(j) for j in range(order + 1)]
+    rows = [[(n, gamma[m // n]) for n in range(1, size + 1) if m % n == 0 and gamma[m // n]]
+            for m in range(order + 1)]
+    rows[0].insert(0, (0, 1))
+    return TriRows(rows)
 
 
 class DirichletApproximant(Approximant):
@@ -648,17 +707,21 @@ class DirichletApproximant(Approximant):
     def eval_jet(self, x0, order: int) -> Jet:
         """At the center, coefficient m of g(t^n) is gamma_(m/n) where n
         divides m and zero elsewhere; row m lists it for every nonzero a_n,
-        after the head b_0 in row 0."""
+        after the head b_0 in row 0.  Exact coefficients read the cached
+        rows of ``_dirichlet_jet_rows`` instead."""
         if x0 != self.center:
             raise DomainError("Dirichlet expansion jets are only supported "
                               "at the expansion point")
+        v = (self.b0, *self.coeffs.values)
+        if all_exact(v):
+            return Jet(x0, tri_table(_dirichlet_jet_rows, self.kind, order, len(v) - 1).apply(v))
         series = _DIRICHLET[self.kind]["series"]
         gamma = [series(j) for j in range(order + 1)]
         nonzero = [n for n, a in enumerate(self.coeffs.values, start=1) if a != 0]
         rows = [[(n, 0 if m % n else gamma[m // n]) for n in nonzero]
                 for m in range(order + 1)]
         rows[0].insert(0, (0, 1))
-        return Jet(x0, tri_map(rows, (self.b0, *self.coeffs.values)))
+        return Jet(x0, tri_map(rows, v))
 
 
 def dirichlet_approx(c: CharNumbers, variant: str) -> DirichletApproximant:

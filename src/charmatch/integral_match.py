@@ -28,7 +28,8 @@ from .matching import (
     Projection,
     measure,
     target_poly,
-    tri_map,
+    TriRows,
+    tri_table,
 )
 from .poly import Poly, all_exact, div, over
 
@@ -110,13 +111,17 @@ def _legendre_match(moments: Sequence, shifted: bool = False) -> Poly:
     beta_n = sum_j gamma_nj m_j / <P_n, P_n>, with gamma_nj the exact
     coefficients of P_n and <P_n, P_n> = 2/(2n+1), or 1/(2n+1) shifted.
     """
-    gammas = [specfun.legendre_coeffs(n, shifted) for n in range(len(moments))]
-    sums = tri_map((enumerate(gamma.coeffs) for gamma in gammas), moments)
+    sums = tri_table(_legendre_rows, len(moments), shifted).apply(moments)
     total = Poly([0])
-    for n, (gamma, acc) in enumerate(zip(gammas, sums)):
+    for n, acc in enumerate(sums):
         norm = 2 * n + 1 if shifted else Fraction(2 * n + 1, 2)
-        total = total + (norm * acc) * gamma
+        total = total + (norm * acc) * specfun.legendre_coeffs(n, shifted)
     return total
+
+
+def _legendre_rows(size: int, shifted: bool) -> TriRows:
+    """Row n lists (j, gamma_nj) for every coefficient of P_n, zeros included."""
+    return TriRows(enumerate(specfun.legendre_coeffs(n, shifted).coeffs) for n in range(size))
 
 
 def moment_partial_delta(m_index: int, order: int) -> Poly:

@@ -51,6 +51,8 @@ def scaled(cs) -> tuple[list, int]:
     """Integer numerators of the ints/Fractions ``cs`` over the lcm of their
     denominators, and that lcm."""
     den = math.lcm(*[c.denominator for c in cs])
+    if den == 1:  # the ints themselves, not copies
+        return [c.numerator for c in cs], den
     return [c.numerator * (den // c.denominator) for c in cs], den
 
 

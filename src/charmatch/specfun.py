@@ -14,7 +14,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .errors import DomainError
-from .poly import Poly, div, is_exact
+from .poly import Poly, div, is_exact, rational
 
 __all__ = [
     "gen_pow",
@@ -284,9 +284,7 @@ def dirichlet_inverse(u: Sequence) -> list:
     n_max = len(u)
     if n_max < 1 or u[0] == 0:
         raise DomainError("no Dirichlet inverse: u_1 = 0")
-    head = div(1, u[0])
-    if is_exact(head) and head.denominator == 1:
-        head = int(head)
+    head = rational(u[0].denominator, u[0].numerator) if is_exact(u[0]) else 1 / u[0]
     inv = [head] + [0] * (n_max - 1)
     for n in range(2, n_max + 1):
         acc = 0

@@ -265,6 +265,16 @@ def test_nu_is_inverse_of_sin_sequence():
     assert inv == [specfun.nu(n) for n in range(1, 101)]
 
 
+@pytest.mark.parametrize("u1, head", [
+    (1, 1), (-1, -1), (Fraction(1, 3), 3), (Fraction(-1, 3), -3), (2, Fraction(1, 2)),
+    (-2, Fraction(-1, 2)), (Fraction(3, 5), Fraction(5, 3)), (0.5, 2.0), (-4.0, -0.25)])
+def test_dirichlet_inverse_head_is_rational(u1, head):
+    # 1/u_1 is an int where it is an integer and a Fraction otherwise
+    # (poly.rational), a float for a float u_1
+    inv = specfun.dirichlet_inverse([u1, 1])
+    assert (type(inv[0]), inv[0]) == (type(head), head)
+
+
 def test_dirichlet_convolve_examples():
     delta = [1] + [0] * 49
     assert specfun.dirichlet_convolve(delta, delta) == delta
