@@ -31,11 +31,10 @@ from .matching import (
     NONLINEAR_TRANSFORMS,
     PolynomialApproximant,
     TriMatrix,
-    TriRows,
-    tri_map,
-    tri_table,
 )
-from .poly import Poly, admit, all_exact, div, is_exact, over, scaled
+from .poly import (
+    Poly, TriRows, admit, all_exact, div, is_exact, over, scaled, tri_map, tri_table,
+)
 
 __all__ = [
     "taylor_coeffs", "taylor_approx",

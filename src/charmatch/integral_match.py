@@ -28,10 +28,8 @@ from .matching import (
     Projection,
     measure,
     target_poly,
-    TriRows,
-    tri_table,
 )
-from .poly import Poly, all_exact, div, over
+from .poly import Poly, TriRows, all_exact, div, over, tri_table
 
 __all__ = [
     "MomentSet",

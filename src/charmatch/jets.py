@@ -21,7 +21,7 @@ from typing import Sequence
 
 from . import specfun
 from .errors import DomainError, JetDomainError
-from .poly import Poly, admit, all_exact, div, is_exact, mul, rational, scaled
+from .poly import Poly, admit, all_exact, div, is_exact, mul, power, rational, scaled
 
 __all__ = ["Jet", "compose", "bessel_jn_jet"]
 
@@ -69,6 +69,16 @@ def _float_head(primitive: str, head) -> float:
         raise JetDomainError(primitive, "constant term is beyond float range") from None
     if not math.isfinite(value):
         raise JetDomainError(primitive, f"constant term must be finite, got {value}")
+    return value
+
+
+def _positive_float_head(primitive: str, head) -> float:
+    """The positive head of ``ln`` or ``sqrt`` as a float, or
+    ``JetDomainError``: an exact head below the float range would round to
+    0.0, where neither has a finite value."""
+    value = _float_head(primitive, head)
+    if value == 0:
+        raise JetDomainError(primitive, "constant term is below float range")
     return value
 
 
@@ -186,14 +196,7 @@ class Jet:
             raise DomainError("jet powers require integer exponents")
         if n < 0:
             return 1 / (self ** (-n))
-        result = Jet.constant(1, self.center, self.order)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, Jet.constant(1, self.center, self.order))
 
     # -- primitives --------------------------------------------------------
     #
@@ -231,7 +234,7 @@ class Jet:
         head = u[0]
         if not (head > 0):
             raise JetDomainError("ln", f"constant term must be positive, got {head}")
-        v0 = 0 if (is_exact(head) and head == 1) else math.log(_float_head("ln", head))
+        v0 = 0 if (is_exact(head) and head == 1) else math.log(_positive_float_head("ln", head))
         if all_exact(u):
             # the recurrence never reads v_0, so it stays exact at any exact head:
             # v_k = (k U_k D - sum_j j V_j U_(k-j)) / (D k U_0), u = U / Du, v = V / D
@@ -301,7 +304,7 @@ class Jet:
             raise JetDomainError("sqrt", f"constant term must be positive, got {head}")
         v0 = exact_sqrt(head) if is_exact(head) else None
         if v0 is None:
-            v0 = math.sqrt(_float_head("sqrt", head))
+            v0 = math.sqrt(_positive_float_head("sqrt", head))
         if is_exact(v0) and all_exact(u):
             # v_k = (U_k D^2 - Du sum_j V_j V_(k-j)) Q / (Du D^2 2 P),
             # with u = U / Du, v = V / D for k >= 1 and v_0 = P / Q

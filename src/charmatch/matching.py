@@ -16,6 +16,11 @@ integrals of targets with a polynomial form and otherwise one composite
 Gauss-Legendre rule; Projection uses the rule for every target.  The
 weights w_n of such a family at the nodes of the rule are tabulated once
 per family and order (``_node_weights``).
+
+The triangular maps that turn characteristic numbers into coefficients
+(``tri_map``, its prepared rows ``TriRows`` and their one cache
+``tri_table``) live in ``poly``, below the jets, since ``Poly.__call__``
+reads the same cache; they are importable from here as well.
 """
 
 from __future__ import annotations
@@ -27,12 +32,11 @@ from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import repeat
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .errors import DomainError, FamilyMismatchError, SingularSystemError
 from .jets import Jet
-from .poly import Poly, all_exact, div, is_exact, over, rational, scaled
+from .poly import Poly, TriRows, all_exact, div, is_exact, rational, scaled, tri_map, tri_table
 from .quadrature import GaussLegendre
 from . import specfun
 
@@ -529,88 +533,6 @@ class TriMatrix:
             for n in range(self.order + 1)
             for m in range(n + 1)
         )
-
-
-class TriRows:
-    """The rows of a triangular map a_n = sum_k T(n, k) v_k with exact
-    entries, and optional divisors d_n, prepared for ``apply``.  The rows
-    come as their (k, T(n, k)) pairs or as ``ints``, the one form kept: per
-    row its column indices, its integer numerators over one denominator and
-    that denominator.  Two more forms are made on first use and kept:
-
-    - ``pairs``, each entry as ``poly.rational(num, den)``, for the loop;
-    - ``floats``, per row the column indices and each float(T(n, k)) =
-      num / den, correctly rounded, in an ``array('d')``.  An int or a
-      Fraction meets a float as its ``float``, so ``t * x`` and
-      ``float(t) * x`` have the same bits for a float x, and an entry beyond
-      the float range raises OverflowError in both.
-    """
-
-    def __init__(self, rows=None, divisors=None, ints=None):
-        self.divisors = None if divisors is None else list(divisors)
-        self.ints = ints if ints is not None else [
-            (tuple(k for k, _ in row), *scaled([t for _, t in row])) for row in map(list, rows)]
-
-    @cached_property
-    def pairs(self) -> list:
-        return [list(zip(cols, [rational(num, den) for num in nums]))
-                for cols, nums, den in self.ints]
-
-    @cached_property
-    def floats(self) -> list:
-        return [(cols, array("d", [num / den for num in nums])) for cols, nums, den in self.ints]
-
-    def apply(self, v: Sequence) -> list:
-        """a_n, then ``over(a_n, d_n)`` if there are divisors: see ``tri_map``."""
-        if all_exact(v):
-            nums_v, den_v = scaled(v)
-            divisors = repeat(1) if self.divisors is None else self.divisors
-            return [rational(sum(map(operator.mul, nums, map(nums_v.__getitem__, cols))),
-                             den * den_v * d)
-                    for (cols, nums, den), d in zip(self.ints, divisors)]
-        if all(type(x) is float for x in v):
-            return _tri_loop((zip(cols, ts) for cols, ts in self.floats), v, self.divisors)
-        return _tri_loop(self.pairs, v, self.divisors)
-
-
-@lru_cache(maxsize=256, typed=True)
-def tri_table(build: Callable, *key) -> TriRows:
-    """The rows ``build(*key)`` of a fixed triangular map, built once per
-    builder and key and kept in one bounded cache (256 tables) for every
-    call.  The key is typed, so a float parameter never reads the table of
-    an equal exact one (``-0.5 == Fraction(-1, 2)``)."""
-    return build(*key)
-
-
-def _tri_loop(rows: Iterable, v: Sequence, divisors: Iterable[int] | None) -> list:
-    out = []
-    for row in rows:
-        acc = 0
-        for k, t in row:
-            acc += t * v[k]
-        out.append(acc)
-    if divisors is not None:
-        out = [over(a, d) for a, d in zip(out, divisors)]
-    return out
-
-
-def tri_map(rows: Iterable, v: Sequence, divisors: Iterable[int] | None = None) -> list:
-    """a_n = sum_k T(n, k) v_k, row n given as its (k, T(n, k)) pairs, then
-    ``over(a_n, d_n)`` for the n-th of ``divisors`` if given.  The sum starts at
-    int 0 and adds the terms in row order, zero entries listed included.
-
-    When the entries and v are ints and Fractions, the rows go through
-    ``TriRows`` uncached: v is scaled once to integer numerators over the
-    lcm of its denominators and each row over its own, so a row is one
-    integer dot product and each a_n one ``rational``.  Anything with a
-    float takes the loop itself.  A map that is fixed by its parameters
-    keeps its ``TriRows`` in ``tri_table`` instead, prepared once, and sums
-    a v of floats alone on its float entries, with the bits of the loop.
-    """
-    rows = [list(row) for row in rows]
-    if all_exact(v) and all_exact(t for row in rows for _, t in row):
-        return TriRows(rows, divisors).apply(v)
-    return _tri_loop(rows, v, divisors)
 
 
 def tri_forward_solve(T: TriMatrix, c) -> CoeffSeq:

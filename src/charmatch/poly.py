@@ -6,9 +6,10 @@ exact.  This is the workhorse behind the combinatorial polynomial tables
 (Bernoulli, Legendre) and every place the tests demand exact-zero residuals.
 Exactness follows the operand types; ``div`` and ``over`` are the only two
 places where the package chooses between exact and float arithmetic by hand.
-The exact integer kernels (``mul``, ``_compose_exact``, ``matching.tri_map``)
-follow one rule for their results: ``rational(num, den)``, an int where the
-value is an integer and a Fraction otherwise.
+The exact integer kernels (``mul``, ``TriRows.apply``) follow one rule for
+their results: ``rational(num, den)``, an int where the value is an integer
+and a Fraction otherwise.  Every fixed triangular map, the power tables of
+``Poly.__call__`` included, is one ``TriRows`` in the one cache ``tri_table``.
 """
 
 from __future__ import annotations
@@ -16,8 +17,10 @@ from __future__ import annotations
 import functools
 import math
 import operator
+from array import array
 from fractions import Fraction
-from typing import Iterable
+from itertools import repeat
+from typing import Callable, Iterable, Sequence
 
 EXACT_TYPES = (int, Fraction)
 
@@ -118,14 +121,78 @@ def mul(a, b, n: int, skip_zero_b: bool = True) -> list:
     return [rational(s, den) for s in out]
 
 
-@functools.lru_cache(maxsize=64)
-def _power_table(ys: tuple) -> tuple:
-    """Rows n = 0..N of the power table P(n, k) = [t^n] y^k, k = 0..n // v,
-    of the exact series ``ys`` with head 0 and first nonzero index v, each
-    row as its integer numerators over one denominator.
+class TriRows:
+    """The rows of a triangular map a_n = sum_k T(n, k) v_k with exact
+    entries, and optional divisors d_n, prepared for ``apply``.  The rows
+    come as their (k, T(n, k)) pairs or as ``ints``, the one form kept: per
+    row its column indices, its integer numerators over one denominator and
+    that denominator.  Two more forms are made on first use and kept:
 
-    The table holds values only, so value-equal series of other entry types
-    (``1 == Fraction(1)``) share it; the sums read from it are ``rational``.
+    - ``pairs``, each entry as ``rational(num, den)``, for the loop;
+    - ``floats``, per row the column indices and each float(T(n, k)) =
+      num / den, correctly rounded, in an ``array('d')``.  An int or a
+      Fraction meets a float as its ``float``, so ``t * x`` and
+      ``float(t) * x`` have the same bits for a float x, and an entry beyond
+      the float range raises OverflowError in both.
+    """
+
+    def __init__(self, rows=None, divisors=None, ints=None):
+        self.divisors = None if divisors is None else list(divisors)
+        self.ints = ints if ints is not None else [
+            (tuple(k for k, _ in row), *scaled([t for _, t in row])) for row in map(list, rows)]
+
+    @functools.cached_property
+    def pairs(self) -> list:
+        return [list(zip(cols, [rational(num, den) for num in nums]))
+                for cols, nums, den in self.ints]
+
+    @functools.cached_property
+    def floats(self) -> list:
+        return [(cols, array("d", [num / den for num in nums])) for cols, nums, den in self.ints]
+
+    def apply(self, v: Sequence) -> list:
+        """``tri_map`` of the rows; an exact v is scaled once, so each a_n is
+        one integer dot product and one ``rational``."""
+        if all_exact(v):
+            nums_v, den_v = scaled(v)
+            divisors = repeat(1) if self.divisors is None else self.divisors
+            return [rational(sum(map(operator.mul, nums, map(nums_v.__getitem__, cols))),
+                             den * den_v * d)
+                    for (cols, nums, den), d in zip(self.ints, divisors)]
+        if all(type(x) is float for x in v):
+            return tri_map((zip(cols, ts) for cols, ts in self.floats), v, self.divisors)
+        return tri_map(self.pairs, v, self.divisors)
+
+
+@functools.lru_cache(maxsize=256, typed=True)
+def tri_table(build: Callable, *key) -> TriRows:
+    """The rows ``build(*key)`` of a fixed triangular map, built once per
+    builder and key and kept in the one bounded cache (256 tables) of every
+    such map.  The key is typed, so a float parameter never reads the table
+    of an equal exact one (``-0.5 == Fraction(-1, 2)``)."""
+    return build(*key)
+
+
+def tri_map(rows: Iterable, v: Sequence, divisors: Iterable[int] | None = None) -> list:
+    """a_n = sum_k T(n, k) v_k, row n given as its (k, T(n, k)) pairs, then
+    ``over(a_n, d_n)`` for the n-th of ``divisors`` if given.  The sum starts at
+    int 0 and adds the terms in row order, zero entries listed included."""
+    out = []
+    for row in rows:
+        acc = 0
+        for k, t in row:
+            acc += t * v[k]
+        out.append(acc)
+    if divisors is not None:
+        out = [over(a, d) for a, d in zip(out, divisors)]
+    return out
+
+
+def _power_rows(ys: tuple) -> TriRows:
+    """Rows n = 0..N of the power table P(n, k) = [t^n] y^k, k = 0..n // v,
+    of the exact series ``ys`` with head 0 and first nonzero index v.  The
+    key holds values only, so value-equal series of other entry types
+    (``1 == Fraction(1)``) share the table.
     """
     from .jets import Jet
 
@@ -134,22 +201,19 @@ def _power_table(ys: tuple) -> tuple:
     powers = [Jet.constant(1, 0, y.order)]
     for _ in range(y.order // v):
         powers.append(powers[-1] * y)
-    rows = []
-    for n in range(len(ys)):
-        nums, den = scaled([p.coeffs[n] for p in powers[:n // v + 1]])
-        rows.append((den, tuple(nums)))
-    return tuple(rows)
+    return TriRows(ints=[(range(n // v + 1), *scaled([p.coeffs[n] for p in powers[:n // v + 1]]))
+                         for n in range(len(ys))])
 
 
-def _compose_exact(cs, ys) -> list:
-    """sum_k cs[k] y^k to the order of ``ys`` from the power table, for
-    exact ``cs`` and ``ys``.  ``ys`` has head 0; ``cs`` stops at the top
-    degree that reaches its order.  Each coefficient is one integer dot
-    product and one ``rational``.
-    """
-    nums, den_c = scaled(cs)
-    return [rational(sum(map(operator.mul, nums, row)), den * den_c)
-            for den, row in _power_table(ys)]
+def power(base, n: int, one):
+    """``base ** n`` for an int n >= 0 by square and multiply from ``one``."""
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base
+        n >>= 1
+    return result
 
 
 class Poly:
@@ -200,7 +264,7 @@ class Poly:
         multiplied by x^k keeps orders up to N - k v only.  Those orders are
         the same sums of the same products as in the full loop, so floats
         keep their bits.  On exact coefficients and an exact jet the loop
-        gives way to the cached power table of the jet (``_compose_exact``):
+        gives way to the cached power table of the jet (``_power_rows``):
         O(N^2) integer work per call instead of one product per degree.
         """
         coeffs = self.coeffs
@@ -217,7 +281,9 @@ class Poly:
                     coeffs = coeffs[:min(len(coeffs) - 1, order // v) + 1]
                     top = len(coeffs) - 1
                     if all_exact(coeffs) and all_exact(ys):
-                        return Jet(x.center, _compose_exact(coeffs, ys))
+                        # padded to the columns k = 0..N // v of the table
+                        coeffs += (0,) * (order // v - top)
+                        return Jet(x.center, tri_table(_power_rows, ys).apply(coeffs))
                     acc = Jet.constant(coeffs[top], x.center, order - top * v)
                     for k in range(top - 1, -1, -1):
                         # the orders of the cofactor of x^k that count
@@ -274,14 +340,7 @@ class Poly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative polynomial power")
-        result = Poly([1])
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, Poly([1]))
 
     # -- calculus -------------------------------------------------------
 

@@ -119,6 +119,36 @@ def test_jet_domain_errors_exit_2(capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, primitive", [
+    (("verify", "--f", "ln(x)", "--kind", "taylor", "--x0", "1e-400", "--order", "4"), "ln"),
+    (("verify", "--f", "sqrt(2*x)", "--kind", "taylor", "--x0", "1e-400", "--order", "4"),
+     "sqrt"),
+    (("coeffs", "--f", "x^-2", "--kind", "nonlinear", "--order", "0", "--x0", "1e300"), "ln"),
+])
+def test_a_positive_head_below_float_range_exits_2(capsys, argv, primitive):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith(f"error: {primitive}:") and "below float range" in err
+
+
+def test_exit_code_contract_sweep(capsys):
+    # every kind at centers in, below and above the float range
+    escaped, codes = [], set()
+    for kind in KIND_NAMES:
+        for f in ("exp(x)", "1/x", "ln(x)", "sqrt(2*x)", "x^-2", "1e-300*x"):
+            for x0 in (None, "1/3", "1e-400", "1e300", "-2"):
+                for order in ("0", "4"):
+                    argv = ["verify", "--f", f, "--kind", kind, "--order", order]
+                    if x0 is not None:
+                        argv += ["--x0", x0]
+                    try:
+                        codes.add(run(capsys, *argv)[0])
+                    except Exception as exc:
+                        escaped.append((argv, repr(exc)))
+    assert escaped == []
+    assert codes <= {0, 1, 2, 3}
+
+
 @pytest.mark.parametrize("command", ["coeffs", "verify"])
 def test_exp_overflow_exits_2(capsys, command):
     code, _, err = run(capsys, command, "--f", "exp(x)", "--kind", "taylor",

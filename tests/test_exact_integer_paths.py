@@ -1,12 +1,12 @@
 """The integer-numerator paths against the plain loops they replaced.
 
-``tri_map``, the jet primitives ``exp``, ``ln``, ``sqrt`` and ``sin``/``cos``,
+``TriRows``, the jet primitives ``exp``, ``ln``, ``sqrt`` and ``sin``/``cos``,
 the closed-form ``Moments`` and ``HigherIntegral`` of a polynomial and the
 exact Pade solve now run on integer numerators over shared denominators when
 every operand is an int or a Fraction; the NSBF and Dirichlet approximant
 jets and the exact ``exp_weighted_coeffs`` are ``tri_map`` sums, and an exact
-series composed with an exact jet of head 0 is summed from the jet's cached
-power table.  Each reference below is the loop used before, kept verbatim,
+series composed with an exact jet of head 0 is summed from the jet's power
+table, kept in the one cache ``tri_table``.  Each reference below is the loop used before, kept verbatim,
 and the two must agree by ``result_key.key``: exact values and exactness,
 and float bits.  An exact integer path gives an int where a value is an
 integer and a Fraction otherwise (``poly.rational``), whatever type the
@@ -24,11 +24,13 @@ from hypothesis import strategies as st
 from charmatch import expansions as xp
 from charmatch import poly, specfun
 from charmatch.errors import DomainError, JetDomainError, SingularSystemError
+from charmatch.exprs import parse
 from charmatch.jets import Jet, _float_head, bessel_jn_jet, exact_sqrt
 from charmatch.matching import (
-    CharNumbers, CoeffSeq, Derivative, HigherIntegral, Moments, tri_map,
+    CharNumbers, CoeffSeq, Derivative, HigherIntegral, Moments, tri_map, verify_matching,
 )
 from charmatch.poly import Poly, div, is_exact, over
+from charmatch.registry import build_kind
 from result_key import key, same
 
 
@@ -518,15 +520,15 @@ def test_power_table_matches_the_horner_loop(coeffs, jets):
     new = [p(x) for x in jets]
     for x, got in zip(jets, new):
         assert key(got) == key(ref_head0_horner(p.coeffs, x))
-    poly._power_table.cache_clear()
+    poly.tri_table.cache_clear()
     assert key([p(x) for x in jets]) == key(new)
 
 
 def composed_from_one_new_table(p, x):
-    """``p(x)`` with an emptied power-table cache, which must miss once."""
-    poly._power_table.cache_clear()
+    """``p(x)`` with an emptied table cache, which must miss once."""
+    poly.tri_table.cache_clear()
     got = p(x)
-    assert poly._power_table.cache_info().misses == 1
+    assert poly.tri_table.cache_info().misses == 1
     return got
 
 
@@ -546,6 +548,21 @@ def test_jets_mixing_ints_and_fractions_take_the_power_table(x):
     p = Poly([F(1, 2), F(1, 3), F(1, 5)])
     got = composed_from_one_new_table(p, x)
     assert key(got) == key(ref_head0_horner(p.coeffs, x))
+
+
+def test_a_verification_keeps_its_map_and_its_power_table_in_the_one_cache():
+    poly.tri_table.cache_clear()
+    built = build_kind("log_powers", parse("exp(x)"), 40)
+    assert verify_matching(built.approximant, built.chars).max_residual == 0
+    assert poly.tri_table.cache_info().misses == 2
+    # the coefficient map and the power table of g = ln(1 + x) are the two
+    g = xp._G_BASIS["log_powers"]["jet"](Jet.variable(0, 40))
+    assert isinstance(poly.tri_table(xp._powers_of_g_rows, "log_powers", 41), poly.TriRows)
+    assert isinstance(poly.tri_table(poly._power_rows, g.coeffs), poly.TriRows)
+    built = build_kind("log_powers", parse("exp(x)"), 40)
+    assert verify_matching(built.approximant, built.chars).max_residual == 0
+    info = poly.tri_table.cache_info()
+    assert (info.misses, info.currsize) == (2, 2)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -1,8 +1,8 @@
 """The prepared rows of a triangular map against the plain loop.
 
-``matching.TriRows`` keeps the exact rows of a map as integer numerators
+``poly.TriRows`` keeps the exact rows of a map as integer numerators
 over one denominator per row and makes their float entries on first use,
-and ``matching.tri_table`` keeps one ``TriRows`` per row builder and key for the
+and ``poly.tri_table`` keeps one ``TriRows`` per row builder and key for the
 coefficient maps, the exact center jets of the NSBF and Dirichlet
 approximants and Legendre moment matching.  Each result must equal the plain
 loop on the entries by ``result_key.key``: exact values and exactness, float
