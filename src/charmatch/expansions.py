@@ -123,7 +123,7 @@ class NsbfApproximant(Approximant):
         t0 = x0 - self.center
         values = self.coeffs.values
         if t0 == 0 and is_exact(t0) and all_exact(values):
-            return Jet(x0, tri_table(_nsbf_jet_rows, order, len(values)).apply(values))
+            return Jet.from_ints(x0, *tri_table(_nsbf_jet_rows, order, len(values)).exact(values))
         # row j lists (n, j-th coefficient of J_n) for every nonzero a_n
         jets = [(n, bessel_jn_jet(n, t0, order).coeffs)
                 for n, a in enumerate(values) if a != 0]
@@ -195,14 +195,12 @@ def _solve_bareiss(a: list[list[int]]) -> list:
             a[r] = row[:col] + [(p * x - f * y) // prev
                                 for x, y in zip(row[col:], top[col:])]
         prev = p
-    out = [0] * n
     nums, den = [], 1  # x_(n-1), x_(n-2), ... over den
     for r in range(n - 1, -1, -1):
         row = a[r]
         s = sum(map(operator.mul, row[r + 1:n], reversed(nums)))
-        out[r] = Fraction(row[n] * den - s, den * row[r])
-        den = admit(nums, den, out[r])
-    return out
+        den = admit(nums, den, row[n] * den - s, den * row[r])
+    return [Fraction(x, den) for x in reversed(nums)]
 
 
 def pade_solve(c: CharNumbers, m: int, n: int) -> CoeffSeq:
@@ -713,7 +711,8 @@ class DirichletApproximant(Approximant):
                               "at the expansion point")
         v = (self.b0, *self.coeffs.values)
         if all_exact(v):
-            return Jet(x0, tri_table(_dirichlet_jet_rows, self.kind, order, len(v) - 1).apply(v))
+            table = tri_table(_dirichlet_jet_rows, self.kind, order, len(v) - 1)
+            return Jet.from_ints(x0, *table.exact(v))
         series = _DIRICHLET[self.kind]["series"]
         gamma = [series(j) for j in range(order + 1)]
         nonzero = [n for n, a in enumerate(self.coeffs.values, start=1) if a != 0]

@@ -5,11 +5,17 @@ the package's exact derivative oracle: arithmetic and the elementary
 primitives propagate Taylor data through composite expressions using the
 standard series recurrences.
 
-Coefficients are ordinary Python numbers.  Arithmetic stays in exact
-rationals as long as every head value is exact; each primitive knows the
-special points where that is possible (``exp`` at 0, ``ln`` at 1, ``sin``
-and ``cos`` at 0, square roots of perfect squares, ``bessel_j0`` at 0) and
-falls back to floats elsewhere.
+An exact jet holds integer numerators over one denominator, reduced so
+that ``gcd(den, *nums) == 1`` (the form ``poly.scaled`` gives), and every
+exact operation reads and writes that form: one integer kernel and one gcd
+per result, fraction-free as in Bareiss elimination.  Fractions are built
+only where a number leaves the jet: ``coeffs`` (on first read), ``value``
+and ``derivatives()``.  A jet with a float coefficient holds ordinary
+Python numbers and runs the plain loops.  Arithmetic stays exact as long as
+every head value is exact; each primitive knows the special points where
+that is possible (``exp`` at 0, ``ln`` at 1, ``sin`` and ``cos`` at 0,
+square roots of perfect squares, ``bessel_j0`` at 0) and falls back to
+floats elsewhere.
 """
 
 from __future__ import annotations
@@ -21,7 +27,9 @@ from typing import Sequence
 
 from . import specfun
 from .errors import DomainError, JetDomainError
-from .poly import Poly, admit, all_exact, div, is_exact, mul, power, rational, scaled
+from .poly import (
+    Poly, admit, all_exact, div, is_exact, mul, power, rational, reduced, scaled,
+)
 
 __all__ = ["Jet", "compose", "bessel_jn_jet"]
 
@@ -82,24 +90,48 @@ def _positive_float_head(primitive: str, head) -> float:
     return value
 
 
-def _weighted(u: Sequence) -> tuple[list, int]:
-    """The integer numerators j U_j, j = 1, 2, ..., of the exact series ``u``
-    scaled as U / Du, and Du: the weights of the exp and sin/cos recurrences."""
-    num_u, den_u = scaled(u)
-    return [j * x for j, x in enumerate(num_u) if j], den_u
+_set = object.__setattr__
 
 
 class Jet:
-    """Taylor data of a function at a point: coeffs[n] = f^(n)(x0) / n!."""
+    """Taylor data of a function at a point: coeffs[n] = f^(n)(x0) / n!.
 
-    __slots__ = ("center", "coeffs")
+    A jet decides once, where it is made, whether it is exact: an exact jet
+    has ``coeffs[n] = nums[n] / den`` and builds ``coeffs`` on first read; a
+    jet with a float coefficient has ``nums`` None.
+    """
+
+    __slots__ = ("center", "coeffs", "nums", "den")
 
     def __init__(self, center, coeffs: Sequence):
         coeffs = tuple(coeffs)
         if not coeffs:
             raise ValueError("a jet needs at least the constant term")
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "coeffs", coeffs)
+        _set(self, "center", center)
+        _set(self, "coeffs", coeffs)
+        if is_exact(coeffs[0]) and all_exact(coeffs):
+            nums, den = scaled(coeffs)
+            _set(self, "nums", tuple(nums))
+            _set(self, "den", den)
+        else:
+            _set(self, "nums", None)
+
+    @classmethod
+    def from_ints(cls, center, nums: tuple, den: int) -> "Jet":
+        """The exact jet nums / den; (nums, den) must be reduced."""
+        jet = object.__new__(cls)
+        _set(jet, "center", center)
+        _set(jet, "nums", nums)
+        _set(jet, "den", den)
+        return jet
+
+    def __getattr__(self, name):
+        # only the coefficients of an exact jet are left unset, until read
+        if name != "coeffs" or self.nums is None:
+            raise AttributeError(name)
+        coeffs = tuple(rational(x, self.den) for x in self.nums)
+        _set(self, "coeffs", coeffs)
+        return coeffs
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("Jet is immutable")
@@ -124,18 +156,20 @@ class Jet:
 
     @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.coeffs if self.nums is None else self.nums) - 1
 
     @property
     def value(self):
-        return self.coeffs[0]
+        return self.coeffs[0] if self.nums is None else rational(self.nums[0], self.den)
 
     def is_exact(self) -> bool:
-        return all_exact(self.coeffs)
+        return self.nums is not None
 
     def derivatives(self) -> tuple:
         """(f(x0), f'(x0), ..., f^(N)(x0)) -- coefficients times n!."""
-        return tuple(math.factorial(n) * c for n, c in enumerate(self.coeffs))
+        if self.nums is None:
+            return tuple(math.factorial(n) * c for n, c in enumerate(self.coeffs))
+        return tuple(rational(math.factorial(n) * x, self.den) for n, x in enumerate(self.nums))
 
     def __repr__(self):
         return f"Jet(center={self.center!r}, coeffs={list(self.coeffs)!r})"
@@ -149,6 +183,9 @@ class Jet:
         return hash((self.center, self.coeffs))
 
     # -- arithmetic -------------------------------------------------------
+    #
+    # Exact operands meet as integer forms; any float operand sends the
+    # operation to the plain loop on ``coeffs``.
 
     def _check_compatible(self, other: "Jet"):
         if self.center != other.center:
@@ -159,13 +196,26 @@ class Jet:
     def __add__(self, other):
         if isinstance(other, Jet):
             self._check_compatible(other)
-            return Jet(self.center, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-        return Jet(self.center, (self.coeffs[0] + other,) + self.coeffs[1:])
+            if self.nums is None or other.nums is None:
+                return Jet(self.center,
+                                 tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+            num_b, den_b = other.nums, other.den
+        elif self.nums is None or not is_exact(other):
+            return Jet(self.center, (self.coeffs[0] + other,) + self.coeffs[1:])
+        else:
+            num_b, den_b = (other.numerator,), other.denominator
+        den = math.lcm(self.den, den_b)
+        out = [x * (den // self.den) for x in self.nums]
+        for i, y in enumerate(num_b):
+            out[i] += y * (den // den_b)
+        return Jet.from_ints(self.center, *reduced(out, den))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(self.center, tuple(-c for c in self.coeffs))
+        if self.nums is None:
+            return Jet(self.center, tuple(-c for c in self.coeffs))
+        return Jet.from_ints(self.center, tuple(-x for x in self.nums), self.den)
 
     def __sub__(self, other):
         return self + (-other)
@@ -176,16 +226,40 @@ class Jet:
     def __mul__(self, other):
         if isinstance(other, Jet):
             self._check_compatible(other)
-            return Jet(self.center, mul(self.coeffs, other.coeffs, self.order + 1))
-        return Jet(self.center, tuple(c * other for c in self.coeffs))
+            n = self.order + 1
+            if self.nums is None or other.nums is None:
+                return Jet(self.center, mul(self.coeffs, other.coeffs, n))
+            return Jet.from_ints(self.center, *reduced(mul(self.nums, other.nums, n),
+                                                       self.den * other.den))
+        if self.nums is None or not is_exact(other):
+            return Jet(self.center, tuple(c * other for c in self.coeffs))
+        return self._times(other)
 
     __rmul__ = __mul__
+
+    def _times(self, r) -> "Jet":
+        """The exact jet times the int or Fraction ``r``."""
+        return Jet.from_ints(self.center, *reduced([x * r.numerator for x in self.nums],
+                                                   self.den * r.denominator))
 
     def __truediv__(self, other):
         if isinstance(other, Jet):
             self._check_compatible(other)
-            return Jet(self.center, _div_series(self.coeffs, other.coeffs))
-        return Jet(self.center, tuple(div(c, other) for c in self.coeffs))
+            if self.nums is None or other.nums is None:
+                return Jet(self.center, _div_series(self.coeffs, other.coeffs))
+            if other.nums[0] == 0:
+                raise JetDomainError("division", "divisor jet has zero constant term")
+            nums, den = [], 1
+            num_p, den_p, num_q, den_q = self.nums, self.den, other.nums, other.den
+            # out_k = (P_k D Dq - Dp sum_i O_i Q_(k-i)) / (Dp D Q_0), out = O / D
+            for k in range(len(num_p)):
+                s = sum(map(operator.mul, nums, num_q[k:0:-1]))
+                den = admit(nums, den, num_p[k] * den * den_q - s * den_p,
+                            den_p * den * num_q[0])
+            return Jet.from_ints(self.center, tuple(nums), den)
+        if self.nums is None or not is_exact(other):
+            return Jet(self.center, tuple(div(c, other) for c in self.coeffs))
+        return self._times(Fraction(1, other))  # ZeroDivisionError at an exact 0
 
     def __rtruediv__(self, other):
         num = Jet.constant(other, self.center, self.order)
@@ -201,25 +275,25 @@ class Jet:
     # -- primitives --------------------------------------------------------
     #
     # Each primitive applies the standard truncated-series recurrence; the
-    # head value decides whether the computation stays exact.
+    # head value decides whether the computation stays exact.  The exact
+    # recurrences keep their outputs as integer numerators over a shared
+    # denominator (``admit``), so each step is one integer dot product.
 
     def exp(self) -> "Jet":
+        if self.nums is not None and self.nums[0] == 0:
+            # v_k = sum_j j u_j v_(k-j) / k with u = U / Du and v = V / D
+            ju = [j * x for j, x in enumerate(self.nums) if j]
+            den_u, nums, den = self.den, [1], 1
+            for k in range(1, len(self.nums)):
+                den = admit(nums, den, sum(map(operator.mul, ju, reversed(nums))),
+                            den_u * den * k)
+            return Jet.from_ints(self.center, tuple(nums), den)
         u = self.coeffs
         exact_head = is_exact(u[0]) and u[0] == 0
         try:
             v0 = 1 if exact_head else math.exp(_float_head("exp", u[0]))
         except OverflowError:
             raise JetDomainError("exp", f"overflows at {u[0]}") from None
-        if exact_head and all_exact(u):
-            # v_k = sum_j j u_j v_(k-j) / k with u = U / Du and v = V / D
-            ju, den_u = _weighted(u)
-            nums, den = [1], 1
-            v = [1]
-            for k in range(1, len(u)):
-                c = Fraction(sum(map(operator.mul, ju, reversed(nums))), den_u * den * k)
-                v.append(c)
-                den = admit(nums, den, c)
-            return Jet(self.center, v)
         v = [v0] + [0] * self.order
         for k in range(1, len(u)):
             acc = 0
@@ -230,24 +304,23 @@ class Jet:
         return Jet(self.center, v)
 
     def ln(self) -> "Jet":
-        u = self.coeffs
-        head = u[0]
+        head = self.value
         if not (head > 0):
             raise JetDomainError("ln", f"constant term must be positive, got {head}")
         v0 = 0 if (is_exact(head) and head == 1) else math.log(_positive_float_head("ln", head))
-        if all_exact(u):
+        if self.nums is not None:
             # the recurrence never reads v_0, so it stays exact at any exact head:
             # v_k = (k U_k D - sum_j j V_j U_(k-j)) / (D k U_0), u = U / Du, v = V / D
-            num_u, _ = scaled(u)
-            nums, den = [], 1
-            v = [v0]
-            for k in range(1, len(u)):
-                s = sum(map(operator.mul, map(operator.mul, range(1, k), nums),
+            num_u = self.nums
+            nums, den = [0], 1
+            for k in range(1, len(num_u)):
+                s = sum(map(operator.mul, map(operator.mul, range(1, k), nums[1:]),
                             num_u[k - 1:0:-1]))
-                c = Fraction(k * num_u[k] * den - s, den * k * num_u[0])
-                v.append(c)
-                den = admit(nums, den, c)
-            return Jet(self.center, v)
+                den = admit(nums, den, k * num_u[k] * den - s, den * k * num_u[0])
+            if is_exact(v0):  # the head 1 gives 0
+                return Jet.from_ints(self.center, tuple(nums), den)
+            return Jet(self.center, (v0, *(rational(x, den) for x in nums[1:])))
+        u = self.coeffs
         v = [v0] + [0] * self.order
         for k in range(1, len(u)):
             acc = k * u[k]
@@ -257,27 +330,25 @@ class Jet:
         return Jet(self.center, v)
 
     def _sin_cos(self) -> tuple["Jet", "Jet"]:
+        if self.nums is not None and self.nums[0] == 0:
+            # s_k = sum_j j u_j c_(k-j) / k and c_k = -sum_j j u_j s_(k-j) / k,
+            # with u = U / Du, s = S / Ds and c = C / Dc
+            ju = [j * x for j, x in enumerate(self.nums) if j]
+            den_u, s_nums, s_den, c_nums, c_den = self.den, [0], 1, [1], 1
+            for k in range(1, len(self.nums)):
+                sk = sum(map(operator.mul, ju, reversed(c_nums)))
+                ck = -sum(map(operator.mul, ju, reversed(s_nums)))
+                ds, dc = den_u * c_den * k, den_u * s_den * k
+                s_den = admit(s_nums, s_den, sk, ds)
+                c_den = admit(c_nums, c_den, ck, dc)
+            return (Jet.from_ints(self.center, tuple(s_nums), s_den),
+                    Jet.from_ints(self.center, tuple(c_nums), c_den))
         u = self.coeffs
-        exact_head = is_exact(u[0]) and u[0] == 0
-        if exact_head:
+        if is_exact(u[0]) and u[0] == 0:
             s0, c0 = 0, 1
         else:
             h = _float_head("sin/cos", u[0])
             s0, c0 = math.sin(h), math.cos(h)
-        if exact_head and all_exact(u):
-            # s_k = sum_j j u_j c_(k-j) / k and c_k = -sum_j j u_j s_(k-j) / k,
-            # with u = U / Du, s = S / Ds and c = C / Dc
-            ju, den_u = _weighted(u)
-            s_nums, s_den, c_nums, c_den = [0], 1, [1], 1
-            s, c = [0], [1]
-            for k in range(1, len(u)):
-                sk = Fraction(sum(map(operator.mul, ju, reversed(c_nums))), den_u * c_den * k)
-                ck = Fraction(-sum(map(operator.mul, ju, reversed(s_nums))), den_u * s_den * k)
-                s.append(sk)
-                c.append(ck)
-                s_den = admit(s_nums, s_den, sk)
-                c_den = admit(c_nums, c_den, ck)
-            return Jet(self.center, s), Jet(self.center, c)
         s = [s0] + [0] * self.order
         c = [c0] + [0] * self.order
         for k in range(1, len(u)):
@@ -298,26 +369,24 @@ class Jet:
         return self._sin_cos()[1]
 
     def sqrt(self) -> "Jet":
-        u = self.coeffs
-        head = u[0]
+        head = self.value
         if not (head > 0):
             raise JetDomainError("sqrt", f"constant term must be positive, got {head}")
         v0 = exact_sqrt(head) if is_exact(head) else None
         if v0 is None:
             v0 = math.sqrt(_positive_float_head("sqrt", head))
-        if is_exact(v0) and all_exact(u):
+        elif self.nums is not None:
             # v_k = (U_k D^2 - Du sum_j V_j V_(k-j)) Q / (Du D^2 2 P),
-            # with u = U / Du, v = V / D for k >= 1 and v_0 = P / Q
-            num_u, den_u = scaled(u)
-            nums, den = [], 1
-            v = [v0]
-            for k in range(1, len(u)):
-                s = sum(map(operator.mul, nums, reversed(nums)))
-                c = Fraction((num_u[k] * den * den - den_u * s) * v0.denominator,
-                             den_u * den * den * 2 * v0.numerator)
-                v.append(c)
-                den = admit(nums, den, c)
-            return Jet(self.center, v)
+            # with u = U / Du, v = V / D and v_0 = P / Q
+            num_u, den_u = self.nums, self.den
+            nums = []
+            den = admit(nums, 1, v0.numerator, v0.denominator)
+            for k in range(1, len(num_u)):
+                s = sum(map(operator.mul, nums[1:], reversed(nums[1:])))
+                den = admit(nums, den, (num_u[k] * den * den - den_u * s) * v0.denominator,
+                            den_u * den * den * 2 * v0.numerator)
+            return Jet.from_ints(self.center, tuple(nums), den)
+        u = self.coeffs
         v = [v0] + [0] * self.order
         for k in range(1, len(u)):
             acc = u[k]
@@ -329,15 +398,15 @@ class Jet:
     def arctan(self) -> "Jet":
         u = self.coeffs
         v0 = 0 if (is_exact(u[0]) and u[0] == 0) else math.atan(_float_head("arctan", u[0]))
-        w = (Jet.constant(1, self.center, self.order) + self * self).coeffs
-        uprime = tuple((j + 1) * u[j + 1] for j in range(self.order)) + (0,)
-        t = _div_series(uprime, w)
+        w = Jet.constant(1, self.center, self.order) + self * self
+        uprime = Jet(self.center, tuple((j + 1) * u[j + 1] for j in range(self.order)) + (0,))
+        t = (uprime / w).coeffs
         v = [v0] + [div(t[k - 1], k) for k in range(1, len(u))]
         return Jet(self.center, v)
 
     def cbrt(self) -> "Jet":
         """Real cube root; the constant term must be nonzero."""
-        head = self.coeffs[0]
+        head = self.value
         if head == 0:
             raise JetDomainError("cbrt", "constant term must be nonzero")
         if head < 0:
@@ -350,33 +419,15 @@ class Jet:
         return v0 * (w.ln() / 3).exp()
 
     def bessel_j0(self) -> "Jet":
-        return compose(bessel_jn_jet(0, self.coeffs[0], self.order), self)
+        return compose(bessel_jn_jet(0, self.value, self.order), self)
 
 
 def _div_series(p: Sequence, q: Sequence) -> tuple:
-    """The first len(p) coefficients of p / q.
-
-    Exact operands run the same recurrence on integers: p = P / Dp and
-    q = Q / Dq, and the outputs so far are kept as integer numerators over
-    the lcm L of their denominators, so each step is one integer dot
-    product S = sum_i L out_i Q_(k-i) and one gcd:
-    out_k = (P_k L Dq - S Dp) / (Dp L Q_0).  The result is a Fraction
-    throughout, as the plain recurrence gives it.
-    """
+    """The first len(p) coefficients of p / q by the plain recurrence: the
+    quotient of jets with a float coefficient."""
     if q[0] == 0:
         raise JetDomainError("division", "divisor jet has zero constant term")
     n = len(p)
-    if all_exact(p) and all_exact(q[:n]):
-        num_p, den_p = scaled(p)
-        num_q, den_q = scaled(q[:n])
-        nums, den = [], 1
-        out = []
-        for k in range(n):
-            s = sum(map(operator.mul, nums, num_q[k:0:-1]))
-            c = Fraction(num_p[k] * den * den_q - s * den_p, den_p * den * num_q[0])
-            out.append(c)
-            den = admit(nums, den, c)
-        return tuple(out)
     out = [0] * n
     for k in range(n):
         acc = p[k]
@@ -393,14 +444,17 @@ def compose(outer: Jet, inner: Jet) -> Jet:
     Requires ``inner.coeffs[0] == outer.center`` and equal orders; this is
     the Faa di Bruno composition in truncated-series form (Horner scheme).
     """
-    if inner.coeffs[0] != outer.center:
+    if inner.value != outer.center:
         raise DomainError(
             "composition centers do not match: inner value "
-            f"{inner.coeffs[0]!r} vs outer center {outer.center!r}"
+            f"{inner.value!r} vs outer center {outer.center!r}"
         )
     if inner.order != outer.order:
         raise DomainError("composition requires equal jet orders")
-    shifted = Jet(inner.center, (0,) + inner.coeffs[1:])
+    if inner.nums is None:
+        shifted = Jet(inner.center, (0,) + inner.coeffs[1:])
+    else:
+        shifted = Jet.from_ints(inner.center, *reduced((0,) + inner.nums[1:], inner.den))
     return Poly(outer.coeffs)(shifted)
 
 

@@ -6,10 +6,12 @@ exact.  This is the workhorse behind the combinatorial polynomial tables
 (Bernoulli, Legendre) and every place the tests demand exact-zero residuals.
 Exactness follows the operand types; ``div`` and ``over`` are the only two
 places where the package chooses between exact and float arithmetic by hand.
-The exact integer kernels (``mul``, ``TriRows.apply``) follow one rule for
-their results: ``rational(num, den)``, an int where the value is an integer
-and a Fraction otherwise.  Every fixed triangular map, the power tables of
-``Poly.__call__`` included, is one ``TriRows`` in the one cache ``tri_table``.
+Exact sequences are computed on as integer numerators over one denominator
+(``scaled``, ``reduced``): the one product ``mul``, ``TriRows`` and the exact
+jets.  A number leaves that form as ``rational(num, den)``, an int where the
+value is an integer and a Fraction otherwise.  Every fixed triangular map,
+the power tables of ``Poly.__call__`` included, is one ``TriRows`` in the one
+cache ``tri_table``.
 """
 
 from __future__ import annotations
@@ -59,21 +61,26 @@ def scaled(cs) -> tuple[list, int]:
     return [c.numerator * (den // c.denominator) for c in cs], den
 
 
-def admit(nums: list, den: int, c: Fraction) -> int:
-    """Append the Fraction ``c`` to ``nums``, integer numerators over ``den``,
-    and return the new shared denominator: ``den`` first grows, with every
-    numerator, to the least multiple that ``c``'s denominator divides.
+def admit(nums: list, den: int, num: int, d: int) -> int:
+    """Append ``num / d`` (ints, ``d`` nonzero) to ``nums``, integer numerators
+    over ``den``, and return the new shared denominator: the quotient is
+    reduced by one gcd, then ``den`` grows, with every numerator, to the
+    least multiple that its denominator divides.
 
     The exact recurrences (series quotient, jet primitives, back
     substitution) keep the outputs found so far this way, so each new output
-    costs one integer dot product and one gcd.
+    costs one integer dot product and one gcd.  Started from ``[], 1``, the
+    result is reduced: ``den`` is the lcm of the outputs' denominators.
     """
-    d = c.denominator
+    g = math.gcd(num, d)
+    if d < 0:
+        g = -g
+    num, d = num // g, d // g
     if den % d:
         grow = d // math.gcd(den, d)
         nums[:] = [x * grow for x in nums]
         den *= grow
-    nums.append(c.numerator * (den // d))
+    nums.append(num * (den // d))
     return den
 
 
@@ -84,41 +91,36 @@ def rational(num: int, den: int):
     return Fraction(num, den) if r else q
 
 
+def reduced(nums: Sequence[int], den: int) -> tuple[tuple, int]:
+    """``nums / den`` (``den > 0``) with the common factor of ``den`` and every
+    numerator divided out: the one integer form of an exact sequence, as
+    ``scaled`` gives it for the sequence's values."""
+    g = math.gcd(den, *nums)
+    if g == 1:
+        return tuple(nums), den
+    return tuple(x // g for x in nums), den // g
+
+
 def mul(a, b, n: int, skip_zero_b: bool = True) -> list:
     """The first ``n`` coefficients of the product of the coefficient
-    sequences ``a`` and ``b``, as the double loop ``out[i + j] += a[i] * b[j]``
-    gives them; a zero ``a[i]`` is skipped, and so is a zero ``b[j]`` when
-    ``skip_zero_b``.
-
-    Operands of ints and Fractions go through integer numerators over one
-    shared denominator (fraction-free, as in Bareiss elimination): the
-    convolution runs on ints and each output is one ``rational``.  Anything
-    with a float takes the loop itself, whose skip rules decide the sign of
-    a zero and whether inf * 0 makes a nan.
+    sequences ``a`` and ``b`` by the double loop ``out[i + j] += a[i] * b[j]``;
+    a zero ``a[i]`` is skipped, and so is a zero ``b[j]`` when
+    ``skip_zero_b``.  The one product of the package: on integer numerators
+    for exact jets and polynomials (fraction-free, as in Bareiss
+    elimination), and on the coefficients themselves where a float takes
+    part, whose skip rules decide the sign of a zero and whether inf * 0
+    makes a nan.  Each sum adds its terms in order of increasing ``i``.
     """
-    a, b = a[:n], b[:n]
     out = [0] * n
-    if not (all_exact(a) and all_exact(b)):
-        for i, x in enumerate(a):
-            if x == 0:
-                continue
-            for k, y in enumerate(b[:n - i], i):
-                if y != 0 or not skip_zero_b:
-                    out[k] += x * y
-        return out
-    num_a, den_a = scaled(a)
-    num_b, den_b = scaled(b)
-    nonzero_b = [(j, y) for j, y in enumerate(num_b) if y]
-    for i, x in enumerate(num_a):
-        if not x:
+    terms = [(j, y) for j, y in enumerate(b[:n]) if y != 0 or not skip_zero_b]
+    for i, x in enumerate(a[:n]):
+        if x == 0:
             continue
-        for j, y in nonzero_b:
-            k = i + j
-            if k >= n:
+        for j, y in terms:
+            if i + j >= n:
                 break
-            out[k] += x * y
-    den = den_a * den_b
-    return [rational(s, den) for s in out]
+            out[i + j] += x * y
+    return out
 
 
 class TriRows:
@@ -150,15 +152,27 @@ class TriRows:
     def floats(self) -> list:
         return [(cols, array("d", [num / den for num in nums])) for cols, nums, den in self.ints]
 
+    def _sums(self, v: Sequence) -> list:
+        """Per row of the map of the exact ``v``, the sum's integer numerator
+        and its denominator: v is scaled once, so each is one integer dot
+        product."""
+        nums_v, den_v = scaled(v)
+        divisors = repeat(1) if self.divisors is None else self.divisors
+        return [(sum(map(operator.mul, nums, map(nums_v.__getitem__, cols))), den * den_v * d)
+                for (cols, nums, den), d in zip(self.ints, divisors)]
+
+    def exact(self, v: Sequence) -> tuple[tuple, int]:
+        """``tri_map`` of the rows at the exact ``v`` as one reduced integer
+        form: numerators over one denominator (``reduced``)."""
+        sums = self._sums(v)
+        den = math.lcm(*[d for _, d in sums])
+        return reduced([s * (den // d) for s, d in sums], den)
+
     def apply(self, v: Sequence) -> list:
-        """``tri_map`` of the rows; an exact v is scaled once, so each a_n is
-        one integer dot product and one ``rational``."""
+        """``tri_map`` of the rows; at an exact v each a_n is one
+        ``rational``."""
         if all_exact(v):
-            nums_v, den_v = scaled(v)
-            divisors = repeat(1) if self.divisors is None else self.divisors
-            return [rational(sum(map(operator.mul, nums, map(nums_v.__getitem__, cols))),
-                             den * den_v * d)
-                    for (cols, nums, den), d in zip(self.ints, divisors)]
+            return [rational(s, d) for s, d in self._sums(v)]
         if all(type(x) is float for x in v):
             return tri_map((zip(cols, ts) for cols, ts in self.floats), v, self.divisors)
         return tri_map(self.pairs, v, self.divisors)
@@ -188,32 +202,40 @@ def tri_map(rows: Iterable, v: Sequence, divisors: Iterable[int] | None = None) 
     return out
 
 
-def _power_rows(ys: tuple) -> TriRows:
+def _power_rows(nums: tuple, den: int) -> TriRows:
     """Rows n = 0..N of the power table P(n, k) = [t^n] y^k, k = 0..n // v,
-    of the exact series ``ys`` with head 0 and first nonzero index v.  The
-    key holds values only, so value-equal series of other entry types
-    (``1 == Fraction(1)``) share the table.
+    of the exact jet y = nums / den (reduced) with head 0 and first nonzero
+    index v, its powers made by jet products.  The key holds values only,
+    so value-equal jets share the table.
     """
     from .jets import Jet
 
-    v = next(k for k, y in enumerate(ys) if y != 0)
-    y = Jet(0, ys)
+    v = next(k for k, y in enumerate(nums) if y)
+    y = Jet.from_ints(0, nums, den)
     powers = [Jet.constant(1, 0, y.order)]
     for _ in range(y.order // v):
         powers.append(powers[-1] * y)
-    return TriRows(ints=[(range(n // v + 1), *scaled([p.coeffs[n] for p in powers[:n // v + 1]]))
-                         for n in range(len(ys))])
+    rows = []
+    for n in range(len(nums)):
+        row = powers[:n // v + 1]
+        d = math.lcm(*[p.den for p in row])
+        rows.append((range(len(row)), *reduced([p.nums[n] * (d // p.den) for p in row], d)))
+    return TriRows(ints=rows)
 
 
 def power(base, n: int, one):
-    """``base ** n`` for an int n >= 0 by square and multiply from ``one``."""
+    """``base ** n`` for an int n >= 0 by square and multiply from ``one``;
+    the base is squared only while a higher bit is left.  The first factor
+    is multiplied into ``one``, so a float zero of a jet base becomes the
+    exact zero that the product's skip rule leaves."""
     result = one
-    while n:
+    while True:
         if n & 1:
             result = result * base
-        base = base * base
         n >>= 1
-    return result
+        if not n:
+            return result
+        base = base * base
 
 
 class Poly:
@@ -262,10 +284,11 @@ class Poly:
         index v adds nothing to orders beyond N from x^k with k v > N, so the
         loop starts at degree N // v, and the accumulator that ends up
         multiplied by x^k keeps orders up to N - k v only.  Those orders are
-        the same sums of the same products as in the full loop, so floats
-        keep their bits.  On exact coefficients and an exact jet the loop
-        gives way to the cached power table of the jet (``_power_rows``):
-        O(N^2) integer work per call instead of one product per degree.
+        the same sums of the same products (``mul`` on the coefficients) as
+        in the full loop, so floats keep their bits.  On exact coefficients
+        and an exact jet the loop gives way to the cached power table of the
+        jet (``_power_rows``, keyed by its integer form): O(N^2) integer work
+        per call instead of one product per degree.
         """
         coeffs = self.coeffs
         if isinstance(x, float):
@@ -273,24 +296,26 @@ class Poly:
         else:
             from .jets import Jet
 
-            if isinstance(x, Jet) and x.value == 0 and len(coeffs) > 1:
-                ys = x.coeffs
+            if isinstance(x, Jet) and len(coeffs) > 1:
+                ys = x.coeffs if x.nums is None else x.nums
                 order = len(ys) - 1
                 v = next((k for k, y in enumerate(ys) if y != 0), 0)
                 if v:
                     coeffs = coeffs[:min(len(coeffs) - 1, order // v) + 1]
                     top = len(coeffs) - 1
-                    if all_exact(coeffs) and all_exact(ys):
+                    if x.nums is not None and all_exact(coeffs):
                         # padded to the columns k = 0..N // v of the table
                         coeffs += (0,) * (order // v - top)
-                        return Jet(x.center, tri_table(_power_rows, ys).apply(coeffs))
-                    acc = Jet.constant(coeffs[top], x.center, order - top * v)
+                        table = tri_table(_power_rows, x.nums, x.den)
+                        return Jet.from_ints(x.center, *table.exact(coeffs))
+                    ys = x.coeffs
+                    acc = [coeffs[top]] + [0] * (order - top * v)
                     for k in range(top - 1, -1, -1):
                         # the orders of the cofactor of x^k that count
                         keep = order - k * v
-                        acc = (Jet(x.center, acc.coeffs + (0,) * v)
-                               * Jet(x.center, ys[:keep + 1]) + coeffs[k])
-                    return acc
+                        acc = mul(acc + [0] * v, ys[:keep + 1], keep + 1)
+                        acc[0] += coeffs[k]
+                    return Jet(x.center, acc)
         acc = coeffs[-1]
         constant_like = getattr(x, "constant_like", None)
         if constant_like is not None:
@@ -331,8 +356,12 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, Poly):
-            n = len(self.coeffs) + len(other.coeffs) - 1
-            return Poly(mul(self.coeffs, other.coeffs, n, skip_zero_b=False))
+            a, b = self.coeffs, other.coeffs
+            n = len(a) + len(b) - 1
+            if all_exact(a) and all_exact(b):
+                (num_a, den_a), (num_b, den_b) = scaled(a), scaled(b)
+                return Poly(rational(s, den_a * den_b) for s in mul(num_a, num_b, n))
+            return Poly(mul(a, b, n, skip_zero_b=False))
         return Poly(c * other for c in self.coeffs)
 
     __rmul__ = __mul__

@@ -32,6 +32,7 @@ from charmatch.matching import (
 from charmatch.poly import Poly, div, is_exact, over
 from charmatch.registry import build_kind
 from result_key import key, same
+from tri_reference import check_tri_map
 
 
 F = Fraction
@@ -55,18 +56,6 @@ def sequences(max_size=41):
 
 
 # -- the loops the integer paths replaced --------------------------------------------
-
-
-def ref_tri_map(rows, v, divisors=None):
-    out = []
-    for row in rows:
-        acc = 0
-        for k, t in row:
-            acc += t * v[k]
-        out.append(acc)
-    if divisors is not None:
-        out = [over(a, d) for a, d in zip(out, divisors)]
-    return out
 
 
 def ref_linear_combination(head, terms):
@@ -241,7 +230,8 @@ def test_tri_map_matches_the_loop(data):
             for n in range(len(v))]
     divisors = data.draw(st.none() | st.lists(st.integers(1, 10 ** 12),
                                               min_size=len(v), max_size=len(v)))
-    same(lambda: tri_map(iter(rows), v, divisors), lambda: ref_tri_map(rows, v, divisors))
+    # against exact sums of exact products, and the dot-product error bound
+    check_tri_map(lambda: tri_map(iter(rows), v, divisors), rows, v, divisors)
 
 
 def test_tri_map_gives_exact_values():
@@ -558,7 +548,7 @@ def test_a_verification_keeps_its_map_and_its_power_table_in_the_one_cache():
     # the coefficient map and the power table of g = ln(1 + x) are the two
     g = xp._G_BASIS["log_powers"]["jet"](Jet.variable(0, 40))
     assert isinstance(poly.tri_table(xp._powers_of_g_rows, "log_powers", 41), poly.TriRows)
-    assert isinstance(poly.tri_table(poly._power_rows, g.coeffs), poly.TriRows)
+    assert isinstance(poly.tri_table(poly._power_rows, g.nums, g.den), poly.TriRows)
     built = build_kind("log_powers", parse("exp(x)"), 40)
     assert verify_matching(built.approximant, built.chars).max_residual == 0
     info = poly.tri_table.cache_info()

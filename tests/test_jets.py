@@ -12,6 +12,7 @@ from charmatch.errors import DomainError, JetDomainError
 from charmatch.jets import Jet, _exact_cbrt, bessel_jn_jet, compose
 from charmatch.matching import derivative_chars
 from charmatch.poly import Poly
+from result_key import key
 
 
 F = Fraction
@@ -267,3 +268,226 @@ def test_mul_div_round_trip(a, b):
     ja = Jet(0, [F(x) for x in a[: n + 1]])
     jb = Jet(0, [F(x) for x in b[: n + 1]])
     assert ((ja * jb) / jb).coeffs == ja.coeffs
+
+
+# -- the integer form of exact jets against textbook recurrences on Fractions --------
+
+ENTRY = st.one_of(st.integers(-40, 40), st.fractions(-9, 9, max_denominator=24))
+POSITIVE = st.one_of(st.integers(1, 30), st.fractions(F(1, 20), 20, max_denominator=24)).filter(
+    lambda h: h > 0)
+SQUARES = st.sampled_from([1, 4, F(9, 4), F(25, 49), 10 ** 6])
+CUBES = st.sampled_from([1, 8, F(27, 8), F(1, 1000), -8, F(-64, 27)])
+
+
+@st.composite
+def exact_jets(draw, heads, order=None):
+    """An exact jet at 0 of order 0-12 whose entries are ints and Fractions."""
+    n = draw(st.integers(0, 12)) if order is None else order
+    return Jet(0, (draw(heads), *draw(st.lists(ENTRY, min_size=n, max_size=n))))
+
+
+def jet_pairs(heads_a, heads_b):
+    return st.integers(0, 12).flatmap(
+        lambda n: st.tuples(exact_jets(heads_a, n), exact_jets(heads_b, n)))
+
+
+ANY_HEAD = st.one_of(st.just(0), st.just(1), POSITIVE, ENTRY)
+
+
+def series(jet):
+    return [F(c) for c in jet.coeffs]
+
+
+def ref_mul(a, b):
+    return [sum((a[i] * b[k - i] for i in range(k + 1)), F(0)) for k in range(len(a))]
+
+
+def ref_div(a, b):
+    q = []
+    for k in range(len(a)):
+        q.append((a[k] - sum((q[i] * b[k - i] for i in range(k)), F(0))) / b[0])
+    return q
+
+
+def ref_derivative(u):
+    return [(j + 1) * u[j + 1] for j in range(len(u) - 1)] + [F(0)]
+
+
+def ref_integral(t, head):
+    return [head] + [t[k - 1] / k for k in range(1, len(t))]
+
+
+def ref_exp(u):
+    # v' = u' v at head 0
+    v = [F(1)]
+    for k in range(1, len(u)):
+        v.append(sum((j * u[j] * v[k - j] for j in range(1, k + 1)), F(0)) / k)
+    return v
+
+
+def ref_sin_cos(u):
+    # s' = u' c and c' = -u' s at head 0
+    s, c = [F(0)], [F(1)]
+    for k in range(1, len(u)):
+        s.append(sum((j * u[j] * c[k - j] for j in range(1, k + 1)), F(0)) / k)
+        c.append(-sum((j * u[j] * s[k - j] for j in range(1, k + 1)), F(0)) / k)
+    return s, c
+
+
+def ref_sqrt(u, v0):
+    # v^2 = u
+    v = [v0]
+    for k in range(1, len(u)):
+        v.append((u[k] - sum((v[j] * v[k - j] for j in range(1, k)), F(0))) / (2 * v0))
+    return v
+
+
+def ref_cbrt(u, v0):
+    # v^3 = u, one unknown coefficient at a time
+    v = [v0]
+    for k in range(1, len(u)):
+        cube = ref_mul(ref_mul(v + [F(0)] * (len(u) - k), v + [F(0)] * (len(u) - k)),
+                       v + [F(0)] * (len(u) - k))
+        v.append((u[k] - cube[k]) / (3 * v0 * v0))
+    return v
+
+
+def ref_compose(outer, inner):
+    # sum_m outer_m (inner - inner_0)^m
+    shifted = [F(0)] + inner[1:]
+    out, power = [F(0)] * len(inner), [F(1)] + [F(0)] * (len(inner) - 1)
+    for c in outer:
+        out = [a + c * p for a, p in zip(out, power)]
+        power = ref_mul(power, shifted)
+    return out
+
+
+def assert_integer_form(jet):
+    assert jet.is_exact() and jet.den > 0 and math.gcd(jet.den, *jet.nums) == 1
+    again = Jet(jet.center, jet.coeffs)
+    assert (again.nums, again.den) == (jet.nums, jet.den)
+
+
+def same_series(jet, want):
+    assert key(jet.coeffs) == key(tuple(want))
+
+
+@settings(max_examples=150, deadline=None)
+@given(jet_pairs(ANY_HEAD, ANY_HEAD), ENTRY)
+def test_exact_sums_and_products_match_the_textbook(pair, r):
+    a, b = pair
+    sa, sb = series(a), series(b)
+    for got, want in ((a + b, [x + y for x, y in zip(sa, sb)]),
+                      (a - b, [x - y for x, y in zip(sa, sb)]),
+                      (-a, [-x for x in sa]),
+                      (a + r, [sa[0] + r] + sa[1:]),
+                      (r - a, [r - sa[0]] + [-x for x in sa[1:]]),
+                      (a * r, [x * r for x in sa]),
+                      (a * b, ref_mul(sa, sb)),
+                      (a ** 3, ref_mul(ref_mul(sa, sa), sa))):
+        same_series(got, want)
+        assert_integer_form(got)
+    if r:
+        same_series(a / r, [x / r for x in sa])
+    if sb[0]:
+        same_series(a / b, ref_div(sa, sb))
+        assert_integer_form(a / b)
+        same_series(b ** -2, ref_div([F(1)] + [F(0)] * (len(sb) - 1), ref_mul(sb, sb)))
+    assert key(a.derivatives()) == key(tuple(math.factorial(n) * x for n, x in enumerate(sa)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(exact_jets(st.just(0)))
+def test_exact_primitives_at_head_0_match_the_textbook(u):
+    su = series(u)
+    same_series(u.exp(), ref_exp(su))
+    s, c = ref_sin_cos(su)
+    same_series(u.sin(), s)
+    same_series(u.cos(), c)
+    one_plus_square = ref_mul(su, su)
+    one_plus_square[0] += 1
+    same_series(u.arctan(), ref_integral(ref_div(ref_derivative(su), one_plus_square), F(0)))
+    for jet in (u.exp(), u.sin(), u.cos(), u.arctan()):
+        assert_integer_form(jet)
+
+
+@settings(max_examples=150, deadline=None)
+@given(exact_jets(st.one_of(st.just(1), POSITIVE)))
+def test_exact_ln_matches_the_textbook(u):
+    # ln(u) = ln(u_0) + integral of u' / u; ln(u_0) is a float unless u_0 = 1
+    su = series(u)
+    head = F(0) if su[0] == 1 else math.log(float(su[0]))
+    same_series(u.ln(), ref_integral(ref_div(ref_derivative(su), su), head))
+    if su[0] == 1:
+        assert_integer_form(u.ln())
+
+
+@settings(max_examples=150, deadline=None)
+@given(exact_jets(SQUARES), exact_jets(CUBES))
+def test_exact_roots_match_the_textbook(u, w):
+    su, sw = series(u), series(w)
+    root = F(math.isqrt(su[0].numerator), math.isqrt(su[0].denominator))
+    same_series(u.sqrt(), ref_sqrt(su, root))
+    assert_integer_form(u.sqrt())
+    sign = 1 if sw[0] > 0 else -1
+    num, den = abs(sw[0].numerator), sw[0].denominator
+    root = F(sign * round(num ** (1 / 3)), round(den ** (1 / 3)))
+    assert root ** 3 == sw[0]
+    same_series(w.cbrt(), ref_cbrt(sw, root))
+    assert_integer_form(w.cbrt())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 12).flatmap(
+    lambda n: st.tuples(exact_jets(ENTRY, n), exact_jets(ANY_HEAD, n))))
+def test_exact_compose_matches_the_textbook(pair):
+    outer, inner = pair
+    outer = Jet(inner.value, outer.coeffs)
+    same_series(compose(outer, inner), ref_compose(series(outer), series(inner)))
+    assert_integer_form(compose(outer, inner))
+
+
+def plain_mul(a, b):
+    """The double loop of an exact times a float jet before integer forms."""
+    out = [0] * len(a)
+    for i, x in enumerate(a):
+        if x == 0:
+            continue
+        for j, y in enumerate(b[:len(a) - i]):
+            if y != 0:
+                out[i + j] += x * y
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 12).flatmap(lambda n: st.tuples(
+    st.lists(ENTRY, min_size=n + 1, max_size=n + 1),
+    st.lists(st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0]), min_size=n + 1,
+             max_size=n + 1))))
+def test_exact_with_float_keeps_the_bits_of_the_double_loop(pair):
+    values, floats = pair
+    # an exact jet made by an exact product holds only its integer form
+    exact = Jet(0, values) * Jet.constant(1, 0, len(values) - 1)
+    f = Jet(0, floats)
+    assert key((exact * f).coeffs) == key(tuple(plain_mul(values, floats)))
+    assert key((f * exact).coeffs) == key(tuple(plain_mul(floats, values)))
+    assert key((exact + f).coeffs) == key(tuple(x + y for x, y in zip(values, floats)))
+    assert key((exact * 0.5).coeffs) == key(tuple(x * 0.5 for x in values))
+
+
+def test_power_squares_only_while_a_bit_is_left(monkeypatch):
+    calls = []
+    product = Jet.__mul__
+
+    def counting(self, other):
+        calls.append(other)
+        return product(self, other)
+
+    monkeypatch.setattr(Jet, "__mul__", counting)
+    x = Jet.variable(0, 40)
+    for n, products in ((0, 0), (1, 1), (2, 2), (3, 3), (4, 3), (5, 4), (8, 4)):
+        calls.clear()
+        assert (x ** n).coeffs == tuple(int(k == n) for k in range(41))
+        assert len(calls) == products
+    # the first factor meets the exact one, whose product turns float zeros into 0
+    assert key((Jet(0, (1.0, -0.0, 2.0)) ** 1).coeffs) == key((1.0, 0, 2.0))

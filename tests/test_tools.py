@@ -1,0 +1,21 @@
+"""Smoke tests of the scripts under tools/."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_pass_time_compares_a_checkout_with_itself():
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "pass_time.py"), str(ROOT), str(ROOT),
+         "--workload", "roundtrip_exact", "--seed", "13", "--pairs", "1"],
+        capture_output=True, text=True, check=True, timeout=600).stdout.splitlines()
+    assert [line.split(":")[0] for line in out[:2]] == ["pair 1 A", "pair 1 B"]
+    summary = json.loads(out[-1])
+    for side in ("A", "B"):
+        assert summary[side]["pass_share"] == 1.0
+        assert summary[side]["pass_s"] > 0 and summary[side]["peak_rss_mb"] > 0
+    assert summary["ratio_b_over_a"] > 0 and summary["b_faster_pairs"] in (0, 1)

@@ -1,0 +1,111 @@
+"""Time one in-process pass of a benchmark workload on two checkouts.
+
+    python tools/pass_time.py ROOT_A ROOT_B --workload W --seed S --pairs P
+
+Each run is a fresh process that imports charmatch from ``<root>/src``,
+builds the pass of ``<root>/bench/workloads.py`` (read as
+``output_digest.py`` reads it, nothing under ``bench/`` changes) and runs it
+five times, each from emptied caches as the benchmark runs it.  The run
+reports the best of the five (the time inside the cases, as the benchmark
+measures it), the share of cases whose check passed and the process's peak
+resident memory.  A pair is one run of A and one of B, in alternating order.
+The summary gives the medians per checkout and the median ratio B / A, so
+a change of a few percent shows in a minute, where the benchmark needs ten
+pairs of 20 s runs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+TOOLS = Path(__file__).resolve().parent
+BEST_OF = 5
+
+CHILD = """
+import sys
+sys.path.insert(0, {tools!r})
+import pass_time
+pass_time.one_run({root!r}, {workload!r}, {seed!r})
+"""
+
+
+def one_run(root: str, workload: str, seed: int) -> None:
+    """Print, as one JSON line, the best pass time of ``BEST_OF``, the pass
+    share and the peak RSS of this process."""
+    import resource
+    import tempfile
+    import time
+
+    from output_digest import load_workloads
+
+    wl = load_workloads(Path(root).resolve())
+    with tempfile.TemporaryDirectory() as tmp:
+        work = wl.make_workload(workload, seed, Path(tmp))
+        cases = work.build_pass()
+        best, passed = float("inf"), 0
+        for _ in range(BEST_OF):
+            work.before_pass()
+            busy, passed = 0.0, 0
+            for case in cases:
+                work.before_case()
+                start = time.perf_counter()
+                try:
+                    result = work.run(case)
+                except Exception:  # a case that raises is a failed case
+                    busy += time.perf_counter() - start
+                    continue
+                busy += time.perf_counter() - start
+                try:
+                    passed += work.check(case, result).ok
+                except Exception:  # unreadable output counts against the case
+                    pass
+            best = min(best, busy)
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(json.dumps({"pass_s": best, "pass_share": passed / len(cases),
+                      "cases": len(cases), "peak_rss_mb": peak_mb}))
+
+
+def run(root: Path, workload: str, seed: int) -> dict:
+    code = CHILD.format(tools=str(TOOLS), root=str(root), workload=workload, seed=seed)
+    out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                         text=True, cwd=root).stdout
+    return json.loads(out.strip().splitlines()[-1])
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("root_a", help="first checkout (the reference)")
+    parser.add_argument("root_b", help="second checkout (the change)")
+    parser.add_argument("--workload", default="roundtrip_exact",
+                        choices=("grid", "roundtrip_exact", "roundtrip_float"))
+    parser.add_argument("--seed", type=int, default=13)
+    parser.add_argument("--pairs", type=int, default=5)
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    roots = {"A": Path(args.root_a).resolve(), "B": Path(args.root_b).resolve()}
+    runs = {"A": [], "B": []}
+    for i in range(args.pairs):
+        for name in ("AB" if i % 2 == 0 else "BA"):
+            result = run(roots[name], args.workload, args.seed)
+            runs[name].append(result)
+            print(f"pair {i + 1} {name}: pass {result['pass_s'] * 1e3:.1f} ms, "
+                  f"pass_share {result['pass_share']:.4f}, "
+                  f"peak {result['peak_rss_mb']:.1f} MB", flush=True)
+    ratios = [b["pass_s"] / a["pass_s"] for a, b in zip(runs["A"], runs["B"])]
+    summary = {name: {field: statistics.median(r[field] for r in rs)
+                      for field in ("pass_s", "pass_share", "peak_rss_mb")}
+               for name, rs in runs.items()}
+    summary["ratio_b_over_a"] = statistics.median(ratios)
+    summary["b_faster_pairs"] = sum(r < 1 for r in ratios)
+    print(json.dumps(summary))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
