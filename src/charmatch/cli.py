@@ -11,8 +11,8 @@ Each command takes only the settings it reads (``_READS``) and refuses the
 rest, as a flag or as a config-file key.
 
 Exit codes: 0 ok/pass, 1 verification failure, 2 usage or domain error
-(a refused setting or a value beyond the float range included), 3
-family/kind mismatch.
+(a refused setting, an output file that cannot be written or a value
+beyond the float range included), 3 family/kind mismatch.
 """
 
 from __future__ import annotations
@@ -341,7 +341,7 @@ def _cmd_coeffs(cfg: SimpleNamespace) -> int:
             "a": [_format_number(v) for v in coeffs.values],
             "c": [_format_number(v) for v in chars.values],
         }
-        Path(cfg.json).write_text(json.dumps(payload, indent=2) + "\n")
+        _write(cfg.json, json.dumps(payload, indent=2) + "\n")
     return 0
 
 
@@ -356,7 +356,7 @@ def _cmd_verify(cfg: SimpleNamespace) -> int:
     report = verify_matching(approx, chars)
     _print(report.to_json(indent=2))
     if cfg.json:
-        Path(cfg.json).write_text(report.to_json(indent=2) + "\n")
+        _write(cfg.json, report.to_json(indent=2) + "\n")
     return 0 if report.passed else 1
 
 
@@ -374,9 +374,9 @@ def _cmd_figure(cfg: SimpleNamespace, name: str) -> int:
     except DomainError as exc:
         raise UsageError(str(exc)) from exc
     csv_path = Path(cfg.csv) if cfg.csv else Path(f"{fig.name}.csv")
-    csv_path.write_text(render_csv(fig))
+    _write(csv_path, render_csv(fig))
     svg_path = Path(cfg.svg) if cfg.svg else Path(f"{fig.name}.svg")
-    svg_path.write_text(render_svg(fig))
+    _write(svg_path, render_svg(fig))
     _print(f"wrote {csv_path} and {svg_path}")
     return 0
 
@@ -415,8 +415,16 @@ def _cmd_compare(cfgs: list[SimpleNamespace]) -> int:
         rows.append({"kind": label, "max_abs_err": max_err, "l2_err": l2})
         _print(f"{label:>22}  {max_err:>14.6e}  {l2:>14.6e}")
     if base.json:
-        Path(base.json).write_text(json.dumps(rows, indent=2) + "\n")
+        _write(base.json, json.dumps(rows, indent=2) + "\n")
     return 0
+
+
+def _write(path, text: str) -> None:
+    """Write an output file; a path that cannot be written is a usage error."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _build_cli() -> _Parser:

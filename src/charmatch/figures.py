@@ -239,12 +239,12 @@ def build_figure(name: str) -> FigureData:
 
 
 def render_csv(fig: FigureData) -> str:
-    header = ",".join(label for label, _ in fig.columns)
-    lines = [header]
-    n = len(fig.x)
-    for i in range(n):
-        lines.append(",".join(f"{col[i]:.17g}" for _, col in fig.columns))
-    return "\n".join(lines) + "\n"
+    """One header line, then one line per x with every column's float to 17
+    significant digits (``nan``, ``inf``, ``-0`` as Python prints them)."""
+    labels = [label for label, _ in fig.columns]
+    row = ",".join(["%.17g"] * len(labels)) + "\n"
+    rows = map(row.__mod__, zip(*(values for _, values in fig.columns)))
+    return ",".join(labels) + "\n" + "".join(rows)
 
 
 def render_svg(fig: FigureData) -> str:

@@ -39,6 +39,11 @@ def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
 
+def _polyline(color: str, points: list[str]) -> str:
+    return (f'<polyline fill="none" stroke="{color}" '
+            f'stroke-width="1.5" points="{" ".join(points)}"/>')
+
+
 def line_plot_svg(x: Sequence[float], series: Sequence[tuple[str, Sequence[float]]],
                   title: str = "", ylim: tuple[float, float] | None = None) -> str:
     """Render one SVG line plot; non-finite and out-of-range points break lines."""
@@ -85,24 +90,26 @@ def line_plot_svg(x: Sequence[float], series: Sequence[tuple[str, Sequence[float
                    f'stroke="#333"/>')
         out.append(f'<text x="{_ML - 8}" y="{Y + 4:.2f}" text-anchor="end" '
                    f'font-family="sans-serif" font-size="12">{_fmt(t)}</text>')
+    # a point within one span of the y range is drawn clamped to it; any
+    # other point, and a non-finite one, ends the polyline it would extend
+    xpix = ["%.2f," % px(v) for v in x]
+    keep_lo, keep_hi = ylo - spany, yhi + spany
     for idx, (label, ys) in enumerate(series):
         color = _PALETTE[idx % len(_PALETTE)]
         points: list[str] = []
-        chunks: list[list[str]] = []
-        for xv, yv in zip(x, ys):
-            inside = math.isfinite(yv) and (ylo - spany) <= yv <= (yhi + spany)
-            if inside:
-                yc = min(max(yv, ylo), yhi)
-                points.append(f"{px(xv):.2f},{py(yc):.2f}")
-            elif points:
-                chunks.append(points)
-                points = []
-        if points:
-            chunks.append(points)
-        for chunk in chunks:
-            if len(chunk) >= 2:
-                out.append(f'<polyline fill="none" stroke="{color}" '
-                           f'stroke-width="1.5" points="{" ".join(chunk)}"/>')
+        for X, yv in zip(xpix, ys):
+            if math.isfinite(yv) and keep_lo <= yv <= keep_hi:
+                # min(max(yv, ylo), yhi) without the calls: max keeps its
+                # first argument unless the second is greater, min unless
+                # the second is less
+                yc = ylo if ylo > yv else yv
+                points.append(X + "%.2f" % py(yhi if yhi < yc else yc))
+                continue
+            if len(points) >= 2:
+                out.append(_polyline(color, points))
+            points = []
+        if len(points) >= 2:
+            out.append(_polyline(color, points))
         ly = _MT + 18 + 16 * idx
         out.append(f'<line x1="{_W - _MR - 150}" y1="{ly - 4}" '
                    f'x2="{_W - _MR - 120}" y2="{ly - 4}" stroke="{color}" '

@@ -306,6 +306,28 @@ def test_unreadable_config_exits_2(tmp_path, capsys, content):
     assert err.startswith(f"error: cannot read config {cfg}")
 
 
+_WRITERS = {
+    "coeffs --json": ("coeffs", "--f", "exp(x)", "--kind", "taylor", "--order", "3",
+                      "--json", "{bad}"),
+    "verify --json": ("verify", "--f", "exp(x)", "--kind", "taylor", "--order", "3",
+                      "--json", "{bad}"),
+    "figure --csv": ("figure", "nonlin", "--csv", "{bad}", "--svg", "{ok}"),
+    "figure --svg": ("figure", "nonlin", "--csv", "{ok}", "--svg", "{bad}"),
+    "compare --json": ("compare", "--f", "exp(x)", "--grid=-0.5,0.5,11", "--order", "3",
+                       "--kind", "taylor,nsbf", "--json", "{bad}"),
+}
+
+
+@pytest.mark.parametrize("where", ["missing directory", "path is a directory"])
+@pytest.mark.parametrize("writer", list(_WRITERS))
+def test_unwritable_output_exits_2(tmp_path, capsys, writer, where):
+    bad = tmp_path / "missing" / "out" if where == "missing directory" else tmp_path
+    argv = [arg.format(bad=bad, ok=tmp_path / "ok") for arg in _WRITERS[writer]]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith(f"error: cannot write {bad}: ") and err.count("\n") == 1
+
+
 def test_usage_error_on_missing_subcommand(capsys):
     assert main([]) == 2
 
