@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from . import specfun
@@ -26,10 +25,11 @@ from .matching import (
     Moments,
     PolynomialApproximant,
     Projection,
+    lift_exact,
     measure,
     target_poly,
 )
-from .poly import Poly, TriRows, all_exact, div, over, tri_table
+from .poly import Poly, TriRows, all_exact, div, over, scaled, tri_table
 
 __all__ = [
     "MomentSet",
@@ -82,10 +82,8 @@ def moments_compute(f, interval: tuple, order: int) -> MomentSet:
     otherwise), quadrature when it has none."""
     a, b = interval
     values = measure(f, Moments(a, b), range(order + 1))
-    if target_poly(f) is None:
-        source = "quadrature"
-    else:
-        source = "exact" if all_exact(values) else "float-poly"
+    source = ("quadrature" if target_poly(f) is None
+              else "exact" if all_exact(values) else "float-poly")
     return MomentSet((a, b), tuple(values), source)
 
 
@@ -93,7 +91,7 @@ def legendre_moment_match(m: MomentSet) -> PolynomialApproximant:
     """Polynomial sum beta_n P_n whose first moments equal ``m`` on (-1, 1).
 
     beta_n = (2n+1)/2 sum_j gamma_j^n c_j with gamma the exact Legendre
-    coefficients; exact input moments give an exact polynomial.
+    coefficients, on the moments lifted to exact numbers: an exact polynomial.
     """
     a, b = m.interval
     if not (a == -1 and b == 1):
@@ -102,24 +100,37 @@ def legendre_moment_match(m: MomentSet) -> PolynomialApproximant:
                                  coeffs=CoeffSeq(m.values, "legendre_moment"))
 
 
-def _legendre_match(moments: Sequence, shifted: bool = False) -> Poly:
-    """The polynomial sum beta_n P_n whose first moments on (-1, 1) are
-    ``moments`` (on (0, 1) with the shifted P_n when ``shifted``).
-
-    beta_n = sum_j gamma_nj m_j / <P_n, P_n>, with gamma_nj the exact
-    coefficients of P_n and <P_n, P_n> = 2/(2n+1), or 1/(2n+1) shifted.
-    """
-    sums = tri_table(_legendre_rows, len(moments), shifted).apply(moments)
-    total = Poly([0])
-    for n, acc in enumerate(sums):
-        norm = 2 * n + 1 if shifted else Fraction(2 * n + 1, 2)
-        total = total + (norm * acc) * specfun.legendre_coeffs(n, shifted)
-    return total
+def _legendre_match(values: Sequence, shifted: bool = False) -> Poly:
+    """The sum beta_n P_n whose first moments on (-1, 1) are ``values`` (its
+    repeated integrals when ``shifted``), lifted to exact numbers first; an
+    inf or a nan raises DomainError.  beta_n is row n of ``_legendre_rows``
+    at the values, and x^j has the coefficient sum_n beta_n gamma_nj."""
+    exact = lift_exact(values)
+    if exact is None:
+        raise DomainError("an inf or a nan has no exact value to match")
+    beta = tri_table(_legendre_rows, len(exact), shifted).apply(exact)
+    return Poly(tri_table(_legendre_cols, len(exact)).apply(beta))
 
 
 def _legendre_rows(size: int, shifted: bool) -> TriRows:
-    """Row n lists (j, gamma_nj) for every coefficient of P_n, zeros included."""
-    return TriRows(enumerate(specfun.legendre_coeffs(n, shifted).coeffs) for n in range(size))
+    """Row n: gamma_nj / <P_n, P_n>, <P_n, P_n> = 2/(2n+1), as integers over one
+    denominator.  Shifted: the gamma_nj of P*_n, 1/(2n+1), each times the sign
+    of P*_n(w) = (-1)^n P_n(1 - 2w) and the j! / 2^(j+1) of m_j."""
+    rows = []
+    for n in range(size):
+        nums, den = scaled(specfun.legendre_coeffs(n, shifted).coeffs)
+        if shifted:  # den is 1: each times (-1)^n j! 2^(n-j) over 2^n
+            nums, den = [(-1) ** n * g * math.factorial(j) << n - j
+                         for j, g in enumerate(nums)], 1 << n
+        rows.append((range(n + 1), [(2 * n + 1) * g for g in nums], 2 * den))
+    return TriRows(ints=rows)
+
+
+def _legendre_cols(size: int) -> TriRows:
+    """Row j lists (n, gamma_nj), n = j..size-1, zeros included: beta_n to the
+    coefficients of sum beta_n P_n, a float sum in the order of n."""
+    polys = [specfun.legendre_coeffs(n).coeffs for n in range(size)]
+    return TriRows([(n, polys[n][j]) for n in range(j, size)] for j in range(size))
 
 
 def moment_partial_delta(m_index: int, order: int) -> Poly:
@@ -137,15 +148,9 @@ def moment_delta_growth(m_index: int, orders: Sequence[int],
     The growth of these norms is the numerically observable face of the
     nonexistence of continuous moment delta functions.
     """
-    out = []
-    for n in orders:
-        p = moment_partial_delta(m_index, n).as_float()
-        sup = 0.0
-        for i in range(grid_points):
-            x = -1.0 + 2.0 * i / (grid_points - 1)
-            sup = max(sup, abs(p(x)))
-        out.append((n, sup))
-    return out
+    xs = [-1.0 + 2.0 * i / (grid_points - 1) for i in range(grid_points)]
+    return [(n, max(map(abs, map(moment_partial_delta(m_index, n).as_float(), xs))))
+            for n in orders]
 
 
 # -- Fourier and Legendre-Fourier -------------------------------------------------
@@ -185,11 +190,9 @@ def legendre_fourier_coeffs(f, order: int) -> CoeffSeq:
 def legendre_fourier_approx(f, order: int) -> PolynomialApproximant:
     coeffs = legendre_fourier_coeffs(f, order)
     family = Projection("legendre")
-    total = Poly([0])
-    for n, a in enumerate(coeffs.values):
-        scale, p = family.term(n)
-        total = total + (a * scale) * p
-    return PolynomialApproximant(total, coeffs=coeffs)
+    beta = [a * family.term(n)[0] for n, a in enumerate(coeffs.values)]
+    return PolynomialApproximant(Poly(tri_table(_legendre_cols, len(beta)).apply(beta)),
+                                 coeffs=coeffs)
 
 
 # -- higher integrals ---------------------------------------------------------------
@@ -207,18 +210,13 @@ def higher_integral_approx(c: CharNumbers) -> PolynomialApproximant:
     """Polynomial on (-1, 1) whose repeated integrals match ``c``.
 
     Transforms to the moment problem for h(w) = f(1 - 2w) on (0, 1) with
-    m_n = n! c_{n+1} / 2^(n+1), matches with shifted Legendre polynomials,
-    and changes variables back via w = (1 - x)/2.
+    m_n = n! c_{n+1} / 2^(n+1) of the c_n lifted to exact numbers, matches
+    with shifted Legendre polynomials and reads the match in x = 1 - 2w.
     """
     if not isinstance(c.family, HigherIntegral):
         raise DomainError("expected higher-integral characteristic numbers")
-    n_moments = len(c.values)
-    moments = [Fraction(math.factorial(n), 2 ** (n + 1)) * c.values[n]
-               for n in range(n_moments)]
-    # back to x: w = (1 - x) / 2
-    half = Fraction(1, 2)
-    poly_x = _legendre_match(moments, shifted=True).compose_affine(-half, half)
-    return PolynomialApproximant(poly_x, coeffs=CoeffSeq(c.values, "higher_integral"))
+    return PolynomialApproximant(_legendre_match(c.values, shifted=True),
+                                 coeffs=CoeffSeq(c.values, "higher_integral"))
 
 
 # -- Bernoulli endpoint-difference family ----------------------------------------------

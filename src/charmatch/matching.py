@@ -70,13 +70,21 @@ __all__ = [
 # -- target access -------------------------------------------------------------
 
 
+def lift_exact(values) -> list | None:
+    """``values`` as exact numbers, each finite float as the Fraction it equals
+    (a dyadic rational); None when one of them is an inf or a nan."""
+    if not all(is_exact(v) or math.isfinite(v) for v in values):
+        return None
+    return [v if is_exact(v) else Fraction(v) for v in values]
+
+
 def target_poly(target) -> Poly | None:
-    """The polynomial form of ``target``, or None if it has none."""
+    """The polynomial form of ``target``; None if it has none or a non-finite coefficient."""
     as_poly = getattr(target, "as_poly", None)
     if as_poly is None:
         return None
     p = as_poly()
-    return p if isinstance(p, Poly) else None
+    return p if isinstance(p, Poly) and lift_exact(p.coeffs) is not None else None
 
 
 @lru_cache(maxsize=None)
@@ -135,8 +143,8 @@ class Derivative(Family):
 
 
 def _power_integrals(a, b, top: int) -> tuple[list, int]:
-    """The integrals M_m of x^m over (a, b), m = 0..top, for exact a and b, as
-    integer numerators over one shared denominator, and that denominator."""
+    """The exact integrals M_m of x^m over (a, b), m = 0..top, for finite a and
+    b, as integer numerators over one shared denominator, and that denominator."""
     a, b = Fraction(a), Fraction(b)
     pa, pb, table = a, b, []
     for m in range(top + 1):
@@ -145,39 +153,30 @@ def _power_integrals(a, b, top: int) -> tuple[list, int]:
     return scaled(table)
 
 
-def _one_minus_t(k: int) -> list[int]:
-    """The coefficients (-1)^i C(k, i) of (1 - t)^k."""
-    return [(-1) ** i * math.comb(k, i) for i in range(k + 1)]
-
-
 def _integrals(target, family, orders: list, row=None) -> list:
-    """The integrals of w_n(x) f(x) over the family's interval (a, b) for each
-    n in ``orders``: the one place where an integral family picks closed form
-    or quadrature.
+    """The integrals of w_n(x) f(x) over the family's interval (a, b), n in
+    ``orders``: the one place where an integral family picks its method.
 
     ``row(n)`` gives the integer coefficients of w_n (``row`` is None when
     w_n has none) and ``family.weights(n, xs)`` the float w_n at the points
-    ``xs``.  A polynomial w_n and a target with a polynomial form p take the
-    closed form: on integer numerators when p and (a, b) are exact, through
+    ``xs``.  A polynomial w_n, a target with a polynomial form p and finite
+    a, b take the one closed form on p, a, b lifted to exact numbers: with
     q_i = sum_j p_j M_(i+j), a Hankel product of p with the power integrals
-    M_m over (a, b), so that the integral of w_n p is sum_i w_ni q_i; as a
-    float from the polynomial w_n p otherwise, also where that polynomial is
-    zero.  Every other target is sampled once at
-    the nodes of the one rule, and each order integrates the products
-    w_n(x) * f(x) of its table of w_n with those samples.
+    M_m over (a, b), the integral of w_n p is sum_i w_ni q_i on integer
+    numerators, rounded once where p, a or b holds a float.  Every other
+    target is sampled once at the nodes of the one rule, and each order
+    integrates the products w_n(x) * f(x) of its table of w_n with them.
     """
     a, b = family.interval
     p = target_poly(target) if row is not None else None
-    if p is not None:
-        if not (is_exact(a) and is_exact(b) and all_exact(p.coeffs)):
-            # a zero float p strips to the exact Poly([0]), whose integral is 0
-            return [float((Poly(row(n)) * p).integral(a, b)) for n in orders]
+    if p is not None and lift_exact((a, b)) is not None:
         rows = [row(n) for n in orders]
         top = max(map(len, rows)) - 1
-        num_p, den_p = scaled(p.coeffs)
+        num_p, den_p = scaled(lift_exact(p.coeffs))
         num_m, den_m = _power_integrals(a, b, top + p.degree)
         q = [sum(map(operator.mul, num_p, num_m[i:])) for i in range(top + 1)]
-        return [rational(sum(map(operator.mul, w, q)), den_p * den_m) for w in rows]
+        value = rational if all_exact((a, b, *p.coeffs)) else operator.truediv
+        return [value(sum(map(operator.mul, w, q)), den_p * den_m) for w in rows]
     vs = [float(target(x)) for x in _quad().points(a, b)]
     return [_quad().integrate([w * v for w, v in zip(_node_weights(family, n), vs)], a, b)
             for n in orders]
@@ -226,7 +225,8 @@ class HigherIntegral(Family):
     def measure(self, target, orders: list) -> list:
         if min(orders) < 1:
             raise DomainError("higher-integral functionals start at order 1")
-        vals = _integrals(target, self, orders, lambda n: _one_minus_t(n - 1))
+        vals = _integrals(target, self, orders,  # the coefficients of (1 - t)^(n-1)
+                          lambda n: [(-1) ** i * math.comb(n - 1, i) for i in range(n)])
         return [div(val, math.factorial(n - 1)) for n, val in zip(orders, vals)]
 
 

@@ -18,18 +18,19 @@ _ML, _MR, _MT, _MB = 70, 20, 40, 50
 
 
 def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
+    """Round finite ticks on lo..hi; lo..lo+1 if empty, 0..1 if not finite or few-ulp."""
     if not (hi > lo):
         hi = lo + 1.0
     raw = (hi - lo) / target
+    if not (math.isfinite(raw) and raw > 8 * math.ulp(max(abs(lo), abs(hi)))):
+        lo, hi, raw = 0.0, 1.0, 1.0 / target
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         step = mult * mag
         if raw <= step:
             break
-    first = math.ceil(lo / step) * step
-    ticks = []
-    t = first
-    while t <= hi + 1e-9 * step:
+    ticks, t = [], math.ceil(lo / step) * step
+    while t <= hi + 1e-9 * step and math.isfinite(t):
         ticks.append(0.0 if abs(t) < 1e-12 * step else t)
         t += step
     return ticks

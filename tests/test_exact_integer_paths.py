@@ -11,7 +11,9 @@ and the two must agree by ``result_key.key``: exact values and exactness,
 and float bits.  An exact integer path gives an int where a value is an
 integer and a Fraction otherwise (``poly.rational``), whatever type the
 loop gave.  Float and mixed operands still take the loops, and nothing else
-in the suite guards their bits.
+in the suite guards their bits; the closed-form integrals are the exception:
+they lift finite floats to exact numbers and round each result once, so
+their loops run on the lifted operands.
 """
 
 import math
@@ -167,14 +169,19 @@ def ref_sqrt(jet):
 
 
 def as_float_unless_exact(value, *operands):
-    """The loops' integral, as a float unless every operand is exact: a zero
-    float polynomial strips to the exact Poly([0]), whose integral the loops
-    gave as an exact 0."""
+    """The loops' integral, as a float unless every operand is exact."""
     return value if all(map(poly.all_exact, operands)) else float(value)
 
 
+def lifted(values):
+    """Each of ``values`` as the Fraction it equals: a finite float is a dyadic
+    rational.  The loops run on lifted operands, so a float result is the
+    exact integral rounded once."""
+    return [F(v) for v in values]
+
+
 def ref_moments(p, a, b, orders):
-    return [as_float_unless_exact(Poly([0] * n + list(p.coeffs)).integral(a, b),
+    return [as_float_unless_exact(Poly([0] * n + lifted(p.coeffs)).integral(*lifted([a, b])),
                                   p.coeffs, [a, b]) for n in orders]
 
 
@@ -186,7 +193,8 @@ def ref_higher_integral(p, orders):
             power, k = Poly([1]), 0
         while k < n - 1:
             power, k = power * Poly([1, -1]), k + 1
-        val = as_float_unless_exact((power * p).integral(-1, 1), p.coeffs)
+        val = as_float_unless_exact((power * Poly(lifted(p.coeffs))).integral(-1, 1),
+                                    p.coeffs)
         out.append(div(val, math.factorial(n - 1)))
     return out
 

@@ -11,6 +11,7 @@ from charmatch import exprs, specfun
 from charmatch import integral_match as im
 from charmatch.errors import DomainError
 from charmatch.matching import (
+    CharNumbers,
     EndpointDiff,
     HigherIntegral,
     Moments,
@@ -18,8 +19,9 @@ from charmatch.matching import (
     measure,
     verify_matching,
 )
-from charmatch.poly import Poly, is_exact
+from charmatch.poly import Poly, is_exact, tri_table
 from charmatch.quadrature import GaussLegendre
+from result_key import key
 
 
 F = Fraction
@@ -388,3 +390,64 @@ def test_fourier_approximant_sums_the_old_terms_bit_for_bit():
                    for a, (scale, shape) in zip(values, terms) if a != 0)
         got = approx(x)
         assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+# -- float characteristic numbers lifted into the exact Legendre layer -------------------
+
+
+ACCEPTANCE_TARGETS = ("exp(x)", "sin(x)", "cos(x)", "arctan(x)", "ln(x^2 + 1)",
+                      "sqrt(4 - x^2)")
+
+
+@pytest.mark.parametrize("order", [11, 20, 40])
+@pytest.mark.parametrize("text", ACCEPTANCE_TARGETS)
+def test_float_legendre_matches_round_trip_with_zero_residuals(text, order):
+    # the float moments and repeated integrals are lifted exactly, so the
+    # matched polynomial reproduces them to the last bit
+    f = exprs.parse(text)
+    m = im.moments_compute(f, (-1, 1), order)
+    c = im.higher_integral_chars(f, order)
+    for approx, chars in ((im.legendre_moment_match(m), m.as_char_numbers()),
+                          (im.higher_integral_approx(c), c)):
+        assert not any(map(is_exact, chars.values))
+        assert all(map(is_exact, approx.poly.coeffs))
+        report = verify_matching(approx, chars)
+        assert report.passed and all(r == 0 for r in report.residuals)
+
+
+def ref_legendre_sum(beta):
+    """The sum of beta_n P_n as legendre_fourier_approx accumulated it before
+    the transposed table: one Poly term at a time, on float P_n for floats."""
+    total = Poly([0])
+    for n, b in enumerate(beta):
+        p = specfun.legendre_coeffs(n)
+        total = total + b * (p.as_float() if isinstance(b, float) else p)
+    return total
+
+
+LEGENDRE_SUMS = st.one_of(
+    st.lists(st.one_of(st.floats(), st.sampled_from([0.0, -0.0])), min_size=1, max_size=41),
+    st.lists(st.one_of(st.integers(-10 ** 20, 10 ** 20), st.fractions(max_denominator=10 ** 6),
+                       st.sampled_from([0, F(0)])), min_size=1, max_size=41))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(beta=LEGENDRE_SUMS)
+def test_legendre_cols_sum_the_old_poly_loop_bit_for_bit(beta):
+    got = Poly(tri_table(im._legendre_cols, len(beta)).apply(beta))
+    assert key(got) == key(ref_legendre_sum(beta))
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_a_non_finite_characteristic_number_is_not_matched(bad):
+    with pytest.raises(DomainError):
+        im.legendre_moment_match(im.MomentSet((-1, 1), (1.0, bad, 0.5)))
+    with pytest.raises(DomainError):
+        im.higher_integral_approx(CharNumbers((0.25, bad), HigherIntegral()))
+
+
+def test_a_polynomial_with_an_inf_coefficient_takes_the_quadrature_rule():
+    p = Poly([1.0, math.inf, 2.0])
+    got = Moments(-1, 1).measure(p, [0, 1, 2])
+    assert key(got) == key(Moments(-1, 1).measure(lambda x: p(x), [0, 1, 2]))
+    assert im.moments_compute(p, (-1, 1), 2).source == "quadrature"

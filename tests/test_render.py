@@ -5,15 +5,17 @@ Every output is compared byte for byte with the per-cell loops of
 counted, so that the references are not the only check.
 """
 
+import contextlib
 import math
 import re
+import signal
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from charmatch.figures import FigureData, render_csv, render_svg
-from charmatch.svgplot import line_plot_svg
+from charmatch.svgplot import _nice_ticks, line_plot_svg
 from render_reference import ref_line_plot_svg, ref_render_csv, ref_render_svg
 
 INF, NAN = math.inf, math.nan
@@ -101,38 +103,58 @@ def test_render_svg_plots_every_column_but_x_and_errors():
 
 
 SPECIALS = [NAN, INF, -INF, -0.0, TINY, HUGE, -HUGE]
-# plot coordinates on a grid of eighths: x ranges that span a few ulps make
-# svgplot._nice_ticks step in place, so those are left out of the drawn plots
-eighths = st.integers(min_value=-4000, max_value=4000).map(lambda k: k / 8)
-ys = st.one_of(eighths, st.sampled_from(SPECIALS))
-
-
-def outcome(fn, *args, **kwargs):
-    """What ``fn`` gives: its output, or the type of what it raises (a y
-    range that overflows, or is narrower than the least subnormal, stops
-    the ticks of both renderers)."""
-    try:
-        return fn(*args, **kwargs)
-    except (ArithmeticError, ValueError) as exc:
-        return type(exc)
+# any finite plot coordinates: ranges that overflow, that are empty or that
+# span a few ulps included
+finite = st.floats(allow_nan=False, allow_infinity=False)
+ys = st.one_of(finite, st.sampled_from(SPECIALS))
 
 
 @st.composite
 def plots(draw):
     n = draw(st.integers(min_value=1, max_value=30))
-    x = draw(st.lists(eighths, min_size=n, max_size=n))
+    x = draw(st.lists(finite, min_size=n, max_size=n))
     series = [(f"s{i}", draw(st.lists(ys, min_size=n, max_size=n)))
               for i in range(draw(st.integers(min_value=1, max_value=4)))]
-    ylim = draw(st.one_of(st.none(), st.tuples(eighths, eighths)))
+    ylim = draw(st.one_of(st.none(), st.tuples(finite, finite)))
     return x, series, ylim
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Fail with TimeoutError when the block runs longer than ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @settings(max_examples=150, deadline=None)
 @given(plots())
 def test_svg_matches_the_per_point_loop_on_drawn_plots(plot):
     x, series, ylim = plot
-    assert outcome(line_plot_svg, x, series, ylim=ylim) == \
-        outcome(ref_line_plot_svg, x, series, ylim=ylim)
+    with time_limit(10):
+        assert line_plot_svg(x, series, ylim=ylim) == \
+            ref_line_plot_svg(x, series, ylim=ylim)
+
+
+def test_ticks_of_a_few_ulp_range_fall_back_to_the_unit_range():
+    with time_limit(10):
+        ticks = _nice_ticks(1e20, math.nextafter(1e20, 2e20))
+    assert ticks == _nice_ticks(0.0, 1.0) and len(ticks) == 6
+
+
+@pytest.mark.parametrize("top", [HUGE, TINY])
+def test_a_y_range_beyond_the_ticks_still_renders(top):
+    # an autoscaled range that overflows, and one narrower than a tick step
+    with time_limit(10):
+        svg = line_plot_svg([0.0, 1.0], [("a", [0.0, top])])
+    assert svg.count("<polyline") == 1 and svg.endswith("</svg>\n")
 
 
 @settings(max_examples=100, deadline=None)

@@ -7,12 +7,14 @@ builds the pass of ``<root>/bench/workloads.py`` (read as
 ``output_digest.py`` reads it, nothing under ``bench/`` changes) and runs it
 five times, each from emptied caches as the benchmark runs it.  The run
 reports the best of the five (the time inside the cases, as the benchmark
-measures it), the median over cases of each case's best time over the five
-(``case_p50_ms``, the benchmark's p50 of case times), the share of cases
-whose check passed and the process's peak resident memory.  A pair is one
-run of A and one of B, in alternating order.  The summary gives the medians
-per checkout and the median ratio B / A, so a change of a few percent shows
-in a minute, where the benchmark needs ten pairs of 20 s runs.
+measures it), the median and the 95th percentile over cases of each case's
+best time over the five (``case_p50_ms`` and ``case_p95_ms``, the
+benchmark's p50 and p95 of case times, the p95 interpolated as
+``bench/run.py`` does), the share of cases whose check passed and the
+process's peak resident memory.  A pair is one run of A and one of B, in
+alternating order.  The summary gives the medians per checkout and the
+median ratio B / A, so a change of a few percent shows in a minute, where
+the benchmark needs ten pairs of 20 s runs.
 """
 
 from __future__ import annotations
@@ -37,8 +39,8 @@ pass_time.one_run({root!r}, {workload!r}, {seed!r})
 
 def one_run(root: str, workload: str, seed: int) -> None:
     """Print, as one JSON line, the best pass time of ``BEST_OF``, the median
-    case time (each case at its best of ``BEST_OF``), the pass share and the
-    peak RSS of this process."""
+    and the 95th percentile case time (each case at its best of ``BEST_OF``),
+    the pass share and the peak RSS of this process."""
     import resource
     import statistics
     import tempfile
@@ -72,8 +74,9 @@ def one_run(root: str, workload: str, seed: int) -> None:
                     pass
             best = min(best, busy)
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    p95 = statistics.quantiles(case_best, n=100, method="inclusive")[94]
     print(json.dumps({"pass_s": best, "case_p50_ms": statistics.median(case_best) * 1e3,
-                      "pass_share": passed / len(cases),
+                      "case_p95_ms": p95 * 1e3, "pass_share": passed / len(cases),
                       "cases": len(cases), "peak_rss_mb": peak_mb}))
 
 
@@ -103,11 +106,13 @@ def main(argv: list[str] | None = None) -> int:
             runs[name].append(result)
             print(f"pair {i + 1} {name}: pass {result['pass_s'] * 1e3:.1f} ms, "
                   f"case p50 {result['case_p50_ms']:.2f} ms, "
+                  f"case p95 {result['case_p95_ms']:.2f} ms, "
                   f"pass_share {result['pass_share']:.4f}, "
                   f"peak {result['peak_rss_mb']:.1f} MB", flush=True)
     ratios = [b["pass_s"] / a["pass_s"] for a, b in zip(runs["A"], runs["B"])]
     summary = {name: {field: statistics.median(r[field] for r in rs)
-                      for field in ("pass_s", "case_p50_ms", "pass_share", "peak_rss_mb")}
+                      for field in ("pass_s", "case_p50_ms", "case_p95_ms", "pass_share",
+                                    "peak_rss_mb")}
                for name, rs in runs.items()}
     summary["ratio_b_over_a"] = statistics.median(ratios)
     summary["b_faster_pairs"] = sum(r < 1 for r in ratios)
