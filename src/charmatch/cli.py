@@ -24,7 +24,7 @@ import math
 import os
 import re
 import sys
-from decimal import Decimal
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -249,12 +249,33 @@ def _format_number(v) -> str:
     return f"{float(v):.17g}"
 
 
+# 40 digits with an exponent range that holds any exact number: a rounding
+# of v = num / den from the top 128 bits of each, off by well under 1e-30
+_APPROX = Context(prec=40, Emax=MAX_EMAX, Emin=MIN_EMIN)
+_ROUND17 = Context(prec=17, rounding=ROUND_HALF_EVEN, Emax=MAX_EMAX, Emin=MIN_EMIN)
+_LOWER, _UPPER = _APPROX.subtract(1, Decimal("1e-30")), _APPROX.add(1, Decimal("1e-30"))
+
+
 def _digits17(v: Fraction) -> Decimal:
     """The nonzero ``v`` rounded half to even to 17 significant digits, with
-    no trailing zeros.  Converting a huge numerator to ``Decimal`` takes time
-    quadratic in its digits, so this runs on integers: the decimal exponent
-    from ``math.log10``, corrected by comparison, and one ``divmod`` by a
-    power of ten."""
+    no trailing zeros.  Rounding is monotone, so when both ends of a short
+    approximation's error interval round alike, v rounds to the same
+    (Ziv's strategy); only a v within 1e-30 of a rounding boundary takes the
+    exact ``_digits17_exact``."""
+    num, den = abs(v.numerator), v.denominator
+    num_shift, den_shift = max(num.bit_length() - 128, 0), max(den.bit_length() - 128, 0)
+    approx = _APPROX.multiply(_APPROX.divide(num >> num_shift, den >> den_shift),
+                              _APPROX.power(2, num_shift - den_shift))
+    low = _ROUND17.plus(_APPROX.multiply(approx, _LOWER))
+    if low != _ROUND17.plus(_APPROX.multiply(approx, _UPPER)):
+        return _digits17_exact(v)
+    low = low.normalize(_ROUND17)
+    return low.copy_negate() if v < 0 else low
+
+
+def _digits17_exact(v: Fraction) -> Decimal:
+    """``_digits17`` on integers: the decimal exponent from ``math.log10``,
+    corrected by comparison, and one ``divmod`` by a power of ten."""
     num, den = abs(v.numerator), v.denominator
     e = math.floor(math.log10(num) - math.log10(den)) - 16
     while True:  # v = (q + r / d) * 10^e with 10^16 <= q < 10^17

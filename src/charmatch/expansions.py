@@ -815,18 +815,23 @@ def prime_indicator_P(pmax: int) -> tuple[int, ...]:
 def prime_indicator_eval(x: float) -> tuple[float, float, float, float]:
     """P(x) = sum_{i=2..40} (dex_[i,0](x) - 1) and its first three
     derivatives at x, exact at 0 up to order 39 (``prime_indicator_P(39)``).
-    The k-th derivative of dex_[i,0] is dex_[i,-k mod i], so all of them are
-    read from the one ladder of x^j / j! at x."""
+    The k-th derivative of dex_[i,0] is dex_[i,-k mod i], so P^(k)(x) =
+    sum_j T_j m_k(j) over the one ladder T_j = x^j / j! at x, with
+    m_k(j) = #{2 <= i <= 40 : i | j + k} (``_prime_counts``)."""
     ladder = _dex_ladder(_dex_point(x), _DEX_MIN_TERMS)
-    out = []
-    for k in range(4):
-        acc = 0.0
-        for i in range(2, 41):
-            acc += sum(ladder[(-k) % i::i])
-            if k == 0:
-                acc -= 1.0
-        out.append(acc)
-    return tuple(out)
+    return tuple(math.fsum(map(operator.mul, ladder, m)) for m in _prime_counts(len(ladder)))
+
+
+@lru_cache(maxsize=16)
+def _prime_counts(length: int) -> tuple:
+    """(m_0, m_1, m_2, m_3) for j < length, m_k(j) = #{2 <= i <= 40 : i | j + k},
+    except m_0(0) = 0: T_0 m_0(0) = 39 is the constant that P subtracts."""
+    divisors = [0] * (length + 3)
+    for i in range(2, 41):
+        for n in range(0, length + 3, i):
+            divisors[n] += 1
+    divisors[0] = 0
+    return tuple(tuple(divisors[k:k + length]) for k in range(4))
 
 
 # -- nonlinear delta approximation ------------------------------------------------

@@ -14,6 +14,7 @@ differentiating the interpolant analytically.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -341,9 +342,22 @@ class WsApproximant(Approximant):
                 radius=1e-6 * (1.0 + abs(xn)),
                 numerator=own,
             ))
+        # away from every node, with one shared numerator, the series is one
+        # flat sum over (a_n, x_n, s_n); ``_reach`` keeps that path clear of
+        # every radius whatever the rounding of x - x_n
+        self._flat = tuple((t.coefficient, t.node, t.slope) for t in self.terms) \
+            if self.terms and all(t.numerator is None for t in self.terms) else ()
+        self._nodes = sorted(t.node for t in self.terms)
+        self._reach = 2.0 * max((t.radius for t in self.terms), default=0.0)
 
     def __call__(self, x):
         x = float(x)
+        if self._flat:
+            i = bisect_left(self._nodes, x)
+            if (i == 0 or x - self._nodes[i - 1] > self._reach) and \
+                    (i == len(self._nodes) or self._nodes[i] - x > self._reach):
+                lam = self.system.lambda_value(x)
+                return sum((c * lam / (s * (x - xn)) for c, xn, s in self._flat), 0.0)
         lam = None
         acc = 0.0
         for t in self.terms:

@@ -339,9 +339,9 @@ def _bessel_sweep(top: int, x: float) -> tuple:
     if not abs(x) <= BESSEL_X_MAX:
         raise DomainError(f"bessel_j needs a finite |x| <= {BESSEL_X_MAX:g}, got {x}")
     ax = abs(x)
-    out = [0.0] * (top + 1)
     if ax < _BESSEL_TINY:
         # J_n = (x/2)^n / n! to a relative (x/2)^2 / (n+1); also covers x = 0
+        out = [0.0] * (top + 1)
         term = 1.0
         for i in range(top + 1):
             out[i] = term
@@ -351,22 +351,37 @@ def _bessel_sweep(top: int, x: float) -> tuple:
         big = max(top, int(ax))
         start = big + 20 + int(8.0 * big ** (1.0 / 3.0))
         start += start % 2
-        nxt, cur = 0.0, 1.0  # J_{k+1}, J_k up to a common scale, k = start
+        out = [0.0] * start  # J_0..J_{start-1} up to a common scale
+        # J_start = 1, J_{start+1} = 0; the first step cannot need rescaling
+        cur, nxt = 2 * start / ax, 1.0  # J_{k-1}, J_k for k = start - 1
         norm = 0.0
-        for k in range(start, 0, -1):
-            nxt, cur = cur, (2 * k / ax) * cur - nxt  # cur is now J_{k-1}
+        # two steps per pass, k odd: J_{k-1} (even order, into the norm)
+        # and J_{k-2}; each rescales whenever it nears overflow
+        for k in range(start - 1, 2, -2):
+            nxt = (2 * k / ax) * cur - nxt
+            if abs(nxt) > _BESSEL_RESCALE:
+                cur, nxt, norm = _rescaled(out, k, top, cur, nxt, norm)
+            norm += 2.0 * nxt
+            cur = ((2 * k - 2) / ax) * nxt - cur
             if abs(cur) > _BESSEL_RESCALE:
-                nxt /= _BESSEL_RESCALE
-                cur /= _BESSEL_RESCALE
-                norm /= _BESSEL_RESCALE
-                for i in range(k, top + 1):
-                    out[i] /= _BESSEL_RESCALE
-            if k - 1 <= top:
-                out[k - 1] = cur
-            if k % 2 == 1 and k > 1:
-                norm += 2.0 * cur
-        norm += cur
-    return tuple((-v if x < 0 and i % 2 else v) / norm for i, v in enumerate(out))
+                cur, nxt, norm = _rescaled(out, k, top, cur, nxt, norm)
+            out[k - 1] = nxt
+            out[k - 2] = cur
+        j0 = (2 / ax) * cur - nxt
+        if abs(j0) > _BESSEL_RESCALE:
+            j0, norm = _rescaled(out, 1, top, j0, norm)
+        out[0] = j0
+        norm += j0
+        del out[top + 1:]
+    if x < 0:
+        out[1::2] = [-v for v in out[1::2]]
+    return tuple([v / norm for v in out])
+
+
+def _rescaled(out: list, k: int, top: int, *scaled: float) -> tuple:
+    """Divide out[k..top] in place, and the given floats, by ``_BESSEL_RESCALE``."""
+    out[k:top + 1] = [v / _BESSEL_RESCALE for v in out[k:top + 1]]
+    return tuple(v / _BESSEL_RESCALE for v in scaled)
 
 
 # -- Lambert W ---------------------------------------------------------------

@@ -17,6 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import charmatch
+from charmatch import cli
 from charmatch.cli import _format_number, main
 from charmatch.registry import KIND_NAMES
 
@@ -519,6 +520,54 @@ def test_huge_numbers_print_as_the_correctly_rounded_decimal():
     assert _format_number(Fraction(10 ** 5000 + 15 * 10 ** 4983)) == "1.0000000000000002e+5000"
     assert _format_number(Fraction(10 ** 5000 - 1)) == "1e+5000"  # rounds up a digit
     assert _format_number(Fraction(10 ** 5000 + 1, 10 ** 5000)) == "1"
+
+
+def _short_and_exact_digits(v, monkeypatch):
+    """``_digits17(v)`` and ``_digits17_exact(v)``, and whether the first fell
+    back on the second."""
+    exact = cli._digits17_exact
+    fallbacks = []
+    monkeypatch.setattr(cli, "_digits17_exact", lambda w: fallbacks.append(w) or exact(w))
+    got = cli._digits17(v)
+    monkeypatch.undo()
+    return got.as_tuple(), exact(v).as_tuple(), bool(fallbacks)
+
+
+def test_digits17_rounds_as_the_exact_path(monkeypatch):
+    # random Fractions of every size take the short path and agree digit for
+    # digit, exponent included, with the exact divmod
+    rng = random.Random(24)
+    for _ in range(400):
+        num = rng.randrange(1, 10 ** rng.randint(1, 3000))
+        den = rng.randrange(1, 10 ** rng.randint(1, 3000))
+        v = Fraction(rng.choice((1, -1)) * num, den)
+        got, want, fell_back = _short_and_exact_digits(v, monkeypatch)
+        assert got == want and not fell_back, v
+    # exact ties, and values one unit of a huge numerator either side of a
+    # tie, lie within the short path's error bound: they take the exact one
+    for _ in range(100):
+        q = rng.randrange(10 ** 16, 10 ** 17)
+        e = rng.randint(-400, 400)
+        scale = 10 ** rng.randint(40, 60)
+        tie = Fraction((2 * q + 1) * scale, 20 * scale) * Fraction(10) ** e
+        for v in (tie, tie + Fraction(1, tie.denominator * scale),
+                  tie - Fraction(1, tie.denominator * scale), -tie):
+            got, want, fell_back = _short_and_exact_digits(v, monkeypatch)
+            assert got == want and fell_back, v
+
+
+def test_a_power_with_a_million_digits_prints_fast(capsys):
+    # building 10^e for the exact divmod took 1.5 s of this call
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "coeffs", "--f", "x^2999999", "--kind", "taylor",
+                       "--order", "2", "--x0", "2")
+    assert time.perf_counter() - start < 0.4
+    assert code == 0
+    assert out.splitlines()[2:] == [
+        "   0  4.8524598194503558e+903089  4.8524598194503558e+903089",
+        "   1  7.2786873029456239e+903095  7.2786873029456239e+903095",
+        "   2  1.0918023675731133e+903102  1.0918023675731133e+903102",
+    ]
 
 
 def test_a_huge_power_prints_fast(capsys):

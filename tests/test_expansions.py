@@ -618,21 +618,26 @@ def test_prime_indicator_counts_the_divisors_past_1():
     with pytest.raises(DomainError):
         xp.prime_indicator_P(1)
 
-def _prime_indicator_per_dex(k, x):
-    # P^(k)(x) one dex_eval call per ring, as the pprime figure summed it
-    acc = 0.0
-    for i in range(2, 41):
-        acc += xp.dex_eval(i, (i - k % i) % i, x)
-        if k == 0:
-            acc -= 1.0
-    return acc
+def _prime_indicator_mp(mpmath, x):
+    # P^(k)(x) = sum_{i=2..40} dex_[i, -k mod i](x) - 39 [k = 0], k = 0..3,
+    # with dex_[i,n](x) = sum_m x^(n + m i) / (n + m i)!, at 50 digits
+    with mpmath.workdps(50):
+        x = mpmath.mpf(x)
+        powers = [mpmath.mpf(1)]  # x^j / j! until far below 10^-50 of the sum
+        while len(powers) < 80 or abs(powers[-1]) > mpmath.mpf(10) ** -70:
+            powers.append(powers[-1] * x / len(powers))
+        return [sum(sum(powers[(-k) % i::i]) for i in range(2, 41)) - (39 if k == 0 else 0)
+                for k in range(4)]
 
 
 def test_prime_indicator_eval_reads_one_ladder():
-    # bit for bit the per-dex_eval sum on the grid of the pprime figure
-    for x in grid(-3.0, 3.0, 1201):
+    # within 4 units of 2^-53 of each P^(k), relative, on every 10th point of
+    # the pprime figure's grid and near 0, where P(x) ~ x^2 / 2 is small
+    mpmath = pytest.importorskip("mpmath")
+    for x in grid(-3.0, 3.0, 1201)[::10] + [1e-3, -1e-3, 1e-6, -1e-6]:
         got = xp.prime_indicator_eval(x)
-        assert got == tuple(_prime_indicator_per_dex(k, x) for k in range(4)), x
+        for k, want in enumerate(_prime_indicator_mp(mpmath, x)):
+            assert abs(got[k] - want) <= 4 * 2.0 ** -53 * abs(want), (x, k)
     # at 0 the truncated sum i <= 40 gives the exact derivatives up to order 39
     exact = xp.prime_indicator_P(39)
     assert xp.prime_indicator_eval(0.0) == tuple(exact[:4])

@@ -1,0 +1,90 @@
+"""The per-point grid kernels against their plain one-step references, by
+float bits (``grid_kernel_reference.py``)."""
+
+import math
+import random
+
+import pytest
+
+from charmatch import exprs, specfun
+from charmatch.interp import value_chars, ws_build, ws_node_systems
+
+from grid_kernel_reference import bessel_sweep, ws_call
+
+
+def outcome(fn, *args):
+    """The float bits of fn(*args), element by element for a tuple, or the
+    type and text of what it raised."""
+    try:
+        got = fn(*args)
+    except Exception as exc:  # a refusal is an outcome too
+        return type(exc).__name__, str(exc)
+    return [v.hex() for v in got] if isinstance(got, tuple) else got.hex()
+
+
+def bessel_arguments():
+    rng = random.Random(24)
+    xs = [0.0, 1e-300, 1e-31, 1e-30, 3e-30, 1e-20, 1e-8, 0.5, 1.0, 31.5, 64.0,
+          999.75, 5000.0, specfun.BESSEL_X_MAX]
+    xs += [10.0 ** rng.uniform(-30.0, 4.0) for _ in range(60)]
+    return xs + [-x for x in xs]
+
+
+@pytest.mark.parametrize("top", [31, 63, 95])
+def test_bessel_sweep_keeps_the_one_step_bits(top, monkeypatch):
+    scalars = []  # how many floats each rescaling divides besides out[k..top]
+    rescaled = specfun._rescaled
+    monkeypatch.setattr(specfun, "_rescaled",
+                        lambda *args: scalars.append(len(args) - 3) or rescaled(*args))
+    for x in bessel_arguments():
+        assert outcome(specfun._bessel_sweep.__wrapped__, top, x) \
+            == outcome(bessel_sweep, top, x), x
+    # tiny |x| grows past the rescaling threshold, in the paired steps
+    # (J_{k-1}, J_k and the norm) and in the last step to J_0 (J_0, the norm)
+    assert set(scalars) == {2, 3}
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, 1.0001e4])
+def test_bessel_sweep_refuses_like_the_one_step_loop(x):
+    assert outcome(specfun._bessel_sweep.__wrapped__, 31, x) == outcome(bessel_sweep, 31, x)
+
+
+def ws_arguments(approx):
+    """Points at every node, inside, on and just past each radius and the
+    reach of the flat path, far from every node, and non-finite ones."""
+    xs = [math.nan, math.inf, -math.inf, 0.0, 0.3, -2.75, 1e3, -1e3]
+    for t in approx.terms:
+        for m in (0.0, 0.5, 0.999, 1.0, 1.001, 1.999, 2.0, 2.001, 3.0, 1e3):
+            xs += [t.node + m * t.radius, t.node - m * t.radius]
+        xs += [math.nextafter(t.node, math.inf), math.nextafter(t.node, -math.inf)]
+    return xs
+
+
+@pytest.mark.parametrize("name", ["ws-a", "ws-b", "ws-c", "ws-d", "ws-e", "ws-f",
+                                  "ws-classic"])
+def test_ws_series_keeps_the_term_by_term_bits(name):
+    system = ws_node_systems()[name]
+    c = value_chars(system.test_function or exprs.parse("sin(x)"), system, 12)
+    approx = ws_build(system, c, 12)
+    for x in ws_arguments(approx):
+        assert outcome(approx, x) == outcome(ws_call, approx, x), x
+
+
+def test_ws_series_with_numerators_and_with_no_terms():
+    system = ws_node_systems()["ws-b"]
+    c = value_chars(system.test_function, system, 6)
+    scaled = {n: exprs.parse(f"({n * n + 2}) * sin(pi * sin(x)/cos(x))")
+              for n in system.indices(6)}
+    approx = ws_build(system, c, 6, numerators=scaled)
+    for x in ws_arguments(approx):
+        assert outcome(approx, x) == outcome(ws_call, approx, x), x
+    # one index with its own numerator keeps every point on the full loop
+    one = ws_build(system, c, 6, numerators={0: scaled[0]})
+    for x in ws_arguments(one):
+        assert outcome(one, x) == outcome(ws_call, one, x), x
+    # ws-c runs over n >= 1 only, so order 0 retains no node at all
+    empty_system = ws_node_systems()["ws-c"]
+    empty = ws_build(empty_system, value_chars(empty_system.test_function, empty_system, 0), 0)
+    assert not empty.terms
+    for x in (0.0, 0.5, math.nan, math.inf):
+        assert outcome(empty, x) == outcome(ws_call, empty, x) == (0.0).hex()

@@ -23,3 +23,16 @@ def test_pass_time_compares_a_checkout_with_itself():
         assert 0 < summary[side]["case_p50_ms"] <= summary[side]["case_p95_ms"] \
             <= summary[side]["pass_s"] * 1e3
     assert summary["ratio_b_over_a"] > 0 and summary["b_faster_pairs"] in (0, 1)
+
+
+def test_figure_drift_of_a_checkout_with_itself_is_zero():
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "figure_drift.py"), str(ROOT), str(ROOT)],
+        capture_output=True, text=True, check=True, timeout=600).stdout.splitlines()
+    summary = json.loads(out[-1])
+    columns = summary["columns"]
+    assert any(label.startswith("figure pprime.") for label in columns)
+    assert any(label.startswith("compare exp(x) ") for label in columns)
+    assert summary["missing"] == 0 and summary["max_drift"] == 0 and summary["nonfinite"] == 0
+    assert all(row == {"drift": 0.0, "nonfinite": 0} for row in columns.values())
+    assert len(out) == len(columns) + 1
