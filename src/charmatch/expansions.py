@@ -16,8 +16,8 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from functools import lru_cache
-from typing import Callable, NamedTuple
+from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 from . import specfun
 from .errors import DomainError, EvalDomainError, SingularSystemError
@@ -62,6 +62,17 @@ def _require_derivative(c: CharNumbers) -> Derivative:
             f"expected derivative-family characteristic numbers, got {c.family!r}"
         )
     return c.family
+
+
+class _TermSum(Approximant):
+    """An approximant summed per point over its nonzero terms."""
+
+    first_index = 0  # the basis index n of the first coefficient
+
+    @cached_property
+    def nonzero(self) -> tuple:
+        """(n, a_n) for every nonzero a_n as a float, made on first use."""
+        return tuple((n, a) for n, a in enumerate(self.coeffs.floats, self.first_index) if a)
 
 
 # -- Taylor -----------------------------------------------------------------
@@ -110,14 +121,16 @@ def _nsbf_jet_rows(order: int, size: int) -> TriRows:
                     for j in range(order + 1)])
 
 
-class NsbfApproximant(Approximant):
+class NsbfApproximant(_TermSum):
     """sum a_n J_n(x - center)."""
 
     def __call__(self, x):
         # one Bessel sweep per point: every order here lies in one block
         t = float(x - self.center)
-        return sum(an * specfun.bessel_j(n, t)
-                   for n, an in enumerate(self.coeffs.floats) if an != 0)
+        acc = 0
+        for n, an in self.nonzero:
+            acc += an * specfun.bessel_j(n, t)
+        return acc
 
     def eval_jet(self, x0, order: int) -> Jet:
         t0 = x0 - self.center
@@ -551,14 +564,17 @@ class GEval(NamedTuple):
 
 # a term below 2^-55 |acc| is under a quarter ulp of acc and rounds away
 _G_NEGLIGIBLE = 2.0 ** -55
+_G_BLOCK = 16  # terms summed between two stopping tests of the G series
 
 
 @lru_cache(maxsize=16)
 def _G_series(a: tuple, n_terms: int) -> tuple:
     """The coefficients (a * mu)_1..(a * mu)_n_terms of sum a_n G(x^n) as one
-    power series (Dirichlet convolution)."""
+    power series (Dirichlet convolution), as the floats that ``c * x^k``
+    converts them to, in blocks of ``_G_BLOCK`` (the last one may be shorter)."""
     u = (a + (0,) * n_terms)[:n_terms]
-    return tuple(specfun.dirichlet_convolve(u, specfun.moebius_table(n_terms)))
+    c = [float(v) for v in specfun.dirichlet_convolve(u, specfun.moebius_table(n_terms))]
+    return tuple(tuple(c[i:i + _G_BLOCK]) for i in range(0, n_terms, _G_BLOCK))
 
 
 def _G_tail_bound(x: float, n_terms: int, weight) -> float:
@@ -570,12 +586,15 @@ def moebius_G_eval(x: float, n_terms: int = 64, a: tuple = (1,)) -> GEval:
     sum mu_n x^n the Moebius generating function, and its tail bound
     W |x|^(n_terms+1) / (1 - |x|), W = sum |a_n|.
 
-    The loop stops once W |x^k| < 2^-55 |acc|: with |x| < 1 and every
-    |(a * mu)_j| <= W, every later term rounds away too, so the value is that
-    of the full partial sum to the bit.
+    After each block of terms the loop stops if W |x^k| < 2^-55 |acc|.  From
+    the first k where that holds, every term is below a quarter ulp of acc
+    (|x| < 1, every |(a * mu)_j| <= W) and rounds away, so acc and the test
+    stay put; no block test holds before that k (it then held one term
+    later), so the value is the full partial sum's to the bit.  Zero terms
+    add nothing: acc + 0.0 is acc, and acc is never -0.0.
     """
     x = float(x)
-    if abs(x) >= 1:
+    if not abs(x) < 1:
         raise DomainError("the Moebius generating function needs |x| < 1")
     a = tuple(a)
     weight = sum(map(abs, a))
@@ -584,12 +603,12 @@ def moebius_G_eval(x: float, n_terms: int = 64, a: tuple = (1,)) -> GEval:
     negligible = _G_NEGLIGIBLE / weight if weight else 0.0
     acc = 0.0
     xn = 1.0
-    for c in _G_series(a, n_terms):
-        xn *= x
+    for block in _G_series(a, n_terms):
+        for c in block:
+            xn *= x
+            acc += c * xn
         if abs(xn) < negligible * abs(acc):
             break
-        if c:
-            acc += c * xn
     return GEval(acc, _G_tail_bound(x, n_terms, weight))
 
 
@@ -609,31 +628,37 @@ def _G_adaptive(x: float, a: tuple) -> float:
     return moebius_G_eval(x, n, a).value
 
 
-def _termwise(g: Callable[[float], float]):
-    """acc + sum a_n g(t^n), one basis term at a time."""
-    def total(acc: float, t: float, a: tuple) -> float:
-        for n, an in enumerate(a, start=1):
-            if an != 0:
-                acc += an * g(t ** n)
-        return acc
-    return total
+def _rat1_sum(acc: float, t: float, a: tuple, nonzero: tuple) -> float:
+    """acc + sum a_n / (1 - t^n) over the nonzero a_n."""
+    for n, an in nonzero:
+        acc += an * (1.0 / (1.0 - t ** n))
+    return acc
+
+
+def _rat2_sum(acc: float, t: float, a: tuple, nonzero: tuple) -> float:
+    """acc + sum a_n t^n / (t^2n + 1) over the nonzero a_n."""
+    for n, an in nonzero:
+        y = t ** n
+        acc += an * (y / (y * y + 1.0))
+    return acc
 
 
 # what each variant decides: the Dirichlet inverse of g's series coefficients
 # (the coefficient map), those coefficients gamma_j (the jet at the center),
-# b_0 + sum a_n g(t^n) in floats and the t where that sum is refused
+# b_0 + sum a_n g(t^n) in floats (from all a_n and the nonzero (n, a_n)) and
+# the t where that sum is refused
 _DIRICHLET = {
     "dirichlet_g": {
         "inverse": lambda k: 1,
         "series": lambda j: specfun.moebius(j) if j else 0,
-        "sum": lambda acc, t, a: acc + _G_adaptive(t, a),
+        "sum": lambda acc, t, a, nonzero: acc + _G_adaptive(t, a),
         "outside": lambda t: abs(t) >= 1,
         "outside_error": "the Moebius-G expansion is defined for |x| < 1",
     },
     "dirichlet_rat1": {
         "inverse": specfun.moebius,
         "series": lambda j: Fraction(1),
-        "sum": _termwise(lambda y: 1.0 / (1.0 - y)),
+        "sum": _rat1_sum,
         "outside": lambda t: abs(t) == 1,
         "outside_error": "the 1/(1-x^n) expansion diverges on |x| = 1 "
                          "(poles at roots of unity)",
@@ -641,7 +666,7 @@ _DIRICHLET = {
     "dirichlet_rat2": {
         "inverse": specfun.nu,
         "series": lambda j: Fraction((-1) ** (j // 2) if j % 2 else 0),
-        "sum": _termwise(lambda y: y / (y * y + 1.0)),
+        "sum": _rat2_sum,
         "outside": lambda t: False,
         "outside_error": None,
     },
@@ -687,8 +712,10 @@ def _dirichlet_jet_rows(variant: str, order: int, size: int) -> TriRows:
     return TriRows(rows)
 
 
-class DirichletApproximant(Approximant):
+class DirichletApproximant(_TermSum):
     """b_0 + sum_{n>=1} a_n g(t^n) for one of the three Dirichlet bases."""
+
+    first_index = 1
 
     def __init__(self, coeffs: CoeffSeq, center=0):
         super().__init__(coeffs, center)
@@ -699,7 +726,7 @@ class DirichletApproximant(Approximant):
         table = _DIRICHLET[self.kind]
         if table["outside"](t):
             raise EvalDomainError(table["outside_error"])
-        return table["sum"](float(self.b0), t, self.coeffs.floats)
+        return table["sum"](float(self.b0), t, self.coeffs.floats, self.nonzero)
 
     def eval_jet(self, x0, order: int) -> Jet:
         """At the center, coefficient m of g(t^n) is gamma_(m/n) where n
@@ -772,7 +799,7 @@ def dex_jet(ring: int, index: int, order: int) -> Jet:
                    for j in range(order + 1)])
 
 
-class DexApproximant(Approximant):
+class DexApproximant(_TermSum):
     """sum_{n < N} c_n dex_[N,n](t); derivatives repeat with period N."""
 
     def __init__(self, coeffs: CoeffSeq, center=0):
@@ -781,8 +808,10 @@ class DexApproximant(Approximant):
 
     def __call__(self, x):
         t = x - self.center
-        return sum(cn * dex_eval(self.ring, n, t)
-                   for n, cn in enumerate(self.coeffs.floats) if cn != 0)
+        acc = 0
+        for n, cn in self.nonzero:
+            acc += cn * dex_eval(self.ring, n, t)
+        return acc
 
     def eval_jet(self, x0, order: int) -> Jet:
         t0 = x0 - self.center

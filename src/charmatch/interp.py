@@ -343,8 +343,8 @@ class WsApproximant(Approximant):
                 numerator=own,
             ))
         # away from every node, with one shared numerator, the series is one
-        # flat sum over (a_n, x_n, s_n); ``_reach`` keeps that path clear of
-        # every radius whatever the rounding of x - x_n
+        # flat loop over (a_n, x_n, s_n) (``sum`` compensates from Python 3.12
+        # on); ``_reach`` keeps it clear of every radius whatever x - x_n rounds to
         self._flat = tuple((t.coefficient, t.node, t.slope) for t in self.terms) \
             if self.terms and all(t.numerator is None for t in self.terms) else ()
         self._nodes = sorted(t.node for t in self.terms)
@@ -357,7 +357,10 @@ class WsApproximant(Approximant):
             if (i == 0 or x - self._nodes[i - 1] > self._reach) and \
                     (i == len(self._nodes) or self._nodes[i] - x > self._reach):
                 lam = self.system.lambda_value(x)
-                return sum((c * lam / (s * (x - xn)) for c, xn, s in self._flat), 0.0)
+                acc = 0.0
+                for c, xn, s in self._flat:
+                    acc += c * lam / (s * (x - xn))
+                return acc
         lam = None
         acc = 0.0
         for t in self.terms:

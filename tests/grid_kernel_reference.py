@@ -1,12 +1,14 @@
-"""Plain one-step references for two per-point grid kernels.
+"""Plain one-step references for the per-point grid kernels.
 
 ``specfun._bessel_sweep`` runs Miller's backward recurrence two steps per
-pass and ``interp.WsApproximant.__call__`` sums the sampling series through
-a flat term table away from the nodes.  Both must give the same float bits
-as the plain loops below, which take one recurrence step, and one series
-term, at a time.
+pass, ``interp.WsApproximant.__call__`` sums the sampling series through
+a flat term table away from the nodes, and the NSBF, dex and rational
+Dirichlet approximants sum over nonzero terms prepared once.  All must give
+the same float bits as the plain loops below, which take one recurrence
+step, and one series term, at a time.
 """
 
+from charmatch import expansions, specfun
 from charmatch.errors import DomainError
 from charmatch.specfun import BESSEL_X_MAX, _BESSEL_RESCALE, _BESSEL_TINY
 
@@ -60,4 +62,26 @@ def ws_call(approx, x) -> float:
             if lam is None:
                 lam = approx.system.lambda_value(x)
             acc += t.coefficient * lam / (t.slope * d)
+    return acc
+
+
+def expansion_sum(approx, x) -> float:
+    """sum a_n phi_n(t) of an NSBF, dex, ``dirichlet_rat1`` or
+    ``dirichlet_rat2`` approximant at t = x - center, one term at a time over
+    a_n = ``coeffs.floats`` with the zero terms skipped."""
+    t = x - approx.center
+    if approx.kind == "nsbf":
+        acc, first = 0, 0
+        phi = lambda n: specfun.bessel_j(n, float(t))  # noqa: E731
+    elif approx.kind == "dex":
+        acc, first = 0, 0
+        phi = lambda n: expansions.dex_eval(approx.ring, n, t)  # noqa: E731
+    else:
+        t, acc, first = float(t), float(approx.b0), 1
+        g = {"dirichlet_rat1": lambda y: 1.0 / (1.0 - y),
+             "dirichlet_rat2": lambda y: y / (y * y + 1.0)}[approx.kind]
+        phi = lambda n: g(t ** n)  # noqa: E731
+    for n, an in enumerate(approx.coeffs.floats, first):
+        if an != 0:
+            acc += an * phi(n)
     return acc

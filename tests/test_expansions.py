@@ -474,9 +474,10 @@ def _moebius_G_full(x, n_terms, a=(1,)):
 
 
 def _weights(rng):
-    # random weight vectors: a wide range of scales, zeros, and a_1 = 0 in some
-    out = [(1,)]
-    for i in range(6):
+    # weight vectors with ints, Fractions and zeros, and random ones over a
+    # wide range of scales with zeros and a_1 = 0 in some
+    out = [(1,), (0, 3, 0, -2), (F(1, 3), 0, F(-7, 2), 5), (1e-3, 0.0, -1e3), (0.0,)]
+    for i in range(4):
         a = [rng.choice((0.0, 1.0)) * rng.uniform(-1, 1) * 10 ** rng.uniform(-3, 3)
              for _ in range(rng.randint(1, 12))]
         if i % 2:
@@ -485,16 +486,54 @@ def _weights(rng):
     return out
 
 
-@pytest.mark.parametrize("n_terms", [64, 4096])
+def _stop_term(x, n_terms, a):
+    # the first k whose term the per-term test W |x^k| < 2^-55 |acc| would
+    # skip, n_terms + 1 where it skips none (always for W = 0)
+    weight = sum(map(abs, a))
+    if not weight:
+        return n_terms + 1
+    negligible = 2.0 ** -55 / weight
+    acc, xn = 0.0, 1.0
+    for k, c in enumerate(_a_star_mu(a, n_terms), start=1):
+        xn *= x
+        if abs(xn) < negligible * abs(acc):
+            return k
+        if c:
+            acc += c * xn
+    return n_terms + 1
+
+
+# x = 0, the smallest subnormals and points up to the largest float below 1
+_G_EDGES = [0.0, -0.0, 5e-324, -5e-324] + [s * (1 - 2.0 ** -k) for k in (1, 4, 10, 30, 53)
+                                           for s in (1, -1)]
+
+
+# every length of the adaptive ladder, and two whose last block is partial
+@pytest.mark.parametrize("n_terms", [64 * 2 ** i for i in range(8)] + [100, 1000])
 def test_moebius_g_early_exit_is_bit_identical(n_terms):
-    rng = random.Random(4)
+    rng = random.Random(n_terms)
+    scan = [s * i / 64 for i in range(1, 64) for s in (1, -1)]
     for a in _weights(rng):
         weight = sum(map(abs, a))
-        for _ in range(200 if a == (1,) else 25):
-            x = rng.uniform(-0.999, 0.999)
+        # points whose per-term stop falls one term before, on and one term
+        # after the end of a block of the G series
+        near = {15: [], 0: [], 1: []}
+        for x in scan:
+            k = _stop_term(x, n_terms, a)
+            if k <= n_terms and k % 16 in near and len(near[k % 16]) < 3:
+                near[k % 16].append(x)
+        assert all(near.values()) or not weight, (a, near)
+        randoms = [rng.uniform(-0.999, 0.999) for _ in range(25)]
+        for x in _G_EDGES + sum(near.values(), []) + randoms:
             got = xp.moebius_G_eval(x, n_terms, a)
-            assert got.value == _moebius_G_full(x, n_terms, a), (a, x)
+            assert got.value.hex() == _moebius_G_full(x, n_terms, a).hex(), (a, x)
             assert got.tail_bound == weight * abs(x) ** (n_terms + 1) / (1 - abs(x))
+
+
+@pytest.mark.parametrize("x", [math.nan, 1.0, -1.0, math.inf, -math.inf])
+def test_moebius_g_refuses_points_off_the_open_unit_disc(x):
+    with pytest.raises(DomainError, match=r"\|x\| < 1"):
+        xp.moebius_G_eval(x, 64, (0.0,))
 
 
 def test_dirichlet_g_sums_to_the_first_sufficient_length():

@@ -3,13 +3,15 @@ float bits (``grid_kernel_reference.py``)."""
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from charmatch import exprs, specfun
 from charmatch.interp import value_chars, ws_build, ws_node_systems
+from charmatch.registry import build_kind
 
-from grid_kernel_reference import bessel_sweep, ws_call
+from grid_kernel_reference import bessel_sweep, expansion_sum, ws_call
 
 
 def outcome(fn, *args):
@@ -88,3 +90,17 @@ def test_ws_series_with_numerators_and_with_no_terms():
     assert not empty.terms
     for x in (0.0, 0.5, math.nan, math.inf):
         assert outcome(empty, x) == outcome(ws_call, empty, x) == (0.0).hex()
+
+
+@pytest.mark.parametrize("kind", ["nsbf", "dex", "dirichlet_rat1", "dirichlet_rat2"])
+@pytest.mark.parametrize("text, x0", [("exp(x)", 0), ("sin(5*x)", 0),
+                                      ("cos(x) + x", Fraction(1, 2))])
+def test_prepared_terms_keep_the_term_by_term_bits(kind, text, x0):
+    # every even derivative of sin(5x) at 0 is zero, and so are many a_n
+    approx = build_kind(kind, exprs.parse(text), 12, x0=x0).approximant
+    rng = random.Random(25)
+    xs = [0.0, -0.0, 1e-300, 0.25, -0.999, 2.5, -30.0, 1e3, math.nan, math.inf]
+    for x in xs + [rng.uniform(-3.0, 3.0) for _ in range(40)]:
+        if kind == "dirichlet_rat1" and abs(x - approx.center) == 1:
+            continue  # refused before any term is summed
+        assert outcome(approx, x) == outcome(expansion_sum, approx, x), x

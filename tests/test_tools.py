@@ -23,6 +23,11 @@ def test_pass_time_compares_a_checkout_with_itself():
         assert 0 < summary[side]["case_p50_ms"] <= summary[side]["case_p95_ms"] \
             <= summary[side]["pass_s"] * 1e3
     assert summary["ratio_b_over_a"] > 0 and summary["b_faster_pairs"] in (0, 1)
+    # one ratio per case of the pass, each printed on its own line
+    case_ratios = summary["case_ratio_b_over_a"]
+    assert len(case_ratios) == summary["A"]["cases"] == summary["B"]["cases"] > 0
+    assert all(ratio > 0 for ratio in case_ratios.values())
+    assert [line.rsplit(": B/A ", 1)[0] for line in out[2:-1]] == [f"case {c}" for c in case_ratios]
 
 
 def test_figure_drift_of_a_checkout_with_itself_is_zero():

@@ -10,11 +10,14 @@ reports the best of the five (the time inside the cases, as the benchmark
 measures it), the median and the 95th percentile over cases of each case's
 best time over the five (``case_p50_ms`` and ``case_p95_ms``, the
 benchmark's p50 and p95 of case times, the p95 interpolated as
-``bench/run.py`` does), the share of cases whose check passed and the
-process's peak resident memory.  A pair is one run of A and one of B, in
-alternating order.  The summary gives the medians per checkout and the
-median ratio B / A, so a change of a few percent shows in a minute, where
-the benchmark needs ten pairs of 20 s runs.
+``bench/run.py`` does), the share of cases whose check passed, the
+process's peak resident memory and each case's best time.  A pair is one
+run of A and one of B, in alternating order.  The summary gives the medians
+per checkout, the median ratio B / A of the pass times and, for each case
+(by its id), the median over pairs of its ratio B / A, printed from the
+largest gain to the largest loss.  A change of a few percent shows in a
+minute, where the benchmark needs ten pairs of 20 s runs, and the case
+ratios show which cases moved.
 """
 
 from __future__ import annotations
@@ -40,7 +43,8 @@ pass_time.one_run({root!r}, {workload!r}, {seed!r})
 def one_run(root: str, workload: str, seed: int) -> None:
     """Print, as one JSON line, the best pass time of ``BEST_OF``, the median
     and the 95th percentile case time (each case at its best of ``BEST_OF``),
-    the pass share and the peak RSS of this process."""
+    the pass share, the peak RSS of this process and each case's best time
+    by case id."""
     import resource
     import statistics
     import tempfile
@@ -77,7 +81,8 @@ def one_run(root: str, workload: str, seed: int) -> None:
     p95 = statistics.quantiles(case_best, n=100, method="inclusive")[94]
     print(json.dumps({"pass_s": best, "case_p50_ms": statistics.median(case_best) * 1e3,
                       "case_p95_ms": p95 * 1e3, "pass_share": passed / len(cases),
-                      "cases": len(cases), "peak_rss_mb": peak_mb}))
+                      "cases": len(cases), "peak_rss_mb": peak_mb,
+                      "case_ms": {case.id: t * 1e3 for case, t in zip(cases, case_best)}}))
 
 
 def run(root: Path, workload: str, seed: int) -> dict:
@@ -112,10 +117,17 @@ def main(argv: list[str] | None = None) -> int:
     ratios = [b["pass_s"] / a["pass_s"] for a, b in zip(runs["A"], runs["B"])]
     summary = {name: {field: statistics.median(r[field] for r in rs)
                       for field in ("pass_s", "case_p50_ms", "case_p95_ms", "pass_share",
-                                    "peak_rss_mb")}
+                                    "peak_rss_mb", "cases")}
                for name, rs in runs.items()}
     summary["ratio_b_over_a"] = statistics.median(ratios)
     summary["b_faster_pairs"] = sum(r < 1 for r in ratios)
+    shared = runs["A"][0]["case_ms"].keys() & runs["B"][0]["case_ms"].keys()
+    case_ratios = {case: statistics.median(b["case_ms"][case] / a["case_ms"][case]
+                                           for a, b in zip(runs["A"], runs["B"]))
+                   for case in shared}
+    summary["case_ratio_b_over_a"] = dict(sorted(case_ratios.items(), key=lambda kv: kv[1]))
+    for case, ratio in summary["case_ratio_b_over_a"].items():
+        print(f"case {case}: B/A {ratio:.3f}")
     print(json.dumps(summary))
     return 0
 
