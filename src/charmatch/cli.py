@@ -431,7 +431,10 @@ def _cmd_compare(cfgs: list[SimpleNamespace]) -> int:
                 for av, fv in zip(sample(approx, xs), fx)]
         max_err = max(errs)
         finite = [e for e in errs if math.isfinite(e)]
-        l2 = math.sqrt(sum(e * e for e in finite) / len(finite)) if finite else math.inf
+        squares = 0.0  # a += loop: the builtin sum is compensated from Python 3.12 on
+        for e in finite:
+            squares += e * e
+        l2 = math.sqrt(squares / len(finite)) if finite else math.inf
         label = cfg.kind or cfg.preset or "?"
         rows.append({"kind": label, "max_abs_err": max_err, "l2_err": l2})
         _print(f"{label:>22}  {max_err:>14.6e}  {l2:>14.6e}")

@@ -323,14 +323,22 @@ def exp_weighted_coeffs(c: CharNumbers, w, q: int) -> CoeffSeq:
         values = tri_table(_exp_weighted_rows, w, q, len(c.values)).apply(c.values)
     else:
         # each float term rounds on its own, which no row sum of tri_map does
-        values = []
-        for n in range(len(c.values)):
+        v, values = c.values, []
+        for row in tri_table(_exp_weighted_entries, w, q, len(v)):
             acc = 0
-            for i in range(n + 1):
-                if (entry := _m_entry(n, i, w, q)) is not None:
-                    acc += over(c.values[i] * entry[0], entry[1])
+            for i, m, fm, den in row:
+                acc += over(v[i] * (fm if type(v[i]) is float else m), den)
             values.append(acc)
     return CoeffSeq(tuple(values), "exp_weighted", params={"w": w, "q": q})
+
+
+def _exp_weighted_entries(w, q: int, size: int) -> list:
+    """Per row n the (i, m, float(m), den) of every nonzero ``_m_entry``
+    m_{n,i} = m / den: a float c_i times float(m) is c_i * m to the bit.  An m
+    near or beyond the float range stays m, so that c_i * m still raises."""
+    rows = [[(i, *e) for i in range(n + 1) if (e := _m_entry(n, i, w, q))] for n in range(size)]
+    return [[(i, m, float(m) if abs(m) < 2.0 ** 1000 else m, den) for i, m, den in row]
+            for row in rows]
 
 
 def _exp_weighted_rows(w, q: int, size: int) -> TriRows:
@@ -689,7 +697,10 @@ def dirichlet_expansion_coeffs(c: CharNumbers, variant: str) -> CoeffSeq:
     values = tri_table(_dirichlet_rows, variant, len(c.values)).apply(f)
     b0 = c.values[0]
     if table["series"](0):
-        b0 = b0 - sum(values)
+        total = 0  # a += loop, as the builtin sum was before Python 3.12
+        for a in values:
+            total += a
+        b0 = b0 - total
     return CoeffSeq(tuple(values), variant, params={"b0": b0})
 
 

@@ -8,10 +8,10 @@ Grammar (infix, whitespace-insensitive)::
     power  := atom ('^' integer)*          # '^' binds tighter than unary '-'
     atom   := NUMBER | 'x' | CONST | FUNC '(' expr ')' | '(' expr ')'
 
-Functions: exp, ln (alias log), sin, cos, sqrt, arctan (alias atan),
-bessel_j0 (aliases besselj0, j0).  Constants: pi, e.  Numeric literals are
-parsed into exact Fractions so that rational arithmetic survives as far as
-possible; pi and e are floats.  A literal whose exact value needs more
+Functions: exp, ln (alias log), sin, cos, sqrt, arctan (alias atan), bessel_j0
+(aliases besselj0, j0).  Constants: pi, e.  Numeric literals are exact, typed
+as ``poly.rational`` types them, so that rational arithmetic survives as far
+as possible; pi and e are floats.  A literal whose exact value needs more
 digits than Python's int/str limit is a syntax error (``check_digits``).
 
 Every node supports float evaluation and jet lifting, so an ``Expr`` can be
@@ -32,7 +32,7 @@ from fractions import Fraction
 from . import specfun
 from .errors import CharmatchError, EvalDomainError
 from .jets import Jet
-from .poly import div
+from .poly import div, is_exact, rational
 
 __all__ = ["Expr", "Const", "Var", "parse", "check_digits", "ExprSyntaxError"]
 
@@ -132,7 +132,7 @@ class Pow(Expr):
         for e in self.exponents:
             if e < 0 and b == 0:
                 raise EvalDomainError("zero raised to a negative power")
-            b = b ** e
+            b = div(1, b ** -e) if e < 0 and is_exact(b) else b ** e  # int ** -1 is a float
         return b
 
     def lift(self, x0, order):
@@ -305,7 +305,7 @@ class _Parser:
     def atom(self) -> Expr:
         kind, val = self.take()
         if kind == "num":
-            return Const(Fraction(val))
+            return Const(rational(*Fraction(val).as_integer_ratio()))
         if kind == "op" and val == "(":
             inner = self.expr()
             self.expect(")")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from . import specfun
@@ -166,15 +167,21 @@ def fourier_coeffs(f, order: int) -> CoeffSeq:
 class FourierApproximant(Approximant):
     """sum a_n v_n with the trigonometric basis on (-pi, pi)."""
 
-    def __init__(self, coeffs: CoeffSeq):
-        super().__init__(coeffs)
-        family = Projection("fourier")
-        self._terms = [family.term(n) for n in range(len(coeffs.values))]
+    @cached_property
+    def terms(self) -> tuple:
+        """0 + a_0 v_0 and (k, a_n, sin or cos) for each other nonzero a_n, floats
+        made on first use as ``_TermSum.nonzero`` makes them; k as in ``Projection.term``."""
+        values, a = self.coeffs.values, self.coeffs.floats
+        head = 0 + a[0] * (1.0 / math.sqrt(2.0)) if values and values[0] != 0 else 0
+        return head, tuple(((n + 1) / 2, a[n], math.sin) if n % 2 else (n / 2, a[n], math.cos)
+                           for n in range(1, len(a)) if values[n] != 0)
 
     def __call__(self, x):
         x = float(x)
-        return sum(a * (scale * shape(x)) for v, a, (scale, shape)
-                   in zip(self.coeffs.values, self.coeffs.floats, self._terms) if v != 0)
+        acc, rest = self.terms
+        for k, a, fn in rest:
+            acc += a * fn(k * x)
+        return acc
 
 
 def fourier_approx(f, order: int) -> FourierApproximant:

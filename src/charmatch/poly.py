@@ -38,10 +38,11 @@ def all_exact(values) -> bool:
 
 
 def div(a, b):
-    """``a / b``, an exact Fraction when both operands are exact (``int / int``
-    alone would give a float)."""
+    """``a / b``, for exact operands the exact quotient as ``rational`` types it
+    (``int / int`` alone would give a float): ``div(6, 3)`` is the int 2 and
+    ``div(1, 3)`` is ``Fraction(1, 3)``.  Any float operand gives ``a / b``."""
     if isinstance(a, EXACT_TYPES) and isinstance(b, EXACT_TYPES):
-        return Fraction(a) / b
+        return rational(a.numerator * b.denominator, a.denominator * b.numerator)
     return a / b
 
 
@@ -179,7 +180,7 @@ class TriRows:
 
 
 @functools.lru_cache(maxsize=256, typed=True)
-def tri_table(build: Callable, *key) -> TriRows:
+def tri_table(build: Callable, *key) -> TriRows | list:
     """The rows ``build(*key)`` of a fixed triangular map, built once per
     builder and key and kept in the one bounded cache (256 tables) of every
     such map.  The key is typed, so a float parameter never reads the table
@@ -380,12 +381,7 @@ class Poly:
 
     def antiderivative(self) -> "Poly":
         """Antiderivative with zero constant term (exact over Fractions)."""
-        out = [0]
-        for k, c in enumerate(self.coeffs):
-            # a zero stays as it is: div(0, k + 1) is Fraction(0), which every
-            # float evaluation would then add through Fraction arithmetic
-            out.append(div(c, k + 1) if c else c)
-        return Poly(out)
+        return Poly([0] + [div(c, k + 1) for k, c in enumerate(self.coeffs)])
 
     def integral(self, a, b):
         """Definite integral over [a, b]; exact for exact inputs."""

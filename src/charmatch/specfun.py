@@ -14,7 +14,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .errors import DomainError
-from .poly import Poly, div, is_exact, rational
+from .poly import Poly, div
 
 __all__ = [
     "gen_pow",
@@ -55,8 +55,8 @@ def gen_pow(x, y: int):
 def binomial_general(r, k: int):
     """Binomial coefficient with arbitrary real upper argument.
 
-    Returns ``prod_{i=0}^{k-1} (r - i) / k!``; the result is an exact
-    Fraction whenever ``r`` is an int or Fraction.
+    Returns ``prod_{i=0}^{k-1} (r - i) / k!``; the result is exact (``div``)
+    whenever ``r`` is an int or Fraction.
     """
     if k < 0:
         raise DomainError("binomial lower index must be nonnegative")
@@ -284,7 +284,7 @@ def dirichlet_inverse(u: Sequence) -> list:
     n_max = len(u)
     if n_max < 1 or u[0] == 0:
         raise DomainError("no Dirichlet inverse: u_1 = 0")
-    head = rational(u[0].denominator, u[0].numerator) if is_exact(u[0]) else 1 / u[0]
+    head = div(1, u[0])
     inv = [head] + [0] * (n_max - 1)
     for n in range(2, n_max + 1):
         acc = 0

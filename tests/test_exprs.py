@@ -94,4 +94,8 @@ def test_chains_combine_left_to_right():
     assert exprs.parse("1 - 2 - 3")(0) == -4
     assert exprs.parse("64 / 4 / 2")(0) == 8
     assert exprs.parse("x^2^3")(2) == 64
-    assert exprs.parse("x / x")(3) == 1 and isinstance(exprs.parse("x / x")(3), Fraction)
+    # an exact quotient is an int where it is an integer and a Fraction
+    # otherwise (poly.rational), never a float
+    one, half = exprs.parse("x / x")(3), exprs.parse("x / 2")(3)
+    assert type(one) is int and one == 1
+    assert type(half) is Fraction and half == Fraction(3, 2)

@@ -41,3 +41,21 @@ def test_figure_drift_of_a_checkout_with_itself_is_zero():
     assert summary["missing"] == 0 and summary["max_drift"] == 0 and summary["nonfinite"] == 0
     assert all(row == {"drift": 0.0, "nonfinite": 0} for row in columns.values())
     assert len(out) == len(columns) + 1
+
+
+def test_mixed_ops_counts_a_cold_pass_of_the_checkout():
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "mixed_ops.py"), str(ROOT),
+         "--workload", "roundtrip_float", "--seed", "31"],
+        capture_output=True, text=True, check=True, timeout=600).stdout
+    result = json.loads(out)
+    assert result["workload"] == "roundtrip_float" and result["seed"] == 31
+    assert result["cases"] > 0 and result["total"] == sum(result["families"].values())
+    sites = result["sites"]
+    assert result["total"] == sum(s["count"] for s in sites)
+    assert all(s["count"] == sum(s["families"].values()) > 0 for s in sites)
+    assert [s["count"] for s in sites] == sorted((s["count"] for s in sites), reverse=True)
+    # the loops that no longer meet a Fraction with a float
+    mended = ("_div_series", "Chain.evaluate", "exp_weighted_coeffs", "FourierApproximant")
+    assert not [s["site"] for s in sites if any(name in s["site"] for name in mended)]
+    assert not set(result["families"]) & {"fourier", "rational_x_over_x1", "legendre_fourier"}
