@@ -585,6 +585,14 @@ def _G_series(a: tuple, n_terms: int) -> tuple:
     return tuple(tuple(c[i:i + _G_BLOCK]) for i in range(0, n_terms, _G_BLOCK))
 
 
+def _G_weight(a: tuple):
+    """W = sum |a_n| left to right (the builtin sum is compensated from Python 3.12 on)."""
+    weight = 0
+    for v in a:
+        weight += abs(v)
+    return weight
+
+
 def _G_tail_bound(x: float, n_terms: int, weight) -> float:
     return weight * abs(x) ** (n_terms + 1) / (1 - abs(x))
 
@@ -605,7 +613,7 @@ def moebius_G_eval(x: float, n_terms: int = 64, a: tuple = (1,)) -> GEval:
     if not abs(x) < 1:
         raise DomainError("the Moebius generating function needs |x| < 1")
     a = tuple(a)
-    weight = sum(map(abs, a))
+    weight = _G_weight(a)
     # W |x^k| < 2^-55 |acc| as one product per term; the rounding of 2^-55 / W
     # is far inside the factor 2 between 2^-55 |acc| and half an ulp of acc
     negligible = _G_NEGLIGIBLE / weight if weight else 0.0
@@ -624,7 +632,7 @@ def _G_adaptive(x: float, a: tuple) -> float:
     """sum a_n G(x^n) summed to the first n in 64, 128, ..., 8192 whose
     weighted tail bound meets ``_TOL``."""
     x = float(x)
-    weight = sum(map(abs, a))
+    weight = _G_weight(a)
     n = 64
     while abs(x) < 1 and _G_tail_bound(x, n, weight) > _TOL:
         if n >= 8192:
@@ -799,7 +807,10 @@ def dex_eval(ring: int, index: int, x: float) -> float:
         raise DomainError("dex ring size must be >= 1")
     if not (0 <= index < ring):
         raise DomainError(f"dex index must satisfy 0 <= n < N, got ({ring}, {index})")
-    return sum(_dex_ladder(_dex_point(x), max(_DEX_MIN_TERMS, index + 1))[index::ring])
+    acc = 0.0  # a += loop: the builtin sum of floats is compensated from Python 3.12 on
+    for term in _dex_ladder(_dex_point(x), max(_DEX_MIN_TERMS, index + 1))[index::ring]:
+        acc += term
+    return acc
 
 
 def dex_jet(ring: int, index: int, order: int) -> Jet:

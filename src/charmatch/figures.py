@@ -21,8 +21,7 @@ from .interp import value_chars, ws_build, ws_node_systems
 from .registry import build_kind
 from .svgplot import line_plot_svg
 
-__all__ = ["FIGURES", "figure_names", "build_figure", "render_csv", "render_svg", "grid",
-           "sample"]
+__all__ = ["FIGURES", "build_figure", "render_csv", "render_svg", "grid", "sample"]
 
 
 @dataclass
@@ -224,10 +223,6 @@ _FIGURE_BUILDERS: dict[str, Callable[[], FigureData]] = {
 _FIGURE_ALIASES = {"inargpow": "inargpow-b", "ws": "ws-e"}
 
 FIGURES = tuple(_FIGURE_BUILDERS)
-
-
-def figure_names() -> tuple[str, ...]:
-    return FIGURES
 
 
 def build_figure(name: str) -> FigureData:

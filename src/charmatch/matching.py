@@ -87,11 +87,8 @@ def target_poly(target) -> Poly | None:
     return p if isinstance(p, Poly) and lift_exact(p.coeffs) is not None else None
 
 
-@lru_cache(maxsize=None)
-def _quad() -> GaussLegendre:
-    """The rule of every integral family, 32 nodes on each of 8 panels, built
-    on first use: importing the package computes no nodes."""
-    return GaussLegendre()
+# the rule of every integral family: 32 tabulated nodes on each of 8 panels
+_QUAD = GaussLegendre()
 
 
 @lru_cache(maxsize=256)
@@ -100,7 +97,7 @@ def _node_weights(family: Family, n: int) -> array:
     interval, in node order: one table per family and order, shared by every
     target and by verification.  Equal families give the same nodes, since
     ``points`` reads the interval ends as floats."""
-    return array("d", family.weights(n, _quad().points(*family.interval)))
+    return array("d", family.weights(n, _QUAD.points(*family.interval)))
 
 
 def _target_jet(target, x0, order: int) -> Jet:
@@ -177,8 +174,8 @@ def _integrals(target, family, orders: list, row=None) -> list:
         q = [sum(map(operator.mul, num_p, num_m[i:])) for i in range(top + 1)]
         value = rational if all_exact((a, b, *p.coeffs)) else operator.truediv
         return [value(sum(map(operator.mul, w, q)), den_p * den_m) for w in rows]
-    vs = [float(target(x)) for x in _quad().points(a, b)]
-    return [_quad().integrate([w * v for w, v in zip(_node_weights(family, n), vs)], a, b)
+    vs = [float(target(x)) for x in _QUAD.points(a, b)]
+    return [_QUAD.integrate([w * v for w, v in zip(_node_weights(family, n), vs)], a, b)
             for n in orders]
 
 

@@ -428,28 +428,21 @@ def test_import_does_not_load_mpmath():
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
-def test_import_builds_no_quadrature_rule():
-    # the Gauss-Legendre nodes are computed on first use, not at import
-    src = Path(charmatch.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(src))
-    code = ("import charmatch, charmatch.cli, charmatch.figures; "
-            "from charmatch import quadrature; "
-            "assert quadrature._rule.cache_info().currsize == 0")
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
-
-
-def test_numpy_loads_with_the_first_quadrature_rule(tmp_path):
-    # a derivative kind integrates nothing, so numpy stays unloaded
+def test_no_command_imports_numpy(tmp_path):
+    # the quadrature rule is tabulated, so numpy serves the tests only
     src = Path(charmatch.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     code = """if True:
         import sys
-        import charmatch, charmatch.cli, charmatch.figures
+        sys.modules["numpy"] = None  # any import of numpy raises ImportError
+        import charmatch.cli
         main = charmatch.cli.main
         assert main(["coeffs", "--f", "exp(x)", "--kind", "taylor", "--order", "3"]) == 0
-        assert "numpy" not in sys.modules
+        assert main(["verify", "--f", "exp(x)", "--kind", "taylor", "--family", "moments",
+                     "--order", "11"]) == 0
         assert main(["figure", "legout"]) == 0
-        assert "numpy" in sys.modules
+        assert main(["compare", "--f", "exp(x)", "--kind", "taylor,nsbf", "--grid=-0.9,0.9,21",
+                     "--order", "8"]) == 0
     """
     subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path, check=True,
                    stdout=subprocess.DEVNULL)

@@ -473,6 +473,14 @@ def _moebius_G_full(x, n_terms, a=(1,)):
     return acc
 
 
+def _added(values):
+    # left to right: the builtin sum of floats is compensated from Python 3.12 on
+    acc = 0
+    for v in values:
+        acc += v
+    return acc
+
+
 def _weights(rng):
     # weight vectors with ints, Fractions and zeros, and random ones over a
     # wide range of scales with zeros and a_1 = 0 in some
@@ -489,7 +497,7 @@ def _weights(rng):
 def _stop_term(x, n_terms, a):
     # the first k whose term the per-term test W |x^k| < 2^-55 |acc| would
     # skip, n_terms + 1 where it skips none (always for W = 0)
-    weight = sum(map(abs, a))
+    weight = _added(map(abs, a))
     if not weight:
         return n_terms + 1
     negligible = 2.0 ** -55 / weight
@@ -514,7 +522,7 @@ def test_moebius_g_early_exit_is_bit_identical(n_terms):
     rng = random.Random(n_terms)
     scan = [s * i / 64 for i in range(1, 64) for s in (1, -1)]
     for a in _weights(rng):
-        weight = sum(map(abs, a))
+        weight = _added(map(abs, a))
         # points whose per-term stop falls one term before, on and one term
         # after the end of a block of the G series
         near = {15: [], 0: [], 1: []}
@@ -544,7 +552,7 @@ def test_dirichlet_g_sums_to_the_first_sufficient_length():
                            ("sin(5*x)", 10, 0.93), ("sin(5*x)", 10, 0.3)):
         approx = xp.dirichlet_approx(chars_of(text, order), "dirichlet_g")
         a = approx.coeffs.floats
-        weight = sum(map(abs, a))
+        weight = _added(map(abs, a))
         b0 = float(approx.b0)
         length = 64
         while weight * abs(x) ** (length + 1) / (1 - abs(x)) > 1e-15:
@@ -601,6 +609,16 @@ def test_dex_ladder_matches_per_ring_series():
             for x in xs:
                 v = xp.dex_eval(ring, index, x)
                 assert abs(v - _dex_per_ring(ring, index, x)) <= 1e-15 * max(1.0, abs(v))
+
+
+def test_dex_eval_adds_its_ladder_left_to_right():
+    rng = random.Random(8)
+    for _ in range(400):
+        ring = rng.randint(1, 12)
+        index = rng.randrange(ring)
+        x = rng.uniform(-40, 40)
+        ladder = xp._dex_ladder(x, max(64, index + 1))
+        assert xp.dex_eval(ring, index, x).hex() == _added(ladder[index::ring]).hex(), x
 
 
 def test_dex_high_index_keeps_its_leading_term():
@@ -710,6 +728,17 @@ def test_nonlinear_delta_coefficients_give_omega():
     approx = xp.nonlinear_approx(c)
     for x in (-1.0, 0.0, 2.0):
         assert abs(approx(x) - math.exp(x)) < 1e-14 * math.exp(x)
+
+
+def test_nonlinear_transformed_jet_under_another_transform():
+    # A = exp(x) built under ln; under sqrt and cube, Lambda(A) = exp(x/2)
+    # and exp(3x), and under the identity it is A's own jet
+    approx = xp.nonlinear_approx(xp.nonlinear_chars(exprs.parse("exp(x)"), "ln", 0, 8))
+    for transform, rate in (("sqrt", F(1, 2)), ("cube", 3), ("identity", 1)):
+        jet = approx.transformed_jet(transform, 0, 6)
+        assert jet.coeffs == tuple(F(rate) ** n / math.factorial(n) for n in range(7))
+    assert approx.transformed_jet("identity", F(1, 2), 4) == approx.eval_jet(F(1, 2), 4)
+    assert approx.transformed_jet("ln", 0, 6).coeffs == (0, 1, 0, 0, 0, 0, 0)
 
 
 def test_nonlinear_round_trip_sqrt_and_cube():

@@ -31,30 +31,57 @@ F = Fraction
 
 
 def test_quadrature_rule_invariants():
-    q = GaussLegendre(order=8, panels=2)
+    q = GaussLegendre(panels=2)
+    assert q.nodes == tuple(sorted(q.nodes)) and len(q.nodes) == len(q.weights) == 32
+    assert all(x == -y for x, y in zip(q.nodes, reversed(q.nodes)))
+    assert all(w == v for w, v in zip(q.weights, reversed(q.weights)))
     assert all(w > 0 for w in q.weights)
     assert sum(q.weights) == pytest.approx(2.0)  # reference panel length
-    # exact for degree <= 2*order-1 per panel
-    p = Poly([3, -1, 0, 2, 0, 0, 0, 1]).as_float()
-    assert q.integrate(p, -2, 1.5) == pytest.approx(float(Poly([3, -1, 0, 2, 0, 0, 0, 1]).integral(F(-2), F(3, 2))), rel=1e-14)
+    # exact for degree <= 63 per panel
+    for k in range(64):
+        monomial = Poly([0] * k + [1])
+        want = float(monomial.integral(F(-2), F(3, 2)))
+        assert q.integrate(monomial.as_float(), -2, 1.5) == pytest.approx(want, rel=1e-13), k
+
+
+def test_quadrature_rule_is_numpys_leggauss_to_the_bit():
+    import mpmath
+    import numpy
+
+    nodes, weights = numpy.polynomial.legendre.leggauss(32)
+    assert GaussLegendre.nodes == tuple(nodes.tolist())
+    assert GaussLegendre.weights == tuple(weights.tolist())
+    with mpmath.workdps(50):
+        p32 = lambda t: mpmath.legendre(32, t)  # noqa: E731
+        for x, w in zip(GaussLegendre.nodes, GaussLegendre.weights):
+            root = mpmath.findroot(p32, mpmath.mpf(x))
+            exact_w = 2 / ((1 - root ** 2) * mpmath.diff(p32, root) ** 2)
+            assert abs(root - x) < 1e-16
+            assert abs((exact_w - w) / exact_w) < 1e-13
+
+
+def test_quadrature_takes_no_order():
+    with pytest.raises(TypeError):
+        GaussLegendre(order=16)
+    with pytest.raises(DomainError):
+        GaussLegendre(panels=0)
 
 
 def test_quadrature_error_estimate():
-    q = GaussLegendre(order=8, panels=2)
+    q = GaussLegendre(panels=2)
     val, err = q.integrate_with_error(math.exp, 0, 1)
     assert abs(val - (math.e - 1)) < 1e-13
     assert err < 1e-12
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(a=st.floats(-50, 50), length=st.floats(1e-3, 20), order=st.integers(1, 12),
-       panels=st.integers(1, 6))
-def test_quadrature_sampled_values_sum_like_the_callable(a, length, order, panels):
+@given(a=st.floats(-50, 50), length=st.floats(1e-3, 20), panels=st.integers(1, 6))
+def test_quadrature_sampled_values_sum_like_the_callable(a, length, panels):
     b = a + length
-    q = GaussLegendre(order=order, panels=panels)
+    q = GaussLegendre(panels=panels)
     f = lambda x: math.sin(3 * x) * math.exp(-0.1 * x)  # noqa: E731
     xs = q.points(a, b)
-    assert len(xs) == order * panels
+    assert len(xs) == 32 * panels
     # the composite rule written out panel by panel
     width = (b - a) / panels
     ref = 0.0
@@ -66,14 +93,14 @@ def test_quadrature_sampled_values_sum_like_the_callable(a, length, order, panel
             acc += w * f(mid + half * t)
         ref += half * acc
     assert q.integrate([f(x) for x in xs], a, b) == q.integrate(f, a, b) == ref
-    fine = GaussLegendre(order, 2 * panels)
+    fine = GaussLegendre(2 * panels)
     assert fine.integrate([f(x) for x in fine.points(a, b)], a, b) == fine.integrate(f, a, b)
 
 
 def test_quadrature_rejects_a_sample_of_the_wrong_length():
-    q = GaussLegendre(order=4, panels=2)
+    q = GaussLegendre(panels=2)
     with pytest.raises(DomainError):
-        q.integrate([1.0] * 7, 0, 1)
+        q.integrate([1.0] * 63, 0, 1)
 
 
 class _Counting:

@@ -17,6 +17,7 @@ from charmatch.interp import (
     ws_integral_match,
     ws_node_systems,
 )
+from charmatch.jets import Jet
 from charmatch.matching import (
     CharNumbers,
     Derivative,
@@ -47,6 +48,21 @@ def test_lagrange_examples():
 def test_lagrange_duplicate_nodes():
     with pytest.raises(DomainError):
         lagrange_interp(chars((1, 1), (0, 0)))
+
+
+def test_newton_polynomial_and_jet_equal_lagrange_on_exact_nodes():
+    nodes = (F(-2), F(0), F(1, 3), F(1), F(5, 2))
+    c = chars(nodes, (F(1), F(-2), F(3, 2), F(5), 0))
+    poly = lagrange_interp(c).poly
+    new = newton_interp(c)
+    assert new.as_poly() == poly
+    for x0 in (F(0), F(1, 2), F(-7, 3)):
+        assert new.eval_jet(x0, 6) == poly(Jet.variable(x0, 6))
+        # the jet holds the Taylor coefficients p^(k)(x0) / k!
+        derivative = poly
+        for k, coeff in enumerate(new.eval_jet(x0, 6).coeffs):
+            assert coeff == derivative(x0) / math.factorial(k)
+            derivative = derivative.derivative()
 
 
 def test_newton_equals_lagrange_on_random_data():
@@ -267,7 +283,7 @@ def test_ws_integral_match_f_equals_one():
     approx = ws_integral_match(system, 0.0, c, 8)
     for (_, xn), want in zip(nodes, c.values):
         assert abs(approx.primitive(xn) - want) < 1e-12
-    quad = GaussLegendre(order=32, panels=16)
+    quad = GaussLegendre(panels=16)
     for (_, xn), want in zip(nodes, c.values):
         got = quad.integrate(approx, 0.0, xn) if xn != 0 else 0.0
         assert abs(got - want) <= 1e-8
@@ -282,7 +298,7 @@ def test_ws_integral_match_cos_primitive():
     approx = ws_integral_match(system, 0.0, c, 6)
     for (_, xn), want in zip(nodes, c.values):
         assert abs(approx.primitive(xn) - want) < 1e-12
-    quad = GaussLegendre(order=32, panels=16)
+    quad = GaussLegendre(panels=16)
     for (_, xn), want in zip(nodes, c.values):
         got = quad.integrate(approx, 0.0, xn) if xn != 0 else 0.0
         assert abs(got - want) <= 1e-8

@@ -222,6 +222,15 @@ def test_endpoint_family_validation():
     assert fam.anchor == 0
 
 
+def test_polynomial_approximant_as_poly_moves_its_center():
+    # p(x - 1/3) as a polynomial in x: the compose_affine branch
+    approx = PolynomialApproximant(Poly([1, F(2), 3]), center=F(1, 3))
+    assert approx.as_poly() == Poly([F(2, 3), 0, 3])
+    for x in (F(0), F(5), F(-7, 2)):
+        assert approx.as_poly()(x) == approx(x)
+    assert PolynomialApproximant(Poly([1, 2])).as_poly() == Poly([1, 2])
+
+
 @pytest.mark.parametrize("values", [(math.nan, 1.0), (1.0, math.nan)])
 def test_nan_residual_fails_verification(values):
     approx = PolynomialApproximant(Poly([0.0, 1.0]))

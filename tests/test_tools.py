@@ -59,3 +59,43 @@ def test_mixed_ops_counts_a_cold_pass_of_the_checkout():
     mended = ("_div_series", "Chain.evaluate", "exp_weighted_coeffs", "FourierApproximant")
     assert not [s["site"] for s in sites if any(name in s["site"] for name in mended)]
     assert not set(result["families"]) & {"fourier", "rational_x_over_x1", "legendre_fourier"}
+
+
+def test_cross_python_of_the_running_interpreter_finds_no_difference():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "cross_python.py"), sys.executable],
+        capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    report = json.loads(proc.stdout)
+    assert list(report) == [sys.executable]
+    assert report[sys.executable]["differ"] == []
+    assert report[sys.executable]["version"] == ".".join(map(str, sys.version_info[:3]))
+
+
+def test_cross_python_lists_changed_missing_and_failed_entries(monkeypatch, capsys):
+    sys.path.insert(0, str(ROOT / "tools"))
+    try:
+        import cross_python
+    finally:
+        sys.path.remove(str(ROOT / "tools"))
+    digests = {"figures": {"a": "1", "b": "2"}, "roundtrip": {"w:5": [["case", "3"]]}}
+    base = cross_python.entries(digests)
+    assert base == {"figures/a": "1", "figures/b": "2", "roundtrip/w:5/case": "3"}
+    runs = {sys.executable: base,
+            "same": dict(base),
+            "moved": {"figures/a": "1", "figures/b": "9", "roundtrip/w:5/new": "3"},
+            "broken": None}
+
+    def fake_run(python, out):
+        found = runs[python]
+        if found is None:
+            return {"exit": 1, "error": "ModuleNotFoundError"}
+        return {"version": "x", "entries": dict(found)}
+
+    monkeypatch.setattr(cross_python, "run_digest", fake_run)
+    assert cross_python.main(["same", "moved", "broken"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["same"] == {"version": "x", "differ": []}
+    assert report["moved"]["differ"] == ["figures/b", "roundtrip/w:5/case", "roundtrip/w:5/new"]
+    assert report["broken"] == {"exit": 1, "error": "ModuleNotFoundError"}
+    assert cross_python.main(["same"]) == 0
