@@ -8,7 +8,10 @@ Subcommands::
     compare  grid error norms for several expansions of one function
 
 Each command takes only the settings it reads (``_READS``) and refuses the
-rest, as a flag or as a config-file key.
+rest, as a flag or as a config-file key.  So does a configuration's builder:
+a kind reads f, order, kind, x0 and its own parameters (``kind_params``), a
+preset f, order and preset.  ``compare --kind k1,k2,...`` gives a kind
+parameter to the listed kinds that read it, and refuses it if none does.
 
 Exit codes: 0 ok/pass, 1 verification failure, 2 usage or domain error
 (a refused setting, an output file that cannot be written or a value
@@ -38,7 +41,7 @@ from .jets import Jet
 from .matching import (NONLINEAR_TRANSFORMS, Approximant, CharNumbers, Derivative, Moments,
                        verify_matching)
 from .poly import is_exact
-from .registry import KIND_NAMES, build_kind, normalize_kind
+from .registry import KIND_NAMES, KINDS, build_kind, kind_params
 
 __all__ = ["main"]
 
@@ -189,8 +192,10 @@ _SETTINGS = {
     "csv": _Setting("--csv", None, _text, "CSV output path"),
     "svg": _Setting("--svg", None, _text, "SVG output path"),
 }
+# the settings a kind may read besides f, order and kind
+_KIND_SETTINGS = ("x0", *dict.fromkeys(key for _, params in KINDS.values() for key in params))
 # the settings that build an approximant
-_BUILD = ("f", "kind", "order", "x0", "w", "q", "alpha", "lam", "preset")
+_BUILD = ("f", "kind", "order", *_KIND_SETTINGS, "preset")
 # the settings each command reads; it refuses every other one
 _READS = {
     "coeffs": _BUILD + ("json",),
@@ -222,13 +227,36 @@ def _settings(command: str, flags: dict, paths: list[str]) -> SimpleNamespace:
         setattr(cfg, key, _SETTINGS[key].check(key, value))
     if cfg.interval is not None and cfg.family != "moments":
         raise UsageError("interval is read only with family moments")
-    # a preset builds its own approximant: it reads no kind, no kind parameter
-    # and no center
-    for key in ("kind", "x0", "w", "q", "alpha", "lam") if cfg.preset else ():
-        if getattr(cfg, key) is not None:
-            raise UsageError(f"--preset and {_SETTINGS[key].flag} do not combine: "
-                             "a preset builds its own approximant")
+    if cfg.preset or cfg.kind:  # with neither, the build says that a kind is required
+        builder, reads = _builder(cfg)
+        for key in _BUILD:
+            if getattr(cfg, key) is not None and key not in reads:
+                raise UsageError(f"{builder} and {_SETTINGS[key].flag} do not combine: {builder} "
+                                 f"reads only {', '.join(_SETTINGS[k].flag for k in reads)}")
     return cfg
+
+
+def _builder(cfg: SimpleNamespace) -> tuple[str, tuple]:
+    """The builder a configuration names and the build settings it reads."""
+    if cfg.preset:  # a preset builds its own approximant
+        return "--preset", ("f", "order", "preset")
+    return f"--kind {cfg.kind}", ("f", "order", "kind", "x0", *kind_params(cfg.kind))
+
+
+def _compare_settings(flags: dict) -> list[SimpleNamespace]:
+    """The configurations of ``compare --kind k1,k2,...``: one per kind, each
+    with the kind settings that its kind reads."""
+    kinds = [kind.strip() for kind in flags["kind"].split(",")] if flags["kind"] else []
+    if len(kinds) < 2:
+        raise UsageError("compare needs --config twice or --kind k1,k2[,...]")
+    reads = [("x0", *kind_params(kind)) for kind in kinds]
+    for key in _KIND_SETTINGS:
+        if flags[key] is not None and not any(key in r for r in reads):
+            raise UsageError(f"--kind {flags['kind']} and {_SETTINGS[key].flag} do not "
+                             "combine: no listed kind reads it")
+    return [_settings("compare", flags | {"kind": kind}
+                      | {key: None for key in _KIND_SETTINGS if key not in r}, [])
+            for kind, r in zip(kinds, reads)]
 
 
 def _expr(cfg: SimpleNamespace) -> exprs.Expr:
@@ -328,12 +356,7 @@ def _build_for_config(cfg: SimpleNamespace):
         return chars, approx.coeffs, approx
     if not cfg.kind:
         raise UsageError("--kind NAME is required")
-    try:
-        normalize_kind(cfg.kind)
-    except DomainError as exc:
-        raise UsageError(f"unknown expansion kind {cfg.kind!r}") from exc
-    params = {key: value for key in ("x0", "w", "q", "alpha", "lam")
-              if (value := getattr(cfg, key)) is not None}
+    params = {key: value for key in _KIND_SETTINGS if (value := getattr(cfg, key)) is not None}
     return build_kind(cfg.kind, _expr(cfg), cfg.order, **params)
 
 
@@ -495,16 +518,8 @@ def _run(argv: list[str] | None) -> int:
         args = parser.parse_args(argv)
         flags = vars(args)
         if args.command == "compare":
-            if args.config:
-                cfgs = [_settings("compare", flags, [path]) for path in args.config]
-            else:
-                kinds = args.kind.split(",") if args.kind else []
-                if len(kinds) < 2:
-                    raise UsageError(
-                        "compare needs --config twice or --kind k1,k2[,...]")
-                cfgs = [_settings("compare", flags | {"kind": kind.strip()}, [])
-                        for kind in kinds]
-            return _cmd_compare(cfgs)
+            return _cmd_compare([_settings("compare", flags, [path]) for path in args.config]
+                                if args.config else _compare_settings(flags))
         cfg = _settings(args.command, flags, args.config or [])
         if args.command == "coeffs":
             return _cmd_coeffs(cfg)

@@ -42,7 +42,7 @@ __all__ = [
     "pade_solve", "pade_approx", "PadeApproximant",
     "pow_sine_coeffs", "pow_sine_approx",
     "exp_weighted_coeffs", "exp_weighted_approx", "ExpWeightedApproximant",
-    "dmatrix_build", "dex_jet",
+    "dmatrix_build",
     "powers_of_g_coeffs", "powers_of_g_approx", "SeriesInGApproximant",
     "rational_x1_coeffs", "rational_x1_approx",
     "dirichlet_expansion_coeffs", "dirichlet_approx", "DirichletApproximant",
@@ -811,14 +811,6 @@ def dex_eval(ring: int, index: int, x: float) -> float:
     for term in _dex_ladder(_dex_point(x), max(_DEX_MIN_TERMS, index + 1))[index::ring]:
         acc += term
     return acc
-
-
-def dex_jet(ring: int, index: int, order: int) -> Jet:
-    """Exact jet of dex_[N,n] at 0: coefficient 1/j! wherever j = n mod N."""
-    if not (0 <= index < ring):
-        raise DomainError(f"dex index must satisfy 0 <= n < N, got ({ring}, {index})")
-    return Jet(0, [Fraction(1, math.factorial(j)) if j % ring == index else 0
-                   for j in range(order + 1)])
 
 
 class DexApproximant(_TermSum):

@@ -593,11 +593,13 @@ class VerifyReport:
         return json.dumps(self.as_dict(), indent=indent)
 
 
-def verify_matching(approximant, c: CharNumbers, tol_rel: float = 1e-9,
-                    tol_abs: float = 1e-12) -> VerifyReport:
+TOL_REL, TOL_ABS = 1e-9, 1e-12  # the tolerance of verify_matching
+
+
+def verify_matching(approximant, c: CharNumbers) -> VerifyReport:
     """Check that C_n(approximant) reproduces c_n for every order.
 
-    A residual passes if |C_n(A) - c_n| <= max(tol_rel * |c_n|, tol_abs), so
+    A residual passes if |C_n(A) - c_n| <= max(TOL_REL * |c_n|, TOL_ABS), so
     a NaN residual fails; exact arithmetic yields exact-zero residuals.
     """
     orders = list(c.orders())
@@ -608,7 +610,7 @@ def verify_matching(approximant, c: CharNumbers, tol_rel: float = 1e-9,
         r = abs(got - want)
         residuals.append(r)
         try:
-            allowed = max(tol_rel * abs(want), tol_abs)
+            allowed = max(TOL_REL * abs(want), TOL_ABS)
         except OverflowError:  # an exact |c_n| beyond the float range
             allowed = math.inf
         if not float(r) <= allowed:

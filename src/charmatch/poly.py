@@ -413,7 +413,3 @@ class Poly:
         from .jets import Jet
 
         return self(Jet.variable(x0, order))
-
-
-def monomial(k: int, coeff=1) -> Poly:
-    return Poly([0] * k + [coeff])

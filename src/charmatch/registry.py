@@ -2,7 +2,8 @@
 
 Shared by the CLI and the acceptance suite: given a parsed expression, an
 order and kind parameters, a builder returns the characteristic numbers,
-the coefficient sequence and an evaluable approximant.
+the coefficient sequence and an evaluable approximant.  The table is also
+the one place that says which parameters a kind reads; it refuses others.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from . import expansions as xp
 from .errors import DomainError
 from .matching import Approximant, CharNumbers, CoeffSeq, derivative_chars
 
-__all__ = ["KINDS", "KIND_NAMES", "normalize_kind", "build_kind", "BuildResult"]
+__all__ = ["KINDS", "KIND_NAMES", "kind_params", "normalize_kind", "build_kind", "BuildResult"]
 
 
 class BuildResult(NamedTuple):
@@ -23,42 +24,36 @@ class BuildResult(NamedTuple):
     approximant: Approximant
 
 
-def _derivative_builder(make) -> Callable:
-    def build(f, order: int, params: dict) -> BuildResult:
-        c = derivative_chars(f, params.get("x0", 0), order)
-        approx = make(c, params)
-        return BuildResult(c, approx.coeffs, approx)
+def _derivative(make) -> Callable:
+    def build(f, order: int, x0, params: dict) -> tuple:
+        c = derivative_chars(f, x0, order)
+        return c, make(c, **params)
 
     return build
 
 
-def _build_nonlinear(f, order: int, params: dict) -> BuildResult:
-    transform = params.get("lam", "ln")
-    c = xp.nonlinear_chars(f, transform, params.get("x0", 0), order)
-    approx = xp.nonlinear_approx(c)
-    return BuildResult(c, approx.coeffs, approx)
+def _nonlinear(f, order: int, x0, params: dict) -> tuple:
+    c = xp.nonlinear_chars(f, params["lam"], x0, order)
+    return c, xp.nonlinear_approx(c)
 
 
-KINDS: dict[str, Callable[[object, int, dict], BuildResult]] = {
-    "taylor": _derivative_builder(lambda c, p: xp.taylor_approx(c)),
-    "nsbf": _derivative_builder(lambda c, p: xp.nsbf_approx(c)),
-    "pade": _derivative_builder(
-        lambda c, p: xp.pade_approx(c, (c.order + 1) // 2, c.order // 2)),
-    "pow_sine": _derivative_builder(lambda c, p: xp.pow_sine_approx(c)),
-    "exp_weighted": _derivative_builder(
-        lambda c, p: xp.exp_weighted_approx(c, p.get("w", Fraction(-1, 2)), p.get("q", 2))),
-    "log_powers": _derivative_builder(lambda c, p: xp.powers_of_g_approx(c, "log_powers")),
-    "stirling1_g": _derivative_builder(lambda c, p: xp.powers_of_g_approx(c, "stirling1_g")),
-    "lambert_w_g": _derivative_builder(lambda c, p: xp.powers_of_g_approx(c, "lambert_w_g")),
-    "rational_x_over_x1": _derivative_builder(
-        lambda c, p: xp.rational_x1_approx(c, p.get("alpha", -1))),
-    "dirichlet_g": _derivative_builder(lambda c, p: xp.dirichlet_approx(c, "dirichlet_g")),
-    "dirichlet_rat1": _derivative_builder(
-        lambda c, p: xp.dirichlet_approx(c, "dirichlet_rat1")),
-    "dirichlet_rat2": _derivative_builder(
-        lambda c, p: xp.dirichlet_approx(c, "dirichlet_rat2")),
-    "dex": _derivative_builder(lambda c, p: xp.dex_approx(c)),
-    "nonlinear": _build_nonlinear,
+# each kind's builder, (f, order, x0, params) -> (chars, approximant), and the
+# parameters it reads besides x0, with their defaults
+KINDS: dict[str, tuple[Callable, dict]] = {
+    "taylor": (_derivative(xp.taylor_approx), {}),
+    "nsbf": (_derivative(xp.nsbf_approx), {}),
+    "pade": (_derivative(lambda c: xp.pade_approx(c, (c.order + 1) // 2, c.order // 2)), {}),
+    "pow_sine": (_derivative(xp.pow_sine_approx), {}),
+    "exp_weighted": (_derivative(xp.exp_weighted_approx), {"w": Fraction(-1, 2), "q": 2}),
+    "log_powers": (_derivative(lambda c: xp.powers_of_g_approx(c, "log_powers")), {}),
+    "stirling1_g": (_derivative(lambda c: xp.powers_of_g_approx(c, "stirling1_g")), {}),
+    "lambert_w_g": (_derivative(lambda c: xp.powers_of_g_approx(c, "lambert_w_g")), {}),
+    "rational_x_over_x1": (_derivative(xp.rational_x1_approx), {"alpha": -1}),
+    "dirichlet_g": (_derivative(lambda c: xp.dirichlet_approx(c, "dirichlet_g")), {}),
+    "dirichlet_rat1": (_derivative(lambda c: xp.dirichlet_approx(c, "dirichlet_rat1")), {}),
+    "dirichlet_rat2": (_derivative(lambda c: xp.dirichlet_approx(c, "dirichlet_rat2")), {}),
+    "dex": (_derivative(xp.dex_approx), {}),
+    "nonlinear": (_nonlinear, {"lam": "ln"}),
 }
 
 KIND_NAMES = tuple(KINDS)
@@ -79,8 +74,20 @@ def normalize_kind(name: str) -> str:
     return key
 
 
+def kind_params(name: str) -> dict:
+    """The parameters the kind ``name`` reads besides ``x0``, with their defaults."""
+    return KINDS[normalize_kind(name)][1]
+
+
 def build_kind(name: str, f, order: int, **params) -> BuildResult:
-    """Build chars, coefficients and approximant for a named expansion kind."""
+    """Build chars, coefficients and approximant for a named expansion kind, which
+    reads ``x0`` (default 0) and ``kind_params(name)``; other keywords raise."""
     if order < 0:
         raise DomainError("order must be nonnegative")
-    return KINDS[normalize_kind(name)](f, order, params)
+    key = normalize_kind(name)
+    build, defaults = KINDS[key]
+    for param in sorted(params.keys() - {"x0", *defaults}):
+        raise DomainError(f"kind {key} does not read {param!r}; it reads "
+                          f"{', '.join(('x0', *defaults))}")
+    c, approx = build(f, order, params.pop("x0", 0), defaults | params)
+    return BuildResult(c, approx.coeffs, approx)

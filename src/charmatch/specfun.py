@@ -18,7 +18,6 @@ from .poly import Poly, div
 
 __all__ = [
     "gen_pow",
-    "binomial_general",
     "stirling2",
     "stirling1_unsigned",
     "central_factorial_abs",
@@ -50,20 +49,6 @@ def gen_pow(x, y: int):
             raise DomainError("0 cannot be raised to a negative power")
         return 0
     return x ** y
-
-
-def binomial_general(r, k: int):
-    """Binomial coefficient with arbitrary real upper argument.
-
-    Returns ``prod_{i=0}^{k-1} (r - i) / k!``; the result is exact (``div``)
-    whenever ``r`` is an int or Fraction.
-    """
-    if k < 0:
-        raise DomainError("binomial lower index must be nonnegative")
-    acc = 1
-    for i in range(k):
-        acc *= r - i
-    return div(acc, math.factorial(k))
 
 
 # -- Stirling-type tables ------------------------------------------------

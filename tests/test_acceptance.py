@@ -59,8 +59,7 @@ def test_criterion_1_round_trip():
             f = exprs.parse(FUNCTIONS[name])
             for order in (4, 8, 11):
                 res = build_kind(kind, f, order)
-                report = verify_matching(res.approximant, res.chars,
-                                         tol_rel=1e-9, tol_abs=1e-12)
+                report = verify_matching(res.approximant, res.chars)
                 ok = ok and report.passed
                 if all(is_exact(v) for v in res.chars.values):
                     ok = ok and all(r == 0 for r in report.residuals)

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import charmatch
 from charmatch import cli
 from charmatch.cli import _format_number, main
-from charmatch.registry import KIND_NAMES
+from charmatch.registry import KIND_NAMES, kind_params
 
 
 def run(capsys, *argv):
@@ -917,6 +917,76 @@ def test_x0_left_out_reads_as_zero(capsys, argv):
     left_out = run(capsys, *argv)
     assert left_out == run(capsys, *argv, "--x0", "0")
     assert left_out[0] in (0, 1) and left_out[2] == ""
+
+
+# -- a kind reads only its own parameters ------------------------------------------
+
+# each kind parameter's config key, flag and an accepted value
+_KIND_PARAMS = (("w", "--w", "-1/3"), ("q", "--q", "3"), ("alpha", "--alpha", "2"),
+                ("lam", "--lambda", "sqrt"))
+_UNREAD = [(kind, key, flag, value) for kind in KIND_NAMES
+           for key, flag, value in _KIND_PARAMS if key not in kind_params(kind)]
+
+
+@pytest.mark.parametrize("command", ["coeffs", "verify", "compare"])
+@pytest.mark.parametrize("kind, key, flag, value", _UNREAD)
+def test_a_kind_parameter_the_kind_does_not_read_exits_2(tmp_path, capsys, command, kind,
+                                                         key, flag, value):
+    configs = [{"f": "exp(x)", "kind": kind, "order": 4, key: value}]
+    if command == "compare":  # one configuration per config file
+        configs = [body | {"grid": "-0.5,0.5,5"}
+                   for body in configs + [{"f": "exp(x)", "kind": "taylor", "order": 4}]]
+    else:
+        code, out, err = run(capsys, command, "--f", "exp(x)", "--kind", kind, "--order", "4",
+                             flag, value)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: --kind {kind} and {flag} do not combine:")
+    argv = [command]
+    for i, body in enumerate(configs):
+        (tmp_path / f"run{i}.json").write_text(json.dumps(body))
+        argv += ["--config", str(tmp_path / f"run{i}.json")]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: --kind {kind} and {flag} do not combine:")
+
+
+def test_the_cli_names_an_aliased_kind_as_given(capsys):
+    code, out, err = run(capsys, "coeffs", "--f", "exp(x)", "--kind", "newpade", "--w", "1")
+    assert (code, out) == (2, "")
+    assert err == ("error: --kind newpade and --w do not combine: --kind newpade reads only "
+                   "--f, --order, --kind, --x0, --alpha\n")
+
+
+@pytest.mark.parametrize("kinds, flags", [
+    ("taylor,exp_weighted", ("--w", "-1/3")),
+    ("exp_weighted,nonlinear,newpade,taylor", ("--w", "-1/3", "--q", "3", "--lambda", "sqrt",
+                                               "--alpha", "2", "--x0", "1/4")),
+])
+def test_compare_gives_a_kind_parameter_to_the_kinds_that_read_it(tmp_path, capsys, kinds,
+                                                                  flags):
+    shared = ("--f", "exp(x)", "--grid=-0.5,0.5,5", "--order", "4")
+    code, by_flags, err = run(capsys, "compare", *shared, "--kind", kinds, *flags)
+    assert code == 0, err
+    # the same run from one config file per kind, each with the settings it reads
+    keys = {flag: key for key, flag, _ in _KIND_PARAMS} | {"--x0": "x0"}
+    given = {keys[flag]: value for flag, value in zip(flags[::2], flags[1::2])}
+    argv = ["compare", *shared]
+    for kind in kinds.split(","):
+        reads = ("x0", *kind_params(kind))
+        body = {"kind": kind} | {key: value for key, value in given.items() if key in reads}
+        (tmp_path / f"{kind}.json").write_text(json.dumps(body))
+        argv += ["--config", str(tmp_path / f"{kind}.json")]
+    assert run(capsys, *argv) == (0, by_flags, "")
+
+
+@pytest.mark.parametrize("flag, value", [("--w", "1"), ("--q", "2"), ("--alpha", "-1"),
+                                         ("--lambda", "ln")])
+def test_compare_refuses_a_kind_parameter_no_listed_kind_reads(capsys, flag, value):
+    code, out, err = run(capsys, "compare", "--f", "exp(x)", "--grid=-0.5,0.5,5",
+                         "--kind", "taylor,nsbf", flag, value)
+    assert (code, out) == (2, "")
+    assert err == (f"error: --kind taylor,nsbf and {flag} do not combine: "
+                   "no listed kind reads it\n")
 
 
 # -- an empty moments interval is refused ---------------------------------------------

@@ -225,8 +225,7 @@ def test_moment_matching_invariant():
     # quadrature-limited for e^x
     fe = exprs.parse("exp(x)")
     me = im.moments_compute(fe, (-1, 1), 6)
-    report = verify_matching(im.legendre_moment_match(me), me.as_char_numbers(),
-                             tol_rel=1e-8, tol_abs=1e-8)
+    report = verify_matching(im.legendre_moment_match(me), me.as_char_numbers())
     assert report.passed
 
 
@@ -328,7 +327,7 @@ def test_higher_integral_round_trip_exp():
     f = exprs.parse("exp(x)")
     c = im.higher_integral_chars(f, 8)
     approx = im.higher_integral_approx(c)
-    report = verify_matching(approx, c, tol_rel=1e-8, tol_abs=1e-9)
+    report = verify_matching(approx, c)
     assert report.passed
 
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from charmatch.jets import Jet
-from charmatch.poly import Poly, div, monomial, over
+from charmatch.poly import Poly, div, over
 
 
 F = Fraction
@@ -71,10 +71,6 @@ def test_over_keeps_the_rounded_float_reciprocal():
     den = math.factorial(23)
     assert over(1.0, den) == 1.0 / den
     assert over(1.0, den) != float(F(1, den))
-
-
-def test_monomial():
-    assert monomial(3, 7) == Poly([0, 0, 0, 7])
 
 
 def test_immutability():

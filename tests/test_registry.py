@@ -22,7 +22,8 @@ from charmatch.interp import (
 )
 from charmatch.matching import CharNumbers, CoeffSeq, ValueNodes
 from charmatch.poly import Poly
-from charmatch.registry import KIND_NAMES, build_kind
+from charmatch.registry import KIND_NAMES, build_kind, kind_params
+from result_key import key
 
 
 def test_kind_names_keep_their_order():
@@ -91,3 +92,52 @@ def test_corrupted_approximant_reports_its_inner_kind():
 def test_series_in_g_refuses_a_kind_without_a_basis():
     with pytest.raises(DomainError, match="unknown basis function 'taylor'"):
         SeriesInGApproximant(CoeffSeq((1, 2), "taylor"))
+
+
+# -- a kind reads only its own parameters -------------------------------------------
+
+# every parameter some kind reads besides x0, and a misspelling of one
+_PARAM_VALUES = {"w": Fraction(1, 3), "q": 3, "alpha": 2, "lam": "sqrt", "W": Fraction(1, 3)}
+
+
+def test_the_kind_parameter_table():
+    assert {name: kind_params(name) for name in KIND_NAMES if kind_params(name)} == {
+        "exp_weighted": {"w": Fraction(-1, 2), "q": 2},
+        "rational_x_over_x1": {"alpha": -1},
+        "nonlinear": {"lam": "ln"},
+    }
+
+
+@pytest.mark.parametrize("name, param", [(name, param) for name in KIND_NAMES
+                                         for param in _PARAM_VALUES
+                                         if param not in kind_params(name)])
+def test_a_kind_refuses_a_parameter_it_does_not_read(name, param):
+    with pytest.raises(DomainError, match=f"kind {name} does not read {param!r}"):
+        build_kind(name, exprs.parse("exp(x)"), 4, **{param: _PARAM_VALUES[param]})
+
+
+def test_an_alias_refuses_under_its_kind_name():
+    with pytest.raises(DomainError, match="kind rational_x_over_x1 does not read 'w'"):
+        build_kind("newpade", exprs.parse("exp(x)"), 4, w=1)
+
+
+@pytest.mark.parametrize("name, explicit", [
+    ("exp_weighted", {"w": Fraction(-1, 2), "q": 2}),
+    ("rational_x_over_x1", {"alpha": -1}),
+    ("nonlinear", {"lam": "ln"}),
+])
+def test_a_left_out_parameter_takes_its_default(name, explicit):
+    f = exprs.parse("exp(x)")
+    default, given = build_kind(name, f, 6), build_kind(name, f, 6, **explicit)
+    assert key((default.chars, default.coeffs)) == key((given.chars, given.coeffs))
+    assert key(default.approximant(0.25)) == key(given.approximant(0.25))
+
+
+@pytest.mark.parametrize("name, param, value", [
+    ("exp_weighted", "w", Fraction(-1, 3)), ("exp_weighted", "q", 3),
+    ("rational_x_over_x1", "alpha", 2), ("nonlinear", "lam", "sqrt"),
+])
+def test_a_given_parameter_changes_the_coefficients(name, param, value):
+    f = exprs.parse("exp(x)")
+    default, given = build_kind(name, f, 6), build_kind(name, f, 6, **{param: value})
+    assert key(default.coeffs.values) != key(given.coeffs.values)

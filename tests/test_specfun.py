@@ -62,15 +62,6 @@ def test_gen_pow():
         specfun.gen_pow(0, -1)
 
 
-def test_binomial_general():
-    assert specfun.binomial_general(5, 2) == 10
-    assert specfun.binomial_general(Fraction(1, 2), 2) == Fraction(-1, 8)
-    assert specfun.binomial_general(3, 5) == 0
-    assert isinstance(specfun.binomial_general(Fraction(1, 2), 3), Fraction)
-    with pytest.raises(DomainError):
-        specfun.binomial_general(3, -1)
-
-
 # -- Stirling tables ---------------------------------------------------------------
 
 
