@@ -224,15 +224,20 @@ def _settings(command: str, flags: dict, paths: list[str]) -> SimpleNamespace:
             raise UsageError(f"unknown config key {key!r}")
         if key not in _READS[command]:
             raise UsageError(f"{command} does not read {key!r}")
-        setattr(cfg, key, _SETTINGS[key].check(key, value))
+        if key not in _KIND_SETTINGS:
+            setattr(cfg, key, _SETTINGS[key].check(key, value))
     if cfg.interval is not None and cfg.family != "moments":
         raise UsageError("interval is read only with family moments")
     if cfg.preset or cfg.kind:  # with neither, the build says that a kind is required
         builder, reads = _builder(cfg)
         for key in _BUILD:
-            if getattr(cfg, key) is not None and key not in reads:
+            if key in data and key not in reads:
                 raise UsageError(f"{builder} and {_SETTINGS[key].flag} do not combine: {builder} "
                                  f"reads only {', '.join(_SETTINGS[k].flag for k in reads)}")
+    # a kind's own settings are checked once it is known to read them
+    for key in _KIND_SETTINGS:
+        if key in data:
+            setattr(cfg, key, _SETTINGS[key].check(key, data[key]))
     return cfg
 
 

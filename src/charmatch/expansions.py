@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import NamedTuple
 
 from . import specfun
@@ -40,7 +40,7 @@ __all__ = [
     "taylor_coeffs", "taylor_approx",
     "nsbf_coeffs", "nsbf_approx", "NsbfApproximant",
     "pade_solve", "pade_approx", "PadeApproximant",
-    "pow_sine_coeffs", "pow_sine_approx",
+    "pow_sine_coeffs",
     "exp_weighted_coeffs", "exp_weighted_approx", "ExpWeightedApproximant",
     "dmatrix_build",
     "powers_of_g_coeffs", "powers_of_g_approx", "SeriesInGApproximant",
@@ -273,18 +273,9 @@ def pade_approx(c: CharNumbers, m: int, n: int) -> PadeApproximant:
 
 
 def pow_sine_coeffs(c: CharNumbers) -> CoeffSeq:
-    """a_0 = c_0; a_n = (2^n / n!) sum_k c_k |t(n, k)| for the basis sin(x/2)^n."""
-    _require_derivative(c)
-    values = tri_table(_pow_sine_rows, len(c.values)).apply(c.values)
-    return CoeffSeq((c.values[0], *values), "pow_sine")
-
-
-def _pow_sine_rows(size: int) -> TriRows:
-    orders = range(1, size)
-    # 2^n is folded into the entries: a power of two scales a normal float exactly
-    return TriRows([[(k, t * 2 ** n) for k in range(1, n + 1)
-                     if (t := specfun.central_factorial_abs(n, k))] for n in orders],
-                   map(math.factorial, orders))
+    """a_0 = c_0; a_n = (2^n / n!) sum_k c_k |t(n, k)| for the basis sin(x/2)^n:
+    ``powers_of_g_coeffs`` of g = sin(x/2)."""
+    return powers_of_g_coeffs(c, "pow_sine")
 
 
 # -- exp-weighted expansion ---------------------------------------------------------
@@ -408,22 +399,33 @@ def exp_weighted_approx(c: CharNumbers, w, q: int) -> ExpWeightedApproximant:
 # -- powers of an invertible g -------------------------------------------------------
 
 def powers_of_g_coeffs(c: CharNumbers, variant: str) -> CoeffSeq:
-    """a_n = (1/n!) sum_k c_k b_{n,k} for the expansion sum a_n g(x)^n.
+    """a_0 = c_0 and a_n = (1/n!) sum_k b_{n,k} c_k for the expansion sum a_n g(x)^n.
 
-    The b table fixes g: Stirling-2 for g = ln(1+x), unsigned Stirling-1 for
-    g = 1 - exp(-x), C(n,k) k^(n-k) for g = W(x); each has b_{n,0} = delta_{n,0}.
+    b_{n,k} = (n!/k!) [y^n] (g^-1(y))^k (Comtet, Advanced Combinatorics,
+    1974, ch. 3), so g alone fixes the table: Stirling-2 for g = ln(1+x),
+    unsigned Stirling-1 for g = 1 - exp(-x), C(n,k) k^(n-k) for g = W(x),
+    2^n |t(n,k)| for g = sin(x/2) (``pow_sine_coeffs``) and the Lah numbers
+    C(n-1,k-1) n!/k! for g = x/(x+1) (``rational_x1_coeffs``, which reads
+    alpha).  Every g has g(0) = 0, so b_{n,0} = 0 for n >= 1.
     """
     _require_derivative(c)
-    if _G_BASIS.get(variant, {}).get("table") is None:
+    if variant not in _G_BASIS:
         raise DomainError(f"unknown powers-of-g variant {variant!r}")
-    return CoeffSeq(tuple(tri_table(_powers_of_g_rows, variant, len(c.values)).apply(c.values)),
-                    variant)
+    if variant == "rational_x_over_x1":
+        raise DomainError("rational_x_over_x1 reads alpha: use rational_x1_coeffs")
+    return _in_powers_of_g(c, c.values, variant)
+
+
+def _in_powers_of_g(c: CharNumbers, values, kind: str, **params) -> CoeffSeq:
+    """a_0 = c_0 and a_n for n >= 1 by the rows of ``_powers_of_g_rows`` on ``values``."""
+    rows = tri_table(_powers_of_g_rows, kind, len(values))
+    return CoeffSeq((c.values[0], *rows.apply(values)), kind, params=params)
 
 
 def _powers_of_g_rows(variant: str, size: int) -> TriRows:
     b = _G_BASIS[variant]["table"]
-    orders = range(size)
-    return TriRows([[(k, bkn) for k in range(n + 1) if (bkn := b(n, k))] for n in orders],
+    orders = range(1, size)
+    return TriRows([[(k, bnk) for k in range(1, n + 1) if (bnk := b(n, k))] for n in orders],
                    map(math.factorial, orders))
 
 
@@ -453,6 +455,17 @@ def _g_jet_sin_half(var: Jet) -> Jet:
     return (var / 2).sin()
 
 
+def _x_over_x1(alpha, t):
+    """u / (u + 1) with u = -t / alpha, at a float or a jet t.  Its pole u = -1
+    sits at t = alpha, where a float t divides by zero."""
+    u = -t / alpha
+    return u / (u + 1)
+
+
+# per kind: g at a float t and at a jet, the t where g is defined (absent
+# where every t is, or where g divides by zero outside it: the pole u = -1
+# of x/(x+1)) and the table b_{n,k} of ``powers_of_g_coeffs``.  A kind's
+# own parameters (alpha alone) come before t.
 _G_BASIS = {
     "log_powers": {
         "eval": lambda t: math.log1p(t),
@@ -463,7 +476,6 @@ _G_BASIS = {
     "stirling1_g": {
         "eval": lambda t: -math.expm1(-t),
         "jet": _g_jet_stirling1,
-        "domain": lambda t: True,
         "table": specfun.stirling1_unsigned,
     },
     "lambert_w_g": {
@@ -475,91 +487,73 @@ _G_BASIS = {
     "pow_sine": {
         "eval": lambda t: math.sin(t / 2.0),
         "jet": _g_jet_sin_half,
-        "domain": lambda t: True,
+        # 2^n is folded into the entries: a power of two scales a normal float exactly
+        "table": lambda n, k: specfun.central_factorial_abs(n, k) * 2 ** n,
+    },
+    "rational_x_over_x1": {
+        "eval": _x_over_x1,
+        "jet": _x_over_x1,
+        "table": lambda n, k: math.comb(n - 1, k - 1) * (math.factorial(n) // math.factorial(k)),
     },
 }
 
 
 class SeriesInGApproximant(Approximant):
     """sum a_n [g(t)]^n evaluated Horner-style in y = g(t), t = x - center,
-    with g the ``_G_BASIS`` entry of the kind."""
+    with g the ``_G_BASIS`` row of the kind: read once, here, with the
+    kind's own parameters bound."""
 
     def __init__(self, coeffs: CoeffSeq, center=0):
         super().__init__(coeffs, center)
-        if self.kind not in _G_BASIS:
+        basis = _G_BASIS.get(self.kind)
+        if basis is None:
             raise DomainError(f"unknown basis function {self.kind!r}")
         self.series = Poly(coeffs.values)
+        args = tuple(coeffs.params.values())
+        self._g, self._g_jet = (partial(basis[key], *args) if args else basis[key]
+                                for key in ("eval", "jet"))
+        self._in_domain = basis.get("domain")
 
     def __call__(self, x):
         t = float(x - self.center)
-        basis = _G_BASIS[self.kind]
-        if not basis["domain"](t):
-            raise EvalDomainError(f"{self.kind} basis undefined at x={x}")
-        return self.series(basis["eval"](t))
+        if self._in_domain is None or self._in_domain(t):
+            try:
+                y = self._g(t)
+            except ZeroDivisionError:  # at the pole of rational_x_over_x1
+                pass
+            else:
+                return self.series(y)
+        raise EvalDomainError(f"{self.kind} basis undefined at x={x}")
 
     def eval_jet(self, x0, order: int) -> Jet:
         var = Jet.variable(x0, order) - self.center
-        return self.series(_G_BASIS[self.kind]["jet"](var))
+        return self.series(self._g_jet(var))
 
 
 def powers_of_g_approx(c: CharNumbers, variant: str) -> SeriesInGApproximant:
     return SeriesInGApproximant(powers_of_g_coeffs(c, variant), c.family.center)
 
 
-def pow_sine_approx(c: CharNumbers) -> SeriesInGApproximant:
-    return SeriesInGApproximant(pow_sine_coeffs(c), c.family.center)
-
-
 # -- rational x/(x+1) expansion (newPade) ----------------------------------------------
 
 
-def rational_x1_coeffs(c: CharNumbers, alpha=-1) -> CoeffSeq:
+def rational_x1_coeffs(c: CharNumbers, alpha) -> CoeffSeq:
     """Coefficients of a_0 + sum a_n (u/(u+1))^n with u = -t/alpha.
 
-    The unscaled expansion (alpha = -1, u = t) has
-    a_n = (1/n!) sum_{k=1..n} C(n-1, k-1) (n!/k!) c_k and a pole at t = -1;
-    rescaling the characteristic numbers by (-alpha)^k moves the pole of
-    every partial approximant to t = alpha.
+    The unscaled expansion (alpha = -1, u = t) is ``powers_of_g_coeffs`` of
+    g = x/(x+1), with a pole at t = -1; rescaling the characteristic
+    numbers by (-alpha)^k moves the pole of every partial approximant to
+    t = alpha.
     """
     _require_derivative(c)
     if alpha == 0:
         raise DomainError("pole location alpha must be nonzero")
     scaled = [(-alpha) ** k * ck for k, ck in enumerate(c.values)]
-    values = tri_table(_rational_x1_rows, len(c.values)).apply(scaled)
-    return CoeffSeq((c.values[0], *values), "rational_x_over_x1", params={"alpha": alpha})
+    return _in_powers_of_g(c, scaled, "rational_x_over_x1", alpha=alpha)
 
 
-def _rational_x1_rows(size: int) -> TriRows:
-    orders = range(1, size)
-    return TriRows([[(k, math.comb(n - 1, k - 1) * (math.factorial(n) // math.factorial(k)))
-                     for k in range(1, n + 1)] for n in orders],
-                   map(math.factorial, orders))
-
-
-class RationalX1Approximant(Approximant):
-    """a_0 + sum a_n y^n with y = u/(u+1), u = -t/alpha; pole at t = alpha."""
-
-    def __init__(self, coeffs: CoeffSeq, center=0):
-        super().__init__(coeffs, center)
-        self.alpha = coeffs.params["alpha"]
-        self.series = Poly(coeffs.values)
-
-    def _u(self, t):
-        return -t / self.alpha
-
-    def __call__(self, x):
-        u = self._u(x - self.center)
-        if u == -1:
-            raise EvalDomainError(f"pole of the rational expansion at x={x}")
-        return self.series(float(u / (u + 1)))
-
-    def eval_jet(self, x0, order: int) -> Jet:
-        u = self._u(Jet.variable(x0, order) - self.center)
-        return self.series(u / (u + 1))
-
-
-def rational_x1_approx(c: CharNumbers, alpha=-1) -> RationalX1Approximant:
-    return RationalX1Approximant(rational_x1_coeffs(c, alpha), c.family.center)
+def rational_x1_approx(c: CharNumbers, alpha) -> SeriesInGApproximant:
+    return SeriesInGApproximant(rational_x1_coeffs(c, alpha), c.family.center)
 
 
 # -- Dirichlet-convolution expansions -----------------------------------------------

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Sequence
 
 from . import exprs
@@ -113,12 +112,11 @@ def _fig_legout() -> FigureData:
 def _fig_exppoly() -> FigureData:
     xs = grid(-6.0, 6.0, 1201)
     cols = [("x", xs)]
-    w = Fraction(-1, 2)
     cols += _kind_columns("sin", exprs.parse("sin(x)"), [
-        ("expw_sin", "exp_weighted", {"order": 10, "w": w, "q": 2}),
+        ("expw_sin", "exp_weighted", {"order": 10}),
     ], xs)
     cols += _kind_columns("arctan", exprs.parse("arctan(x)"), [
-        ("expw_arctan", "exp_weighted", {"order": 10, "w": w, "q": 2}),
+        ("expw_arctan", "exp_weighted", {"order": 10}),
     ], xs)
     return FigureData("exppoly", cols,
                       "exp(-x^2/2) polynomial expansion, 11 terms",

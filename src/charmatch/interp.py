@@ -294,7 +294,6 @@ class _WsTerm:
     slope: float
     half_curvature: float  # lambda''(x_n) / (2 s_n)
     radius: float
-    numerator: exprs.Expr | None = None  # per-index lambda_n, if any
 
 
 class WsApproximant(Approximant):
@@ -304,16 +303,9 @@ class WsApproximant(Approximant):
     each node x_n the term is replaced by its removable-singularity
     expansion a_n [1 + lambda''(x_n) (x - x_n) / (2 s_n)], so evaluation is
     continuous through the nodes and A(x_n) = a_n holds exactly.
-
-    ``numerators`` optionally assigns individual numerator functions
-    lambda_n (as expressions) to indices; every lambda_n must still vanish
-    at all nodes.  The slope s_n is always differentiated out of the term's
-    own numerator.  No preset uses this generality; the shared-numerator
-    form is the default.
     """
 
-    def __init__(self, system: NodeSystem, c: CharNumbers, n_max: int,
-                 numerators: dict[int, exprs.Expr] | None = None):
+    def __init__(self, system: NodeSystem, c: CharNumbers, n_max: int):
         nodes = system.nodes(n_max)
         if len(c.values) != len(nodes):
             raise DomainError("one value per retained node is required")
@@ -321,16 +313,10 @@ class WsApproximant(Approximant):
                                                           "n_max": n_max}))
         self.system = system
         self.n_max = n_max
-        numerators = numerators or {}
         self.terms = []
         for (n, xn), a in zip(nodes, c.values):
-            own = numerators.get(n)
-            if own is None:
-                slope = system.slope(n)
-                jet = system.lambda_jet(xn, 2)
-            else:
-                jet = own.lift(xn, 2)
-                slope = float(jet.coeffs[1])
+            slope = system.slope(n)
+            jet = system.lambda_jet(xn, 2)
             if slope == 0:
                 raise DomainError(f"slope s_{n} vanishes; node system invalid")
             lam2 = 2.0 * float(jet.coeffs[2])
@@ -340,13 +326,11 @@ class WsApproximant(Approximant):
                 slope=float(slope),
                 half_curvature=lam2 / (2.0 * float(slope)),
                 radius=1e-6 * (1.0 + abs(xn)),
-                numerator=own,
             ))
-        # away from every node, with one shared numerator, the series is one
-        # flat loop over (a_n, x_n, s_n) (``sum`` compensates from Python 3.12
-        # on); ``_reach`` keeps it clear of every radius whatever x - x_n rounds to
-        self._flat = tuple((t.coefficient, t.node, t.slope) for t in self.terms) \
-            if self.terms and all(t.numerator is None for t in self.terms) else ()
+        # away from every node the series is one flat loop over (a_n, x_n, s_n)
+        # (``sum`` compensates from Python 3.12 on); ``_reach`` keeps it clear
+        # of every radius whatever x - x_n rounds to
+        self._flat = tuple((t.coefficient, t.node, t.slope) for t in self.terms)
         self._nodes = sorted(t.node for t in self.terms)
         self._reach = 2.0 * max((t.radius for t in self.terms), default=0.0)
 
@@ -367,8 +351,6 @@ class WsApproximant(Approximant):
             d = x - t.node
             if abs(d) < t.radius:
                 acc += t.coefficient * (1.0 + t.half_curvature * d)
-            elif t.numerator is not None:
-                acc += t.coefficient * float(t.numerator(x)) / (t.slope * d)
             else:
                 if lam is None:
                     lam = self.system.lambda_value(x)
@@ -376,9 +358,8 @@ class WsApproximant(Approximant):
         return acc
 
 
-def ws_build(system: NodeSystem, c: CharNumbers, n_max: int,
-             numerators: dict[int, exprs.Expr] | None = None) -> WsApproximant:
-    return WsApproximant(system, c, n_max, numerators=numerators)
+def ws_build(system: NodeSystem, c: CharNumbers, n_max: int) -> WsApproximant:
+    return WsApproximant(system, c, n_max)
 
 
 # -- integral matching -------------------------------------------------------------

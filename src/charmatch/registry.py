@@ -43,7 +43,7 @@ KINDS: dict[str, tuple[Callable, dict]] = {
     "taylor": (_derivative(xp.taylor_approx), {}),
     "nsbf": (_derivative(xp.nsbf_approx), {}),
     "pade": (_derivative(lambda c: xp.pade_approx(c, (c.order + 1) // 2, c.order // 2)), {}),
-    "pow_sine": (_derivative(xp.pow_sine_approx), {}),
+    "pow_sine": (_derivative(lambda c: xp.powers_of_g_approx(c, "pow_sine")), {}),
     "exp_weighted": (_derivative(xp.exp_weighted_approx), {"w": Fraction(-1, 2), "q": 2}),
     "log_powers": (_derivative(lambda c: xp.powers_of_g_approx(c, "log_powers")), {}),
     "stirling1_g": (_derivative(lambda c: xp.powers_of_g_approx(c, "stirling1_g")), {}),

@@ -56,8 +56,6 @@ def ws_call(approx, x) -> float:
         d = x - t.node
         if abs(d) < t.radius:
             acc += t.coefficient * (1.0 + t.half_curvature * d)
-        elif t.numerator is not None:
-            acc += t.coefficient * float(t.numerator(x)) / (t.slope * d)
         else:
             if lam is None:
                 lam = approx.system.lambda_value(x)

@@ -957,6 +957,18 @@ def test_the_cli_names_an_aliased_kind_as_given(capsys):
                    "--f, --order, --kind, --x0, --alpha\n")
 
 
+def test_a_setting_the_kind_does_not_read_is_refused_before_its_value(tmp_path, capsys):
+    # 'abc' is no number, but exp_weighted does not read alpha at all
+    want = "error: --kind exp_weighted and --alpha do not combine:"
+    code, out, err = run(capsys, "coeffs", "--f", "exp(x)", "--kind", "exp_weighted",
+                         "--alpha", "abc")
+    assert (code, out) == (2, "") and err.startswith(want), err
+    (tmp_path / "run.json").write_text(json.dumps({"alpha": "abc"}))
+    code, out, err = run(capsys, "coeffs", "--f", "exp(x)", "--kind", "exp_weighted",
+                         "--config", str(tmp_path / "run.json"))
+    assert (code, out) == (2, "") and err.startswith(want), err
+
+
 @pytest.mark.parametrize("kinds, flags", [
     ("taylor,exp_weighted", ("--w", "-1/3")),
     ("exp_weighted,nonlinear,newpade,taylor", ("--w", "-1/3", "--q", "3", "--lambda", "sqrt",

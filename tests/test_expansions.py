@@ -29,7 +29,7 @@ from charmatch.matching import (
     tri_forward_solve,
     verify_matching,
 )
-from charmatch.poly import is_exact
+from charmatch.poly import is_exact, tri_table
 from charmatch.registry import KIND_NAMES, build_kind, normalize_kind
 
 
@@ -180,7 +180,7 @@ def test_pow_sine_cos_is_finite_expansion():
 def test_pow_sine_round_trip_exact():
     for text in ("sin(x)", "exp(x)", "arctan(x)"):
         c = chars_of(text, 9)
-        report = verify_matching(xp.pow_sine_approx(c), c)
+        report = verify_matching(xp.powers_of_g_approx(c, "pow_sine"), c)
         assert report.passed and all(r == 0 for r in report.residuals)
 
 
@@ -295,13 +295,34 @@ def test_powers_of_g_unknown_variant():
             xp.powers_of_g_coeffs(c, variant)
         with pytest.raises(DomainError):
             xp.powers_of_g_approx(c, variant)
+    # g = x/(x+1) reads alpha, which only rational_x1_coeffs takes
+    with pytest.raises(DomainError, match="rational_x1_coeffs"):
+        xp.powers_of_g_approx(c, "rational_x_over_x1")
+
+
+POWERS_OF_G_KINDS = ["log_powers", "stirling1_g", "lambert_w_g", "pow_sine", "rational_x_over_x1"]
+
+
+@pytest.mark.parametrize("kind", POWERS_OF_G_KINDS)
+def test_every_powers_of_g_kind_is_one_series_in_g(kind):
+    # one coefficient map, a_0 = c_0 and then the rows of _powers_of_g_rows on
+    # the numbers (scaled by (-alpha)^k for x/(x+1)), and one approximant
+    params = {"alpha": F(1, 3)} if kind == "rational_x_over_x1" else {}
+    built = build_kind(kind, exprs.parse("exp(x) * cos(x)"), 12, **params)
+    c = built.chars.values
+    v = [(-params["alpha"]) ** k * ck for k, ck in enumerate(c)] if params else c
+    rows = tri_table(xp._powers_of_g_rows, kind, len(c))
+    assert isinstance(built.approximant, xp.SeriesInGApproximant)
+    assert built.coeffs.values == (c[0], *rows.apply(v))
+    assert built.coeffs.params == params
 
 
 SERIES_IN_G = {
     "log_powers": lambda c: xp.powers_of_g_approx(c, "log_powers"),
     "stirling1_g": lambda c: xp.powers_of_g_approx(c, "stirling1_g"),
     "lambert_w_g": lambda c: xp.powers_of_g_approx(c, "lambert_w_g"),
-    "pow_sine": xp.pow_sine_approx,
+    "pow_sine": lambda c: xp.powers_of_g_approx(c, "pow_sine"),
+    "rational_x_over_x1": lambda c: xp.rational_x1_approx(c, -1),
 }
 
 
@@ -324,19 +345,19 @@ def test_series_in_g_maps_are_delta_up_to_60(kind):
 
 
 def test_rational_x1_exp_values():
-    a = xp.rational_x1_coeffs(chars_of("exp(x)", 2)).values
+    a = xp.rational_x1_coeffs(chars_of("exp(x)", 2), alpha=-1).values
     assert a == (1, 1, F(3, 2))
 
 
 def test_rational_x1_constant():
     c = CharNumbers((5, 0, 0, 0), Derivative(0))
-    assert xp.rational_x1_coeffs(c).values == (5, 0, 0, 0)
+    assert xp.rational_x1_coeffs(c, alpha=-1).values == (5, 0, 0, 0)
 
 
 def test_rational_x1_partial_x2_coefficient():
     # the order-2 partial approximant of exp reproduces the x^2 coefficient 1/2
     c = chars_of("exp(x)", 2)
-    approx = xp.rational_x1_approx(c)
+    approx = xp.rational_x1_approx(c, alpha=-1)
     jet = approx.eval_jet(0, 2)
     assert jet.coeffs[2] == F(1, 2)
 
@@ -344,10 +365,12 @@ def test_rational_x1_partial_x2_coefficient():
 def test_rational_x1_pole_relocation():
     c = chars_of("exp(x)", 5)
     approx = xp.rational_x1_approx(c, alpha=2)
+    # u = -x/alpha is -1 exactly at x = alpha: the pole is refused there, and
+    # one ulp away on either side the approximant is huge but finite
     with pytest.raises(EvalDomainError):
         approx(2.0)
-    # u/(u+1) denominator root: -x/alpha = -1 exactly at x = alpha
-    assert approx._u(2.0) == -1.0
+    for x in (math.nextafter(2.0, 0), math.nextafter(2.0, 3)):
+        assert math.isfinite(approx(x)) and abs(approx(x)) > 1e30
     report = verify_matching(approx, c)
     assert report.passed and all(r == 0 for r in report.residuals)
 

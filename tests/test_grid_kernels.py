@@ -72,18 +72,7 @@ def test_ws_series_keeps_the_term_by_term_bits(name):
         assert outcome(approx, x) == outcome(ws_call, approx, x), x
 
 
-def test_ws_series_with_numerators_and_with_no_terms():
-    system = ws_node_systems()["ws-b"]
-    c = value_chars(system.test_function, system, 6)
-    scaled = {n: exprs.parse(f"({n * n + 2}) * sin(pi * sin(x)/cos(x))")
-              for n in system.indices(6)}
-    approx = ws_build(system, c, 6, numerators=scaled)
-    for x in ws_arguments(approx):
-        assert outcome(approx, x) == outcome(ws_call, approx, x), x
-    # one index with its own numerator keeps every point on the full loop
-    one = ws_build(system, c, 6, numerators={0: scaled[0]})
-    for x in ws_arguments(one):
-        assert outcome(one, x) == outcome(ws_call, one, x), x
+def test_ws_series_with_no_terms():
     # ws-c runs over n >= 1 only, so order 0 retains no node at all
     empty_system = ws_node_systems()["ws-c"]
     empty = ws_build(empty_system, value_chars(empty_system.test_function, empty_system, 0), 0)

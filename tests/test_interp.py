@@ -230,22 +230,6 @@ def test_ws_not_jet_measurable():
         measure(approx, Derivative(0), range(3))
 
 
-def test_ws_per_index_numerators():
-    # the general form allows a different numerator per index; rescaled
-    # copies of the shared one keep the delta property (slopes re-derived)
-    system = ws_node_systems()["ws-b"]
-    f = system.test_function
-    c = value_chars(f, system, 8)
-    scaled = {n: exprs.parse(f"({n * n + 2}) * sin(pi * sin(x)/cos(x))")
-              for n in system.indices(8)}
-    approx = ws_build(system, c, 8, numerators=scaled)
-    for (n, xn), want in zip(system.nodes(8), c.values):
-        assert abs(approx(xn) - want) <= 1e-9
-    plain = ws_build(system, c, 8)
-    for x in (-1.2, 0.33, 1.0):
-        assert abs(approx(x) - plain(x)) < 1e-9
-
-
 def test_ws_value_count_mismatch():
     system = ws_node_systems()["ws-a"]
     c = value_chars(system.test_function, system, 6)

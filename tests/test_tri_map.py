@@ -81,11 +81,11 @@ REF_TABLES = {
 
 def ref_powers_of_g(c, variant):
     b = REF_TABLES[variant]
-    values = []
-    for n in range(len(c)):
+    values = [c[0]]
+    for n in range(1, len(c)):
         acc = 0
-        for k in range(n + 1):
-            bkn = (1 if n == 0 else 0) if k == 0 else b(n, k)
+        for k in range(1, n + 1):
+            bkn = b(n, k)
             if bkn:
                 acc += c[k] * bkn
         values.append(over(acc, math.factorial(n)))
