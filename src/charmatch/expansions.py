@@ -755,8 +755,11 @@ class DirichletApproximant(_TermSum):
             return Jet.from_ints(x0, *table.exact(v))
         series = _DIRICHLET[self.kind]["series"]
         gamma = [series(j) for j in range(order + 1)]
-        nonzero = [n for n, a in enumerate(self.coeffs.values, start=1) if a != 0]
-        rows = [[(n, 0 if m % n else gamma[m // n]) for n in nonzero]
+        # an exact gamma meets a float a_n as its float
+        fgamma = [float(g) for g in gamma]
+        nonzero = [(n, fgamma if type(a) is float else gamma)
+                   for n, a in enumerate(self.coeffs.values, start=1) if a != 0]
+        rows = [[(n, 0 if m % n else gs[m // n]) for n, gs in nonzero]
                 for m in range(order + 1)]
         rows[0].insert(0, (0, 1))
         return Jet(x0, tri_map(rows, v))

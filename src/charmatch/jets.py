@@ -90,6 +90,29 @@ def _positive_float_head(primitive: str, head) -> float:
     return value
 
 
+def _floats(xs: Sequence) -> Sequence:
+    """The floats of ``xs``, as their products with floats take them; ``xs``
+    itself where one is beyond the float range, so that a product raises
+    where it is formed."""
+    try:
+        return tuple(map(float, xs))
+    except OverflowError:
+        return xs
+
+
+def _float_factor(x: "Jet", ys: Sequence) -> Sequence:
+    """The coefficients of the exact jet ``x`` as ``mul`` may read them in a
+    product with ``ys``: as floats where ``x`` holds a Fraction and every
+    nonzero entry of ``ys`` is a float, since ``mul`` skips the zeros and an
+    int meets a float in C; as they are where that would turn a nonzero
+    entry into 0.0."""
+    xs = x.coeffs
+    if x.den == 1 or any(type(y) is not float for y in ys if y != 0):
+        return xs
+    fs = _floats(xs)
+    return fs if fs.count(0) == xs.count(0) else xs
+
+
 _set = object.__setattr__
 
 
@@ -228,7 +251,12 @@ class Jet:
             self._check_compatible(other)
             n = self.order + 1
             if self.nums is None or other.nums is None:
-                return Jet(self.center, mul(self.coeffs, other.coeffs, n))
+                a, b = self.coeffs, other.coeffs
+                if self.nums is not None:
+                    a = _float_factor(self, b)
+                elif other.nums is not None:
+                    b = _float_factor(other, a)
+                return Jet(self.center, mul(a, b, n))
             return Jet.from_ints(self.center, *reduced(mul(self.nums, other.nums, n),
                                                        self.den * other.den))
         if self.nums is None or not is_exact(other):
@@ -351,13 +379,17 @@ class Jet:
             s0, c0 = math.sin(h), math.cos(h)
         s = [s0] + [0] * self.order
         c = [c0] + [0] * self.order
+        ju = [j * x for j, x in enumerate(u)]
+        # j u_j meets a float s or c entry as its float, an exact one as itself
+        fju = _floats(ju)
         for k in range(1, len(u)):
             sa = 0
             ca = 0
             for j in range(1, k + 1):
                 if u[j] != 0:
-                    sa += j * u[j] * c[k - j]
-                    ca += j * u[j] * s[k - j]
+                    cj, sj = c[k - j], s[k - j]
+                    sa += (fju if type(cj) is float else ju)[j] * cj
+                    ca += (fju if type(sj) is float else ju)[j] * sj
             s[k] = div(sa, k)
             c[k] = div(-ca, k)
         return Jet(self.center, s), Jet(self.center, c)

@@ -162,7 +162,7 @@ def _integrals(target, family, orders: list, row=None) -> list:
     M_m over (a, b), the integral of w_n p is sum_i w_ni q_i on integer
     numerators, rounded once where p, a or b holds a float.  Every other
     target is sampled once at the nodes of the one rule, and each order
-    integrates the products w_n(x) * f(x) of its table of w_n with them.
+    integrates those values with its table of w_n as the rule's weight.
     """
     a, b = family.interval
     p = target_poly(target) if row is not None else None
@@ -175,8 +175,7 @@ def _integrals(target, family, orders: list, row=None) -> list:
         value = rational if all_exact((a, b, *p.coeffs)) else operator.truediv
         return [value(sum(map(operator.mul, w, q)), den_p * den_m) for w in rows]
     vs = [float(target(x)) for x in _QUAD.points(a, b)]
-    return [_QUAD.integrate([w * v for w, v in zip(_node_weights(family, n), vs)], a, b)
-            for n in orders]
+    return [_QUAD.integrate(vs, a, b, _node_weights(family, n)) for n in orders]
 
 
 @dataclass(frozen=True)
@@ -607,10 +606,13 @@ def verify_matching(approximant, c: CharNumbers) -> VerifyReport:
     residuals = []
     passed = True
     for got, want in zip(measured, c.values):
+        if (type(got) is float) != (type(want) is float):
+            # an exact number meets a float as its float
+            got, want = float(got), float(want)
         r = abs(got - want)
         residuals.append(r)
         try:
-            allowed = max(TOL_REL * abs(want), TOL_ABS)
+            allowed = max(TOL_REL * float(abs(want)), TOL_ABS)
         except OverflowError:  # an exact |c_n| beyond the float range
             allowed = math.inf
         if not float(r) <= allowed:

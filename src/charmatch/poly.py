@@ -6,6 +6,10 @@ exact.  This is the workhorse behind the combinatorial polynomial tables
 (Bernoulli, Legendre) and every place the tests demand exact-zero residuals.
 Exactness follows the operand types; ``div`` and ``over`` are the only two
 places where the package chooses between exact and float arithmetic by hand.
+An exact number meets a float as its ``float()``: int's and Fraction's
+operators convert it first, so an exact operand converted once with
+``float`` gives the same bits, and the float paths do so wherever the other
+operand is a float, which keeps them out of Fraction's Python-level fallback.
 Exact sequences are computed on as integer numerators over one denominator
 (``scaled``, ``reduced``): the one product ``mul``, ``TriRows`` and the exact
 jets.  A number leaves that form as ``rational(num, den)``, an int where the
@@ -111,16 +115,32 @@ def mul(a, b, n: int, skip_zero_b: bool = True) -> list:
     elimination), and on the coefficients themselves where a float takes
     part, whose skip rules decide the sign of a zero and whether inf * 0
     makes a nan.  Each sum adds its terms in order of increasing ``i``.
+
+    Where every ``b[j]`` from the first nonzero one on takes part (every g
+    jet at a float center has head 0.0), the inner loop runs over
+    ``b[lead:n - i]`` with a running index; otherwise over the terms of
+    ``b`` that take part, with a bound test per term.
     """
     out = [0] * n
-    terms = [(j, y) for j, y in enumerate(b[:n]) if y != 0 or not skip_zero_b]
-    for i, x in enumerate(a[:n]):
+    b = b[:n]
+    terms = [(j, y) for j, y in enumerate(b) if y != 0 or not skip_zero_b]
+    lead = terms[0][0] if terms else n
+    if len(terms) < len(b) - lead:  # a zero b[j] after the leading ones
+        for i, x in enumerate(a[:n]):
+            if x == 0:
+                continue
+            for j, y in terms:
+                if i + j >= n:
+                    break
+                out[i + j] += x * y
+        return out
+    for i, x in enumerate(a[:n - lead]):
         if x == 0:
             continue
-        for j, y in terms:
-            if i + j >= n:
-                break
-            out[i + j] += x * y
+        k = i + lead
+        for y in b[lead:n - i]:
+            out[k] += x * y
+            k += 1
     return out
 
 
@@ -278,8 +298,8 @@ class Poly:
 
         The result has the kind of ``x``, also for a constant polynomial.  At
         a float ``x`` the loop runs on float copies of the coefficients, made
-        once; that gives the same bits, since a Fraction meeting a float is
-        converted with ``float`` first.
+        once, which gives the same bits (an exact number meets a float as its
+        ``float()``).
 
         A jet ``x`` whose head is 0 and whose first nonzero coefficient has
         index v adds nothing to orders beyond N from x^k with k v > N, so the
@@ -291,10 +311,11 @@ class Poly:
         jet (``_power_rows``, keyed by its integer form): O(N^2) integer work
         per call instead of one product per degree.
         """
-        coeffs = self.coeffs
         if isinstance(x, float):
             coeffs = self.floats
+            acc = coeffs[-1]
         else:
+            coeffs = self.coeffs
             from .jets import Jet
 
             if isinstance(x, Jet) and len(coeffs) > 1:
@@ -317,10 +338,10 @@ class Poly:
                         acc = mul(acc + [0] * v, ys[:keep + 1], keep + 1)
                         acc[0] += coeffs[k]
                     return Jet(x.center, acc)
-        acc = coeffs[-1]
-        constant_like = getattr(x, "constant_like", None)
-        if constant_like is not None:
-            acc = constant_like(acc)
+            acc = coeffs[-1]
+            constant_like = getattr(x, "constant_like", None)
+            if constant_like is not None:
+                acc = constant_like(acc)
         for c in reversed(coeffs[:-1]):
             acc = acc * x + c
         return acc

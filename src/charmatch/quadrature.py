@@ -10,6 +10,7 @@ w_i = w_{31-i}, so its positive half holds all 32.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Callable, Sequence
 
 from .errors import DomainError
@@ -52,20 +53,28 @@ class GaussLegendre:
         return [a + p * width + half + half * t for p in range(m) for t in self.nodes]
 
     def integrate(self, f: Callable[[float], float] | Sequence[float], a: float,
-                  b: float) -> float:
+                  b: float, weight: Sequence[float] | None = None) -> float:
         """The rule applied to ``f`` on (a, b): a callable, or its values at
-        ``points(a, b)`` when a family samples once for many integrands."""
+        ``points(a, b)`` when a family samples once for many integrands.
+
+        ``weight``, the values g of a factor w_n at the same points, makes
+        the integrand w_n * f: each node of weight w adds ``w * (g * v)``.
+        Without it g is 1.0, and ``1.0 * v`` is a float v to the bit."""
         m = self.panels
         values = [f(x) for x in self.points(a, b)] if callable(f) else f
         k = len(self.weights)
         if len(values) != k * m:
             raise DomainError(f"quadrature needs {k * m} sampled values, got {len(values)}")
+        if weight is not None and len(weight) != k * m:
+            raise DomainError(f"quadrature needs {k * m} weight values, got {len(weight)}")
         half = 0.5 * ((float(b) - float(a)) / m)
+        # zip ends each panel at its last weight, before taking a g or a v
+        gs, vs = repeat(1.0) if weight is None else iter(weight), iter(values)
         total = 0.0
-        for p in range(0, k * m, k):
+        for _ in range(m):
             acc = 0.0
-            for w, v in zip(self.weights, values[p:p + k]):
-                acc += w * v
+            for w, g, v in zip(self.weights, gs, vs):
+                acc += w * (g * v)
             total += half * acc
         return total
 

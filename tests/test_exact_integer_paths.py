@@ -290,6 +290,26 @@ def test_dirichlet_jet_matches_the_basis_sum(values, b0, variant, center, order)
     assert key(new) == key(old)
 
 
+def ref_dirichlet_rows(self, order):
+    """The rows of a Dirichlet jet with exact entries gamma_(m/n)."""
+    series = xp._DIRICHLET[self.kind]["series"]
+    gamma = [series(j) for j in range(order + 1)]
+    nonzero = [n for n, a in enumerate(self.coeffs.values, start=1) if a != 0]
+    rows = [[(n, 0 if m % n else gamma[m // n]) for n in nonzero] for m in range(order + 1)]
+    rows[0].insert(0, (0, 1))
+    return Jet(self.center, poly.tri_map(rows, (self.b0, *self.coeffs.values)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(values=numbers(40, False).filter(lambda v: not poly.all_exact(v)) | st.lists(
+           st.one_of(FLOATS, ZEROS, st.sampled_from([math.inf, math.nan])), min_size=1,
+           max_size=40),
+       b0=NUMBERS, variant=VARIANTS, center=CENTERS, order=st.integers(0, 60))
+def test_dirichlet_float_rows_match_the_exact_rows(values, b0, variant, center, order):
+    approx = xp.DirichletApproximant(CoeffSeq(values, variant, {"b0": b0}), center=center)
+    same(lambda: approx.eval_jet(center, order), lambda: ref_dirichlet_rows(approx, order))
+
+
 @pytest.mark.parametrize("variant", ["dirichlet_g", "dirichlet_rat1", "dirichlet_rat2"])
 @pytest.mark.parametrize("values", [(F(1, 2), 3, 0.25), (0, 0.0, F(0))])
 def test_dirichlet_jet_refuses_other_points(variant, values):
@@ -328,6 +348,7 @@ def test_sqrt_matches_the_loop(jet):
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(jet=jets(ANY_HEAD))
+@example(jet=Jet(0, [1, 0, 1, 0]))  # s_3 and c_1 stay exact zeros beside float entries
 def test_sin_cos_matches_the_loop(jet):
     same(jet._sin_cos, lambda: ref_sin_cos(jet))
 

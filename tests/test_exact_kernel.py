@@ -10,11 +10,12 @@ gives an int where a value is an integer and a Fraction otherwise
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from charmatch.jets import Jet
-from charmatch.poly import Poly, div, is_exact, rational
+from charmatch.poly import Poly, div, is_exact, mul, rational
 from result_key import key
 
 F = Fraction
@@ -75,6 +76,42 @@ def test_jet_product_matches_the_double_loop(pair):
     a, b = pair
     got = Jet(0, a) * Jet(0, b)
     assert key(got) == key(Jet(0, plain_mul(a, b, len(a))))
+
+
+zero = st.sampled_from([0, F(0), 0.0, -0.0])
+special = st.sampled_from([math.inf, -math.inf, math.nan])
+mul_entry = st.one_of(number, zero, special)
+
+
+@st.composite
+def mul_operand(draw):
+    """Leading zeros, then entries with or without zeros among them."""
+    tail = st.one_of(mul_entry, nonzero_number, special)
+    return (draw(st.lists(zero, max_size=3))
+            + draw(st.one_of(st.lists(mul_entry, max_size=10), st.lists(tail, max_size=10))))
+
+
+@settings(max_examples=400, deadline=None)
+@given(mul_operand(), mul_operand(), st.integers(min_value=0, max_value=14), st.booleans())
+def test_mul_matches_the_double_loop(a, b, n, skip_zero_b):
+    assert key(mul(a, b, n, skip_zero_b)) == key(plain_mul(a, b, n, skip_zero_b))
+    assert key(mul(tuple(a), tuple(b), n, skip_zero_b)) == key(plain_mul(a, b, n, skip_zero_b))
+
+
+@pytest.mark.parametrize("a, b", [
+    ((F(1, 3), 0, 2, F(-5, 7)), (0.5, 0, -0.0, 3.25)),  # the float side's zeros are exact
+    ((0, F(1, 3), 0), (math.inf, 1.5, 0)),
+    ((F(1, 10 ** 400), 1, 0), (-1.5, 2.0, math.inf)),  # 1e-400 is 0.0 as a float
+    ((0, 0, F(10 ** 400, 3)), (0.0, 0, 0.5)),  # 10^400 / 3 never meets a nonzero float
+])
+def test_exact_jet_times_float_jet_matches_the_double_loop(a, b):
+    for x, y in ((a, b), (b, a)):
+        assert key(Jet(0, x) * Jet(0, y)) == key(Jet(0, plain_mul(x, y, len(x))))
+
+
+def test_overflowing_exact_entry_raises_where_it_meets_a_float():
+    with pytest.raises(OverflowError):
+        Jet(0, (F(10 ** 400, 3), 1, 0)) * Jet(0, (0.5, 0, 0))
 
 
 @settings(max_examples=200, deadline=None)

@@ -101,6 +101,53 @@ def test_quadrature_rejects_a_sample_of_the_wrong_length():
     q = GaussLegendre(panels=2)
     with pytest.raises(DomainError):
         q.integrate([1.0] * 63, 0, 1)
+    for weight in ([1.0] * 63, [1.0] * 65, []):
+        with pytest.raises(DomainError):
+            q.integrate([1.0] * 64, 0, 1, weight)
+
+
+QUAD_SPECIAL = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan])
+QUAD_EXACT = st.one_of(st.integers(-10 ** 6, 10 ** 6), st.fractions(-1000, 1000, max_denominator=60))
+
+
+@st.composite
+def quad_values(draw, size, entries):
+    """``size`` random floats with a few of ``entries`` in random places."""
+    rng = draw(st.randoms(use_true_random=False))
+    values = [rng.uniform(-1e3, 1e3) for _ in range(size)]
+    for _ in range(draw(st.integers(0, 8))):
+        values[rng.randrange(size)] = draw(entries)
+    return values
+
+
+def _plain_rule(q, values, a, b):
+    """The composite rule on sampled values, written out panel by panel."""
+    k, m = len(q.weights), q.panels
+    half = 0.5 * ((float(b) - float(a)) / m)
+    total = 0.0
+    for p in range(0, k * m, k):
+        acc = 0.0
+        for w, v in zip(q.weights, values[p:p + k]):
+            acc += w * v
+        total += half * acc
+    return total
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data(), panels=st.integers(1, 2),
+       interval=st.sampled_from([(-1, 1), (-math.pi, math.pi), (0.25, 3), (F(-1, 3), 2)]))
+def test_weighted_quadrature_integrates_the_products(data, panels, interval):
+    a, b = interval
+    q = GaussLegendre(panels=panels)
+    size = 32 * panels
+    vs = data.draw(quad_values(size, QUAD_SPECIAL))
+    gs = data.draw(quad_values(size, QUAD_SPECIAL))
+    assert key(q.integrate(vs, a, b, gs)) == key(
+        q.integrate([g * v for g, v in zip(gs, vs)], a, b))
+    # without a weight each value is v itself: ints, Fractions, -0.0 and nan
+    exact = data.draw(quad_values(size, st.one_of(QUAD_SPECIAL, QUAD_EXACT)))
+    for values in (vs, exact):
+        assert key(q.integrate(values, a, b)) == key(_plain_rule(q, values, a, b))
 
 
 class _Counting:

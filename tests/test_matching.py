@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from charmatch import exprs, specfun
 from charmatch.errors import DomainError, FamilyMismatchError, SingularSystemError
 from charmatch.matching import (
+    TOL_ABS,
+    TOL_REL,
     CharNumbers,
     Derivative,
     EndpointDiff,
@@ -32,6 +34,7 @@ from charmatch.matching import (
 from charmatch.poly import Poly
 from charmatch.expansions import taylor_approx
 from charmatch.registry import build_kind
+from result_key import key
 
 
 F = Fraction
@@ -229,6 +232,55 @@ def test_polynomial_approximant_as_poly_moves_its_center():
     for x in (F(0), F(5), F(-7, 2)):
         assert approx.as_poly()(x) == approx(x)
     assert PolynomialApproximant(Poly([1, 2])).as_poly() == Poly([1, 2])
+
+
+class _Measured(Family):
+    """A family whose measurement of any target is the given values."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def describe(self) -> str:
+        return "measured"
+
+    def measure(self, target, orders):
+        return [self.values[n] for n in orders]
+
+
+def _plain_residuals(got, want):
+    """The residuals and the verdict, each number meeting the other as it is."""
+    residuals, passed = [], True
+    for g, w in zip(got, want):
+        r = abs(g - w)
+        residuals.append(r)
+        try:
+            allowed = max(TOL_REL * abs(w), TOL_ABS)
+        except OverflowError:
+            allowed = math.inf
+        if not float(r) <= allowed:
+            passed = False
+    return residuals, passed
+
+
+EXACT = st.one_of(st.integers(-10 ** 6, 10 ** 6), st.fractions(-1000, 1000, max_denominator=60),
+                  st.sampled_from([0, F(10 ** 400), F(1, 10 ** 400), 10 ** 400]))
+FLOAT = st.one_of(st.floats(-1e6, 1e6), st.sampled_from([0.0, -0.0, math.inf, math.nan]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(pairs=st.lists(st.one_of(st.tuples(EXACT, FLOAT), st.tuples(FLOAT, EXACT),
+                                st.tuples(EXACT, EXACT), st.tuples(FLOAT, FLOAT)),
+                      min_size=1, max_size=12))
+def test_residuals_of_exact_and_float_numbers_match_the_plain_operators(pairs):
+    got, want = zip(*pairs)
+    try:
+        wanted = _plain_residuals(got, want)
+    except OverflowError:  # an exact number beyond the float range meets a float
+        with pytest.raises(OverflowError):
+            verify_matching(None, CharNumbers(want, _Measured(got)))
+        return
+    report = verify_matching(None, CharNumbers(want, _Measured(got)))
+    assert key((list(report.residuals), report.passed)) == key(wanted)
 
 
 @pytest.mark.parametrize("values", [(math.nan, 1.0), (1.0, math.nan)])

@@ -5,9 +5,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from charmatch.jets import Jet
 from charmatch.poly import Poly, div, over
+from result_key import key
 
 
 F = Fraction
@@ -91,6 +94,23 @@ def test_float_argument_matches_fraction_horner_bitwise():
                 acc = acc * x + c
             assert p(x) == acc
             assert p(F(x)) == sum(c * F(x) ** k for k, c in enumerate(coeffs))
+
+
+SPECIAL = st.sampled_from([0, F(0), 0.0, -0.0, math.inf, -math.inf, math.nan])
+COEFF = st.one_of(st.integers(-10 ** 6, 10 ** 6), st.fractions(-1000, 1000, max_denominator=60),
+                  st.floats(-1e6, 1e6), SPECIAL)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(coeffs=st.lists(COEFF, min_size=2, max_size=20),
+       x=st.one_of(st.floats(-4, 4), st.sampled_from([0.0, -0.0, math.inf, math.nan])))
+def test_float_argument_matches_a_plain_horner_loop_bit_for_bit(coeffs, x):
+    cs = Poly(coeffs).coeffs
+    assume(len(cs) > 1)
+    acc = cs[-1]
+    for c in reversed(cs[:-1]):
+        acc = acc * x + c
+    assert key(Poly(coeffs)(x)) == key(acc)
 
 
 def test_float_antiderivative_keeps_int_zeros_out_of_fraction():

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -28,6 +29,14 @@ def test_pass_time_compares_a_checkout_with_itself():
     assert len(case_ratios) == summary["A"]["cases"] == summary["B"]["cases"] > 0
     assert all(ratio > 0 for ratio in case_ratios.values())
     assert [line.rsplit(": B/A ", 1)[0] for line in out[2:-1]] == [f"case {c}" for c in case_ratios]
+    # per family the median of its cases' ratios, smallest first
+    family_ratios = summary["family_ratio_b_over_a"]
+    families = {case.split("|", 1)[0] for case in case_ratios}
+    assert set(family_ratios) == families and len(families) > 1
+    assert list(family_ratios.values()) == sorted(family_ratios.values())
+    for family, ratio in family_ratios.items():
+        mine = sorted(r for c, r in case_ratios.items() if c.split("|", 1)[0] == family)
+        assert mine[0] <= ratio <= mine[-1]
 
 
 def test_figure_drift_of_a_checkout_with_itself_is_zero():
@@ -44,21 +53,33 @@ def test_figure_drift_of_a_checkout_with_itself_is_zero():
 
 
 def test_mixed_ops_counts_a_cold_pass_of_the_checkout():
-    out = subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "mixed_ops.py"), str(ROOT),
-         "--workload", "roundtrip_float", "--seed", "31"],
-        capture_output=True, text=True, check=True, timeout=600).stdout
-    result = json.loads(out)
-    assert result["workload"] == "roundtrip_float" and result["seed"] == 31
-    assert result["cases"] > 0 and result["total"] == sum(result["families"].values())
-    sites = result["sites"]
-    assert result["total"] == sum(s["count"] for s in sites)
-    assert all(s["count"] == sum(s["families"].values()) > 0 for s in sites)
-    assert [s["count"] for s in sites] == sorted((s["count"] for s in sites), reverse=True)
-    # the loops that no longer meet a Fraction with a float
-    mended = ("_div_series", "Chain.evaluate", "exp_weighted_coeffs", "FourierApproximant")
-    assert not [s["site"] for s in sites if any(name in s["site"] for name in mended)]
-    assert not set(result["families"]) & {"fourier", "rational_x_over_x1", "legendre_fourier"}
+    # no Fraction meets a float in a cold pass of either round trip
+    for workload, seed in (("roundtrip_float", 31), ("roundtrip_exact", 5)):
+        out = subprocess.run(
+            [sys.executable, str(ROOT / "tools" / "mixed_ops.py"), str(ROOT),
+             "--workload", workload, "--seed", str(seed)],
+            capture_output=True, text=True, check=True, timeout=600).stdout
+        result = json.loads(out)
+        assert result["workload"] == workload and result["seed"] == seed
+        assert result["cases"] > 0
+        assert (result["total"], result["families"], result["sites"]) == (0, {}, [])
+
+
+def test_mixed_ops_counts_each_fraction_operator_with_a_float_operand():
+    sys.path.insert(0, str(ROOT / "tools"))
+    try:
+        import mixed_ops
+    finally:
+        sys.path.remove(str(ROOT / "tools"))
+    third = Fraction(1, 3)
+    with mixed_ops.counting(ROOT) as counts:
+        for _ in range(2):
+            third * 0.5
+        0.5 - third
+        third * third, third + 1, 0.5 * 0.5  # no float meets a Fraction here
+    assert sum(counts.values()) == 3 and len(counts) == 2
+    assert all(site.startswith("tests/test_tools.py:") for site in counts)
+    assert third * 0.5 == 1 / 6  # the operators are restored
 
 
 def test_cross_python_of_the_running_interpreter_finds_no_difference():

@@ -11,13 +11,14 @@ measures it), the median and the 95th percentile over cases of each case's
 best time over the five (``case_p50_ms`` and ``case_p95_ms``, the
 benchmark's p50 and p95 of case times, the p95 interpolated as
 ``bench/run.py`` does), the share of cases whose check passed, the
-process's peak resident memory and each case's best time.  A pair is one
-run of A and one of B, in alternating order.  The summary gives the medians
-per checkout, the median ratio B / A of the pass times and, for each case
-(by its id), the median over pairs of its ratio B / A, printed from the
-largest gain to the largest loss.  A change of a few percent shows in a
-minute, where the benchmark needs ten pairs of 20 s runs, and the case
-ratios show which cases moved.
+process's peak resident memory and each case's best time and family.  A
+pair is one run of A and one of B, in alternating order.  The summary gives
+the medians per checkout, the median ratio B / A of the pass times and, for
+each case (by its id), the median over pairs of its ratio B / A, printed
+from the largest gain to the largest loss, and for each case family the
+median of its cases' ratios (``family_ratio_b_over_a``, in the JSON only).
+A change of a few percent shows in a minute, where the benchmark needs ten
+pairs of 20 s runs, and the case ratios show which cases moved.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ def one_run(root: str, workload: str, seed: int) -> None:
     """Print, as one JSON line, the best pass time of ``BEST_OF``, the median
     and the 95th percentile case time (each case at its best of ``BEST_OF``),
     the pass share, the peak RSS of this process and each case's best time
-    by case id."""
+    and family by case id."""
     import resource
     import statistics
     import tempfile
@@ -82,7 +83,8 @@ def one_run(root: str, workload: str, seed: int) -> None:
     print(json.dumps({"pass_s": best, "case_p50_ms": statistics.median(case_best) * 1e3,
                       "case_p95_ms": p95 * 1e3, "pass_share": passed / len(cases),
                       "cases": len(cases), "peak_rss_mb": peak_mb,
-                      "case_ms": {case.id: t * 1e3 for case, t in zip(cases, case_best)}}))
+                      "case_ms": {case.id: t * 1e3 for case, t in zip(cases, case_best)},
+                      "case_family": {case.id: case.family for case in cases}}))
 
 
 def run(root: Path, workload: str, seed: int) -> dict:
@@ -126,6 +128,12 @@ def main(argv: list[str] | None = None) -> int:
                                            for a, b in zip(runs["A"], runs["B"]))
                    for case in shared}
     summary["case_ratio_b_over_a"] = dict(sorted(case_ratios.items(), key=lambda kv: kv[1]))
+    by_family = {}
+    for case, ratio in case_ratios.items():
+        by_family.setdefault(runs["A"][0]["case_family"][case], []).append(ratio)
+    summary["family_ratio_b_over_a"] = dict(sorted(
+        ((family, statistics.median(ratios)) for family, ratios in by_family.items()),
+        key=lambda kv: kv[1]))
     for case, ratio in summary["case_ratio_b_over_a"].items():
         print(f"case {case}: B/A {ratio:.3f}")
     print(json.dumps(summary))
