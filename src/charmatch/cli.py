@@ -348,6 +348,7 @@ class _CorruptedApproximant(Approximant):
 
 
 def _build_for_config(cfg: SimpleNamespace):
+    # an inf or a nan among the numbers built is a value beyond the float range
     if cfg.preset:
         systems = ws_node_systems()
         if cfg.preset not in systems:
@@ -358,11 +359,16 @@ def _build_for_config(cfg: SimpleNamespace):
             raise UsageError("this preset needs --f EXPR")
         chars = value_chars(f, system, cfg.order)
         approx = ws_build(system, chars, cfg.order)
-        return chars, approx.coeffs, approx
-    if not cfg.kind:
+        built = chars, approx.coeffs, approx
+    elif cfg.kind:
+        params = {key: value for key in _KIND_SETTINGS if (value := getattr(cfg, key)) is not None}
+        built = build_kind(cfg.kind, _expr(cfg), cfg.order, **params)
+    else:
         raise UsageError("--kind NAME is required")
-    params = {key: value for key in _KIND_SETTINGS if (value := getattr(cfg, key)) is not None}
-    return build_kind(cfg.kind, _expr(cfg), cfg.order, **params)
+    for name, seq in zip(("characteristic number", "coefficient"), built):
+        if bad := [v for v in seq.values if not (is_exact(v) or math.isfinite(v))]:
+            raise DomainError(f"a {name} is {bad[0]}: a value lies beyond the float range")
+    return built
 
 
 def _cmd_coeffs(cfg: SimpleNamespace) -> int:
@@ -370,10 +376,8 @@ def _cmd_coeffs(cfg: SimpleNamespace) -> int:
     _print(f"kind: {coeffs.kind}")
     if coeffs.params:
         printable = {k: _format_number(v) if isinstance(v, (int, float, Fraction))
-                     else str(v) for k, v in coeffs.params.items()
-                     if k not in ("numerator", "denominator")}
-        if printable:
-            _print(f"params: {printable}")
+                     else str(v) for k, v in coeffs.params.items()}
+        _print(f"params: {printable}")
     start = 1 if coeffs.kind.startswith("dirichlet") else 0
     _print(f"{'n':>4}  {'a_n':>24}  {'c_n':>24}")
     for i, a in enumerate(coeffs.values):
@@ -381,8 +385,6 @@ def _cmd_coeffs(cfg: SimpleNamespace) -> int:
         c = chars.values[n] if n < len(chars.values) else ""
         _print(f"{n:>4}  {_format_number(a):>24}  "
               f"{_format_number(c) if c != '' else '':>24}")
-    if coeffs.kind.startswith("dirichlet"):
-        _print(f"b0: {_format_number(coeffs.params['b0'])}")
     if cfg.json:
         payload = {
             "kind": coeffs.kind,
@@ -430,6 +432,20 @@ def _cmd_figure(cfg: SimpleNamespace, name: str) -> int:
     return 0
 
 
+def _rms(errs: list) -> float:
+    """The root mean square of the finite ``errs``, inf for none, by a += loop (the
+    builtin sum is compensated from Python 3.12 on), of the errors scaled by the
+    largest one where their plain squares overflow or the largest is subnormal."""
+    big = max(errs, default=math.inf)
+    for scale in (1.0, big):
+        squares = 0.0
+        for r in (e / scale for e in errs):
+            squares += r * r
+        if squares < math.inf and not 0 < big < 2.0 ** -511:
+            break
+    return scale * math.sqrt(squares / len(errs)) if errs else math.inf
+
+
 def _cmd_compare(cfgs: list[SimpleNamespace]) -> int:
     if len(cfgs) < 2:
         raise UsageError("compare needs at least two configurations")
@@ -458,11 +474,7 @@ def _cmd_compare(cfgs: list[SimpleNamespace]) -> int:
         errs = [math.inf if math.isnan(av) else abs(av - fv)
                 for av, fv in zip(sample(approx, xs), fx)]
         max_err = max(errs)
-        finite = [e for e in errs if math.isfinite(e)]
-        squares = 0.0  # a += loop: the builtin sum is compensated from Python 3.12 on
-        for e in finite:
-            squares += e * e
-        l2 = math.sqrt(squares / len(finite)) if finite else math.inf
+        l2 = _rms([e for e in errs if math.isfinite(e)])
         label = cfg.kind or cfg.preset or "?"
         rows.append({"kind": label, "max_abs_err": max_err, "l2_err": l2})
         _print(f"{label:>22}  {max_err:>14.6e}  {l2:>14.6e}")

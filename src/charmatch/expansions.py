@@ -33,7 +33,7 @@ from .matching import (
     TriMatrix,
 )
 from .poly import (
-    Poly, TriRows, admit, all_exact, div, is_exact, over, scaled, tri_map, tri_table,
+    Poly, TriRows, admit, all_exact, div, is_exact, mul, over, scaled, tri_map, tri_table,
 )
 
 __all__ = [
@@ -182,15 +182,8 @@ def _solve_dense(matrix: list[list], rhs: list) -> list:
 def _solve_bareiss(a: list[list[int]]) -> list:
     """The solution of the integer augmented system ``a`` by fraction-free
     elimination (E. H. Bareiss, Math. Comp. 1968), where every division is
-    exact.
-
-    A column with nothing to eliminate below its pivot (each p_k row of a
-    Pade block) leaves the rows below as they are, instead of scaling them
-    all by that pivot; the next step then divides by the last pivot used,
-    exactly, as a Bareiss step that takes its pivot past that row
-    (Sylvester's identity).  Back substitution keeps the unknowns found so
-    far over one denominator, so each costs one integer dot product and one
-    gcd.
+    exact.  Back substitution keeps the unknowns found so far over one
+    denominator, so each costs one integer dot product and one gcd.
     """
     n = len(a)
     prev = 1
@@ -201,8 +194,6 @@ def _solve_bareiss(a: list[list[int]]) -> list:
         a[col], a[pivot] = a[pivot], a[col]
         top = a[col]
         p = top[col]
-        if not any(a[r][col] for r in range(col + 1, n)):
-            continue
         for r in range(col + 1, n):
             row, f = a[r], a[r][col]
             a[r] = row[:col] + [(p * x - f * y) // prev
@@ -219,7 +210,10 @@ def _solve_bareiss(a: list[list[int]]) -> list:
 def pade_solve(c: CharNumbers, m: int, n: int) -> CoeffSeq:
     """Pade block [m/n]: P_m / Q_n with Q_n(0) = 1 matching c_0..c_{m+n}.
 
-    Solved brute-force from the series identity P = f Q mod x^(m+n+1).
+    Of the series identity P = f Q mod x^(m+n+1), f_k = c_k / k!, only the
+    orders m+1..m+n, where P has no term, form a linear system: the n x n
+    block in q_1..q_n.  P is then f Q cut after x^m.  The values are
+    p_0..p_m, q_1..q_n.
     """
     _require_derivative(c)
     if m < 0 or n < 0:
@@ -228,21 +222,11 @@ def pade_solve(c: CharNumbers, m: int, n: int) -> CoeffSeq:
     if len(c.values) < total:
         raise DomainError(f"need {total} characteristic numbers, got {len(c.values)}")
     f = [over(c.values[k], math.factorial(k)) for k in range(total)]
-    # unknowns: p_0..p_m, q_1..q_n
-    size = m + n + 1
-    matrix = [[0] * size for _ in range(size)]
-    rhs = []
-    for k in range(total):
-        if k <= m:
-            matrix[k][k] = 1
-        for j in range(1, min(k, n) + 1):
-            matrix[k][m + j] = -f[k - j]
-        rhs.append(f[k])
-    sol = _solve_dense(matrix, rhs)
-    p = tuple(sol[: m + 1])
-    q = (1,) + tuple(sol[m + 1:])
-    return CoeffSeq(p + q[1:], "pade", params={"m": m, "n": n,
-                                               "numerator": p, "denominator": q})
+    block = [[-f[k - j] if j <= k else 0 for j in range(1, n + 1)]
+             for k in range(m + 1, total)]
+    q = [1] + _solve_dense(block, f[m + 1:])
+    p = mul(q, f, m + 1, skip_zero_b=False)
+    return CoeffSeq(p + q[1:], "pade", params={"m": m, "n": n})
 
 
 class PadeApproximant(Approximant):
@@ -250,8 +234,9 @@ class PadeApproximant(Approximant):
 
     def __init__(self, coeffs: CoeffSeq, center=0):
         super().__init__(coeffs, center)
-        self.p = Poly(coeffs.params["numerator"])
-        self.q = Poly(coeffs.params["denominator"])
+        split = coeffs.params["m"] + 1
+        self.p = Poly(coeffs.values[:split])
+        self.q = Poly((1,) + coeffs.values[split:])
 
     def __call__(self, x):
         t = x - self.center

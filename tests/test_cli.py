@@ -4,6 +4,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -13,12 +14,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import charmatch
 from charmatch import cli
 from charmatch.cli import _format_number, main
+from charmatch.figures import grid, sample
 from charmatch.registry import KIND_NAMES, kind_params
 
 
@@ -671,6 +673,108 @@ def test_exit_code_contract_fuzz(capsys, argv):
     assert "Traceback" not in err
 
 
+# -- the CLI contract as a property -------------------------------------------------------
+
+_CONTRACT_FNS = ("exp", "ln", "sin", "cos", "sqrt", "arctan", "bessel_j0")
+_CONTRACT_X0 = ("0", "1/3", "0.5", "-0.0", "1e20", "nan", "inf")
+_CONTRACT_GRID = (-0.9, 0.9, 21)
+_NON_FINITE = re.compile(r"\b(?:inf|nan|infinity)\b", re.IGNORECASE)
+
+
+def _contract_expressions(depth: int):
+    """Expressions of depth at most ``depth`` over the parser's functions and
+    operators, with atoms x, small integers and numbers from 1e-300 to 1e300."""
+    atoms = st.one_of(
+        st.just("x"), st.integers(0, 9).map(str),
+        st.builds("{}e{}".format, st.sampled_from(("1", "2.5", "7")), st.integers(-300, 300)))
+    if depth == 0:
+        return atoms
+    sub = _contract_expressions(depth - 1)
+    return st.one_of(
+        atoms,
+        st.builds("{}({})".format, st.sampled_from(_CONTRACT_FNS), sub),
+        st.builds("({}) {} ({})".format, sub, st.sampled_from("+-*/"), sub),
+        st.builds("({})^{}".format, sub, st.integers(-3, 3)))
+
+
+@st.composite
+def _contract_argv(draw):
+    command = draw(st.sampled_from(("coeffs", "verify", "compare")))
+    argv = [command, "--f", draw(_contract_expressions(3))]
+    if command == "compare":
+        kinds = draw(st.lists(st.sampled_from(KIND_NAMES), min_size=2, max_size=3))
+        argv += ["--kind", ",".join(kinds), "--grid={},{},{}".format(*_CONTRACT_GRID)]
+    else:
+        argv += ["--kind", draw(st.sampled_from(KIND_NAMES))]
+    argv += ["--order", str(draw(st.integers(0, 20))),
+             "--x0", draw(st.sampled_from(_CONTRACT_X0))]
+    if command == "verify" and draw(st.booleans()):
+        argv += ["--family", "moments"]
+    return argv
+
+
+def _flag(argv, name, default=None):
+    return argv[argv.index(name) + 1] if name in argv else default
+
+
+def _finite_errors(argv, kind) -> int:
+    """How many grid points of a ``compare`` row give a finite error."""
+    f = charmatch.parse(_flag(argv, "--f"))
+    xs = grid(*_CONTRACT_GRID)
+    approx = charmatch.build_kind(kind, f, int(_flag(argv, "--order")),
+                                  x0=Fraction(_flag(argv, "--x0", "0"))).approximant
+    return sum(math.isfinite(a) and math.isfinite(v)
+               for a, v in zip(sample(approx, xs), sample(f, xs)))
+
+
+def _check_compare_rows(argv, out):
+    f = charmatch.parse(_flag(argv, "--f"))
+    points = sum(map(math.isfinite, sample(f, grid(*_CONTRACT_GRID))))
+    for line in out.splitlines()[1:]:
+        kind, max_err, l2 = line.split()
+        max_err, l2 = float(max_err), float(l2)
+        assert not math.isnan(max_err) and not math.isnan(l2), line
+        if math.isfinite(max_err):
+            # every error is finite: the mean square lies between max^2 / n and
+            # max^2, up to the 7 digits printed
+            slack = 1 + 1e-6
+            assert max_err / math.sqrt(points) <= l2 * slack and l2 <= max_err * slack, line
+        elif l2 == math.inf:
+            assert _finite_errors(argv, kind) == 0, line
+
+
+@settings(max_examples=60, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                 HealthCheck.too_slow])
+@given(argv=_contract_argv())
+@example(argv=["compare", "--f", "(0.5) / (1e-300)", "--order", "1",
+               "--grid=-0.9,0.9,21", "--kind", "taylor,nonlinear"])
+@example(argv=["compare", "--f", "1e-170*exp(x)", "--order", "3",
+               "--grid=-0.9,0.9,21", "--kind", "taylor,pade"])
+@example(argv=["coeffs", "--f", "(1e155) * ((2.5e153) + (exp(x)))", "--kind", "taylor",
+               "--order", "0", "--x0", "1/3"])
+def test_cli_contract(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code in (0, 1, 2, 3), (argv, err)
+    if code in (2, 3):
+        assert out == "" and len(err.splitlines()) == 1 and err.startswith("error:"), argv
+        return
+    if code == 0:
+        assert err == "", argv
+    command = argv[0]
+    if command == "verify":
+        report = json.loads(out)
+        assert report["pass"] is (code == 0), argv
+        if code == 0:
+            assert all(map(math.isfinite, report["residuals"] + [report["max_residual"]])), argv
+        return
+    assert code == 0, argv
+    if command == "compare":
+        _check_compare_rows(argv, out)
+    else:
+        assert not _NON_FINITE.search(out), (argv, out)
+
+
 def test_compare_kind_failing_on_part_of_the_grid(tmp_path, capsys):
     # log_powers is undefined for x <= -1, so 3 of the 11 points fail for it
     path = tmp_path / "cmp.json"
@@ -684,6 +788,36 @@ def test_compare_kind_failing_on_part_of_the_grid(tmp_path, capsys):
     assert math.isfinite(rows["taylor"]["max_abs_err"])
     assert math.isfinite(rows["taylor"]["l2_err"])
     assert "inf" in out.splitlines()[2]
+
+
+@pytest.mark.parametrize("f, order, kinds", [
+    ("(0.5) / (1e-300)", "1", "taylor,nonlinear"),  # squares beyond the float range
+    ("1e-170*exp(x)", "3", "taylor,pade"),  # squares below it
+])
+def test_compare_l2_err_stays_finite_beside_extreme_errors(tmp_path, capsys, f, order, kinds):
+    path = tmp_path / "cmp.json"
+    code, _, err = run(capsys, "compare", "--f", f, "--order", order, "--grid=-0.9,0.9,21",
+                       "--kind", kinds, "--json", str(path))
+    assert code == 0 and err == ""
+    for row in json.loads(path.read_text()):
+        high, l2 = row["max_abs_err"], row["l2_err"]
+        assert math.isfinite(high)
+        assert high / math.sqrt(21) * (1 - 1e-15) <= l2 <= high * (1 + 1e-15)
+
+
+@pytest.mark.parametrize("command", [
+    # exp(1/3) is a float, and the product overflows to inf where the exact
+    # 2.5e153 + exp(1/3) meets the factor 1e155
+    ["coeffs", "--kind", "taylor", "--f", "(1e155) * ((2.5e153) + (exp(x)))", "--x0", "1/3"],
+    ["verify", "--kind", "taylor", "--f", "(1e155) * ((2.5e153) + (exp(x)))", "--x0", "1/3"],
+    # finite on the left half of the grid, inf at the center 1
+    ["compare", "--kind", "taylor,pade", "--grid=-0.9,0.9,21", "--f", "1e308 * exp(x)",
+     "--x0", "1"],
+])
+def test_a_characteristic_number_beyond_the_float_range_exits_2(capsys, command):
+    code, out, err = run(capsys, *command, "--order", "0")
+    assert code == 2 and out == ""
+    assert err == "error: a characteristic number is inf: a value lies beyond the float range\n"
 
 
 @pytest.mark.parametrize("lam", ["identity", "bogus"])

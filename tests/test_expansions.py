@@ -26,6 +26,7 @@ from charmatch.matching import (
     TriMatrix,
     delta_check,
     derivative_chars,
+    lift_exact,
     tri_forward_solve,
     verify_matching,
 )
@@ -112,16 +113,16 @@ def test_nsbf_evaluation_matches_bessel_sum():
 
 def test_pade_exp_1_1():
     c = chars_of("exp(x)", 2)
-    coeffs = xp.pade_solve(c, 1, 1)
-    assert coeffs.params["numerator"] == (1, F(1, 2))
-    assert coeffs.params["denominator"] == (1, F(-1, 2))
+    approx = xp.PadeApproximant(xp.pade_solve(c, 1, 1))
+    assert approx.p.coeffs == (1, F(1, 2))
+    assert approx.q.coeffs == (1, F(-1, 2))
 
 
 def test_pade_denominator_zero_is_taylor():
     c = chars_of("sin(x)", 5)
-    coeffs = xp.pade_solve(c, 5, 0)
+    approx = xp.PadeApproximant(xp.pade_solve(c, 5, 0))
     taylor = [c.values[k] * F(1, math.factorial(k)) for k in range(6)]
-    assert list(coeffs.params["numerator"]) == taylor
+    assert list(approx.p.coeffs) == taylor
 
 
 def test_pade_reconstructs_rational_function():
@@ -150,14 +151,46 @@ def test_pade_persistence_fails():
     # For exp the diagonal pair (1,1)->(2,2) shares p_1 = m/(m+n) = 1/2 by a
     # symmetry accident, so the failure is shown on the adjacent blocks.
     c = chars_of("exp(x)", 6)
-    b11 = xp.pade_solve(CharNumbers(c.values[:3], c.family), 1, 1)
-    b21 = xp.pade_solve(CharNumbers(c.values[:4], c.family), 2, 1)
-    assert b11.params["numerator"][1] != b21.params["numerator"][1]
-    b22 = xp.pade_solve(CharNumbers(c.values[:5], c.family), 2, 2)
-    b33 = xp.pade_solve(c, 3, 3)
-    assert b22.params["numerator"][2] != b33.params["numerator"][2]
+
+    def numerator(size, m, n):
+        return xp.PadeApproximant(
+            xp.pade_solve(CharNumbers(c.values[:size], c.family), m, n)).p.coeffs
+
+    b11, b21 = numerator(3, 1, 1), numerator(4, 2, 1)
+    b22, b33 = numerator(5, 2, 2), numerator(7, 3, 3)
+    assert b11[1] != b21[1]
+    assert b22[2] != b33[2]
     # the (1,1)->(2,2) accident itself, pinned so the ledgered deviation is visible
-    assert b11.params["numerator"][1] == b22.params["numerator"][1]
+    assert b11[1] == b22[1]
+
+
+@pytest.mark.parametrize("m, n", [(10, 10), (0, 5), (5, 0)])
+def test_pade_solves_only_the_q_block(monkeypatch, m, n):
+    shapes = []
+    solve = xp._solve_dense
+
+    def recording(matrix, rhs):
+        shapes.append((len(matrix), {len(row) for row in matrix}, len(rhs)))
+        return solve(matrix, rhs)
+
+    monkeypatch.setattr(xp, "_solve_dense", recording)
+    coeffs = xp.pade_solve(chars_of("exp(x)", m + n), m, n)
+    assert shapes == [(n, {n} if n else set(), n)]
+    assert coeffs.params == {"m": m, "n": n}
+    assert len(coeffs.values) == m + n + 1
+
+
+def test_pade_keeps_exact_terms_exact_beside_a_float_head():
+    # the jet of ln(x^2 + 1) at 1/3 has a float head and an exact tail; the
+    # full (m+n+1)-square system turned its P sums into floats through its
+    # 0 * p_k terms and lost 3.3e-10 relative here
+    c = chars_of("ln(x^2 + 1)", 40, F(1, 3))
+    assert not all(map(is_exact, c.values)) and any(map(is_exact, c.values))
+    got = xp.pade_solve(c, 20, 20).values
+    exact = xp.pade_solve(CharNumbers(lift_exact(c.values), c.family), 20, 20).values
+    assert all(map(is_exact, exact))
+    for v, e in zip(got, exact):
+        assert abs(F(v) - e) <= F(1e-15) * abs(e)
 
 
 # -- powers of sines -----------------------------------------------------------------
