@@ -372,16 +372,14 @@ def _build_for_config(cfg: SimpleNamespace):
 
 
 def _cmd_coeffs(cfg: SimpleNamespace) -> int:
-    chars, coeffs, _ = _build_for_config(cfg)
+    chars, coeffs, approx = _build_for_config(cfg)
     _print(f"kind: {coeffs.kind}")
     if coeffs.params:
         printable = {k: _format_number(v) if isinstance(v, (int, float, Fraction))
                      else str(v) for k, v in coeffs.params.items()}
         _print(f"params: {printable}")
-    start = 1 if coeffs.kind.startswith("dirichlet") else 0
     _print(f"{'n':>4}  {'a_n':>24}  {'c_n':>24}")
-    for i, a in enumerate(coeffs.values):
-        n = i + start
+    for n, a in enumerate(coeffs.values, approx.first_index):
         c = chars.values[n] if n < len(chars.values) else ""
         _print(f"{n:>4}  {_format_number(a):>24}  "
               f"{_format_number(c) if c != '' else '':>24}")

@@ -31,6 +31,7 @@ from .matching import (
     NONLINEAR_TRANSFORMS,
     PolynomialApproximant,
     TriMatrix,
+    lift_exact,
 )
 from .poly import (
     Poly, TriRows, admit, all_exact, div, is_exact, mul, over, scaled, tri_map, tri_table,
@@ -66,8 +67,6 @@ def _require_derivative(c: CharNumbers) -> Derivative:
 
 class _TermSum(Approximant):
     """An approximant summed per point over its nonzero terms."""
-
-    first_index = 0  # the basis index n of the first coefficient
 
     @cached_property
     def nonzero(self) -> tuple:
@@ -114,8 +113,9 @@ def _nsbf_rows(size: int) -> TriRows:
 
 def _nsbf_jet_rows(order: int, size: int) -> TriRows:
     """Row j lists (n, j-th coefficient of J_n at 0) for every n < size where
-    that coefficient is nonzero.  Read on exact coefficients only, where a
-    zero entry or a zero a_n adds nothing."""
+    that coefficient is nonzero: the jet at the center of exact and float
+    coefficients alike.  A zero entry forms no term, so an inf or nan a_n
+    reaches only the orders where J_n has a nonzero coefficient."""
     jets = [bessel_jn_jet(n, 0, order).coeffs for n in range(size)]
     return TriRows([[(n, cs[j]) for n, cs in enumerate(jets) if cs[j]]
                     for j in range(order + 1)])
@@ -135,9 +135,13 @@ class NsbfApproximant(_TermSum):
     def eval_jet(self, x0, order: int) -> Jet:
         t0 = x0 - self.center
         values = self.coeffs.values
-        if t0 == 0 and is_exact(t0) and all_exact(values):
-            return Jet.from_ints(x0, *tri_table(_nsbf_jet_rows, order, len(values)).exact(values))
-        # row j lists (n, j-th coefficient of J_n) for every nonzero a_n
+        if t0 == 0:
+            table = tri_table(_nsbf_jet_rows, order, len(values))
+            if is_exact(t0) and all_exact(values):
+                return Jet.from_ints(x0, *table.exact(values))
+            # at a float t0 the jets of J_n are float jets: each a_n meets a float
+            return Jet(x0, table.apply(values if is_exact(t0) else [float(a) for a in values]))
+        # row j lists (n, j-th coefficient of J_n at t0) for every nonzero a_n
         jets = [(n, bessel_jn_jet(n, t0, order).coeffs)
                 for n, a in enumerate(values) if a != 0]
         rows = [[(n, coeffs[j]) for n, coeffs in jets] for j in range(order + 1)]
@@ -291,30 +295,17 @@ def _m_entry(n: int, i: int, w, q: int):
 
 
 def exp_weighted_coeffs(c: CharNumbers, w, q: int) -> CoeffSeq:
-    """Coefficients of exp(w x^q) sum a_n x^n: a_n = sum_i m_{n,i} c_i."""
+    """Coefficients of exp(w x^q) sum a_n x^n: a_n = sum_i m_{n,i} c_i, by the
+    rows of the exact w.  A float w reads the rows of the Fraction it equals,
+    and its m_{n,i} are floats, so a float w or c_i gives float a_n."""
     _require_derivative(c)
     q = _check_q(q)
-    if all_exact(c.values) and is_exact(w):
-        # the exact terms over(c_i * num, den) sum on integers
-        values = tri_table(_exp_weighted_rows, w, q, len(c.values)).apply(c.values)
-    else:
-        # each float term rounds on its own, which no row sum of tri_map does
-        v, values = c.values, []
-        for row in tri_table(_exp_weighted_entries, w, q, len(v)):
-            acc = 0
-            for i, m, fm, den in row:
-                acc += over(v[i] * (fm if type(v[i]) is float else m), den)
-            values.append(acc)
+    exact = lift_exact([w])
+    if exact is None:
+        raise DomainError(f"w must be finite, got {w}")
+    v = c.values if is_exact(w) else [float(ci) for ci in c.values]
+    values = tri_table(_exp_weighted_rows, exact[0], q, len(v)).apply(v)
     return CoeffSeq(tuple(values), "exp_weighted", params={"w": w, "q": q})
-
-
-def _exp_weighted_entries(w, q: int, size: int) -> list:
-    """Per row n the (i, m, float(m), den) of every nonzero ``_m_entry``
-    m_{n,i} = m / den: a float c_i times float(m) is c_i * m to the bit.  An m
-    near or beyond the float range stays m, so that c_i * m still raises."""
-    rows = [[(i, *e) for i in range(n + 1) if (e := _m_entry(n, i, w, q))] for n in range(size)]
-    return [[(i, m, float(m) if abs(m) < 2.0 ** 1000 else m, den) for i, m, den in row]
-            for row in rows]
 
 
 def _exp_weighted_rows(w, q: int, size: int) -> TriRows:
@@ -700,8 +691,10 @@ def _dirichlet_rows(variant: str, size: int) -> TriRows:
 
 def _dirichlet_jet_rows(variant: str, order: int, size: int) -> TriRows:
     """Row m lists (n, gamma_(m/n)) for every n <= size dividing m with that
-    gamma nonzero, after (0, 1) for b_0.  Read on exact coefficients only,
-    where a zero a_n adds nothing."""
+    gamma nonzero, after (0, 1) for b_0: the jet at the center of exact and
+    float coefficients alike.  A structural zero of g(t^n) forms no term, so
+    an inf or nan a_n reaches only the orders where g(t^n) has a nonzero
+    coefficient."""
     series = _DIRICHLET[variant]["series"]
     gamma = [series(j) for j in range(order + 1)]
     rows = [[(n, gamma[m // n]) for n in range(1, size + 1) if m % n == 0 and gamma[m // n]]
@@ -728,26 +721,16 @@ class DirichletApproximant(_TermSum):
 
     def eval_jet(self, x0, order: int) -> Jet:
         """At the center, coefficient m of g(t^n) is gamma_(m/n) where n
-        divides m and zero elsewhere; row m lists it for every nonzero a_n,
-        after the head b_0 in row 0.  Exact coefficients read the cached
-        rows of ``_dirichlet_jet_rows`` instead."""
+        divides m and zero elsewhere: the cached rows of
+        ``_dirichlet_jet_rows`` at (b_0, a_1, ..., a_N)."""
         if x0 != self.center:
             raise DomainError("Dirichlet expansion jets are only supported "
                               "at the expansion point")
         v = (self.b0, *self.coeffs.values)
+        table = tri_table(_dirichlet_jet_rows, self.kind, order, len(v) - 1)
         if all_exact(v):
-            table = tri_table(_dirichlet_jet_rows, self.kind, order, len(v) - 1)
             return Jet.from_ints(x0, *table.exact(v))
-        series = _DIRICHLET[self.kind]["series"]
-        gamma = [series(j) for j in range(order + 1)]
-        # an exact gamma meets a float a_n as its float
-        fgamma = [float(g) for g in gamma]
-        nonzero = [(n, fgamma if type(a) is float else gamma)
-                   for n, a in enumerate(self.coeffs.values, start=1) if a != 0]
-        rows = [[(n, 0 if m % n else gs[m // n]) for n, gs in nonzero]
-                for m in range(order + 1)]
-        rows[0].insert(0, (0, 1))
-        return Jet(x0, tri_map(rows, v))
+        return Jet(x0, table.apply(v))
 
 
 def dirichlet_approx(c: CharNumbers, variant: str) -> DirichletApproximant:

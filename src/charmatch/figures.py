@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 from . import exprs
@@ -69,28 +70,48 @@ def _approx_columns(name: str, f, approxes: Sequence[tuple[str, Callable]],
     return cols
 
 
-def _kind_columns(name: str, f: exprs.Expr, kinds: Sequence[tuple[str, str, dict]],
-                  xs: Sequence[float]) -> list[tuple[str, list[float]]]:
-    """``_approx_columns`` for (label, kind, params) built by ``build_kind``."""
-    approxes = [(label, build_kind(kind, f, params.pop("order"), **params).approximant)
-                for label, kind, params in kinds]
-    return _approx_columns(name, f, approxes, xs)
-
-
 # -- individual figures ------------------------------------------------------
 
 
-def _fig_besscos() -> FigureData:
-    xs = grid(-4 * math.pi, 4 * math.pi, 2001)
-    f = exprs.parse("sin(x)")
+# the figures of one grid, targets and kinds: per figure the grid (lo, hi,
+# n), the targets (label t, text, kind parameters), the kinds (column label
+# as a format of t and the parameters, kind), the title and the ylim; each
+# target gives its column, then each kind its approximant of order 10 and
+# the error
+_EXP_SIN = [("exp", "exp(x)", {}), ("sin", "sin(x)", {})]
+_MATCHED = {
+    "besscos": ((-4 * math.pi, 4 * math.pi, 2001), [("sin", "sin(x)", {})],
+                [("taylor10", "taylor"), ("nsbf10", "nsbf")],
+                "sin(x): Taylor vs Neumann-Bessel, 10 derivatives matched", (-2.0, 2.0)),
+    "exppoly": ((-6.0, 6.0, 1201), [("sin", "sin(x)", {}), ("arctan", "arctan(x)", {})],
+                [("expw_{t}", "exp_weighted")],
+                "exp(-x^2/2) polynomial expansion, 11 terms", (-2.0, 2.0)),
+    "logpowers": ((-0.9, 4.0, 981), _EXP_SIN, [("log_powers_{t}", "log_powers")],
+                  "powers of ln(x+1), 11 terms", (-3.0, 8.0)),
+    "newpade": ((-0.9, 4.0, 981), _EXP_SIN, [("rational_x_over_x1_{t}", "rational_x_over_x1")],
+                "powers of x/(x+1), 11 terms", (-3.0, 8.0)),
+    **{f"inargpow-{sub}": ((-0.95, 0.95, 951), [_EXP_SIN[0], ("sin5x", "sin(5*x)", {})],
+                           [(f"{kind}_{{t}}", kind)],
+                           f"sum a_n g(x^n) approximation ({kind}), 10 terms", (-3.0, 3.0))
+       for sub, kind in (("b", "dirichlet_g"), ("c", "dirichlet_rat1"), ("d", "dirichlet_rat2"))},
+    "nonlin": ((-2.0, 2.0, 801), [("exp", "exp(x)", {"lam": "ln"}),
+                                  ("cos", "cos(x)", {"lam": "sqrt"}),
+                                  ("arctan", "arctan(x)", {"lam": "cube"})],
+               [("nl_{lam}_{t}", "nonlinear")],
+               "nonlinear delta approximation, 11 terms", (-3.0, 8.0)),
+}
+
+
+def _fig_matched(name: str) -> FigureData:
+    span, targets, kinds, title, ylim = _MATCHED[name]
+    xs = grid(*span)
     cols = [("x", xs)]
-    cols += _kind_columns("sin", f, [
-        ("taylor10", "taylor", {"order": 10}),
-        ("nsbf10", "nsbf", {"order": 10}),
-    ], xs)
-    return FigureData("besscos", cols,
-                      "sin(x): Taylor vs Neumann-Bessel, 10 derivatives matched",
-                      ylim=(-2.0, 2.0))
+    for t, text, params in targets:
+        f = exprs.parse(text)
+        approxes = [(label.format(t=t, **params), build_kind(kind, f, 10, **params).approximant)
+                    for label, kind in kinds]
+        cols += _approx_columns(t, f, approxes, xs)
+    return FigureData(name, cols, title, ylim=ylim)
 
 
 def _fig_legout() -> FigureData:
@@ -109,47 +130,11 @@ def _fig_legout() -> FigureData:
                       ylim=(-3.0, 7.0))
 
 
-def _fig_exppoly() -> FigureData:
-    xs = grid(-6.0, 6.0, 1201)
-    cols = [("x", xs)]
-    cols += _kind_columns("sin", exprs.parse("sin(x)"), [
-        ("expw_sin", "exp_weighted", {"order": 10}),
-    ], xs)
-    cols += _kind_columns("arctan", exprs.parse("arctan(x)"), [
-        ("expw_arctan", "exp_weighted", {"order": 10}),
-    ], xs)
-    return FigureData("exppoly", cols,
-                      "exp(-x^2/2) polynomial expansion, 11 terms",
-                      ylim=(-2.0, 2.0))
-
-
-def _fig_powers_of_g(name: str, kind: str, title: str) -> FigureData:
-    xs = grid(-0.9, 4.0, 981)
-    cols = [("x", xs)]
-    for label, text in (("exp", "exp(x)"), ("sin", "sin(x)")):
-        cols += _kind_columns(label, exprs.parse(text), [
-            (f"{kind}_{label}", kind, {"order": 10}),
-        ], xs)
-    return FigureData(name, cols, title, ylim=(-3.0, 8.0))
-
-
 def _fig_inargpow_a() -> FigureData:
     xs = grid(-0.99, 0.99, 991)
     g = [xp.moebius_G_eval(x, 4096).value for x in xs]
     return FigureData("inargpow-a", [("x", xs), ("G", g)],
                       "Moebius ordinary generating function G(x)")
-
-
-def _fig_inargpow(sub: str, kind: str) -> FigureData:
-    xs = grid(-0.95, 0.95, 951)
-    cols = [("x", xs)]
-    for label, text in (("exp", "exp(x)"), ("sin5x", "sin(5*x)")):
-        cols += _kind_columns(label, exprs.parse(text), [
-            (f"{kind}_{label}", kind, {"order": 10}),
-        ], xs)
-    return FigureData(f"inargpow-{sub}", cols,
-                      f"sum a_n g(x^n) approximation ({kind}), 10 terms",
-                      ylim=(-3.0, 3.0))
 
 
 def _fig_pprime() -> FigureData:
@@ -159,19 +144,6 @@ def _fig_pprime() -> FigureData:
     for k, label in enumerate(("P", "dP", "d2P", "d3P")):
         cols.append((label, [row[k] for row in rows]))
     return FigureData("pprime", cols, "P(x) and derivatives (prime sieve at 0)",
-                      ylim=(-3.0, 8.0))
-
-
-def _fig_nonlin() -> FigureData:
-    xs = grid(-2.0, 2.0, 801)
-    cols = [("x", xs)]
-    for label, text, lam in (("exp", "exp(x)", "ln"),
-                             ("cos", "cos(x)", "sqrt"),
-                             ("arctan", "arctan(x)", "cube")):
-        cols += _kind_columns(label, exprs.parse(text), [
-            (f"nl_{lam}_{label}", "nonlinear", {"order": 10, "lam": lam}),
-        ], xs)
-    return FigureData("nonlin", cols, "nonlinear delta approximation, 11 terms",
                       ylim=(-3.0, 8.0))
 
 
@@ -197,25 +169,18 @@ def _fig_ws(preset: str) -> FigureData:
 
 
 _FIGURE_BUILDERS: dict[str, Callable[[], FigureData]] = {
-    "besscos": _fig_besscos,
+    "besscos": partial(_fig_matched, "besscos"),
     "legout": _fig_legout,
-    "exppoly": _fig_exppoly,
-    "logpowers": lambda: _fig_powers_of_g(
-        "logpowers", "log_powers", "powers of ln(x+1), 11 terms"),
-    "newpade": lambda: _fig_powers_of_g(
-        "newpade", "rational_x_over_x1", "powers of x/(x+1), 11 terms"),
+    "exppoly": partial(_fig_matched, "exppoly"),
+    "logpowers": partial(_fig_matched, "logpowers"),
+    "newpade": partial(_fig_matched, "newpade"),
     "inargpow-a": _fig_inargpow_a,
-    "inargpow-b": lambda: _fig_inargpow("b", "dirichlet_g"),
-    "inargpow-c": lambda: _fig_inargpow("c", "dirichlet_rat1"),
-    "inargpow-d": lambda: _fig_inargpow("d", "dirichlet_rat2"),
+    "inargpow-b": partial(_fig_matched, "inargpow-b"),
+    "inargpow-c": partial(_fig_matched, "inargpow-c"),
+    "inargpow-d": partial(_fig_matched, "inargpow-d"),
     "pprime": _fig_pprime,
-    "nonlin": _fig_nonlin,
-    "ws-a": lambda: _fig_ws("ws-a"),
-    "ws-b": lambda: _fig_ws("ws-b"),
-    "ws-c": lambda: _fig_ws("ws-c"),
-    "ws-d": lambda: _fig_ws("ws-d"),
-    "ws-e": lambda: _fig_ws("ws-e"),
-    "ws-f": lambda: _fig_ws("ws-f"),
+    "nonlin": partial(_fig_matched, "nonlin"),
+    **{f"ws-{sub}": partial(_fig_ws, f"ws-{sub}") for sub in "abcdef"},
 }
 
 _FIGURE_ALIASES = {"inargpow": "inargpow-b", "ws": "ws-e"}

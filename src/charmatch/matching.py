@@ -16,11 +16,6 @@ integrals of targets with a polynomial form and otherwise one composite
 Gauss-Legendre rule; Projection uses the rule for every target.  The
 weights w_n of such a family at the nodes of the rule are tabulated once
 per family and order (``_node_weights``).
-
-The triangular maps that turn characteristic numbers into coefficients
-(``tri_map``, its prepared rows ``TriRows`` and their one cache
-``tri_table``) live in ``poly``, below the jets, since ``Poly.__call__``
-reads the same cache; they are importable from here as well.
 """
 
 from __future__ import annotations
@@ -36,7 +31,7 @@ from typing import Callable, Sequence
 
 from .errors import DomainError, FamilyMismatchError, SingularSystemError
 from .jets import Jet
-from .poly import Poly, TriRows, all_exact, div, is_exact, rational, scaled, tri_map, tri_table
+from .poly import Poly, all_exact, div, is_exact, rational, scaled, tri_map
 from .quadrature import GaussLegendre
 from . import specfun
 
@@ -55,9 +50,7 @@ __all__ = [
     "PolynomialApproximant",
     "TriMatrix",
     "tri_forward_solve",
-    "TriRows",
     "tri_map",
-    "tri_table",
     "measure",
     "derivative_chars",
     "verify_matching",
@@ -156,8 +149,9 @@ def _integrals(target, family, orders: list, row=None) -> list:
 
     ``row(n)`` gives the integer coefficients of w_n (``row`` is None when
     w_n has none) and ``family.weights(n, xs)`` the float w_n at the points
-    ``xs``.  A polynomial w_n, a target with a polynomial form p and finite
-    a, b take the one closed form on p, a, b lifted to exact numbers: with
+    ``xs``.  The ends a, b are finite (``Moments`` refuses others).  A
+    polynomial w_n and a target with a polynomial form p take the one closed
+    form on p, a, b lifted to exact numbers: with
     q_i = sum_j p_j M_(i+j), a Hankel product of p with the power integrals
     M_m over (a, b), the integral of w_n p is sum_i w_ni q_i on integer
     numerators, rounded once where p, a or b holds a float.  Every other
@@ -166,7 +160,7 @@ def _integrals(target, family, orders: list, row=None) -> list:
     """
     a, b = family.interval
     p = target_poly(target) if row is not None else None
-    if p is not None and lift_exact((a, b)) is not None:
+    if p is not None:
         rows = [row(n) for n in orders]
         top = max(map(len, rows)) - 1
         num_p, den_p = scaled(lift_exact(p.coeffs))
@@ -184,6 +178,10 @@ class Moments(Family):
 
     a: object = -1
     b: object = 1
+
+    def __post_init__(self):
+        if lift_exact((self.a, self.b)) is None:
+            raise DomainError(f"moments need finite interval ends, got ({self.a}, {self.b})")
 
     @property
     def interval(self) -> tuple:
@@ -445,6 +443,7 @@ class Approximant:
     kinds override the hooks they support."""
 
     kind: str = "approximant"
+    first_index = 0  # the basis index n of the first coefficient
 
     def __init__(self, coeffs: CoeffSeq | None, center=0):
         if coeffs is not None:

@@ -11,16 +11,20 @@ and the two must agree by ``result_key.key``: exact values and exactness,
 and float bits.  An exact integer path gives an int where a value is an
 integer and a Fraction otherwise (``poly.rational``), whatever type the
 loop gave.  Float and mixed operands still take the loops, and nothing else
-in the suite guards their bits; the closed-form integrals are the exception:
-they lift finite floats to exact numbers and round each result once, so
-their loops run on the lifted operands.
+in the suite guards their bits, with two exceptions.  The closed-form
+integrals lift finite floats to exact numbers and round each result once,
+so their loops run on the lifted operands.  The NSBF and Dirichlet jets at
+the center read the cached rows for every operand; those rows hold the
+nonzero entries alone, where the basis sums also multiply the zero
+coefficients of each basis function, so they are checked against a loop
+over the nonzero entries.
 """
 
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from charmatch import expansions as xp
@@ -254,10 +258,37 @@ def test_tri_map_gives_exact_values():
 CENTERS = st.sampled_from([0, F(1, 3), 0.5])
 # int coefficients with zeros among them: a row that no Fraction reaches
 INT_SEQUENCES = st.lists(st.one_of(INTS, st.just(0)), min_size=1, max_size=40)
+# floats with inf and nan among them, or numbers of every kind with a float
+NON_EXACT = numbers(40, False).filter(lambda v: not poly.all_exact(v)) | st.lists(
+    st.one_of(FLOATS, ZEROS, st.sampled_from([math.inf, math.nan])), min_size=1, max_size=40)
 
 
-def is_negative_zero(x):
-    return type(x) is float and x == 0 and math.copysign(1.0, x) < 0
+def row_map(rows, v):
+    """sum_n T(m, n) v_n per row m, from the int 0 in row order."""
+    out = []
+    for row in rows:
+        acc = 0
+        for n, t in row:
+            acc += t * v[n]
+        out.append(acc)
+    return out
+
+
+def check_center_rows(jet, rows, v):
+    """The center jets sum the nonzero entries alone: a zero entry forms no
+    term, so an inf or nan v_n reaches only the orders where its basis
+    function has a nonzero coefficient, and a zero v_n adds its zero term.
+    The jet must equal the plain loop over those entries by key and the
+    exact sums within the bound of ``tri_reference``."""
+    same(lambda: tuple(jet().coeffs), lambda: tuple(row_map(rows, v)))
+    check_tri_map(lambda: list(jet().coeffs), rows, v)
+
+
+def nsbf_center_rows(t0, order, size):
+    """Row j: (n, j-th coefficient of J_n at t0 = 0) where it is nonzero, a
+    float at a float t0."""
+    jets = [bessel_jn_jet(n, t0, order).coeffs for n in range(size)]
+    return [[(n, cs[j]) for n, cs in enumerate(jets) if cs[j]] for j in range(order + 1)]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -265,50 +296,67 @@ def is_negative_zero(x):
        off=st.sampled_from([0, 0, F(1, 4)]),
        order=st.integers(0, 60))
 def test_nsbf_jet_matches_the_basis_sum(values, center, off, order):
+    # the basis sum skips a zero a_n where the center rows skip a zero entry:
+    # those jets are checked against their rows below
+    assume(off != 0 or (is_exact(center) and poly.all_exact(values)))
     approx = xp.NsbfApproximant(CoeffSeq(values, "nsbf"), center=center)
     x0 = center + off
     same(lambda: approx.eval_jet(x0, order), lambda: ref_nsbf_eval_jet(approx, x0, order))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(values=NON_EXACT | sequences(), center=CENTERS, order=st.integers(0, 60))
+@example(values=[1.0, math.inf, 0.0, math.nan], center=0.5, order=5)
+@example(values=[0, 5, F(1, 3)], center=0.5, order=4)
+def test_nsbf_center_jet_sums_the_nonzero_entries(values, center, order):
+    approx = xp.NsbfApproximant(CoeffSeq(values, "nsbf"), center=center)
+    rows = nsbf_center_rows(center - center, order, len(values))
+    check_center_rows(lambda: approx.eval_jet(center, order), rows, values)
+
+
+def test_an_inf_coefficient_reaches_only_the_orders_of_its_basis_function():
+    # J_1 has odd powers only, and 1/(1 - t^2) even ones
+    nsbf = xp.NsbfApproximant(CoeffSeq((1.0, math.inf), "nsbf"), center=0.5).eval_jet(0.5, 6)
+    assert [math.isfinite(c) for c in nsbf.coeffs] == [True, False] * 3 + [True]
+    rat1 = xp.DirichletApproximant(CoeffSeq((0.0, math.nan), "dirichlet_rat1", {"b0": 1.0}), 0.5)
+    assert [math.isnan(c) for c in rat1.eval_jet(0.5, 4).coeffs] == [True, False] * 2 + [True]
 
 
 VARIANTS = st.sampled_from(["dirichlet_g", "dirichlet_rat1", "dirichlet_rat2"])
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(values=sequences(40) | INT_SEQUENCES, b0=NUMBERS, variant=VARIANTS, center=CENTERS,
+@given(values=numbers(40, True) | INT_SEQUENCES, b0=EXACT, variant=VARIANTS, center=CENTERS,
        order=st.integers(0, 60))
 @example(values=[0, 5], b0=1, variant="dirichlet_rat1", center=0, order=3)
-@example(values=[-1.5, 0, -2.0], b0=-0.0, variant="dirichlet_g", center=0, order=3)
-@example(values=[0.0], b0=-0.0, variant="dirichlet_rat1", center=0.5, order=2)
 def test_dirichlet_jet_matches_the_basis_sum(values, b0, variant, center, order):
     approx = xp.DirichletApproximant(CoeffSeq(values, variant, {"b0": b0}), center=center)
-    new = approx.eval_jet(center, order)
-    old = ref_dirichlet_eval_jet(approx, center, order)
-    # the one difference: the sum of row 0 starts at int 0, and 0 + -0.0 is
-    # 0.0, so a -0.0 head that every term of row 0 keeps at -0.0 becomes 0.0
-    if is_negative_zero(b0) and is_negative_zero(old.coeffs[0]):
-        assert repr(new.coeffs[0]) == "0.0"
-        old = Jet(old.center, (0.0,) + old.coeffs[1:])
-    assert key(new) == key(old)
+    same(lambda: approx.eval_jet(center, order),
+         lambda: ref_dirichlet_eval_jet(approx, center, order))
 
 
-def ref_dirichlet_rows(self, order):
-    """The rows of a Dirichlet jet with exact entries gamma_(m/n)."""
-    series = xp._DIRICHLET[self.kind]["series"]
-    gamma = [series(j) for j in range(order + 1)]
-    nonzero = [n for n, a in enumerate(self.coeffs.values, start=1) if a != 0]
-    rows = [[(n, 0 if m % n else gamma[m // n]) for n in nonzero] for m in range(order + 1)]
+def dirichlet_center_rows(variant, order, size):
+    """Row m: (0, 1) for b_0 in row 0, then (n, gamma_(m/n)) for each n <= size
+    dividing m with gamma nonzero, gamma the series coefficients of g at 0:
+    mu_j for G, 1 for 1/(1-x), +-1 at odd j for x/(x^2+1)."""
+    gamma = {"dirichlet_g": lambda j: specfun.moebius(j) if j else 0,
+             "dirichlet_rat1": lambda j: 1,
+             "dirichlet_rat2": lambda j: (-1) ** (j // 2) if j % 2 else 0}[variant]
+    rows = [[(n, gamma(m // n)) for n in range(1, size + 1) if m % n == 0 and gamma(m // n)]
+            for m in range(order + 1)]
     rows[0].insert(0, (0, 1))
-    return Jet(self.center, poly.tri_map(rows, (self.b0, *self.coeffs.values)))
+    return rows
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(values=numbers(40, False).filter(lambda v: not poly.all_exact(v)) | st.lists(
-           st.one_of(FLOATS, ZEROS, st.sampled_from([math.inf, math.nan])), min_size=1,
-           max_size=40),
-       b0=NUMBERS, variant=VARIANTS, center=CENTERS, order=st.integers(0, 60))
+@given(values=NON_EXACT, b0=NUMBERS, variant=VARIANTS, center=CENTERS, order=st.integers(0, 60))
+@example(values=[-1.5, 0, -2.0], b0=-0.0, variant="dirichlet_g", center=0, order=3)
+@example(values=[0.0], b0=-0.0, variant="dirichlet_rat1", center=0.5, order=2)
+@example(values=[math.inf, 0.0, 1.5], b0=2, variant="dirichlet_rat2", center=0.5, order=9)
 def test_dirichlet_float_rows_match_the_exact_rows(values, b0, variant, center, order):
     approx = xp.DirichletApproximant(CoeffSeq(values, variant, {"b0": b0}), center=center)
-    same(lambda: approx.eval_jet(center, order), lambda: ref_dirichlet_rows(approx, order))
+    rows = dirichlet_center_rows(variant, order, len(values))
+    check_center_rows(lambda: approx.eval_jet(center, order), rows, (b0, *values))
 
 
 @pytest.mark.parametrize("variant", ["dirichlet_g", "dirichlet_rat1", "dirichlet_rat2"])

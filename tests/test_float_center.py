@@ -1,6 +1,6 @@
 """The float loops of the float-center round trip without Fraction's
-operator fallback: the prepared Fourier terms and the cached exp-weighted
-entry table against their plain loops (``float_center_reference.py``) by
+operator fallback: the prepared Fourier terms and the exp-weighted map on
+the cached rows of the exact w against their plain loops (``float_center_reference.py``) by
 result key, the int-or-Fraction typing of exact quotients and parsed
 literals, and no Fraction operation with a float operand left in the
 loops that had them."""
@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 
 from charmatch import expansions, exprs, matching, registry
 from charmatch.integral_match import FourierApproximant
+from charmatch.errors import DomainError
 from charmatch.matching import CharNumbers, CoeffSeq, Derivative
-from charmatch.poly import div
+from charmatch.poly import div, tri_table
 from charmatch.quadrature import GaussLegendre
 
 from float_center_reference import exp_weighted_float_map, fourier_call
@@ -45,6 +46,26 @@ def test_exp_weighted_float_map_keeps_the_plain_loop_results(values, w, q):
     chars = CharNumbers(values, Derivative(0.5))
     got = outcome(lambda: expansions.exp_weighted_coeffs(chars, w, q).values)
     assert got == outcome(lambda: tuple(exp_weighted_float_map(values, w, q)))
+
+
+@pytest.mark.parametrize("w", [math.inf, -math.inf, math.nan])
+def test_exp_weighted_refuses_a_non_finite_w(w):
+    chars = CharNumbers((1.0, 0.5, 0.25), Derivative(0.5))
+    with pytest.raises(DomainError):
+        expansions.exp_weighted_coeffs(chars, w, 2)
+
+
+def test_a_float_w_reads_the_table_of_its_exact_value():
+    # float c_i meet float(m_{n,i}) either way, so the bits agree
+    chars = CharNumbers((1.0, 0.5, 0.25, -2.0, 3.5), Derivative(0.5))
+    misses = tri_table.cache_info().misses
+    exact_w = expansions.exp_weighted_coeffs(chars, F(-3, 8), 2).values
+    float_w = expansions.exp_weighted_coeffs(chars, -0.375, 2).values
+    assert tri_table.cache_info().misses <= misses + 1
+    assert [a.hex() for a in float_w] == [a.hex() for a in exact_w]
+    # and exact c_i meet a float w as floats
+    exact_c = CharNumbers((1, F(1, 3), 0, 2), Derivative(0))
+    assert all(type(a) is float for a in expansions.exp_weighted_coeffs(exact_c, -0.375, 2).values)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

@@ -31,6 +31,7 @@ from charmatch.matching import (
     tri_forward_solve,
     verify_matching,
 )
+from charmatch.integral_match import moments_compute
 from charmatch.poly import Poly
 from charmatch.expansions import taylor_approx
 from charmatch.registry import build_kind
@@ -128,6 +129,17 @@ def test_measure_moments_exact_and_quadrature():
     got = measure(f, Moments(-1, 1), [1])[0]
     want = 2 * (math.sin(1) - math.cos(1))  # integral of x sin x over (-1,1)
     assert abs(got - want) < 1e-12
+
+
+@pytest.mark.parametrize("ends", [(-1, math.inf), (-math.inf, 0.5), (math.nan, 1)])
+def test_moments_refuse_a_non_finite_end(ends):
+    # the closed form and the rule would both give nan numbers
+    with pytest.raises(DomainError):
+        Moments(*ends)
+    with pytest.raises(DomainError):
+        moments_compute(Poly([1, 2]), ends, 2)
+    with pytest.raises(DomainError):
+        Moments(*ends).chars(exprs.parse("exp(x)"), 3)
 
 
 def test_measure_values_family():

@@ -82,6 +82,20 @@ def test_mixed_ops_counts_each_fraction_operator_with_a_float_operand():
     assert third * 0.5 == 1 / 6  # the operators are restored
 
 
+def test_output_digest_records_each_roundtrip_verdict(tmp_path):
+    out = tmp_path / "digests.json"
+    subprocess.run([sys.executable, str(ROOT / "tools" / "output_digest.py"), str(out)],
+                   capture_output=True, text=True, check=True, timeout=600)
+    digests = json.loads(out.read_text())
+    assert set(digests) == {"figures", "compare", "roundtrip", "kinds"}
+    verdicts = {}
+    for run, rows in digests["roundtrip"].items():
+        assert rows and all(len(row) == 3 and len(row[1]) == 64 for row in rows)
+        verdicts[run.split(":")[0]] = {row[2] for row in rows}
+    # every exact case passes, and the float pass keeps its known failures
+    assert verdicts == {"roundtrip_exact": {True}, "roundtrip_float": {True, False}}
+
+
 def test_cross_python_of_the_running_interpreter_finds_no_difference():
     proc = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "cross_python.py"), sys.executable],

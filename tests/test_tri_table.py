@@ -3,8 +3,8 @@
 ``poly.TriRows`` keeps the exact rows of a map as integer numerators
 over one denominator per row and makes their float entries on first use,
 and ``poly.tri_table`` keeps one ``TriRows`` per row builder and key for the
-coefficient maps, the exact center jets of the NSBF and Dirichlet
-approximants and Legendre moment matching.  Each result must equal the plain
+coefficient maps, the center jets of the NSBF and Dirichlet approximants
+and Legendre moment matching.  Each result must equal the plain
 loop on the entries by ``result_key.key``: exact values and exactness, float
 bits (signed zeros, inf and nan included) and the exception raised.
 """
@@ -19,8 +19,8 @@ from hypothesis import strategies as st
 from charmatch import expansions as xp
 from charmatch import integral_match as im
 from charmatch.jets import Jet, bessel_jn_jet
-from charmatch.matching import CharNumbers, CoeffSeq, Derivative, TriRows, tri_map, tri_table
-from charmatch.poly import over
+from charmatch.matching import CharNumbers, CoeffSeq, Derivative
+from charmatch.poly import TriRows, over, tri_map, tri_table
 from result_key import key, same
 from tri_reference import check_tri_map
 

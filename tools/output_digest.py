@@ -8,9 +8,11 @@ holds this script):
 * ``figures``: the CSV and SVG bytes of every figure recipe;
 * ``compare``: stdout and the JSON file of the benchmark's ``compare`` run
   for each function of ``COMPARE_POOL``;
-* ``roundtrip``: ``repr(key((case id, chars, residuals, verdict)))`` of
-  every case of one pass of ``roundtrip_exact`` (seeds 5, 6) and of
-  ``roundtrip_float`` (seeds 31, 32);
+* ``roundtrip``: per case of one pass of ``roundtrip_exact`` (seeds 5, 6)
+  and of ``roundtrip_float`` (seeds 31, 32), its id, the digest of
+  ``repr(key((case id, chars, residuals, verdict)))`` and the verdict itself
+  (true or false, null where the case raises), so that a change whose float
+  bits move can show that no verdict moved;
 * ``kinds``: ``repr(key(...))`` of the characteristic numbers and
   coefficients of every expansion kind for every benchmark target at orders
   11, 20 and 40 and centers 0, 1/3 and 0.5 (the ``repr`` of the error where
@@ -107,9 +109,10 @@ def roundtrip_digests(wl, key, out_dir: Path) -> dict:
             try:
                 chars, report = workload.run(case)
                 text = repr(key((case.id, chars, report.residuals, report.passed)))
+                passed = bool(report.passed)
             except Exception as exc:  # a refusal is an output too
-                text = repr((case.id, exc))
-            rows.append([case.id, digest(text)])
+                text, passed = repr((case.id, exc)), None
+            rows.append([case.id, digest(text), passed])
         out[f"{name}:{seed}"] = rows
     return out
 
