@@ -110,53 +110,40 @@ def _integer(low: int):
     return check
 
 
+def _fields(what: str, *checks):
+    """A list setting: text 'v1,v2,...' or a JSON list, one value per check,
+    each read by its check."""
+    def check(key: str, value) -> tuple:
+        parts = value.split(",") if isinstance(value, str) else value
+        if not (isinstance(parts, list) and len(parts) == len(checks)):
+            raise UsageError(f"{key} expects {what}, got {value!r}")
+        return tuple(read(key, part) for read, part in zip(checks, parts))
+
+    return check
+
+
+def _float(key: str, value) -> float:
+    """A ``_number`` as a float; one beyond the float range is refused."""
+    with contextlib.suppress(OverflowError):
+        return float(_number(key, value))
+    raise UsageError(f"{key} lies beyond the float range, got {value!r}")
+
+
 def _interval(key: str, value) -> tuple:
-    """'a,b' (text, or a 2-element list) as (a, b) with a != b: over an empty
-    interval every integral is 0, so any approximant would match."""
-    parts = value.split(",") if isinstance(value, str) else value
-    if not (isinstance(parts, list) and len(parts) == 2):
-        raise UsageError(f"{key} expects 'a,b', got {value!r}")
-    a, b = (_number(key, v) for v in parts)
+    """'a,b' as (a, b) with a != b: over an empty interval every integral is
+    0, so any approximant would match."""
+    a, b = _fields("'a,b'", _number, _number)(key, value)
     if a == b:
         raise UsageError(f"{key} needs a != b, got {value!r}")
     return a, b
 
 
 def _grid_spec(key: str, value) -> tuple:
-    """'lo,hi,points' (text, or a 3-element list) as (lo, hi, points) with
-    finite lo < hi and an integer points >= 2."""
-    parts = value.split(",") if isinstance(value, str) else value
-    try:
-        lo, hi, pts = parts
-        lo, hi = float(lo), float(hi)
-        pts = int(pts) if isinstance(pts, str) else pts
-    except (TypeError, ValueError):
-        pts = None
-    if type(pts) is not int:
-        raise UsageError(f"{key} expects 'lo,hi,points' with an integer point count, "
-                         f"got {value!r}")
-    if pts < 2:
-        raise UsageError(f"{key} needs at least 2 points")
-    if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
-        raise UsageError(f"{key} needs finite lo < hi")
+    """'lo,hi,points' as (lo, hi, points) with float lo < hi and points >= 2."""
+    lo, hi, pts = _fields("'lo,hi,points'", _float, _float, _integer(2))(key, value)
+    if not hi > lo:
+        raise UsageError(f"{key} needs lo < hi, got {value!r}")
     return lo, hi, pts
-
-
-def _perturb(key: str, value) -> tuple:
-    """IDX,DELTA (text, or a 2-element list) as (int >= 0, finite float)."""
-    parts = value.split(",") if isinstance(value, str) else value
-    try:
-        idx, delta = parts
-        idx = int(idx) if isinstance(idx, str) else idx
-        delta = float(delta) if isinstance(delta, str) else delta
-        ok = (isinstance(parts, list) and type(idx) is int and idx >= 0
-              and type(delta) in (int, float) and math.isfinite(delta))
-    except (TypeError, ValueError):
-        ok = False
-    if not ok:
-        raise UsageError(f"{key} expects IDX,DELTA with an integer IDX >= 0 and "
-                         f"a finite number DELTA, got {value!r}")
-    return idx, float(delta)
 
 
 class _Setting(NamedTuple):
@@ -186,7 +173,7 @@ _SETTINGS = {
                        "verification family override: derivative, moments"),
     "interval": _Setting("--interval", None, _interval,
                          "moments interval a,b (default -1,1)"),
-    "perturb": _Setting("--perturb", None, _perturb,
+    "perturb": _Setting("--perturb", None, _fields("IDX,DELTA", _integer(0), _float),
                         "IDX,DELTA coefficient corruption (testing)"),
     "grid": _Setting("--grid", None, _grid_spec, "grid lo,hi,points"),
     "csv": _Setting("--csv", None, _text, "CSV output path"),

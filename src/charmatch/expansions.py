@@ -156,58 +156,71 @@ def nsbf_approx(c: CharNumbers) -> NsbfApproximant:
 
 
 def _solve_dense(matrix: list[list], rhs: list) -> list:
-    """Gaussian elimination with partial pivoting for floats; an all-exact
-    system goes through ``_solve_bareiss`` and gives the same Fractions."""
+    """A solution of the square system: Gaussian elimination with partial
+    pivoting for floats; an all-exact system goes through ``_solve_bareiss``
+    and gives the same Fractions.  An unknown whose column has no pivot is 0;
+    a row left as 0 = b with b != 0 raises."""
     n = len(matrix)
     a = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
     if all(map(all_exact, a)):
         return _solve_bareiss([scaled(row)[0] for row in a])
+    pivots = []  # the pivot column of row 0, 1, ...
     for col in range(n):
-        pivot = max(range(col, n), key=lambda r: abs(a[r][col]))
+        top = len(pivots)
+        pivot = max(range(top, n), key=lambda r: abs(a[r][col]))
         if a[pivot][col] == 0:
-            raise SingularSystemError("degenerate Pade block")
-        a[col], a[pivot] = a[pivot], a[col]
-        piv = a[col][col]
-        for r in range(col + 1, n):
+            continue
+        a[top], a[pivot] = a[pivot], a[top]
+        piv = a[top][col]
+        for r in range(top + 1, n):
             if a[r][col] == 0:
                 continue
             f = div(a[r][col], piv)
             for k in range(col, n + 1):
-                a[r][k] -= f * a[col][k]
+                a[r][k] -= f * a[top][k]
+        pivots.append(col)
+    if any(row[n] != 0 for row in a[len(pivots):]):  # 0 = b with b != 0
+        raise SingularSystemError("degenerate Pade block")
     out = [0] * n
-    for r in range(n - 1, -1, -1):
-        acc = a[r][n]
-        for k in range(r + 1, n):
-            acc -= a[r][k] * out[k]
-        out[r] = div(acc, a[r][r])
+    for row, col in reversed(list(zip(a, pivots))):
+        acc = row[n]
+        for k in range(col + 1, n):
+            acc -= row[k] * out[k]
+        out[col] = div(acc, row[col])
     return out
 
 
 def _solve_bareiss(a: list[list[int]]) -> list:
-    """The solution of the integer augmented system ``a`` by fraction-free
+    """A solution of the integer augmented system ``a`` by fraction-free
     elimination (E. H. Bareiss, Math. Comp. 1968), where every division is
-    exact.  Back substitution keeps the unknowns found so far over one
-    denominator, so each costs one integer dot product and one gcd.
+    exact, also past a column with no pivot, whose unknown is 0.  Back
+    substitution keeps the unknowns found so far over one denominator, so
+    each costs one integer dot product and one gcd.
     """
     n = len(a)
-    prev = 1
+    prev, pivots = 1, {}  # pivot column -> its row
     for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col]), None)
+        top = len(pivots)
+        pivot = next((r for r in range(top, n) if a[r][col]), None)
         if pivot is None:
-            raise SingularSystemError("degenerate Pade block")
-        a[col], a[pivot] = a[pivot], a[col]
-        top = a[col]
-        p = top[col]
-        for r in range(col + 1, n):
-            row, f = a[r], a[r][col]
-            a[r] = row[:col] + [(p * x - f * y) // prev
-                                for x, y in zip(row[col:], top[col:])]
+            continue
+        a[top], a[pivot] = a[pivot], a[top]
+        row = pivots[col] = a[top]
+        p = row[col]
+        for r in range(top + 1, n):
+            below, f = a[r], a[r][col]
+            a[r] = below[:col] + [(p * x - f * y) // prev
+                                  for x, y in zip(below[col:], row[col:])]
         prev = p
+    if any(row[n] for row in a[len(pivots):]):  # 0 = b with b != 0
+        raise SingularSystemError("degenerate Pade block")
     nums, den = [], 1  # x_(n-1), x_(n-2), ... over den
-    for r in range(n - 1, -1, -1):
-        row = a[r]
-        s = sum(map(operator.mul, row[r + 1:n], reversed(nums)))
-        den = admit(nums, den, row[n] * den - s, den * row[r])
+    for col in range(n - 1, -1, -1):
+        if (row := pivots.get(col)) is None:
+            nums.append(0)  # a free unknown
+            continue
+        s = sum(map(operator.mul, row[col + 1:n], reversed(nums)))
+        den = admit(nums, den, row[n] * den - s, den * row[col])
     return [Fraction(x, den) for x in reversed(nums)]
 
 
@@ -300,12 +313,16 @@ def exp_weighted_coeffs(c: CharNumbers, w, q: int) -> CoeffSeq:
     and its m_{n,i} are floats, so a float w or c_i gives float a_n."""
     _require_derivative(c)
     q = _check_q(q)
-    exact = lift_exact([w])
-    if exact is None:
-        raise DomainError(f"w must be finite, got {w}")
     v = c.values if is_exact(w) else [float(ci) for ci in c.values]
-    values = tri_table(_exp_weighted_rows, exact[0], q, len(v)).apply(v)
+    values = _exp_weighted_table(w, q, len(v)).apply(v)
     return CoeffSeq(tuple(values), "exp_weighted", params={"w": w, "q": q})
+
+
+def _exp_weighted_table(w, q: int, size: int) -> TriRows:
+    """The cached rows m_{n,i} of the Fraction that a finite w equals."""
+    if (exact := lift_exact([w])) is None:
+        raise DomainError(f"w must be finite, got {w}")
+    return tri_table(_exp_weighted_rows, exact[0], q, size)
 
 
 def _exp_weighted_rows(w, q: int, size: int) -> TriRows:
@@ -327,8 +344,9 @@ def dmatrix_build(w, q: int, order: int) -> tuple[TriMatrix, TriMatrix]:
     """The matrix D mapping coefficients to derivatives, and its inverse.
 
     D[m][j] = delta_{v_{m-j},0} m! (u_{m-j} q)! / ((m-j)! u_{m-j}!) w^(u_{m-j});
-    the inverse has the closed form used by ``exp_weighted_coeffs``.
-    D @ D^-1 = I exactly over rationals -- the content of the inversion proof.
+    the inverse is the table m_{n,i} of ``exp_weighted_coeffs``, in floats
+    for a float w.  D @ D^-1 = I exactly over rationals -- the content of the
+    inversion proof.
     """
     q = _check_q(q)
 
@@ -340,13 +358,10 @@ def dmatrix_build(w, q: int, order: int) -> tuple[TriMatrix, TriMatrix]:
         den = math.factorial(m - j) * math.factorial(u)
         return Fraction(num, den) * specfun.gen_pow(w, u)
 
-    def dinv_entry(n, i):
-        entry = _m_entry(n, i, w, q)
-        return 0 if entry is None else over(*entry)
-
     d = TriMatrix([[d_entry(m, j) for j in range(m + 1)] for m in range(order + 1)])
-    dinv = TriMatrix([[dinv_entry(n, i) for i in range(n + 1)] for n in range(order + 1)])
-    return d, dinv
+    rows = [{i: t if is_exact(w) else float(t) for i, t in row}
+            for row in _exp_weighted_table(w, q, order + 1).pairs]
+    return d, TriMatrix([[row.get(i, 0) for i in range(n + 1)] for n, row in enumerate(rows)])
 
 
 class ExpWeightedApproximant(Approximant):
@@ -629,20 +644,17 @@ def _rat2_sum(acc: float, t: float, a: tuple, nonzero: tuple) -> float:
     return acc
 
 
-# what each variant decides: the Dirichlet inverse of g's series coefficients
-# (the coefficient map), those coefficients gamma_j (the jet at the center),
-# b_0 + sum a_n g(t^n) in floats (from all a_n and the nonzero (n, a_n)) and
-# the t where that sum is refused
+# what each variant decides: g's series coefficients gamma_j (the coefficient map is their
+# Dirichlet inverse, the jet at the center reads them), b_0 + sum a_n g(t^n) in floats (from
+# all a_n and the nonzero (n, a_n)) and the t where that sum is refused
 _DIRICHLET = {
     "dirichlet_g": {
-        "inverse": lambda k: 1,
         "series": lambda j: specfun.moebius(j) if j else 0,
         "sum": lambda acc, t, a, nonzero: acc + _G_adaptive(t, a),
         "outside": lambda t: abs(t) >= 1,
         "outside_error": "the Moebius-G expansion is defined for |x| < 1",
     },
     "dirichlet_rat1": {
-        "inverse": specfun.moebius,
         "series": lambda j: Fraction(1),
         "sum": _rat1_sum,
         "outside": lambda t: abs(t) == 1,
@@ -650,7 +662,6 @@ _DIRICHLET = {
                          "(poles at roots of unity)",
     },
     "dirichlet_rat2": {
-        "inverse": specfun.nu,
         "series": lambda j: Fraction((-1) ** (j // 2) if j % 2 else 0),
         "sum": _rat2_sum,
         "outside": lambda t: False,
@@ -683,9 +694,10 @@ def dirichlet_expansion_coeffs(c: CharNumbers, variant: str) -> CoeffSeq:
 
 
 def _dirichlet_rows(variant: str, size: int) -> TriRows:
-    seq = _DIRICHLET[variant]["inverse"]
-    # the divisors k of n, ascending
-    return TriRows([[(n // k, s) for k in range(1, n + 1) if n % k == 0 and (s := seq(k))]
+    series = _DIRICHLET[variant]["series"]
+    # gamma^-1 at the divisors k of n, ascending (gamma_size keeps it nonempty)
+    inv = (0, *specfun.dirichlet_inverse([series(j) for j in range(1, size + 1)]))
+    return TriRows([[(n // k, inv[k]) for k in range(1, n + 1) if n % k == 0 and inv[k]]
                     for n in range(1, size)])
 
 

@@ -54,8 +54,9 @@ class NodeSystem:
     """Scaling s, normalizer N, nodes x_n = s^{-1}(n) and slope constants.
 
     ``slope_closed`` holds the closed-form s_n when one is known; otherwise
-    slopes are differentiated out of N(x) sin(pi s(x)) with jets.  Excluded
-    indices are dropped from the summation window entirely.
+    s_n is lambda'(x_n), read from the jet of lambda(x) = N(x) sin(pi s(x))
+    at x_n that the caller builds anyway.  Excluded indices are dropped from
+    the summation window entirely.
     """
 
     name: str
@@ -85,14 +86,12 @@ class NodeSystem:
         n = self.normalizer.lift(x, order)
         return n * (math.pi * s).sin()
 
-    def slope_jet(self, n: int) -> float:
-        jet = self.lambda_jet(self.node(n), 1)
-        return float(jet.coeffs[1])
-
-    def slope(self, n: int) -> float:
+    def slope(self, n: int, jet: Jet) -> float:
+        """s_n: the closed form where one is known, else lambda'(x_n) read from
+        ``jet``, a ``lambda_jet`` at x_n of order 1 or more."""
         if self.slope_closed is not None:
             return self.slope_closed(n)
-        return self.slope_jet(n)
+        return float(jet.coeffs[1])
 
     def with_exclusions(self, *extra: int) -> "NodeSystem":
         return replace(self, exclusions=self.exclusions | set(extra))
@@ -315,8 +314,8 @@ class WsApproximant(Approximant):
         self.n_max = n_max
         self.terms = []
         for (n, xn), a in zip(nodes, c.values):
-            slope = system.slope(n)
             jet = system.lambda_jet(xn, 2)
+            slope = system.slope(n, jet)
             if slope == 0:
                 raise DomainError(f"slope s_{n} vanishes; node system invalid")
             lam2 = 2.0 * float(jet.coeffs[2])
@@ -390,11 +389,10 @@ class WsIntegralDerivative(Approximant):
                 raise DomainError(
                     f"integration limit a={a} coincides with node x_{n}={xn}"
                 )
-            slope = float(system.slope(n))
-            denom = slope * (xn - self.a)
+            lj = system.lambda_jet(xn, order)
+            denom = float(system.slope(n, lj)) * (xn - self.a)
             # local series of v(x) = lambda(x)(x-a)/denom around x_n; the
             # noise-level constant term is dropped (removable singularity)
-            lj = system.lambda_jet(xn, order)
             lin = Jet(xn, (xn - self.a, 1) + (0,) * (order - 1))
             v = (lj * lin / denom).coeffs
             block = Poly(float(vk) for vk in v[1:])

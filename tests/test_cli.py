@@ -262,6 +262,36 @@ def test_compare_needs_two(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag, exact, decimal", [
+    ("--grid", "-1/2,1/2,5", "-0.5,0.5,5"),
+    ("--grid", "-1/4,1/2,+5", "-0.25,0.5,5"),
+])
+def test_grid_reads_numbers_as_x0_does(capsys, flag, exact, decimal):
+    argv = ("compare", "--f", "exp(x)", "--kind", "taylor,pade", "--order", "4")
+    want = run(capsys, *argv, f"{flag}={decimal}")
+    assert want[0] == 0 and want[2] == ""
+    assert run(capsys, *argv, f"{flag}={exact}") == want
+
+
+def test_perturb_reads_numbers_as_x0_does(capsys):
+    argv = ("verify", "--f", "exp(x)", "--kind", "taylor", "--order", "4", "--perturb")
+    want = run(capsys, *argv, "1,0.001")
+    assert want[0] == 1 and json.loads(want[1])["pass"] is False
+    assert run(capsys, *argv, "1,1/1000") == want
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--grid", "-1e400,1,5", "error: grid lies beyond the float range, got '-1e400'\n"),
+    ("--grid", "0,1,1", "error: grid must be an integer >= 2, got 1\n"),
+    ("--grid", "1/2,1/2,5", "error: grid needs lo < hi, got '1/2,1/2,5'\n"),
+    ("--perturb", "1,1e400", "error: perturb lies beyond the float range, got '1e400'\n"),
+])
+def test_list_settings_name_the_setting_they_refuse(capsys, flag, value, message):
+    argv = {"--grid": ("compare", "--kind", "taylor,pade"),
+            "--perturb": ("verify", "--kind", "taylor")}[flag]
+    assert run(capsys, *argv, "--f", "exp(x)", f"{flag}={value}") == (2, "", message)
+
+
 def test_compare_invalid_grid(capsys):
     code, _, err = run(capsys, "compare", "--f", "exp(x)",
                        "--grid", "0,1,1", "--kind", "taylor,nsbf")
@@ -956,11 +986,28 @@ def test_config_files_holding_only_read_keys_work(tmp_path, monkeypatch, capsys,
 
 
 def test_compare_builds_every_kind_before_printing(capsys):
-    # pade has no block for 1/x at 1: no header and no taylor row come first
-    code, out, err = run(capsys, "compare", "--f", "1/x", "--grid=-1,1,11",
-                         "--kind", "taylor,pade", "--x0", "1", "--order", "4")
+    # pade has no [1/1] block for cos(x), where f_1 q_1 = -f_2 reads 0 = 1/2:
+    # no header and no taylor row come first
+    code, out, err = run(capsys, "compare", "--f", "cos(x)", "--grid=-1,1,11",
+                         "--kind", "taylor,pade", "--order", "2")
     assert (code, out) == (2, "")
     assert err == "error: degenerate Pade block\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--f", "1/(1+x^2)", "--kind", "pade", "--order", "11"),
+    ("verify", "--f", "1/(1+x^2)", "--kind", "pade", "--order", "11", "--x0", "1/3"),
+    ("verify", "--f", "1", "--kind", "pade", "--order", "4"),
+    ("verify", "--f", "1+x", "--kind", "pade", "--order", "4"),
+    ("compare", "--f", "x^3", "--kind", "taylor,pade", "--grid=-0.9,0.9,5", "--order", "20"),
+])
+def test_consistent_singular_pade_blocks_build(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    if argv[0] == "verify":
+        assert json.loads(out)["max_residual"] == 0
+    else:
+        assert [line.split()[1:] for line in out.splitlines()[1:]] == [["0.000000e+00"] * 2] * 2
 
 
 def test_the_benchmark_argv_shapes_run(tmp_path, capsys):

@@ -140,6 +140,17 @@ def test_pade_degenerate_block():
         xp.pade_solve(c, 1, 1)
 
 
+@pytest.mark.parametrize("x0", [0, F(1, 3)])
+@pytest.mark.parametrize("text, order", [("1/(1 + x^2)", 11), ("1", 4), ("1 + x", 4),
+                                         ("x^3", 20)])
+def test_pade_solves_consistent_singular_blocks(text, order, x0):
+    # each q-block is singular and has solutions: an unknown whose column has
+    # no pivot is 0, and P - f Q = O(x^(m+n+1)) holds for any solution
+    res = build_kind("pade", exprs.parse(text), order, x0=x0)
+    report = verify_matching(res.approximant, res.chars)
+    assert report.passed and all(r == 0 and is_exact(r) for r in report.residuals)
+
+
 def test_pade_round_trip():
     c = chars_of("exp(x)", 8)
     report = verify_matching(xp.pade_approx(c, 4, 4), c)
@@ -280,6 +291,15 @@ def test_dmatrix_properties():
     for (w, q) in ((F(-1, 2), 2), (F(1), 1), (F(2), 3), (F(0), 2)):
         d, dinv = xp.dmatrix_build(w, q, 30)
         assert d.matmul(dinv).is_identity()
+
+
+def test_dmatrix_inverse_of_a_float_w_is_the_exact_table_in_floats():
+    for w, q in ((-0.5, 2), (0.1, 1), (3.0, 3)):
+        _, dinv = xp.dmatrix_build(w, q, 12)
+        _, exact = xp.dmatrix_build(F(w), q, 12)
+        for row, exact_row in zip(dinv.rows, exact.rows):
+            assert list(row) == [float(t) for t in exact_row]
+            assert all(type(v) is float for v, t in zip(row, exact_row) if t)
 
 
 # -- powers of g ------------------------------------------------------------------------
@@ -449,6 +469,20 @@ def test_dirichlet_sieve_table_identity():
         a = specfun.dirichlet_convolve(g_inv, f)
         back = specfun.dirichlet_convolve(a, g)
         assert all(x == y for x, y in zip(back, f))
+
+
+@pytest.mark.parametrize("variant, inverse", [
+    ("dirichlet_g", lambda k: 1), ("dirichlet_rat1", specfun.moebius),
+    ("dirichlet_rat2", specfun.nu)])
+def test_dirichlet_coefficient_map_is_the_inverse_of_the_series(variant, inverse):
+    # a_n = sum_{k | n} gamma^-1(k) f_(n/k) with gamma^-1 = 1, mu, nu
+    c = chars_of("exp(x)", 40)
+    f = [F(ck, math.factorial(k)) for k, ck in enumerate(c.values)]
+    want = [sum(inverse(k) * f[n // k] for k in range(1, n + 1) if n % k == 0)
+            for n in range(1, 41)]
+    assert list(xp.dirichlet_expansion_coeffs(c, variant).values) == want
+    # one characteristic number reads no row of the map
+    assert xp.dirichlet_expansion_coeffs(CharNumbers((0,), Derivative(0)), variant).values == ()
 
 
 def test_dirichlet_round_trip_exact():

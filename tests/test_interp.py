@@ -167,7 +167,8 @@ def test_jet_slopes_match_closed_forms(name):
     system = ws_node_systems()[name]
     for n in system.indices(20):
         closed = system.slope_closed(n)
-        assert abs(system.slope_jet(n) - closed) <= 1e-10 * max(1.0, abs(closed))
+        slope = float(system.lambda_jet(system.node(n), 1).coeffs[1])
+        assert abs(slope - closed) <= 1e-10 * max(1.0, abs(closed))
 
 
 def test_ws_f_slope_against_numerical_derivative():
@@ -176,7 +177,26 @@ def test_ws_f_slope_against_numerical_derivative():
         xn = system.node(n)
         h = 1e-6
         num = (system.lambda_value(xn + h) - system.lambda_value(xn - h)) / (2 * h)
-        assert abs(system.slope(n) - num) < 1e-6 * max(1.0, abs(num))
+        assert abs(system.slope(n, system.lambda_jet(xn, 1)) - num) < 1e-6 * max(1.0, abs(num))
+
+
+def test_ws_f_builds_one_lambda_jet_per_node(monkeypatch):
+    # the slope s_n of ws-f is read from the lambda jet that the build takes anyway
+    system = ws_node_systems()["ws-f"]
+    calls = []
+    lambda_jet = type(system).lambda_jet
+
+    def counting(self, x, order):
+        calls.append(x)
+        return lambda_jet(self, x, order)
+
+    monkeypatch.setattr(type(system), "lambda_jet", counting)
+    nodes = [xn for _, xn in system.nodes(20)]
+    ws_build(system, value_chars(system.test_function, system, 20), 20)
+    assert calls == nodes
+    calls.clear()
+    ws_integral_match(system, 0.5, value_chars(system.test_function, system, 20), 20)
+    assert calls == nodes
 
 
 # -- generalized WS interpolation ---------------------------------------------------------

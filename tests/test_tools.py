@@ -96,6 +96,33 @@ def test_output_digest_records_each_roundtrip_verdict(tmp_path):
     assert verdicts == {"roundtrip_exact": {True}, "roundtrip_float": {True, False}}
 
 
+def test_output_digest_against_another_file_lists_the_moved_entries(tmp_path):
+    script = str(ROOT / "tools" / "output_digest.py")
+    first, second, other = (tmp_path / f"{name}.json" for name in ("first", "second", "other"))
+    subprocess.run([sys.executable, script, str(first)], check=True, timeout=600)
+    digests = json.loads(first.read_text())
+    figure, kind = sorted(digests["figures"])[0], sorted(digests["kinds"])[-1]
+    run, rows = sorted(digests["roundtrip"].items())[0]
+    digests["figures"][figure] = "0" * 64  # changed
+    del digests["kinds"][kind]  # missing here
+    digests["compare"]["extra"] = "0" * 64  # missing there
+    rows[1][1] = "0" * 64
+    other.write_text(json.dumps(digests))
+    proc = subprocess.run([sys.executable, script, str(second), "--against", str(other)],
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 1, proc.stderr
+    assert json.loads(proc.stdout) == {"compare": ["extra"], "figures": [figure],
+                                       "kinds": [kind], "roundtrip": [f"{run}/{rows[1][0]}"]}
+    # two runs of one checkout give the same digests: nothing moved, exit 0
+    sys.path.insert(0, str(ROOT / "tools"))
+    try:
+        import output_digest
+    finally:
+        sys.path.remove(str(ROOT / "tools"))
+    mine, theirs = (json.loads(path.read_text()) for path in (first, second))
+    assert output_digest.moved(mine, theirs) == dict.fromkeys(sorted(mine), [])
+
+
 def test_cross_python_of_the_running_interpreter_finds_no_difference():
     proc = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "cross_python.py"), sys.executable],

@@ -25,20 +25,9 @@ import sys
 import tempfile
 from pathlib import Path
 
+from output_digest import differ, entries
+
 DIGEST = Path(__file__).resolve().parent / "output_digest.py"
-
-
-def entries(digests: dict) -> dict[str, str]:
-    """The digest file as one flat map of entry name -> digest."""
-    flat = {}
-    for section, table in digests.items():
-        if section == "roundtrip":
-            for run, rows in table.items():
-                # the verdict beside each digest is part of what the digest covers
-                flat.update((f"roundtrip/{run}/{case}", value) for case, value, *_ in rows)
-        else:
-            flat.update((f"{section}/{name}", value) for name, value in table.items())
-    return flat
 
 
 def run_digest(python: str, out: Path) -> dict:
@@ -65,9 +54,7 @@ def main(argv: list[str] | None = None) -> int:
         for i, python in enumerate(args.pythons):
             run = run_digest(python, Path(tmp) / f"{i}.json")
             if "entries" in run:
-                mine, theirs = base["entries"], run.pop("entries")
-                run["differ"] = sorted(name for name in mine.keys() | theirs.keys()
-                                       if mine.get(name) != theirs.get(name))
+                run["differ"] = differ(base["entries"], run.pop("entries"))
             report[python] = run
     print(json.dumps(report, indent=1))
     return 0 if all(run.get("differ") == [] for run in report.values()) else 1

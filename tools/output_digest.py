@@ -1,6 +1,6 @@
 """Write sha256 digests of charmatch's outputs, to show that a change keeps them.
 
-    python tools/output_digest.py OUT.json [--root CHECKOUT]
+    python tools/output_digest.py OUT.json [--root CHECKOUT] [--against OTHER.json]
 
 The digests cover, for the checkout at ``--root`` (default: the one that
 holds this script):
@@ -26,7 +26,12 @@ digests.
 charmatch is imported from ``<root>/src`` and the cases come from
 ``<root>/bench/workloads.py``, which is read and not changed.  Run it once
 on each checkout and compare the files: ``diff`` lists the entries that
-moved.
+moved.  With ``--against OTHER.json`` (the file of another checkout, such as
+the parent commit) the script also prints, per section, the sorted names of
+the entries that moved: whose digest differs or that one side lacks.  It then
+exits 1 if any entry moved, 0 otherwise.  An entry is one figure, one
+``compare`` function, one round-trip case (``<workload>:<seed>/<case id>``)
+or one kind entry (``<kind>|<target>|<order>|<center>``).
 """
 
 from __future__ import annotations
@@ -136,11 +141,42 @@ def kind_digests(wl, key) -> dict:
     return out
 
 
+def entries(digests: dict) -> dict[str, str]:
+    """The digest file as one flat map of entry name -> digest, each name
+    ``<section>/<entry>``."""
+    flat = {}
+    for section, table in digests.items():
+        if section == "roundtrip":
+            for run, rows in table.items():
+                # the verdict beside each digest is part of what the digest covers
+                flat.update((f"roundtrip/{run}/{case}", value) for case, value, *_ in rows)
+        else:
+            flat.update((f"{section}/{name}", value) for name, value in table.items())
+    return flat
+
+
+def differ(mine: dict[str, str], theirs: dict[str, str]) -> list[str]:
+    """The sorted names of the entries that differ or that one side lacks."""
+    return sorted(name for name in mine.keys() | theirs.keys()
+                  if mine.get(name) != theirs.get(name))
+
+
+def moved(digests: dict, other: dict) -> dict[str, list[str]]:
+    """Per section of either digest file, the entries that moved."""
+    out = {section: [] for section in sorted(digests.keys() | other.keys())}
+    for name in differ(entries(digests), entries(other)):
+        section, entry = name.split("/", 1)
+        out[section].append(entry)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out", help="JSON file to write")
     parser.add_argument("--root", default=str(Path(__file__).resolve().parent.parent),
                         help="checkout whose src/ and bench/ to use")
+    parser.add_argument("--against", metavar="OTHER.json",
+                        help="digest file to compare with; print the moved entries")
     args = parser.parse_args(argv)
     wl = load_workloads(Path(args.root).resolve())
     key = load_key()
@@ -150,7 +186,11 @@ def main(argv: list[str] | None = None) -> int:
     result = {"figures": figures, "compare": compare, "roundtrip": roundtrip,
               "kinds": kind_digests(wl, key)}
     Path(args.out).write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
-    return 0
+    if args.against is None:
+        return 0
+    report = moved(result, json.loads(Path(args.against).read_text()))
+    print(json.dumps(report, indent=1))
+    return 1 if any(report.values()) else 0
 
 
 if __name__ == "__main__":
