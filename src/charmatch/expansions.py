@@ -570,8 +570,11 @@ def _G_series(a: tuple, n_terms: int) -> tuple:
     return tuple(tuple(c[i:i + _G_BLOCK]) for i in range(0, n_terms, _G_BLOCK))
 
 
-def _G_weight(a: tuple):
-    """W = sum |a_n| left to right (the builtin sum is compensated from Python 3.12 on)."""
+@lru_cache(maxsize=16, typed=True)
+def _G_weight(*a):
+    """W = sum |a_n| left to right (the builtin sum is compensated from Python 3.12 on),
+    once per coefficient tuple; ``typed`` keeps apart equal tuples of other types,
+    whose sums may round apart (Fractions sum exactly, the floats they equal do not)."""
     weight = 0
     for v in a:
         weight += abs(v)
@@ -598,7 +601,7 @@ def moebius_G_eval(x: float, n_terms: int = 64, a: tuple = (1,)) -> GEval:
     if not abs(x) < 1:
         raise DomainError("the Moebius generating function needs |x| < 1")
     a = tuple(a)
-    weight = _G_weight(a)
+    weight = _G_weight(*a)
     # W |x^k| < 2^-55 |acc| as one product per term; the rounding of 2^-55 / W
     # is far inside the factor 2 between 2^-55 |acc| and half an ulp of acc
     negligible = _G_NEGLIGIBLE / weight if weight else 0.0
@@ -617,7 +620,7 @@ def _G_adaptive(x: float, a: tuple) -> float:
     """sum a_n G(x^n) summed to the first n in 64, 128, ..., 8192 whose
     weighted tail bound meets ``_TOL``."""
     x = float(x)
-    weight = _G_weight(a)
+    weight = _G_weight(*a)
     n = 64
     while abs(x) < 1 and _G_tail_bound(x, n, weight) > _TOL:
         if n >= 8192:
@@ -762,11 +765,17 @@ _DEX_MIN_TERMS = 64
 def _dex_ladder(x: float, length: int) -> tuple:
     """T_j = x^j / j! by T_j = T_{j-1} (x/j), at least ``length`` terms and
     on until the terms are decreasing and below ``_TOL``."""
-    terms = [1.0]
+    t = 1.0
+    terms = [t]
     j = 0
-    while j + 1 < length or j < 2 * abs(x) or abs(terms[-1]) > _TOL:
+    for j in range(1, length):
+        t *= x / j
+        terms.append(t)
+    reach = 2 * abs(x)
+    while j < reach or abs(t) > _TOL:
         j += 1
-        terms.append(terms[-1] * (x / j))
+        t *= x / j
+        terms.append(t)
     return tuple(terms)
 
 

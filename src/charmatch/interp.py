@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable
 
 from . import exprs, specfun
@@ -54,9 +55,8 @@ class NodeSystem:
     """Scaling s, normalizer N, nodes x_n = s^{-1}(n) and slope constants.
 
     ``slope_closed`` holds the closed-form s_n when one is known; otherwise
-    s_n is lambda'(x_n), read from the jet of lambda(x) = N(x) sin(pi s(x))
-    at x_n that the caller builds anyway.  Excluded indices are dropped from
-    the summation window entirely.
+    s_n is lambda'(x_n), read from a jet of lambda(x) = N(x) sin(pi s(x))
+    at x_n.  Excluded indices are dropped from the summation window entirely.
     """
 
     name: str
@@ -86,9 +86,10 @@ class NodeSystem:
         n = self.normalizer.lift(x, order)
         return n * (math.pi * s).sin()
 
-    def slope(self, n: int, jet: Jet) -> float:
-        """s_n: the closed form where one is known, else lambda'(x_n) read from
-        ``jet``, a ``lambda_jet`` at x_n of order 1 or more."""
+    def slope(self, n: int, jet: Jet | None) -> float:
+        """s_n: the closed form where one is known (``jet`` is then unread),
+        else lambda'(x_n) read from ``jet``, a ``lambda_jet`` at x_n of order
+        1 or more."""
         if self.slope_closed is not None:
             return self.slope_closed(n)
         return float(jet.coeffs[1])
@@ -288,11 +289,18 @@ def rho_interp(c: CharNumbers, rho: Callable[[float], float]) -> RhoApproximant:
 
 @dataclass
 class _WsTerm:
+    system: NodeSystem
     coefficient: float
     node: float
     slope: float
-    half_curvature: float  # lambda''(x_n) / (2 s_n)
     radius: float
+
+    @cached_property
+    def half_curvature(self) -> float:
+        """lambda''(x_n) / (2 s_n), taken when a point first falls inside the
+        radius: the series reads it nowhere else."""
+        jet = self.system.lambda_jet(self.node, 2)
+        return 2.0 * float(jet.coeffs[2]) / (2.0 * self.slope)
 
 
 class WsApproximant(Approximant):
@@ -314,16 +322,16 @@ class WsApproximant(Approximant):
         self.n_max = n_max
         self.terms = []
         for (n, xn), a in zip(nodes, c.values):
-            jet = system.lambda_jet(xn, 2)
+            # an order-1 jet holds lambda'(x_n) with the bits of any higher order
+            jet = system.lambda_jet(xn, 1) if system.slope_closed is None else None
             slope = system.slope(n, jet)
             if slope == 0:
                 raise DomainError(f"slope s_{n} vanishes; node system invalid")
-            lam2 = 2.0 * float(jet.coeffs[2])
             self.terms.append(_WsTerm(
+                system=system,
                 coefficient=float(a),
                 node=xn,
                 slope=float(slope),
-                half_curvature=lam2 / (2.0 * float(slope)),
                 radius=1e-6 * (1.0 + abs(xn)),
             ))
         # away from every node the series is one flat loop over (a_n, x_n, s_n)

@@ -1,15 +1,17 @@
 """Plain one-step references for the per-point grid kernels.
 
 ``specfun._bessel_sweep`` runs Miller's backward recurrence two steps per
-pass, ``interp.WsApproximant.__call__`` sums the sampling series through
-a flat term table away from the nodes, and the NSBF, dex and rational
-Dirichlet approximants sum over nonzero terms prepared once.  All must give
-the same float bits as the plain loops below, which take one recurrence
-step, and one series term, at a time.
+pass, ``expansions._dex_ladder`` runs its x^j / j! ladder as a fixed-length
+loop and then a short tail, ``interp.WsApproximant.__call__`` sums the
+sampling series through a flat term table away from the nodes, and the
+NSBF, dex and rational Dirichlet approximants sum over nonzero terms
+prepared once.  All must give the same float bits as the plain loops below,
+which take one recurrence step, and one series term, at a time.
 """
 
 from charmatch import expansions, specfun
 from charmatch.errors import DomainError
+from charmatch.expansions import _TOL
 from charmatch.specfun import BESSEL_X_MAX, _BESSEL_RESCALE, _BESSEL_TINY
 
 
@@ -45,6 +47,18 @@ def bessel_sweep(top: int, x: float) -> tuple:
                 norm += 2.0 * cur
         norm += cur
     return tuple((-v if x < 0 and i % 2 else v) / norm for i, v in enumerate(out))
+
+
+def dex_ladder(x: float, length: int) -> tuple:
+    """x^j / j! for j = 0, 1, ..., one term per pass with every stopping test:
+    at least ``length`` terms, and on until j >= 2|x| and the last term is at
+    most ``_TOL``."""
+    terms = [1.0]
+    j = 0
+    while j + 1 < length or j < 2 * abs(x) or abs(terms[-1]) > _TOL:
+        j += 1
+        terms.append(terms[-1] * (x / j))
+    return tuple(terms)
 
 
 def ws_call(approx, x) -> float:

@@ -7,9 +7,12 @@ universal jet-verification round trip.
 """
 
 import functools
+import importlib.util
 import math
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -627,6 +630,61 @@ def test_moebius_g_early_exit_is_bit_identical(n_terms):
             got = xp.moebius_G_eval(x, n_terms, a)
             assert got.value.hex() == _moebius_G_full(x, n_terms, a).hex(), (a, x)
             assert got.tail_bound == weight * abs(x) ** (n_terms + 1) / (1 - abs(x))
+
+
+def _g_outcomes(points, tuples) -> list:
+    """The bits of moebius_G_eval (value, tail bound) and of _G_adaptive at
+    each point for each coefficient tuple, or what _G_adaptive raised."""
+    out = []
+    for a in tuples:
+        for x in points:
+            got = xp.moebius_G_eval(x, 64, a)
+            try:
+                adaptive = xp._G_adaptive(x, a).hex()
+            except EvalDomainError as exc:
+                adaptive = str(exc)
+            out.append((got.value.hex(), got.tail_bound.hex(), adaptive))
+    return out
+
+
+def test_moebius_g_weight_is_the_loop_once_per_tuple(monkeypatch):
+    rng = random.Random(34)
+    tuples = [tuple(float(v) for v in a) for a in _weights(rng)]
+    points = _G_EDGES + [rng.uniform(-0.999, 0.999) for _ in range(20)]
+    xp._G_weight.cache_clear()
+    cached = _g_outcomes(points, tuples)
+    info = xp._G_weight.cache_info()
+    assert info.misses == len(set(tuples)) and info.hits > 0
+    monkeypatch.setattr(xp, "_G_weight", xp._G_weight.__wrapped__)
+    assert _g_outcomes(points, tuples) == cached
+
+
+def test_equal_tuples_of_other_types_keep_their_own_weight(monkeypatch):
+    # the Fractions sum exactly to 1 + 2^-52, the equal floats round to 1.0,
+    # so a W shared between the two would move the float tail bound's bits
+    exact = (F(1), F(1, 2 ** 53), F(1, 2 ** 53))
+    floats = tuple(float(v) for v in exact)
+    assert exact == floats
+    points = _G_EDGES + [0.3, -0.7, 0.99]
+    xp._G_weight.cache_clear()
+    assert type(xp._G_weight(1)) is int and type(xp._G_weight(1.0)) is float
+    primed = _g_outcomes(points, [exact, floats, (1,), (1.0,)])
+    monkeypatch.setattr(xp, "_G_weight", xp._G_weight.__wrapped__)
+    assert _g_outcomes(points, [exact, floats, (1,), (1.0,)]) == primed
+    assert _g_outcomes([0.5], [exact]) != _g_outcomes([0.5], [floats])
+
+
+def test_the_weight_cache_is_bounded_and_emptied_before_every_bench_case(monkeypatch):
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location("workloads", root / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "workloads", workloads)
+    spec.loader.exec_module(workloads)
+    xp.moebius_G_eval(0.5, 64, (0.25, -1.0))
+    info = xp._G_weight.cache_info()
+    assert info.currsize > 0 and info.maxsize is not None
+    workloads.clear_caches()
+    assert xp._G_weight.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("x", [math.nan, 1.0, -1.0, math.inf, -math.inf])

@@ -6,12 +6,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from charmatch import exprs, specfun
+from charmatch import expansions, exprs, specfun
 from charmatch.interp import value_chars, ws_build, ws_node_systems
 from charmatch.registry import build_kind
 
-from grid_kernel_reference import bessel_sweep, expansion_sum, ws_call
+from grid_kernel_reference import bessel_sweep, dex_ladder, expansion_sum, ws_call
 
 
 def outcome(fn, *args):
@@ -49,6 +51,25 @@ def test_bessel_sweep_keeps_the_one_step_bits(top, monkeypatch):
 @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, 1.0001e4])
 def test_bessel_sweep_refuses_like_the_one_step_loop(x):
     assert outcome(specfun._bessel_sweep.__wrapped__, 31, x) == outcome(bessel_sweep, 31, x)
+
+
+# every |x| the dex functions accept, subnormals and both zeros among them,
+# and ladder lengths on both sides of the 64 that ``dex_eval`` asks for
+@settings(max_examples=400, deadline=None)
+@given(st.floats(min_value=-expansions._DEX_X_MAX, max_value=expansions._DEX_X_MAX),
+       st.integers(min_value=1, max_value=130))
+@example(0.0, 1)
+@example(-0.0, 64)
+@example(5e-324, 130)
+@example(-5e-324, 1)
+@example(1e-310, 64)
+@example(expansions._DEX_X_MAX, 1)
+@example(-expansions._DEX_X_MAX, 130)
+@example(32.0, 64)
+@example(-31.75, 64)
+def test_dex_ladder_keeps_the_one_step_bits(x, length):
+    assert outcome(expansions._dex_ladder.__wrapped__, x, length) \
+        == outcome(dex_ladder, x, length)
 
 
 def ws_arguments(approx):

@@ -7,8 +7,10 @@ from fractions import Fraction
 import pytest
 
 from charmatch import exprs
-from charmatch.errors import DomainError, FamilyMismatchError
+from charmatch.errors import DomainError, FamilyMismatchError, JetDomainError
+from charmatch.figures import sample
 from charmatch.interp import (
+    NodeSystem,
     lagrange_interp,
     newton_interp,
     rho_interp,
@@ -180,23 +182,90 @@ def test_ws_f_slope_against_numerical_derivative():
         assert abs(system.slope(n, system.lambda_jet(xn, 1)) - num) < 1e-6 * max(1.0, abs(num))
 
 
-def test_ws_f_builds_one_lambda_jet_per_node(monkeypatch):
-    # the slope s_n of ws-f is read from the lambda jet that the build takes anyway
-    system = ws_node_systems()["ws-f"]
+def counting_lambda_jets(monkeypatch) -> list:
+    """The (x, order) of every ``NodeSystem.lambda_jet`` call from here on."""
     calls = []
-    lambda_jet = type(system).lambda_jet
+    lambda_jet = NodeSystem.lambda_jet
 
     def counting(self, x, order):
-        calls.append(x)
+        calls.append((x, order))
         return lambda_jet(self, x, order)
 
-    monkeypatch.setattr(type(system), "lambda_jet", counting)
+    monkeypatch.setattr(NodeSystem, "lambda_jet", counting)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["ws-a", "ws-b", "ws-c", "ws-d", "ws-e", "ws-classic"])
+def test_ws_builds_with_a_closed_slope_take_no_lambda_jet(name, monkeypatch):
+    system = ws_node_systems()[name]
+    c = value_chars(system.test_function or exprs.parse("sin(x)"), system, 20)
+    calls = counting_lambda_jets(monkeypatch)
+    approx = ws_build(system, c, 20)
+    assert calls == []
+    # a point inside a node's radius takes that node's order-2 jet, once
+    n, xn = system.nodes(20)[3]
+    for x in (xn, xn + 1e-9, xn):
+        approx(x)
+    assert calls == [(xn, 2)]
+    # a point away from every node reads no curvature
+    calls.clear()
+    approx(xn + 0.5 * abs(system.node(n + 1) - xn))
+    assert calls == []
+
+
+def test_ws_f_builds_one_lambda_jet_per_node(monkeypatch):
+    # the slope s_n of ws-f is read from an order-1 lambda jet, the order-2
+    # jet waits for a point inside the node's radius, and the integral
+    # matching block reads s_n from its own order-6 jet
+    system = ws_node_systems()["ws-f"]
+    calls = counting_lambda_jets(monkeypatch)
     nodes = [xn for _, xn in system.nodes(20)]
-    ws_build(system, value_chars(system.test_function, system, 20), 20)
-    assert calls == nodes
+    approx = ws_build(system, value_chars(system.test_function, system, 20), 20)
+    assert calls == [(xn, 1) for xn in nodes]
+    calls.clear()
+    approx(nodes[5])
+    approx(nodes[5])
+    assert calls == [(nodes[5], 2)]
     calls.clear()
     ws_integral_match(system, 0.5, value_chars(system.test_function, system, 20), 20)
-    assert calls == nodes
+    assert calls == [(xn, 6) for xn in nodes]
+
+
+@pytest.mark.parametrize("n_max", [12, 20, 100])
+@pytest.mark.parametrize("name", ["ws-a", "ws-b", "ws-c", "ws-d", "ws-e", "ws-f",
+                                  "ws-classic"])
+def test_ws_curvature_on_first_use_keeps_the_eager_bits(name, n_max):
+    # the build took s_n and lambda''(x_n) / (2 s_n) from one order-2 jet per node
+    system = ws_node_systems()[name]
+    approx = ws_build(system, value_chars(exprs.parse("cos(x)"), system, n_max), n_max)
+    assert len(approx.terms) == len(system.nodes(n_max))
+    for (n, xn), t in zip(system.nodes(n_max), approx.terms):
+        jet = system.lambda_jet(xn, 2)
+        slope = system.slope(n, jet)
+        eager = 2.0 * float(jet.coeffs[2]) / (2.0 * float(slope))
+        assert t.slope.hex() == float(slope).hex(), (name, n)
+        assert t.half_curvature.hex() == eager.hex(), (name, n)
+
+
+def test_a_node_whose_lambda_jet_fails_is_refused_only_within_its_radius():
+    # lambda(x) = |x| sin(pi x): the sqrt jet has no expansion at the node
+    # x_0 = 0, and the slopes are closed forms, so the build takes no jet;
+    # the jet's own error reaches a point inside that node's radius only
+    system = NodeSystem(name="kink", scaling=exprs.parse("x"),
+                        normalizer=exprs.parse("sqrt(x^2)"), node_fn=float,
+                        slope_closed=lambda n: math.pi * (-1.0) ** n)
+    with pytest.raises(JetDomainError):
+        system.lambda_jet(0.0, 2)
+    c = value_chars(exprs.parse("cos(x)"), system, 3)
+    approx = ws_build(system, c, 3)
+    for x in (0.0, 5e-7, -5e-7):
+        with pytest.raises(JetDomainError, match="sqrt"):
+            approx(x)
+    assert approx(1.0) == pytest.approx(math.cos(1.0), abs=1e-12)
+    assert math.isfinite(approx(2e-6)) and math.isfinite(approx(0.5))
+    got = sample(approx, [-1.0, 0.0, 5e-7, 2e-6, 0.5])
+    assert math.isnan(got[1]) and math.isnan(got[2])
+    assert all(math.isfinite(v) for v in got[:1] + got[3:])
 
 
 # -- generalized WS interpolation ---------------------------------------------------------

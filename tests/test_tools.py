@@ -6,6 +6,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -15,10 +17,14 @@ def test_pass_time_compares_a_checkout_with_itself():
          "--workload", "roundtrip_exact", "--seed", "13", "--pairs", "1"],
         capture_output=True, text=True, check=True, timeout=600).stdout.splitlines()
     assert [line.split(":")[0] for line in out[:2]] == ["pair 1 A", "pair 1 B"]
+    assert all(", cases_per_s " in line for line in out[:2])
     summary = json.loads(out[-1])
     for side in ("A", "B"):
         assert summary[side]["pass_share"] == 1.0
         assert summary[side]["pass_s"] > 0 and summary[side]["peak_rss_mb"] > 0
+        # the benchmark's throughput metric: the cases of one best pass per second
+        assert summary[side]["cases_per_s"] == pytest.approx(
+            summary[side]["cases"] / summary[side]["pass_s"])
         # the median case at its best of five cannot exceed its p95, nor the
         # p95 the best pass
         assert 0 < summary[side]["case_p50_ms"] <= summary[side]["case_p95_ms"] \

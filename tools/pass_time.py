@@ -7,16 +7,18 @@ builds the pass of ``<root>/bench/workloads.py`` (read as
 ``output_digest.py`` reads it, nothing under ``bench/`` changes) and runs it
 five times, each from emptied caches as the benchmark runs it.  The run
 reports the best of the five (the time inside the cases, as the benchmark
-measures it), the median and the 95th percentile over cases of each case's
-best time over the five (``case_p50_ms`` and ``case_p95_ms``, the
-benchmark's p50 and p95 of case times, the p95 interpolated as
-``bench/run.py`` does), the share of cases whose check passed, the
-process's peak resident memory and each case's best time and family.  A
-pair is one run of A and one of B, in alternating order.  The summary gives
-the medians per checkout, the median ratio B / A of the pass times and, for
-each case (by its id), the median over pairs of its ratio B / A, printed
-from the largest gain to the largest loss, and for each case family the
-median of its cases' ratios (``family_ratio_b_over_a``, in the JSON only).
+measures it), the pass's cases over that time (``cases_per_s``, the
+benchmark's throughput metric), the median and the 95th percentile over
+cases of each case's best time over the five (``case_p50_ms`` and
+``case_p95_ms``, the benchmark's p50 and p95 of case times, the p95
+interpolated as ``bench/run.py`` does), the share of cases whose check
+passed, the process's peak resident memory and each case's best time and
+family.  A pair is one run of A and one of B, in alternating order.  The
+summary gives the medians per checkout, the median ratio B / A of the pass
+times and, for each case (by its id), the median over pairs of its ratio
+B / A, printed from the largest gain to the largest loss, and for each case
+family the median of its cases' ratios (``family_ratio_b_over_a``, in the
+JSON only).
 A change of a few percent shows in a minute, where the benchmark needs ten
 pairs of 20 s runs, and the case ratios show which cases moved.
 """
@@ -42,10 +44,10 @@ pass_time.one_run({root!r}, {workload!r}, {seed!r})
 
 
 def one_run(root: str, workload: str, seed: int) -> None:
-    """Print, as one JSON line, the best pass time of ``BEST_OF``, the median
-    and the 95th percentile case time (each case at its best of ``BEST_OF``),
-    the pass share, the peak RSS of this process and each case's best time
-    and family by case id."""
+    """Print, as one JSON line, the best pass time of ``BEST_OF``, the cases
+    per second of that pass, the median and the 95th percentile case time
+    (each case at its best of ``BEST_OF``), the pass share, the peak RSS of
+    this process and each case's best time and family by case id."""
     import resource
     import statistics
     import tempfile
@@ -80,7 +82,8 @@ def one_run(root: str, workload: str, seed: int) -> None:
             best = min(best, busy)
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     p95 = statistics.quantiles(case_best, n=100, method="inclusive")[94]
-    print(json.dumps({"pass_s": best, "case_p50_ms": statistics.median(case_best) * 1e3,
+    print(json.dumps({"pass_s": best, "cases_per_s": len(cases) / best,
+                      "case_p50_ms": statistics.median(case_best) * 1e3,
                       "case_p95_ms": p95 * 1e3, "pass_share": passed / len(cases),
                       "cases": len(cases), "peak_rss_mb": peak_mb,
                       "case_ms": {case.id: t * 1e3 for case, t in zip(cases, case_best)},
@@ -112,14 +115,15 @@ def main(argv: list[str] | None = None) -> int:
             result = run(roots[name], args.workload, args.seed)
             runs[name].append(result)
             print(f"pair {i + 1} {name}: pass {result['pass_s'] * 1e3:.1f} ms, "
+                  f"cases_per_s {result['cases_per_s']:.2f}, "
                   f"case p50 {result['case_p50_ms']:.2f} ms, "
                   f"case p95 {result['case_p95_ms']:.2f} ms, "
                   f"pass_share {result['pass_share']:.4f}, "
                   f"peak {result['peak_rss_mb']:.1f} MB", flush=True)
     ratios = [b["pass_s"] / a["pass_s"] for a, b in zip(runs["A"], runs["B"])]
     summary = {name: {field: statistics.median(r[field] for r in rs)
-                      for field in ("pass_s", "case_p50_ms", "case_p95_ms", "pass_share",
-                                    "peak_rss_mb", "cases")}
+                      for field in ("pass_s", "cases_per_s", "case_p50_ms", "case_p95_ms",
+                                    "pass_share", "peak_rss_mb", "cases")}
                for name, rs in runs.items()}
     summary["ratio_b_over_a"] = statistics.median(ratios)
     summary["b_faster_pairs"] = sum(r < 1 for r in ratios)
