@@ -478,8 +478,8 @@ _G_BASIS = {
     "pow_sine": {
         "eval": lambda t: math.sin(t / 2.0),
         "jet": _g_jet_sin_half,
-        # 2^n is folded into the entries: a power of two scales a normal float exactly
-        "table": lambda n, k: specfun.central_factorial_abs(n, k) * 2 ** n,
+        # 2^n |t(n,k)| = 2^k u(n,k): 2^n is folded into the integer entries
+        "table": lambda n, k: specfun.central_factorial_scaled(n, k) << k,
     },
     "rational_x_over_x1": {
         "eval": _x_over_x1,

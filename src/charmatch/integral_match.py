@@ -30,7 +30,7 @@ from .matching import (
     measure,
     target_poly,
 )
-from .poly import Poly, TriRows, all_exact, div, over, scaled, tri_table
+from .poly import Poly, TriRows, all_exact, div, over, scaled, taylor_shift, tri_table
 
 __all__ = [
     "MomentSet",
@@ -244,26 +244,43 @@ def bernoulli_chars(f, interval: tuple, order: int, zeroth: str = "value",
 
 
 def bernoulli_approx(c: CharNumbers) -> PolynomialApproximant:
-    """sum c_n (b-a)^(n-1) B_n((x-a)/(b-a)) / n!, normalized via c_0."""
+    """sum c_n (b-a)^(n-1) B_n((x-a)/(b-a)) / n!, normalized via c_0.
+
+    With d_n = c_n (b-a)^(n-1) / n!, coefficient j is sum_n d_n e_nj, n from
+    1 in order, by the rows of ``_bernoulli_rows``: e_nj = [x^j] B_n((x-a)/(b-a))
+    exactly, one table per interval and order.  A zero c_n forms no term.
+    """
     if not isinstance(c.family, EndpointDiff):
         raise DomainError("expected endpoint-difference characteristic numbers")
     fam = c.family
     a, b = fam.a, fam.b
     width = b - a
-    inv_width = div(1, width)
-    total = Poly([0])
-    for n in range(1, len(c.values)):
-        if c.values[n] == 0:
-            continue
-        basis = specfun.bernoulli_poly(n).compose_affine(inv_width, -a * inv_width)
-        scale = over(width ** (n - 1), math.factorial(n))
-        total = total + (c.values[n] * scale) * basis
+    d = [cn * over(width ** (n - 1), math.factorial(n)) if cn != 0 else 0
+         for n, cn in enumerate(c.values[1:], start=1)]
+    total = Poly(tri_table(_bernoulli_rows, a, b, len(c.values)).apply(d))
     if fam.zeroth == "value":
         shift = c.values[0] - total(fam.anchor)
     else:
-        shift = (c.values[0] - total.integral(a, b)) * inv_width
+        shift = (c.values[0] - total.integral(a, b)) * div(1, width)
     total = total + Poly([shift])
     return PolynomialApproximant(total, coeffs=CoeffSeq(c.values, "bernoulli"))
+
+
+def _bernoulli_rows(a, b, size: int) -> TriRows:
+    """Row j: (n - 1, [x^j] B_n((x-a)/(b-a))) for n = max(j, 1)..size-1 in
+    order, zero entries included, so that a float d_n meets every coefficient
+    of its B_n as in the sum of the polynomials d_n B_n (inf times a zero
+    entry is nan).  Float ends are taken as the exact numbers they are.  Each
+    B_n, on the shared Bernoulli denominator, goes through one
+    ``taylor_shift`` with top degree size - 1, so row j has one denominator."""
+    a, b = lift_exact((a, b))
+    nums, den = specfun.bernoulli_ints(size - 1)
+    alpha, beta = div(1, b - a), div(-a, b - a)
+    shifted = [taylor_shift([math.comb(n, k) * nums[n - k] for k in range(n + 1)], den,
+                            alpha, beta, size - 1) for n in range(size)]
+    return TriRows(ints=[(range(max(j, 1) - 1, size - 1),
+                          [shifted[n][j][0] for n in range(max(j, 1), size)],
+                          shifted[-1][j][1]) for j in range(size)])
 
 
 def bernoulli_taylor_limit(f, a, eps_list: Sequence[float], order: int

@@ -15,7 +15,8 @@ Projection) measure through ``_integrals``, which takes closed-form
 integrals of targets with a polynomial form and otherwise one composite
 Gauss-Legendre rule; Projection uses the rule for every target.  The
 weights w_n of such a family at the nodes of the rule are tabulated once
-per family and order (``_node_weights``).
+per family and order (``_node_weights``), and the exact power integrals of
+the closed form once per interval and degree (``_power_integrals``).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Callable, Sequence
 
 from .errors import DomainError, FamilyMismatchError, SingularSystemError
 from .jets import Jet
-from .poly import Poly, all_exact, div, is_exact, rational, scaled, tri_map
+from .poly import Poly, admit, all_exact, div, is_exact, rational, scaled, tri_map
 from .quadrature import GaussLegendre
 from . import specfun
 
@@ -132,15 +133,21 @@ class Derivative(Family):
         return [der[n] for n in orders]
 
 
-def _power_integrals(a, b, top: int) -> tuple[list, int]:
-    """The exact integrals M_m of x^m over (a, b), m = 0..top, for finite a and
-    b, as integer numerators over one shared denominator, and that denominator."""
-    a, b = Fraction(a), Fraction(b)
-    pa, pb, table = a, b, []
-    for m in range(top + 1):
-        table.append((pb - pa) / (m + 1))
-        pa, pb = pa * a, pb * b
-    return scaled(table)
+@lru_cache(maxsize=64)
+def _power_integrals(a, b, top: int) -> tuple[tuple, int]:
+    """The exact integrals M_m = (b^(m+1) - a^(m+1)) / (m+1) of x^m over (a, b),
+    m = 0..top, for finite a and b, as integer numerators over one shared
+    denominator (``admit``), and that denominator: one table per interval
+    and top.  With a = na/da and b = nb/db, M_m has the numerator
+    (nb da)^(m+1) - (na db)^(m+1) over (da db)^(m+1) (m+1)."""
+    (na, da), (nb, db) = ((x.numerator, x.denominator) for x in lift_exact((a, b)))
+    lo, hi, d = na * db, nb * da, da * db
+    nums, den = [], 1
+    pa, pb, pd = lo, hi, d
+    for m in range(1, top + 2):
+        den = admit(nums, den, pb - pa, pd * m)
+        pa, pb, pd = pa * lo, pb * hi, pd * d
+    return tuple(nums), den
 
 
 def _integrals(target, family, orders: list, row=None) -> list:
@@ -244,6 +251,9 @@ class EndpointDiff(Family):
             raise DomainError(f"unknown zeroth mode {self.zeroth!r}")
         if self.zeroth == "value" and self.anchor is None:
             object.__setattr__(self, "anchor", self.a)
+        ends = (self.a, self.b) if self.anchor is None else (self.a, self.b, self.anchor)
+        if lift_exact(ends) is None:
+            raise DomainError(f"endpoint differences need finite ends and anchor, got {ends}")
 
     def describe(self) -> str:
         return f"endpoint_diff({self.a},{self.b};zeroth={self.zeroth})"

@@ -12,10 +12,11 @@ operators convert it first, so an exact operand converted once with
 operand is a float, which keeps them out of Fraction's Python-level fallback.
 Exact sequences are computed on as integer numerators over one denominator
 (``scaled``, ``reduced``): the one product ``mul``, ``TriRows`` and the exact
-jets.  A number leaves that form as ``rational(num, den)``, an int where the
-value is an integer and a Fraction otherwise.  Every fixed triangular map,
-the power tables of ``Poly.__call__`` included, is one ``TriRows`` in the one
-cache ``tri_table``.
+jets, and the integer Taylor shift ``taylor_shift``.  A number leaves that
+form as ``rational(num, den)``, an int where the value is an integer and a
+Fraction otherwise.  Every fixed triangular map, the power tables of
+``Poly.__call__`` included, is one ``TriRows`` in the one cache
+``tri_table``.
 """
 
 from __future__ import annotations
@@ -242,6 +243,33 @@ def _power_rows(nums: tuple, den: int) -> TriRows:
         d = math.lcm(*[p.den for p in row])
         rows.append((range(len(row)), *reduced([p.nums[n] * (d // p.den) for p in row], d)))
     return TriRows(ints=rows)
+
+
+def taylor_shift(nums: Sequence[int], den: int, alpha, beta, top: int | None = None) -> list:
+    """The coefficients of p(alpha x + beta), p = sum_k nums[k] x^k / den with
+    ``den > 0`` and exact ``alpha``, ``beta``, as one (numerator, denominator)
+    pair per power of x; each denominator is positive and depends on den,
+    alpha, beta, ``top`` (at least the degree, by default the degree) and
+    the power alone, so the shifts of several polynomials with one ``den``
+    and ``top`` share it.
+
+    For beta = r/s nonzero this is the Taylor shift of von zur Gathen and
+    Gerhard (ISSAC 1997) on integers: h(y) = p(beta y) has the numerators
+    nums[k] r^k s^(top - k) over den s^top, h(y + 1) follows from them by
+    additions alone, and y = (alpha / beta) x multiplies coefficient j by
+    (alpha / beta)^j.  For beta = 0 coefficient j is nums[j] alpha^j / den.
+    """
+    p, q = alpha.numerator, alpha.denominator
+    r, s = beta.numerator, beta.denominator
+    if not r:
+        return [(x * p ** j, den * q ** j) for j, x in enumerate(nums)]
+    top = len(nums) - 1 if top is None else top
+    g = [x * r ** k * s ** (top - k) for k, x in enumerate(nums)]
+    for i in range(len(g) - 1):
+        for k in range(len(g) - 2, i - 1, -1):
+            g[k] += g[k + 1]
+    ps, qr = (-p * s, -q * r) if r < 0 else (p * s, q * r)
+    return [(x * ps ** j, den * s ** top * qr ** j) for j, x in enumerate(g)]
 
 
 def power(base, n: int, one):

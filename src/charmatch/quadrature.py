@@ -10,6 +10,7 @@ w_i = w_{31-i}, so its positive half holds all 32.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import repeat
 from typing import Callable, Sequence
 
@@ -31,6 +32,13 @@ _HALF_WEIGHTS = (
 )
 
 
+@lru_cache(maxsize=64)
+def _points(a: float, b: float, m: int) -> tuple[float, ...]:
+    width = (b - a) / m
+    half = 0.5 * width
+    return tuple(a + p * width + half + half * t for p in range(m) for t in GaussLegendre.nodes)
+
+
 class GaussLegendre:
     """Composite Gauss-Legendre rule: the 32 tabulated nodes on each of
     ``panels`` equal panels.  Exact for polynomials of degree <= 63 per panel."""
@@ -44,13 +52,11 @@ class GaussLegendre:
             raise DomainError("quadrature needs panels >= 1")
         self.panels = panels
 
-    def points(self, a: float, b: float) -> list[float]:
+    def points(self, a: float, b: float) -> tuple[float, ...]:
         """The nodes of the composite rule on (a, b), panel by panel: the
-        points at which ``integrate`` takes the values of its integrand."""
-        a, m = float(a), self.panels
-        width = (float(b) - a) / m
-        half = 0.5 * width
-        return [a + p * width + half + half * t for p in range(m) for t in self.nodes]
+        points at which ``integrate`` takes the values of its integrand,
+        computed once per interval (the ends read as floats) and panel count."""
+        return _points(float(a), float(b), self.panels)
 
     def integrate(self, f: Callable[[float], float] | Sequence[float], a: float,
                   b: float, weight: Sequence[float] | None = None) -> float:

@@ -14,14 +14,16 @@ from functools import lru_cache
 from typing import Sequence
 
 from .errors import DomainError
-from .poly import Poly, div
+from .poly import Poly, admit, div, rational
 
 __all__ = [
     "gen_pow",
     "stirling2",
     "stirling1_unsigned",
     "central_factorial_abs",
+    "central_factorial_scaled",
     "bell_binomial_power",
+    "bernoulli_ints",
     "bernoulli_number",
     "bernoulli_poly",
     "legendre_coeffs",
@@ -86,12 +88,12 @@ def _stirling1_row(rows, n: int, top: int) -> tuple:
 
 
 def _central_factorial_row(rows, n: int, top: int) -> tuple:
-    if n < 2:  # |t(0,0)| = 1 seeds the even rows, x^[1] = x the odd ones
-        return (Fraction(1 - n), Fraction(n))[:top + 1]
+    """Row n of u(n, k) = u(n-2, k-2) + (n-2)^2 u(n-2, k) = 2^(n-k) |t(n, k)|."""
+    if n < 2:  # u(0,0) = 1 seeds the even rows, x^[1] = x the odd ones
+        return (1 - n, n)[:top + 1]
     p = (*rows[n - 2], 0, 0)
-    s = Fraction(n - 2, 2) ** 2
-    return tuple((p[k - 2] if k > 1 else 0) + s * p[k] if (n - k) % 2 == 0 else Fraction(0)
-                 for k in range(top + 1))
+    s = (n - 2) ** 2
+    return tuple((p[k - 2] if k > 1 else 0) + s * p[k] for k in range(top + 1))
 
 
 def stirling2(n: int, k: int) -> int:
@@ -124,6 +126,12 @@ def central_factorial_abs(n: int, k: int) -> Fraction:
     Recurrence |t(n,k)| = |t(n-2,k-2)| + ((n-2)/2)^2 |t(n-2,k)|, from
     x^[n] = x^[n-2] (x^2 - (n/2 - 1)^2), with |t(0,0)| = |t(1,1)| = 1.
     """
+    return Fraction(central_factorial_scaled(n, k), 1 << n - k)
+
+
+def central_factorial_scaled(n: int, k: int) -> int:
+    """The integer u(n, k) = 2^(n-k) |t(n, k)|, by the recurrence of
+    ``central_factorial_abs`` times 2^(n-k)."""
     if n < 1:
         raise DomainError("central factorial numbers need n >= 1")
     if k < 0 or k > n:
@@ -141,26 +149,49 @@ def bell_binomial_power(n: int, k: int) -> int:
 # -- Bernoulli -------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def bernoulli_number(k: int) -> Fraction:
-    """Bernoulli number B_k with the B_1 = -1/2 convention."""
+@lru_cache(maxsize=1)
+def _bernoulli_table() -> list:
+    """[nums, den]: B_0..B_k found so far, a tuple of integer numerators over
+    one shared denominator; ``bernoulli_ints`` replaces both at once."""
+    return [(1,), 1]
+
+
+def bernoulli_ints(n: int) -> tuple[tuple, int]:
+    """B_0..B_n as a tuple of integer numerators over one shared denominator,
+    and that denominator: from sum_{j<=k} C(k+1, j) B_j = 0 each new B_k is
+    one integer dot product, admitted over the denominator (``admit``).
+    The table grows on a copy and is replaced in one step, so a result
+    already handed out, and the table itself, stay as they were if a later
+    call raises the denominator or is interrupted."""
+    table = _bernoulli_table()
+    nums, den = table
+    if len(nums) <= n:
+        nums = list(nums)
+        while len(nums) <= n:
+            k = len(nums)
+            acc = sum(math.comb(k + 1, j) * x for j, x in enumerate(nums))
+            den = admit(nums, den, -acc, den * (k + 1))
+        nums = tuple(nums)
+        table[:] = nums, den
+    return nums[:n + 1], den
+
+
+def bernoulli_number(k: int):
+    """Bernoulli number B_k with the B_1 = -1/2 convention, an int or a
+    Fraction (``rational``)."""
     if k < 0:
         raise DomainError("Bernoulli index must be nonnegative")
-    if k == 0:
-        return Fraction(1)
-    # sum_{j=0}^{k} C(k+1, j) B_j = 0
-    acc = Fraction(0)
-    for j in range(k):
-        acc += math.comb(k + 1, j) * bernoulli_number(j)
-    return -acc / (k + 1)
+    nums, den = bernoulli_ints(k)
+    return rational(nums[k], den)
 
 
 @lru_cache(maxsize=None)
 def bernoulli_poly(n: int) -> Poly:
-    """Bernoulli polynomial B_n(x) as an exact Poly."""
+    """Bernoulli polynomial B_n(x) = sum_k C(n, k) B_(n-k) x^k as an exact Poly."""
     if n < 0:
         raise DomainError("Bernoulli index must be nonnegative")
-    return Poly(math.comb(n, k) * bernoulli_number(n - k) for k in range(n + 1))
+    nums, den = bernoulli_ints(n)
+    return Poly(rational(math.comb(n, k) * nums[n - k], den) for k in range(n + 1))
 
 
 # -- Legendre --------------------------------------------------------------

@@ -1,40 +1,49 @@
 """The integer-numerator paths against the plain loops they replaced.
 
 ``TriRows``, the jet primitives ``exp``, ``ln``, ``sqrt`` and ``sin``/``cos``,
-the closed-form ``Moments`` and ``HigherIntegral`` of a polynomial and the
-exact Pade solve now run on integer numerators over shared denominators when
-every operand is an int or a Fraction; the NSBF and Dirichlet approximant
-jets and the exact ``exp_weighted_coeffs`` are ``tri_map`` sums, and an exact
-series composed with an exact jet of head 0 is summed from the jet's power
-table, kept in the one cache ``tri_table``.  Each reference below is the loop used before, kept verbatim,
-and the two must agree by ``result_key.key``: exact values and exactness,
-and float bits.  An exact integer path gives an int where a value is an
-integer and a Fraction otherwise (``poly.rational``), whatever type the
-loop gave.  Float and mixed operands still take the loops, and nothing else
-in the suite guards their bits, with two exceptions.  The closed-form
-integrals lift finite floats to exact numbers and round each result once,
-so their loops run on the lifted operands.  The NSBF and Dirichlet jets at
-the center read the cached rows for every operand; those rows hold the
-nonzero entries alone, where the basis sums also multiply the zero
-coefficients of each basis function, so they are checked against a loop
-over the nonzero entries.
+the closed-form ``Moments`` and ``HigherIntegral`` of a polynomial, their
+power integrals, the Bernoulli numbers, the central factorials, the
+integer Taylor shift ``taylor_shift`` and the exact Pade solve now run on
+integer numerators over shared denominators when every operand is an int
+or a Fraction; the NSBF and Dirichlet approximant jets, the exact
+``exp_weighted_coeffs`` and ``bernoulli_approx`` are ``tri_map`` sums, and
+an exact series composed with an exact jet of head 0 is summed from the
+jet's power table, kept in the one cache ``tri_table``.
+Each reference below is the loop used before, kept verbatim, and the two
+must agree by ``result_key.key``: exact values and exactness, and float
+bits.  An exact integer path gives an int where a value is an integer and a
+Fraction otherwise (``poly.rational``), whatever type the loop gave.  Float
+and mixed operands still take the loops, and nothing else in the suite
+guards their bits, with three exceptions.  The closed-form integrals lift
+finite floats to exact numbers and round each result once, so their loops
+run on the lifted operands.  The Bernoulli basis takes float interval ends
+as the exact numbers they are, so its loop composes with the lifted ends.
+The NSBF and Dirichlet jets at the center read the cached rows for every
+operand; those rows hold the nonzero entries alone, where the basis sums
+also multiply the zero coefficients of each basis function, so they are
+checked against a loop over the nonzero entries.
 """
 
+import importlib.util
 import math
 import operator
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from charmatch import expansions as xp
+from charmatch import integral_match as im
 from charmatch import poly, specfun
 from charmatch.errors import DomainError, JetDomainError, SingularSystemError
 from charmatch.exprs import parse
 from charmatch.jets import Jet, _float_head, bessel_jn_jet, exact_sqrt
 from charmatch.matching import (
-    CharNumbers, CoeffSeq, Derivative, HigherIntegral, Moments, tri_map, verify_matching,
+    CharNumbers, CoeffSeq, Derivative, EndpointDiff, HigherIntegral, Moments, tri_map,
+    verify_matching,
 )
 from charmatch.poly import Poly, div, is_exact, over
 from charmatch.registry import build_kind
@@ -682,3 +691,227 @@ def test_exp_weighted_matches_the_loop(c, w, q):
     chars = CharNumbers(tuple(c), Derivative(0))
     assert key(xp.exp_weighted_coeffs(chars, w, q).values) == key(
         ref_exp_weighted_values(chars, w, q))
+
+
+# -- the exact integral families: tables on integer numerators ----------------------
+
+
+def check_rational_types(values):
+    """Each exact value is typed as ``poly.rational`` types it: an int where
+    it is an integer and a Fraction otherwise."""
+    for x in values:
+        if is_exact(x):
+            assert type(x) is (int if x.denominator == 1 else F), repr(x)
+
+
+def ref_power_integrals(a, b, top):
+    a, b = Fraction(a), Fraction(b)
+    pa, pb, table = a, b, []
+    for m in range(top + 1):
+        table.append((pb - pa) / (m + 1))
+        pa, pb = pa * a, pb * b
+    return poly.scaled(table)
+
+
+def ref_compose_affine(p, alpha, beta):
+    """Horner over polynomials."""
+    return p(Poly([beta, alpha]))
+
+
+def ref_bernoulli_numbers(top):
+    out = [F(1)]
+    for k in range(1, top + 1):
+        acc = F(0)
+        for j in range(k):
+            acc += math.comb(k + 1, j) * out[j]
+        out.append(-acc / (k + 1))
+    return out
+
+
+def ref_central_factorial_rows(top):
+    """|t(n, k)| by the Fraction recurrence, rows 0..top in full."""
+    rows = [(F(1),), (F(0), F(1))]
+    for n in range(2, top + 1):
+        p = (*rows[n - 2], 0, 0)
+        s = F(n - 2, 2) ** 2
+        rows.append(tuple((p[k - 2] if k > 1 else 0) + s * p[k] if (n - k) % 2 == 0 else F(0)
+                          for k in range(n + 1)))
+    return rows
+
+
+def ref_bernoulli_approx(c, lift=True):
+    """The per-order loop: each B_n composed with the interval's affine map by
+    Horner, then summed.  With ``lift`` the basis takes float ends as the
+    exact numbers they are, as the table of ``bernoulli_approx`` does; the
+    scale and the zeroth shift read the ends as given."""
+    fam = c.family
+    a, b = fam.a, fam.b
+    width = b - a
+    inv_width = div(1, width)
+    lo, w = (F(a), F(b) - F(a)) if lift else (a, width)
+    total = Poly([0])
+    for n in range(1, len(c.values)):
+        if c.values[n] == 0:
+            continue
+        basis = specfun.bernoulli_poly(n)(Poly([-lo * div(1, w), div(1, w)]))
+        scale = over(width ** (n - 1), math.factorial(n))
+        total = total + (c.values[n] * scale) * basis
+    if fam.zeroth == "value":
+        shift = c.values[0] - total(fam.anchor)
+    else:
+        shift = (c.values[0] - total.integral(a, b)) * inv_width
+    return total + Poly([shift])
+
+
+SMALL_FRACTIONS = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+END = st.one_of(st.integers(-5, 5), SMALL_FRACTIONS, st.floats(-5, 5).map(lambda x: x or 0.0))
+# a != 0, b - a != 1 and b < a among them
+ENDS = st.sampled_from([(0, 1), (1, 3), (F(-1, 2), F(3, 2)), (0.25, 1.75), (3, -1),
+                        (1.0, 0.0), (F(7, 3), F(1, 5))]) | st.tuples(END, END).filter(
+    lambda e: abs(e[1] - e[0]) > 1e-3)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(ends=ENDS, top=st.integers(0, 81))
+def test_power_integrals_match_the_loop(ends, top):
+    from charmatch.matching import _power_integrals
+
+    nums, den = _power_integrals(*ends, top)
+    assert type(nums) is tuple and all(type(x) is int for x in (*nums, den))
+    assert (list(nums), den) == ref_power_integrals(*ends, top)
+
+
+EXACT_END = st.one_of(st.integers(-5, 5), SMALL_FRACTIONS)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(coeffs=st.integers(1, 41).flatmap(lambda size: numbers(size, True)),
+       alpha=EXACT_END, beta=EXACT_END, extra=st.none() | st.integers(0, 4))
+@example(coeffs=[F(1, 3), 0, 2, F(-5, 7)], alpha=1, beta=0, extra=None)
+@example(coeffs=[1, 2, 3], alpha=0, beta=F(-2, 3), extra=None)
+@example(coeffs=[1, 2, 3], alpha=F(1, 2), beta=-3, extra=2)
+def test_taylor_shift_matches_horner(coeffs, alpha, beta, extra):
+    nums, den = poly.scaled(coeffs)
+    top = None if extra is None else len(nums) - 1 + extra
+    pairs = poly.taylor_shift(nums, den, alpha, beta, top)
+    got = [poly.rational(num, d) for num, d in pairs]
+    same(lambda: Poly(got), lambda: ref_compose_affine(Poly(coeffs), alpha, beta))
+    check_rational_types(got)
+    # the denominators depend on den, alpha, beta, top and the power alone
+    ones = poly.taylor_shift([1] * len(nums), den, alpha, beta, top)
+    assert [d for _, d in pairs] == [d for _, d in ones] and all(d > 0 for _, d in pairs)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(ks=st.lists(st.integers(0, 60), min_size=1, max_size=8))
+def test_bernoulli_numbers_match_the_loop(ks):
+    # the shared table grows in the order the numbers are asked for
+    specfun._bernoulli_table.cache_clear()
+    ref = ref_bernoulli_numbers(max(ks))
+    got = [specfun.bernoulli_number(k) for k in ks]
+    assert key(got) == key([ref[k] for k in ks])
+    check_rational_types(got)
+    for n in ks:
+        poly_n = specfun.bernoulli_poly(n).coeffs
+        assert key(list(poly_n)) == key([math.comb(n, k) * ref[n - k] for k in range(n + 1)])
+        check_rational_types(poly_n)
+
+
+def test_bernoulli_numbers_handed_out_keep_their_values():
+    # a later call raises the shared denominator: an earlier result is a
+    # snapshot, not the table it rescales
+    specfun._bernoulli_table.cache_clear()
+    ref = ref_bernoulli_numbers(40)
+    nums, den = specfun.bernoulli_ints(2)
+    specfun.bernoulli_ints(40)
+    assert [F(x, den) for x in nums] == ref[:3]
+    nums, den = specfun.bernoulli_ints(40)
+    assert len(nums) == 41 and [F(x, den) for x in nums] == ref
+
+
+def test_an_interrupted_bernoulli_table_keeps_its_numbers(monkeypatch):
+    # the table grows on a copy, so an error after the numerators were
+    # rescaled leaves the table as it was
+    specfun._bernoulli_table.cache_clear()
+    specfun.bernoulli_ints(2)
+    calls = []
+
+    def failing_admit(nums, den, num, d):
+        calls.append(d)
+        new_den = poly.admit(nums, den, num, d)
+        if len(calls) == 3:
+            raise KeyboardInterrupt
+        return new_den
+
+    monkeypatch.setattr(specfun, "admit", failing_admit)
+    with pytest.raises(KeyboardInterrupt):
+        specfun.bernoulli_ints(40)
+    monkeypatch.undo()
+    ref = ref_bernoulli_numbers(40)
+    nums, den = specfun.bernoulli_ints(2)
+    assert [F(x, den) for x in nums] == ref[:3]
+    assert [specfun.bernoulli_number(k) for k in range(41)] == ref
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(entries=st.lists(st.integers(1, 80).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(0, n))), min_size=1, max_size=8))
+def test_central_factorials_match_the_loop(entries):
+    # the rows are cut at a width that doubles with the deepest column asked for
+    specfun._table.cache_clear()
+    ref = ref_central_factorial_rows(max(n for n, _ in entries))
+    for n, k in entries:
+        got = specfun.central_factorial_abs(n, k)
+        assert type(got) is F and got == ref[n][k]
+        scaled = specfun.central_factorial_scaled(n, k)
+        assert type(scaled) is int and scaled == ref[n][k] * 2 ** (n - k)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(values=sequences(), ends=ENDS, zeroth=st.sampled_from(["value", "integral"]),
+       anchor=st.none() | END)
+@example(values=[0, 0, 0, -3.2e5, -0.0, -0.0, F(1, 2), 5.6e5, F(44, 13), -1.37, F(39, 16),
+                 F(-29, 17), 0.0, 0.0, 0, F(43, 11)], ends=(0, 1), zeroth="value", anchor=None)
+@example(values=[1.0, math.inf, 0.0, 2.5], ends=(1, 3), zeroth="integral", anchor=None)
+def test_bernoulli_approx_matches_the_per_order_loop(values, ends, zeroth, anchor):
+    # a zero c_n forms no term: a float zero among exact numbers leaves them exact.
+    # A float term that underflows to zero left the loop's sum in one more
+    # way, as the trailing zeros of its polynomial were dropped: such tiny
+    # numbers are left out
+    assume(all(not isinstance(v, float) or v == 0 or abs(v) > 1e-100 for v in values))
+    c = CharNumbers(tuple(values), EndpointDiff(*ends, zeroth=zeroth, anchor=anchor))
+    got = im.bernoulli_approx(c).poly
+    same(lambda: got, lambda: ref_bernoulli_approx(c))
+    if poly.all_exact((*values, *ends)):
+        # coefficient 0 takes the shift by Fraction arithmetic
+        check_rational_types(got.coeffs[1:])
+
+
+def test_float_ends_move_the_bernoulli_basis_by_rounding_alone():
+    # the basis was composed by Horner on the float ends; it now takes their
+    # exact values, which moves float coefficients by a few ulps at most
+    c = im.bernoulli_chars(parse("exp(x)"), (0.25, 1.75), 20)
+    got = im.bernoulli_approx(c).poly.coeffs
+    old = ref_bernoulli_approx(c, lift=False).coeffs
+    assert len(got) == len(old) and key(got) != key(old)
+    scale = max(map(abs, old))
+    assert all(abs(x - y) <= 1e-12 * scale for x, y in zip(got, old))
+
+
+def test_the_integral_tables_are_bounded_and_emptied_before_every_bench_pass(monkeypatch):
+    from charmatch import matching, quadrature
+
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location("workloads", root / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "workloads", workloads)
+    spec.loader.exec_module(workloads)
+    caches = (matching._power_integrals, quadrature._points, specfun._bernoulli_table)
+    im.moments_compute(Poly([1, 2, 3]), (-1, 1), 4)
+    im.moments_compute(parse("exp(x)"), (-1, 1), 4)
+    im.bernoulli_approx(im.bernoulli_chars(Poly([1, 2, 3]), (0, 1), 4))
+    for cache in caches:
+        info = cache.cache_info()
+        assert info.currsize > 0 and info.maxsize is not None
+    workloads.clear_caches()
+    assert [cache.cache_info().currsize for cache in caches] == [0, 0, 0]

@@ -456,7 +456,7 @@ def test_fourier_approximant_sums_the_old_terms_bit_for_bit():
     approx = im.FourierApproximant(im.CoeffSeq(values, "fourier"))
     family = Projection("fourier")
     terms = [family.term(n) for n in range(len(values))]
-    xs = GaussLegendre().points(-math.pi, math.pi) + [0, F(1, 2), -0.0, 3.0]
+    xs = [*GaussLegendre().points(-math.pi, math.pi), 0, F(1, 2), -0.0, 3.0]
     for x in xs:
         # the sum as written before: each term converts a_n and x itself
         want = sum(float(a) * (scale * shape(float(x)))

@@ -31,7 +31,7 @@ from charmatch.matching import (
     tri_forward_solve,
     verify_matching,
 )
-from charmatch.integral_match import moments_compute
+from charmatch.integral_match import bernoulli_chars, moments_compute
 from charmatch.poly import Poly
 from charmatch.expansions import taylor_approx
 from charmatch.registry import build_kind
@@ -140,6 +140,25 @@ def test_moments_refuse_a_non_finite_end(ends):
         moments_compute(Poly([1, 2]), ends, 2)
     with pytest.raises(DomainError):
         Moments(*ends).chars(exprs.parse("exp(x)"), 3)
+
+
+@pytest.mark.parametrize("ends", [(0, math.inf), (-math.inf, 0.5), (math.nan, 1), (0, math.nan)])
+@pytest.mark.parametrize("zeroth", ["value", "integral"])
+def test_endpoint_differences_refuse_a_non_finite_end(ends, zeroth):
+    # an inf end gave c = (1, inf, inf, 0) and then the approximant Poly([nan]);
+    # a nan end failed later, in the jet arithmetic, with another message
+    with pytest.raises(DomainError, match="finite ends"):
+        EndpointDiff(*ends, zeroth=zeroth)
+    with pytest.raises(DomainError, match="finite ends"):
+        bernoulli_chars(Poly([1, 2, 3]), ends, 3, zeroth=zeroth)
+
+
+@pytest.mark.parametrize("anchor", [math.inf, -math.inf, math.nan])
+def test_endpoint_differences_refuse_a_non_finite_anchor(anchor):
+    with pytest.raises(DomainError, match="finite ends"):
+        EndpointDiff(0, 1, zeroth="value", anchor=anchor)
+    with pytest.raises(DomainError, match="finite ends"):
+        bernoulli_chars(Poly([1, 2, 3]), (0, 1), 3, anchor=anchor)
 
 
 def test_measure_values_family():

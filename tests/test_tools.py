@@ -93,13 +93,38 @@ def test_output_digest_records_each_roundtrip_verdict(tmp_path):
     subprocess.run([sys.executable, str(ROOT / "tools" / "output_digest.py"), str(out)],
                    capture_output=True, text=True, check=True, timeout=600)
     digests = json.loads(out.read_text())
-    assert set(digests) == {"figures", "compare", "roundtrip", "kinds"}
+    assert set(digests) == {"figures", "compare", "roundtrip", "kinds", "integral"}
     verdicts = {}
     for run, rows in digests["roundtrip"].items():
         assert rows and all(len(row) == 3 and len(row[1]) == 64 for row in rows)
         verdicts[run.split(":")[0]] = {row[2] for row in rows}
     # every exact case passes, and the float pass keeps its known failures
     assert verdicts == {"roundtrip_exact": {True}, "roundtrip_float": {True, False}}
+
+
+def test_output_digest_integral_section_covers_each_family_interval_and_target():
+    sys.path.insert(0, str(ROOT / "tools"))
+    try:
+        import output_digest
+    finally:
+        sys.path.remove(str(ROOT / "tools"))
+    wl = output_digest.load_workloads(ROOT)
+    key = output_digest.load_key()
+    digests = output_digest.integral_digests(wl, key)
+    runs = {name.rsplit("|", 2)[0].split("|")[0] + "|" + name.split("|")[1] for name in digests}
+    assert runs == {"bernoulli|(0,1)", "bernoulli|(1,3)", "bernoulli|(-1/2,3/2)",
+                    "bernoulli|(0.25,1.75)", "moments|(-1,1)", "higher_integral|(-1,1)"}
+    targets = len(wl.ACCEPTANCE + wl.POOL) + len(output_digest.INTEGRAL_POLYS)
+    assert len(digests) == len(runs) * targets * len(output_digest.ORDERS)
+    # an entry digests the characteristic numbers and the approximant's
+    # coefficients: on exact ends a polynomial of degree <= order comes back
+    from charmatch import integral_match as im
+    from charmatch.poly import Poly
+
+    p = output_digest.INTEGRAL_POLYS[2]
+    chars = im.bernoulli_chars(Poly(p), (1, 3), 20)
+    name = "bernoulli|(1,3)|poly(" + ",".join(map(str, p)) + ")|20"
+    assert digests[name] == output_digest.digest(repr(key((chars, Poly(p)))))
 
 
 def test_output_digest_against_another_file_lists_the_moved_entries(tmp_path):
@@ -118,7 +143,8 @@ def test_output_digest_against_another_file_lists_the_moved_entries(tmp_path):
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 1, proc.stderr
     assert json.loads(proc.stdout) == {"compare": ["extra"], "figures": [figure],
-                                       "kinds": [kind], "roundtrip": [f"{run}/{rows[1][0]}"]}
+                                       "integral": [], "kinds": [kind],
+                                       "roundtrip": [f"{run}/{rows[1][0]}"]}
     # two runs of one checkout give the same digests: nothing moved, exit 0
     sys.path.insert(0, str(ROOT / "tools"))
     try:

@@ -16,7 +16,14 @@ holds this script):
 * ``kinds``: ``repr(key(...))`` of the characteristic numbers and
   coefficients of every expansion kind for every benchmark target at orders
   11, 20 and 40 and centers 0, 1/3 and 0.5 (the ``repr`` of the error where
-  a build raises).
+  a build raises);
+* ``integral``: ``repr(key(...))`` of the characteristic numbers and the
+  approximant's polynomial coefficients of the integral families, at orders
+  11, 20 and 40, for every benchmark target and the three polynomials of
+  ``INTEGRAL_POLYS``: ``bernoulli`` on each interval of
+  ``BERNOULLI_INTERVALS`` (the benchmark runs (0, 1) alone, where the
+  change of variable is the identity), ``moments`` and ``higher_integral``
+  on (-1, 1).
 
 ``key`` is ``tests/result_key.py`` of the checkout that holds this script:
 exact numbers by value and exactness, whether held as an int or a
@@ -30,8 +37,9 @@ moved.  With ``--against OTHER.json`` (the file of another checkout, such as
 the parent commit) the script also prints, per section, the sorted names of
 the entries that moved: whose digest differs or that one side lacks.  It then
 exits 1 if any entry moved, 0 otherwise.  An entry is one figure, one
-``compare`` function, one round-trip case (``<workload>:<seed>/<case id>``)
-or one kind entry (``<kind>|<target>|<order>|<center>``).
+``compare`` function, one round-trip case (``<workload>:<seed>/<case id>``),
+one kind entry (``<kind>|<target>|<order>|<center>``) or one integral entry
+(``<family>|<interval>|<target>|<order>``).
 """
 
 from __future__ import annotations
@@ -52,6 +60,11 @@ CENTERS = (0, Fraction(1, 3), 0.5)
 ROUNDTRIP_SEEDS = (("roundtrip_exact", 5), ("roundtrip_exact", 6),
                    ("roundtrip_float", 31), ("roundtrip_float", 32))
 TESTS = Path(__file__).resolve().parent.parent / "tests"
+BERNOULLI_INTERVALS = ((0, 1), (1, 3), (Fraction(-1, 2), Fraction(3, 2)), (0.25, 1.75))
+INTEGRAL_POLYS = ((1, -2, Fraction(1, 3)),
+                  (Fraction(-3, 4), 0, Fraction(5, 2), -1, 0, Fraction(1, 7)),
+                  (2, Fraction(1, 8), Fraction(-9, 7), 0, 3, Fraction(5, 3), Fraction(-1, 3), 0,
+                   Fraction(1, 2), Fraction(1, 9), -4))
 
 
 def digest(*parts) -> str:
@@ -141,6 +154,40 @@ def kind_digests(wl, key) -> dict:
     return out
 
 
+def integral_case(im, family: str, f, interval: tuple, order: int) -> tuple:
+    """The characteristic numbers and the approximant of one integral family."""
+    if family == "moments":
+        m = im.moments_compute(f, interval, order)
+        return m.as_char_numbers(), im.legendre_moment_match(m)
+    if family == "higher_integral":
+        chars = im.higher_integral_chars(f, order)
+        return chars, im.higher_integral_approx(chars)
+    chars = im.bernoulli_chars(f, interval, order)
+    return chars, im.bernoulli_approx(chars)
+
+
+def integral_digests(wl, key) -> dict:
+    import charmatch
+    from charmatch import integral_match as im
+    from charmatch.poly import Poly
+
+    targets = [(t.text, charmatch.parse(t.text)) for t in wl.ACCEPTANCE + wl.POOL]
+    targets += [("poly(" + ",".join(map(str, p)) + ")", Poly(p)) for p in INTEGRAL_POLYS]
+    runs = [("bernoulli", interval) for interval in BERNOULLI_INTERVALS]
+    runs += [("moments", (-1, 1)), ("higher_integral", (-1, 1))]
+    out = {}
+    for family, (a, b) in runs:
+        for name, f in targets:
+            for order in ORDERS:
+                try:
+                    chars, approx = integral_case(im, family, f, (a, b), order)
+                    text = repr(key((chars, approx.poly)))
+                except Exception as exc:
+                    text = repr(exc)
+                out[f"{family}|({a},{b})|{name}|{order}"] = digest(text)
+    return out
+
+
 def entries(digests: dict) -> dict[str, str]:
     """The digest file as one flat map of entry name -> digest, each name
     ``<section>/<entry>``."""
@@ -184,7 +231,7 @@ def main(argv: list[str] | None = None) -> int:
         figures, compare = grid_digests(wl, Path(tmp))
         roundtrip = roundtrip_digests(wl, key, Path(tmp))
     result = {"figures": figures, "compare": compare, "roundtrip": roundtrip,
-              "kinds": kind_digests(wl, key)}
+              "kinds": kind_digests(wl, key), "integral": integral_digests(wl, key)}
     Path(args.out).write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
     if args.against is None:
         return 0
