@@ -163,7 +163,8 @@ def _solve_dense(matrix: list[list], rhs: list) -> list:
     n = len(matrix)
     a = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
     if all(map(all_exact, a)):
-        return _solve_bareiss([scaled(row)[0] for row in a])
+        nums, den = _solve_bareiss([scaled(row)[0] for row in a])
+        return [Fraction(x, den) for x in nums]
     pivots = []  # the pivot column of row 0, 1, ...
     for col in range(n):
         top = len(pivots)
@@ -190,12 +191,13 @@ def _solve_dense(matrix: list[list], rhs: list) -> list:
     return out
 
 
-def _solve_bareiss(a: list[list[int]]) -> list:
+def _solve_bareiss(a: list[list[int]]) -> tuple[list, int]:
     """A solution of the integer augmented system ``a`` by fraction-free
     elimination (E. H. Bareiss, Math. Comp. 1968), where every division is
-    exact, also past a column with no pivot, whose unknown is 0.  Back
-    substitution keeps the unknowns found so far over one denominator, so
-    each costs one integer dot product and one gcd.
+    exact, also past a column with no pivot, whose unknown is 0, as integer
+    numerators over one positive denominator.  Back substitution keeps the
+    unknowns found so far over that denominator, so each costs one integer
+    dot product and one gcd.
     """
     n = len(a)
     prev, pivots = 1, {}  # pivot column -> its row
@@ -221,7 +223,7 @@ def _solve_bareiss(a: list[list[int]]) -> list:
             continue
         s = sum(map(operator.mul, row[col + 1:n], reversed(nums)))
         den = admit(nums, den, row[n] * den - s, den * row[col])
-    return [Fraction(x, den) for x in reversed(nums)]
+    return nums[::-1], den
 
 
 def pade_solve(c: CharNumbers, m: int, n: int) -> CoeffSeq:
@@ -230,7 +232,8 @@ def pade_solve(c: CharNumbers, m: int, n: int) -> CoeffSeq:
     Of the series identity P = f Q mod x^(m+n+1), f_k = c_k / k!, only the
     orders m+1..m+n, where P has no term, form a linear system: the n x n
     block in q_1..q_n.  P is then f Q cut after x^m.  The values are
-    p_0..p_m, q_1..q_n.
+    p_0..p_m, q_1..q_n, each a Fraction where every c_k is exact
+    (``_pade_ints``).
     """
     _require_derivative(c)
     if m < 0 or n < 0:
@@ -238,12 +241,43 @@ def pade_solve(c: CharNumbers, m: int, n: int) -> CoeffSeq:
     total = m + n + 1
     if len(c.values) < total:
         raise DomainError(f"need {total} characteristic numbers, got {len(c.values)}")
+    if all_exact(c.values[:total]):
+        return CoeffSeq(_pade_ints(c.values[:total], m, n), "pade", params={"m": m, "n": n})
     f = [over(c.values[k], math.factorial(k)) for k in range(total)]
     block = [[-f[k - j] if j <= k else 0 for j in range(1, n + 1)]
              for k in range(m + 1, total)]
     q = [1] + _solve_dense(block, f[m + 1:])
     p = mul(q, f, m + 1, skip_zero_b=False)
     return CoeffSeq(p + q[1:], "pade", params={"m": m, "n": n})
+
+
+def _pade_ints(c: tuple, m: int, n: int) -> list:
+    """``pade_solve`` of the exact c_0..c_{m+n} on integers.  With c_k = C_k / D
+    over one denominator, each f_k = C_k / (D k!) is reduced once; q-block
+    row k is then -f_(k-1)..-f_(k-n), f_k over the lcm of the window's
+    reduced denominators, the row ``scaled`` gives, and Bareiss gives
+    Q = (E, e_1..e_n) / E.  P is one integer product of Q with the
+    numerators C_k m!/k! of f over m! D, so each p_i is one Fraction over
+    m! D E.
+    """
+    nums, d = scaled(c)
+    fn, fd = [], []  # f_k = fn[k] / fd[k], reduced
+    for k, x in enumerate(nums):
+        den = d * math.factorial(k)
+        g = math.gcd(x, den)
+        fn.append(x // g)
+        fd.append(den // g)
+    rows = []
+    for k in range(m + 1, m + n + 1):
+        den = math.lcm(*fd[max(k - n, 0):k + 1])
+        row = [-fn[k - j] * (den // fd[k - j]) if j <= k else 0 for j in range(1, n + 1)]
+        row.append(fn[k] * (den // fd[k]))
+        rows.append(row)
+    q, e = _solve_bareiss(rows)
+    top = math.factorial(m)
+    p = mul([e, *q], [x * (top // math.factorial(k)) for k, x in enumerate(nums[:m + 1])], m + 1)
+    den = top * d * e
+    return [Fraction(x, den) for x in p] + [Fraction(x, e) for x in q]
 
 
 class PadeApproximant(Approximant):
@@ -679,14 +713,16 @@ def dirichlet_expansion_coeffs(c: CharNumbers, variant: str) -> CoeffSeq:
     f_n = c_n / n!; a_n is the divisor sum of f against the Dirichlet inverse
     of g's power-series coefficients: all-ones for g = G, mu for
     g = 1/(1-x), nu for g = x/(x^2+1).  b_0 is f(0) when g(0) = 0
-    (G, rat2) and c_0 - sum a_n for the rat1 basis with g(0) = 1.
+    (G, rat2) and c_0 - sum a_n for the rat1 basis with g(0) = 1.  Exact c
+    read rows with 1/(n/k)! folded into their entries; float c read f.
     """
     _require_derivative(c)
     table = _DIRICHLET.get(variant)
     if table is None:
         raise DomainError(f"unknown Dirichlet expansion variant {variant!r}")
-    f = [over(ck, math.factorial(k)) for k, ck in enumerate(c.values)]
-    values = tri_table(_dirichlet_rows, variant, len(c.values)).apply(f)
+    folded = all_exact(c.values)
+    f = c.values if folded else [over(ck, math.factorial(k)) for k, ck in enumerate(c.values)]
+    values = tri_table(_dirichlet_rows, variant, len(c.values), folded).apply(f)
     b0 = c.values[0]
     if table["series"](0):
         total = 0  # a += loop, as the builtin sum was before Python 3.12
@@ -696,11 +732,14 @@ def dirichlet_expansion_coeffs(c: CharNumbers, variant: str) -> CoeffSeq:
     return CoeffSeq(tuple(values), variant, params={"b0": b0})
 
 
-def _dirichlet_rows(variant: str, size: int) -> TriRows:
+def _dirichlet_rows(variant: str, size: int, folded: bool) -> TriRows:
+    """Row n lists (n/k, gamma^-1_k) for the divisors k of n, ascending, with
+    gamma^-1_k nonzero (gamma_size keeps the inverse nonempty); ``folded``
+    entries are gamma^-1_k / (n/k)!, to be read at c rather than at f."""
     series = _DIRICHLET[variant]["series"]
-    # gamma^-1 at the divisors k of n, ascending (gamma_size keeps it nonempty)
     inv = (0, *specfun.dirichlet_inverse([series(j) for j in range(1, size + 1)]))
-    return TriRows([[(n // k, inv[k]) for k in range(1, n + 1) if n % k == 0 and inv[k]]
+    return TriRows([[(n // k, Fraction(inv[k], math.factorial(n // k)) if folded else inv[k])
+                     for k in range(1, n + 1) if n % k == 0 and inv[k]]
                     for n in range(1, size)])
 
 

@@ -16,7 +16,8 @@ jets, and the integer Taylor shift ``taylor_shift``.  A number leaves that
 form as ``rational(num, den)``, an int where the value is an integer and a
 Fraction otherwise.  Every fixed triangular map, the power tables of
 ``Poly.__call__`` included, is one ``TriRows`` in the one cache
-``tri_table``.
+``tri_table``; the identity jet t takes no table, since an exact polynomial
+composed with it is its own coefficients in that integer form.
 """
 
 from __future__ import annotations
@@ -337,7 +338,8 @@ class Poly:
         in the full loop, so floats keep their bits.  On exact coefficients
         and an exact jet the loop gives way to the cached power table of the
         jet (``_power_rows``, keyed by its integer form): O(N^2) integer work
-        per call instead of one product per degree.
+        per call instead of one product per degree.  The identity jet t
+        takes no table: the result is the coefficients themselves.
         """
         if isinstance(x, float):
             coeffs = self.floats
@@ -356,6 +358,9 @@ class Poly:
                     if x.nums is not None and all_exact(coeffs):
                         # padded to the columns k = 0..N // v of the table
                         coeffs += (0,) * (order // v - top)
+                        if x.den == 1 and ys[1] == 1 and not any(ys[2:]):
+                            # the identity jet t, whose table is the identity
+                            return Jet.from_ints(x.center, *reduced(*scaled(coeffs)))
                         table = tri_table(_power_rows, x.nums, x.den)
                         return Jet.from_ints(x.center, *table.exact(coeffs))
                     ys = x.coeffs

@@ -8,7 +8,10 @@ integer numerators over shared denominators when every operand is an int
 or a Fraction; the NSBF and Dirichlet approximant jets, the exact
 ``exp_weighted_coeffs`` and ``bernoulli_approx`` are ``tri_map`` sums, and
 an exact series composed with an exact jet of head 0 is summed from the
-jet's power table, kept in the one cache ``tri_table``.
+jet's power table, kept in the one cache ``tri_table``, except at the
+identity jet, which takes no table.  The exact Pade solve builds its block,
+Q and P on integers, and the exact Dirichlet maps fold 1/k! into their
+rows; the code they replaced is kept in ``taylor_coordinate_reference``.
 Each reference below is the loop used before, kept verbatim, and the two
 must agree by ``result_key.key``: exact values and exactness, and float
 bits.  An exact integer path gives an int where a value is an integer and a
@@ -42,14 +45,15 @@ from charmatch.errors import DomainError, JetDomainError, SingularSystemError
 from charmatch.exprs import parse
 from charmatch.jets import Jet, _float_head, bessel_jn_jet, exact_sqrt
 from charmatch.matching import (
-    CharNumbers, CoeffSeq, Derivative, EndpointDiff, HigherIntegral, Moments, tri_map,
-    verify_matching,
+    CharNumbers, CoeffSeq, Derivative, EndpointDiff, HigherIntegral, Moments,
+    derivative_chars, tri_map, verify_matching,
 )
 from charmatch.poly import Poly, div, is_exact, over
 from charmatch.registry import build_kind
 from result_key import key, same
 from test_exact_kernel import plain_mul
 from tri_reference import check_tri_map
+import taylor_coordinate_reference as former
 
 
 F = Fraction
@@ -655,7 +659,12 @@ def composed_from_one_new_table(p, x):
 def test_structured_jets_take_the_power_table(name):
     x = structured_jet(name, 20)
     coeffs = Poly([F(k, 3) for k in range(1, 22)])
-    got = composed_from_one_new_table(coeffs, x)
+    if name == "identity":  # p(t) is p itself: no table is built or read
+        poly.tri_table.cache_clear()
+        got = coeffs(x)
+        assert poly.tri_table.cache_info().misses == 0
+    else:
+        got = composed_from_one_new_table(coeffs, x)
     assert key(got) == key(ref_head0_horner(coeffs.coeffs, x))
     # floats keep the Horner loop
     assert key(coeffs.as_float()(x)) == key(ref_head0_horner(coeffs.floats, x))
@@ -915,3 +924,113 @@ def test_the_integral_tables_are_bounded_and_emptied_before_every_bench_pass(mon
         assert info.currsize > 0 and info.maxsize is not None
     workloads.clear_caches()
     assert [cache.cache_info().currsize for cache in caches] == [0, 0, 0]
+
+
+# -- the Taylor coordinate f_k = c_k / k! on integers: Pade, t, Dirichlet -----------------
+#
+# Each against the code it replaced (``taylor_coordinate_reference``): exact
+# values and the types they had, floats to the bit.
+
+
+def pade_entries(c, m, n):
+    """``pade_solve`` against the former solve; on exact c_0..c_{m+n} every
+    p_i and q_j is a Fraction, as before."""
+    same(lambda: xp.pade_solve(c, m, n), lambda: former.pade_solve(c, m, n))
+    if poly.all_exact(c.values[:m + n + 1]):
+        try:
+            values = xp.pade_solve(c, m, n).values
+        except SingularSystemError:
+            return
+        assert all(type(v) is F for v in values)
+
+
+PADE_TARGETS = ["exp(x)", "cos(x)", "exp(sin(x))", "ln(x^2 + 1)", "sqrt(4 - x^2)",
+                "sin(x)/(1 + x)", "1", "1 + x", "1/(1 + x^2)"]
+
+
+@pytest.mark.parametrize("x0", [0, F(1, 3), F(1, 2)])
+@pytest.mark.parametrize("target", PADE_TARGETS)
+def test_pade_on_integers_matches_the_former_solve(target, x0):
+    c = derivative_chars(parse(target), x0, 40)
+    for order in (0, 1, 2, 3, 5, 8, 11, 20, 40):
+        head = CharNumbers(c.values[:order + 1], c.family)
+        for m, n in {((order + 1) // 2, order // 2), (order, 0), (0, order),
+                     (max(order - 1, 0), min(order, 1))}:
+            pade_entries(head, m, n)
+
+
+@pytest.mark.parametrize("x0", [0, F(1, 3)])
+@pytest.mark.parametrize("target", ["1", "1 + x", "1/(1 + x^2)"])
+def test_consistent_singular_pade_blocks_still_build(target, x0):
+    for order in (11, 20, 40):
+        built = build_kind("pade", parse(target), order, x0=x0)
+        assert all(type(v) is F for v in built.coeffs.values)
+        assert key(built.coeffs) == key(former.pade_solve(built.chars, (order + 1) // 2,
+                                                          order // 2))
+        if x0 == 0:
+            assert verify_matching(built.approximant, built.chars).max_residual == 0
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_pade_on_random_exact_numbers_matches_the_former_solve(data):
+    size = data.draw(st.integers(1, 41))
+    # zeros among the numbers make singular blocks likely
+    c = data.draw(st.lists(st.one_of(EXACT, st.just(0)), min_size=size, max_size=size))
+    x0 = data.draw(CENTERS.filter(is_exact))
+    m = data.draw(st.integers(0, size - 1))
+    pade_entries(CharNumbers(tuple(c), Derivative(x0)), m, size - 1 - m)
+
+
+def identity_jets(order):
+    """The identity jet t of one order, at one of ``CENTERS``, its 1 and zeros
+    held as ints or Fractions: every one is the integer form (0, 1, 0, ...) / 1."""
+    one, zero = st.sampled_from([1, F(1)]), st.sampled_from([0, F(0)])
+    return st.tuples(CENTERS, one, st.lists(zero, min_size=order, max_size=order)).map(
+        lambda t: Jet(t[0], (t[2][0], t[1], *t[2][1:])))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(coeffs=st.lists(EXACT, min_size=1, max_size=43),
+       x=st.integers(1, 40).flatmap(identity_jets))
+@example(coeffs=[F(1, 2), 0, 3], x=Jet(0, (0, 1)))  # the degree cut at the jet order
+@example(coeffs=[0, 0, F(0)], x=Jet(F(1, 3), (0, 1, 0, 0)))
+def test_identity_composition_takes_no_table(coeffs, x):
+    p = Poly(coeffs)
+    assert (x.nums[:2], x.den) == ((0, 1), 1) and not any(x.nums[2:])
+    poly.tri_table.cache_clear()
+    got = p(x)
+    assert poly.tri_table.cache_info().misses == 0
+    assert key(got) == key(former.compose_with_power_table(p, x))
+    if len(p.coeffs) > 1:  # a constant is the constant jet, typed as given
+        assert key(got) == key(ref_head0_horner(p.coeffs, x))
+        check_rational_types(got.coeffs)
+
+
+@pytest.mark.parametrize("x", [Jet(0, (0, 2, 0, 0)), Jet(0, (0, F(1, 2), 0)),
+                               Jet(0, (0, 1, 0, 1)), Jet(0, (0, 1, F(1, 3)))])
+def test_jets_near_the_identity_take_the_power_table(x):
+    p = Poly([F(1, 2), 3, F(-2, 7), 5])
+    got = composed_from_one_new_table(p, x)
+    assert key(got) == key(former.compose_with_power_table(p, x))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(c=st.lists(EXACT, min_size=1, max_size=41) | INT_SEQUENCES, variant=VARIANTS)
+@example(c=[0], variant="dirichlet_rat1")
+@example(c=[F(1, 3), 0, 0, 0, 0, 0, 120], variant="dirichlet_g")
+def test_exact_dirichlet_rows_fold_in_the_factorials(c, variant):
+    chars = CharNumbers(tuple(c), Derivative(0))
+    got = xp.dirichlet_expansion_coeffs(chars, variant)
+    assert key(got) == key(former.dirichlet_expansion_coeffs(chars, variant))
+    check_rational_types(got.values)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(c=NON_EXACT, variant=VARIANTS)
+@example(c=[1.0, math.inf, 0.0, -0.0, 2.5], variant="dirichlet_rat1")
+@example(c=[0, 5, F(1, 3), 0.5], variant="dirichlet_rat2")
+def test_float_dirichlet_coefficients_keep_their_bits(c, variant):
+    chars = CharNumbers(tuple(c), Derivative(0))
+    same(lambda: xp.dirichlet_expansion_coeffs(chars, variant),
+         lambda: former.dirichlet_expansion_coeffs(chars, variant))

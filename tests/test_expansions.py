@@ -180,6 +180,22 @@ def test_pade_persistence_fails():
 
 @pytest.mark.parametrize("m, n", [(10, 10), (0, 5), (5, 0)])
 def test_pade_solves_only_the_q_block(monkeypatch, m, n):
+    # exact input: the integer solver sees n rows of n+1 ints, the augmented block
+    rows_seen = []
+    bareiss = xp._solve_bareiss
+
+    def recording_ints(rows):
+        rows_seen.append([list(row) for row in rows])
+        return bareiss(rows)
+
+    monkeypatch.setattr(xp, "_solve_bareiss", recording_ints)
+    c = chars_of("exp(x)", m + n)
+    coeffs = xp.pade_solve(c, m, n)
+    assert len(rows_seen) == 1 and len(rows_seen[0]) == n
+    assert all(len(row) == n + 1 and all(type(x) is int for x in row) for row in rows_seen[0])
+    assert coeffs.params == {"m": m, "n": n}
+    assert len(coeffs.values) == m + n + 1
+    # float input: the elimination with partial pivoting sees the n x n block
     shapes = []
     solve = xp._solve_dense
 
@@ -188,10 +204,12 @@ def test_pade_solves_only_the_q_block(monkeypatch, m, n):
         return solve(matrix, rhs)
 
     monkeypatch.setattr(xp, "_solve_dense", recording)
-    coeffs = xp.pade_solve(chars_of("exp(x)", m + n), m, n)
+    floats = xp.pade_solve(CharNumbers([float(v) for v in c.values], c.family), m, n)
     assert shapes == [(n, {n} if n else set(), n)]
-    assert coeffs.params == {"m": m, "n": n}
-    assert len(coeffs.values) == m + n + 1
+    # a float block takes no integer solve; the empty one holds no float
+    assert rows_seen[1:] == ([] if n else [[]])
+    assert all(type(v) is float for v in floats.values)
+    assert len(floats.values) == m + n + 1
 
 
 def test_pade_keeps_exact_terms_exact_beside_a_float_head():

@@ -34,7 +34,8 @@ def test_pass_time_compares_a_checkout_with_itself():
     case_ratios = summary["case_ratio_b_over_a"]
     assert len(case_ratios) == summary["A"]["cases"] == summary["B"]["cases"] > 0
     assert all(ratio > 0 for ratio in case_ratios.values())
-    assert [line.rsplit(": B/A ", 1)[0] for line in out[2:-1]] == [f"case {c}" for c in case_ratios]
+    case_lines = out[2:2 + len(case_ratios)]
+    assert [line.rsplit(": B/A ", 1)[0] for line in case_lines] == [f"case {c}" for c in case_ratios]
     # per family the median of its cases' ratios, smallest first
     family_ratios = summary["family_ratio_b_over_a"]
     families = {case.split("|", 1)[0] for case in case_ratios}
@@ -43,6 +44,15 @@ def test_pass_time_compares_a_checkout_with_itself():
     for family, ratio in family_ratios.items():
         mine = sorted(r for c, r in case_ratios.items() if c.split("|", 1)[0] == family)
         assert mine[0] <= ratio <= mine[-1]
+    # beside each, the family's summed best case times per side, one line each;
+    # each case at its best cannot take longer than in the best pass
+    family_ms = summary["family_ms"]
+    assert list(family_ms) == list(family_ratios)
+    family_lines = out[2 + len(case_ratios):-1]
+    assert [line.split(": A ", 1)[0] for line in family_lines] == [f"family {f}" for f in family_ms]
+    for side in ("A", "B"):
+        assert all(ms[side] > 0 for ms in family_ms.values())
+        assert sum(ms[side] for ms in family_ms.values()) <= summary[side]["pass_s"] * 1e3 * (1 + 1e-9)
 
 
 def test_figure_drift_of_a_checkout_with_itself_is_zero():
@@ -93,7 +103,7 @@ def test_output_digest_records_each_roundtrip_verdict(tmp_path):
     subprocess.run([sys.executable, str(ROOT / "tools" / "output_digest.py"), str(out)],
                    capture_output=True, text=True, check=True, timeout=600)
     digests = json.loads(out.read_text())
-    assert set(digests) == {"figures", "compare", "roundtrip", "kinds", "integral"}
+    assert set(digests) == {"figures", "compare", "roundtrip", "kinds", "integral", "cli"}
     verdicts = {}
     for run, rows in digests["roundtrip"].items():
         assert rows and all(len(row) == 3 and len(row[1]) == 64 for row in rows)
@@ -127,6 +137,48 @@ def test_output_digest_integral_section_covers_each_family_interval_and_target()
     assert digests[name] == output_digest.digest(repr(key((chars, Poly(p)))))
 
 
+def test_output_digest_cli_section_covers_every_kind_parameter_and_moments(tmp_path):
+    sys.path.insert(0, str(ROOT / "tools"))
+    try:
+        import output_digest
+    finally:
+        sys.path.remove(str(ROOT / "tools"))
+    wl = output_digest.load_workloads(ROOT)
+    from charmatch import cli, registry
+    from charmatch.interp import ws_node_systems
+
+    digests = output_digest.cli_digests(wl, tmp_path)
+    names = set(digests)
+    f = output_digest.CLI_F
+    for kind in registry.KIND_NAMES:
+        for command in ("coeffs", "verify"):
+            assert f"{command} --kind {kind} --f {f}" in names
+        assert f"verify --kind {kind} --f {f} --family moments" in names
+        # each parameter the kind reads once with a value other than its default
+        flags = dict(output_digest.CLI_PARAMS.get(kind, ()))
+        params = registry.kind_params(kind)
+        assert len(flags) == len(params)
+        for param, default in params.items():
+            flag = cli._SETTINGS[param].flag
+            assert cli._SETTINGS[param].check(param, flags[flag]) != default
+            for command in ("coeffs", "verify"):
+                assert f"{command} --kind {kind} {flag} {flags[flag]} --f {f}" in names
+    for preset in ws_node_systems():
+        assert {f"coeffs --preset {preset}", f"verify --preset {preset}"} <= names
+    assert len(names) == len(output_digest.cli_argvs())
+    # an entry digests the exit code, stdout, stderr and the JSON file
+    path = tmp_path / "pade.json"
+    argv = ["coeffs", "--kind", "pade", "--f", f]
+    code, stdout, stderr = output_digest.run_cli(cli, [*argv, "--json", str(path)])
+    assert code == 0 and stderr == "" and "kind: pade" in stdout
+    assert digests[" ".join(argv)] == output_digest.digest(str(code), stdout, stderr,
+                                                            path.read_bytes())
+    refused = "coeffs --preset ws-classic"  # it needs --f: no JSON file
+    code, stdout, stderr = output_digest.run_cli(cli, refused.split())
+    assert code == 2 and stderr.startswith("error: ")
+    assert digests[refused] == output_digest.digest(str(code), stdout, stderr, b"")
+
+
 def test_output_digest_against_another_file_lists_the_moved_entries(tmp_path):
     script = str(ROOT / "tools" / "output_digest.py")
     first, second, other = (tmp_path / f"{name}.json" for name in ("first", "second", "other"))
@@ -142,7 +194,7 @@ def test_output_digest_against_another_file_lists_the_moved_entries(tmp_path):
     proc = subprocess.run([sys.executable, script, str(second), "--against", str(other)],
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 1, proc.stderr
-    assert json.loads(proc.stdout) == {"compare": ["extra"], "figures": [figure],
+    assert json.loads(proc.stdout) == {"cli": [], "compare": ["extra"], "figures": [figure],
                                        "integral": [], "kinds": [kind],
                                        "roundtrip": [f"{run}/{rows[1][0]}"]}
     # two runs of one checkout give the same digests: nothing moved, exit 0

@@ -23,7 +23,12 @@ holds this script):
   ``INTEGRAL_POLYS``: ``bernoulli`` on each interval of
   ``BERNOULLI_INTERVALS`` (the benchmark runs (0, 1) alone, where the
   change of variable is the identity), ``moments`` and ``higher_integral``
-  on (-1, 1).
+  on (-1, 1);
+* ``cli``: exit code, stdout, stderr and JSON file of ``coeffs`` and
+  ``verify`` for ``CLI_F`` with every kind at its defaults, with each
+  kind parameter of ``CLI_PARAMS`` (one non-default value per parameter a
+  kind reads), with ``--family moments`` and with every node-system
+  preset of ``interp.ws_node_systems``.
 
 ``key`` is ``tests/result_key.py`` of the checkout that holds this script:
 exact numbers by value and exactness, whether held as an int or a
@@ -38,8 +43,9 @@ the parent commit) the script also prints, per section, the sorted names of
 the entries that moved: whose digest differs or that one side lacks.  It then
 exits 1 if any entry moved, 0 otherwise.  An entry is one figure, one
 ``compare`` function, one round-trip case (``<workload>:<seed>/<case id>``),
-one kind entry (``<kind>|<target>|<order>|<center>``) or one integral entry
-(``<family>|<interval>|<target>|<order>``).
+one kind entry (``<kind>|<target>|<order>|<center>``), one integral entry
+(``<family>|<interval>|<target>|<order>``) or one command line of the ``cli``
+section (``<command> <flags>``).
 """
 
 from __future__ import annotations
@@ -65,6 +71,11 @@ INTEGRAL_POLYS = ((1, -2, Fraction(1, 3)),
                   (Fraction(-3, 4), 0, Fraction(5, 2), -1, 0, Fraction(1, 7)),
                   (2, Fraction(1, 8), Fraction(-9, 7), 0, 3, Fraction(5, 3), Fraction(-1, 3), 0,
                    Fraction(1, 2), Fraction(1, 9), -4))
+CLI_F = "exp(sin(x))"
+# per kind, the non-default values of the parameters it reads, one run each
+CLI_PARAMS = {"exp_weighted": (("--w", "1/3"), ("--q", "3")),
+              "rational_x_over_x1": (("--alpha", "2"),),
+              "nonlinear": (("--lambda", "cube"),)}
 
 
 def digest(*parts) -> str:
@@ -93,11 +104,12 @@ def load_key():
     return key
 
 
-def run_cli(cli, argv: list[str]) -> tuple[int, str]:
+def run_cli(cli, argv: list[str]) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of ``cli.main(argv)``."""
     with contextlib.redirect_stdout(io.StringIO()) as out, \
-            contextlib.redirect_stderr(io.StringIO()):
+            contextlib.redirect_stderr(io.StringIO()) as err:
         code = cli.main(argv)
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 def grid_digests(wl, out_dir: Path) -> tuple[dict, dict]:
@@ -106,12 +118,12 @@ def grid_digests(wl, out_dir: Path) -> tuple[dict, dict]:
     for name in grid.figure_names:
         case = wl.Case("figure", name)
         wl.clear_caches()
-        code, _ = run_cli(grid.cli, grid.argv(case))
+        code, _, _ = run_cli(grid.cli, grid.argv(case))
         csv, svg = grid._paths(case)
         figures[name] = digest(str(code), csv.read_bytes(), svg.read_bytes())
     for function in wl.COMPARE_POOL:
         wl.clear_caches()
-        code, stdout = run_cli(grid.cli, grid.argv(wl.Case("compare", function)))
+        code, stdout, _ = run_cli(grid.cli, grid.argv(wl.Case("compare", function)))
         compare[function] = digest(str(code), stdout,
                                    (out_dir / "compare.json").read_bytes())
     return figures, compare
@@ -188,6 +200,36 @@ def integral_digests(wl, key) -> dict:
     return out
 
 
+def cli_argvs() -> list[list[str]]:
+    """The ``coeffs`` and ``verify`` command lines of the ``cli`` section."""
+    from charmatch import registry
+    from charmatch.interp import ws_node_systems
+
+    builds = []
+    for kind in registry.KIND_NAMES:
+        builds.append(["--kind", kind])
+        builds += [["--kind", kind, flag, value] for flag, value in CLI_PARAMS.get(kind, ())]
+    presets = [["--preset", name] for name in ws_node_systems()]
+    argvs = [[command, *build, "--f", CLI_F] for command in ("coeffs", "verify")
+             for build in builds]
+    argvs += [["verify", "--kind", kind, "--f", CLI_F, "--family", "moments"]
+              for kind in registry.KIND_NAMES]
+    return argvs + [[command, *preset] for command in ("coeffs", "verify") for preset in presets]
+
+
+def cli_digests(wl, out_dir: Path) -> dict:
+    from charmatch import cli
+
+    out, path = {}, out_dir / "cli.json"
+    for argv in cli_argvs():
+        path.unlink(missing_ok=True)  # a refused command writes no file
+        wl.clear_caches()
+        code, stdout, stderr = run_cli(cli, [*argv, "--json", str(path)])
+        out[" ".join(argv)] = digest(str(code), stdout, stderr,
+                                     path.read_bytes() if path.exists() else b"")
+    return out
+
+
 def entries(digests: dict) -> dict[str, str]:
     """The digest file as one flat map of entry name -> digest, each name
     ``<section>/<entry>``."""
@@ -230,8 +272,10 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         figures, compare = grid_digests(wl, Path(tmp))
         roundtrip = roundtrip_digests(wl, key, Path(tmp))
+        cli = cli_digests(wl, Path(tmp))
     result = {"figures": figures, "compare": compare, "roundtrip": roundtrip,
-              "kinds": kind_digests(wl, key), "integral": integral_digests(wl, key)}
+              "kinds": kind_digests(wl, key), "integral": integral_digests(wl, key),
+              "cli": cli}
     Path(args.out).write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
     if args.against is None:
         return 0
